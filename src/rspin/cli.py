@@ -83,6 +83,16 @@ def _parse_kv(args):
     return options
 
 
+def _int_option(options, key, default):
+    text = options.get(key)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise click.UsageError("%s must be an integer, got %r" % (key, text)) from None
+
+
 def _gamma_order(algebra, bound=24):
     from .constructors import nakayama_gamma
     from .superlinalg import identity
@@ -162,7 +172,7 @@ def common_options(fn):
 def check(builtin_name, file_path, r_opt, n, as_json, kv):
     """Validate all closed Lambda_r-Frobenius relations; exit 1 on failure."""
     options = _parse_kv(kv)
-    r = int(options.get("r", r_opt)) if (options.get("r") or r_opt) else None
+    r = _int_option(options, "r", r_opt)
     try:
         alg, inputs = _load_lambda(builtin_name, file_path, r, n)
         report = validate(alg)
@@ -194,7 +204,7 @@ def check(builtin_name, file_path, r_opt, n, as_json, kv):
 def nakayama(builtin_name, file_path, r_opt, n, as_json, kv):
     """Print the Nakayama automorphisms N_a of the algebra."""
     options = _parse_kv(kv)
-    r = int(options.get("r", r_opt)) if (options.get("r") or r_opt) else None
+    r = _int_option(options, "r", r_opt)
     try:
         alg, inputs = _load_lambda(builtin_name, file_path, r, n)
     except INPUT_ERRORS as exc:
@@ -219,7 +229,7 @@ def nakayama(builtin_name, file_path, r_opt, n, as_json, kv):
 def torus(builtin_name, file_path, r_opt, n, as_json, all_divisors, kv):
     """Evaluate r-spin torus invariants: torus r=8 a=4 b=6, or --all-divisors."""
     options = _parse_kv(kv)
-    r = int(options.get("r", r_opt)) if (options.get("r") or r_opt) else None
+    r = _int_option(options, "r", r_opt)
     try:
         alg, inputs = _load_lambda(builtin_name, file_path, r, n)
     except INPUT_ERRORS as exc:
@@ -229,8 +239,8 @@ def torus(builtin_name, file_path, r_opt, n, as_json, all_divisors, kv):
         table = all_torus_invariants(alg)
         results["divisor_table"] = {str(d): format_scalar(v) for d, v in table.items()}
     if "a" in options or "b" in options:
-        a = int(options.get("a", 0))
-        b = int(options.get("b", 0))
+        a = _int_option(options, "a", 0)
+        b = _int_option(options, "b", 0)
         t = RSpinTorus(alg.r, a, b)
         try:
             value = evaluate_torus(alg, t)
@@ -255,7 +265,7 @@ def torus(builtin_name, file_path, r_opt, n, as_json, all_divisors, kv):
 def surface(builtin_name, file_path, r_opt, n, as_json, kv):
     """Evaluate a closed surface: surface r=2 genus=2 holonomies=[(0,1),(1,1)]."""
     options = _parse_kv(kv)
-    r = int(options.get("r", r_opt)) if (options.get("r") or r_opt) else None
+    r = _int_option(options, "r", r_opt)
     try:
         alg, inputs = _load_lambda(builtin_name, file_path, r, n)
         genus = int(options["genus"])

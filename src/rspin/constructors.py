@@ -21,6 +21,7 @@ from .superlinalg import (
     UNIT_SPACE,
     braiding,
     compose,
+    graded_tuples,
     identity,
     kernel_of_matrix,
     solve_exact,
@@ -36,19 +37,6 @@ class FrobeniusError(ValueError):
 
 class DegeneratePairingError(FrobeniusError):
     pass
-
-
-# Zig-zag handedness: with right duals built from left duals through the
-# braiding, the N-shaped zig-zag computes the INVERSE Nakayama automorphism
-# of an ordinary Frobenius algebra.  Pinned by the Landau-Ginzburg orbifold
-# tests against the xi^{-g} determinant weights.
-ZIGZAG_COMPUTES_INVERSE = True
-
-# Multiplication order inside the averaging projector:
-#   P_a(x) = sum_i ebar_i . x . gamma^(1-a)(e_i)
-# The mirrored order (gamma on the left tensor leg) is the documented
-# fallback; exactly this convention ships, selected by the test suite.
-PROJECTOR_GAMMA_ON_RIGHT = True
 
 
 @dataclass
@@ -145,37 +133,25 @@ class FrobeniusAlgebraData:
 
 
 def _copairing_from(pairing, space):
-    """Solve the zorro identity (p o id).(id o c) = id for the copairing c."""
-    one = identity(space)
+    """The copairing: the inverse Gram matrix of the pairing at the pair index (i, j).
+
+    With c = sum_ij c_ij e_i o e_j, the zorro identity (p o id).(id o c) = id
+    reads G c = 1 for the Gram matrix G_ij = p(e_i o e_j); the pairing is
+    even, so no Koszul sign enters.
+    """
     dim = space.dim
-    sq = tensor_space(space, space)
-    columns = []
-    for k in range(sq.dim):
-        if sq.parity(k) == 1:
-            # odd elementary tensors cannot appear in the even copairing
-            columns.append(None)
-            continue
-        rows = [[Cyc.one() if i == k else Cyc.zero()] for i in range(sq.dim)]
-        elementary = SuperMap(UNIT_SPACE, sq, 0, rows, None, (space, space))
-        zig = compose(tensor(pairing, one), tensor(one, elementary))
-        columns.append(zig)
-    big_rows = []
-    for i in range(dim):
-        for j in range(dim):
-            row = []
-            for k in range(sq.dim):
-                if columns[k] is None:
-                    row.append(Cyc.zero())
-                else:
-                    row.append(columns[k].rows[i][j])
-            big_rows.append(row)
-    target = [[Cyc.one() if i == j else Cyc.zero()] for i in range(dim) for j in range(dim)]
+    pairs = _pair_index(space)
+    gram = [[pairing.rows[0][pairs[(i, j)]] for j in range(dim)] for i in range(dim)]
+    one = identity(space)
     try:
-        solution = solve_exact(big_rows, target, sq.dim)
+        inverse = solve_exact(gram, one.rows, dim)
     except SuperLinAlgError as exc:
         raise DegeneratePairingError("pairing is degenerate; no copairing exists") from exc
-    cop_rows = [[solution[k][0]] for k in range(sq.dim)]
-    copairing = SuperMap(UNIT_SPACE, sq, 0, cop_rows, (), (space, space))
+    cop_rows = [[Cyc.zero()] for _ in pairs]
+    for (i, j), k in pairs.items():
+        cop_rows[k][0] = inverse[i][j]
+    copairing = SuperMap(UNIT_SPACE, tensor_space(space, space), 0, cop_rows,
+                         (), (space, space))
     check = compose(tensor(one, pairing), tensor(copairing, one))
     if check != one:
         raise DegeneratePairingError("copairing fails the mirrored zorro identity")
@@ -210,13 +186,9 @@ def nakayama_gamma(algebra):
     crossed = compose(braiding(space, space), algebra.copairing)
     zig = compose(tensor(algebra.pairing, one), tensor(one, crossed))
     inv_rows = solve_exact(zig.rows, identity(space).rows, space.dim)
-    inverse_map = SuperMap(space, space, 0, inv_rows)
-    if ZIGZAG_COMPUTES_INVERSE:
-        gamma, gamma_inv = inverse_map, zig
-    else:
-        gamma, gamma_inv = zig, inverse_map
+    gamma = SuperMap(space, space, 0, inv_rows)
     _check_algebra_automorphism(algebra, gamma)
-    return AlgebraAutomorphism(gamma, gamma_inv)
+    return AlgebraAutomorphism(gamma, zig)
 
 
 def _check_algebra_automorphism(algebra, phi):
@@ -243,10 +215,7 @@ def averaging_projector(algebra, gamma, a):
     cop = algebra.copairing  # legs (ebar_i, e_i)
     step1 = tensor(cop, one)                     # x -> (ebar, e, x)
     step2 = tensor(one, braiding(space, space))  # -> (ebar, x, e)
-    if PROJECTOR_GAMMA_ON_RIGHT:
-        step3 = tensor(one, one, gpow)           # -> (ebar, x, gamma(e))
-    else:
-        step3 = tensor(gpow, one, one)           # mirrored fallback
+    step3 = tensor(one, one, gpow)               # -> (ebar, x, gamma(e))
     step4 = tensor(algebra.mult, one)
     return compose(algebra.mult, compose(step4, compose(step3, compose(step2, step1))))
 
@@ -273,6 +242,8 @@ def graded_center_data(algebra, r):
     Requires gamma_A^r = id; the Nakayama automorphisms of the result act as
     gamma_A restricted to each circle space.
     """
+    if r < 1:
+        raise FrobeniusError("the spin order r must be a positive integer, got %d" % r)
     if not algebra.delta_separable:
         raise FrobeniusError(
             "graded_center requires a Delta-separable algebra (mu o Delta = id)")
@@ -352,8 +323,6 @@ def _mult_from_table(space, table):
 
 
 def _pair_index(space):
-    from .superlinalg import graded_tuples
-
     return {t: k for k, t in enumerate(graded_tuples([space, space]))}
 
 

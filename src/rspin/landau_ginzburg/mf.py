@@ -35,6 +35,10 @@ class GroupAction:
     r: int
     weights: tuple  # pairs (variable, weight)
 
+    def __post_init__(self):
+        if self.r < 1:
+            raise MFError("the group order must be a positive integer, got %d" % self.r)
+
     def weight(self, var):
         for v, w in self.weights:
             if v == var:

@@ -18,7 +18,8 @@ class ScalarError(ValueError):
     pass
 
 
-def _divisors(r):
+def divisors(r):
+    """Positive divisors of r, ascending."""
     return [d for d in range(1, r + 1) if r % d == 0]
 
 
@@ -51,7 +52,7 @@ def cyclotomic_polynomial(r):
         raise ScalarError("order must be a positive integer")
     poly = [0] * (r + 1)
     poly[0], poly[r] = -1, 1
-    for d in _divisors(r)[:-1]:
+    for d in divisors(r)[:-1]:
         poly = _int_poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .scalars import Cyc, as_cyc
 
@@ -36,27 +37,70 @@ class SuperSpace:
 
 
 UNIT_SPACE = SuperSpace(1, 0)
+_ZERO = Cyc.zero()
+_ONE = Cyc.one()
+
+
+@lru_cache(maxsize=256)
+def _graded_rank(spaces):
+    """Graded index of every basis tuple of a flat tensor product.
+
+    Entry k belongs to the tuple whose mixed-radix code over the factor
+    dimensions is k (the lexicographic position of the tuple); evens keep
+    their lexicographic order ahead of the odds.
+    """
+    parities = [0]
+    for s in spaces:
+        parities = [p ^ (i >= s.even) for p in parities for i in range(s.dim)]
+    rank = []
+    even, odd = 0, len(parities) - sum(parities)
+    for p in parities:
+        if p:
+            rank.append(odd)
+            odd += 1
+        else:
+            rank.append(even)
+            even += 1
+    return tuple(rank)
 
 
 def graded_tuples(spaces):
     """Basis tuples of a flat tensor product, evens (lex) then odds (lex)."""
-    pools = [range(s.dim) for s in spaces]
-    evens, odds = [], []
-    for combo in itertools.product(*pools):
-        parity = sum(s.parity(i) for s, i in zip(spaces, combo)) % 2
-        (evens if parity == 0 else odds).append(combo)
-    return evens + odds
+    rank = _graded_rank(tuple(spaces))
+    out = [None] * len(rank)
+    for k, combo in zip(rank, itertools.product(*[range(s.dim) for s in spaces])):
+        out[k] = combo
+    return out
 
 
 def tensor_space(*spaces):
-    total = 1
-    odd_total = 0
-    for combo in itertools.product(*[range(s.dim) for s in spaces]):
-        parity = sum(s.parity(i) for s, i in zip(spaces, combo)) % 2
-        odd_total += parity
+    """Parity split in closed form: odd = (prod dim - prod (even - odd)) / 2."""
+    total = signed = 1
     for s in spaces:
-        total *= s.dim
-    return SuperSpace(total - odd_total, odd_total)
+        total *= s.even + s.odd
+        signed *= s.even - s.odd
+    odd = (total - signed) // 2
+    return SuperSpace(total - odd, odd)
+
+
+@lru_cache(maxsize=256)
+def _tensor_layout(groups):
+    """Flat graded index of each combination of per-group graded indices.
+
+    groups is a tuple of factor lists; entry k of the result belongs to the
+    combination (j_1, ..., j_n) whose mixed-radix code over the group
+    dimensions is k, where j_m indexes the graded basis of group m.
+    """
+    flat = _graded_rank(tuple(s for group in groups for s in group))
+    codes = [0]
+    for group in groups:
+        rank = _graded_rank(group)
+        lex = [0] * len(rank)
+        for code, k in enumerate(rank):
+            lex[k] = code
+        size = len(lex)
+        codes = [c * size + x for c in codes for x in lex]
+    return tuple(flat[c] for c in codes)
 
 
 class SuperMap:
@@ -75,13 +119,20 @@ class SuperMap:
         self.parity = parity % 2
         if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
             raise SuperLinAlgError("matrix shape does not match spaces")
-        self.rows = [[as_cyc(x) for x in row] for row in rows]
-        for i in range(target.dim):
-            for j in range(source.dim):
-                if self.rows[i][j] and (target.parity(i) != (source.parity(j) + self.parity) % 2):
-                    raise SuperLinAlgError(
-                        "entry (%d,%d) violates the parity block structure" % (i, j)
-                    )
+        self.rows = rows = [[x if x.__class__ is Cyc else as_cyc(x) for x in row]
+                            for row in rows]
+        # nonzero entries of row i may only sit in source columns of parity
+        # parity(i) + |f|: the evens [0, source.even) or the odds after them
+        split, target_even = source.even, target.even
+        for i, row in enumerate(rows):
+            if (i >= target_even) != self.parity:
+                stray, offset = row[:split], 0
+            else:
+                stray, offset = row[split:], split
+            if any(stray):
+                j = offset + next(k for k, x in enumerate(stray) if x)
+                raise SuperLinAlgError(
+                    "entry (%d,%d) violates the parity block structure" % (i, j))
         self.source_factors = tuple(source_factors) if source_factors is not None else (source,)
         self.target_factors = tuple(target_factors) if target_factors is not None else (target,)
         if tensor_space(*self.source_factors) != source:
@@ -212,64 +263,51 @@ def tensor(*maps):
     """
     if not maps:
         return SuperMap.from_scalar(1)
-    fine_src = [m.source_factors for m in maps]
-    fine_tgt = [m.target_factors for m in maps]
-    all_src = [s for group in fine_src for s in group]
-    all_tgt = [t for group in fine_tgt for t in group]
-    src_tuples = graded_tuples(all_src)
-    tgt_tuples = graded_tuples(all_tgt)
-    tgt_pos = {t: k for k, t in enumerate(tgt_tuples)}
-    source = tensor_space(*all_src)
-    target = tensor_space(*all_tgt)
-    parity = sum(m.parity for m in maps) % 2
-    src_part_pos = [{t: k for k, t in enumerate(graded_tuples(g))} for g in fine_src]
-    tgt_part_tuples = [graded_tuples(g) for g in fine_tgt]
-    group_parity = []
-    for g in fine_src:
-        group_parity.append([sum(s.parity(i) for s, i in zip(g, t)) % 2
-                             for t in graded_tuples(g)])
-    cols = []
+    src_groups = tuple(m.source_factors for m in maps)
+    tgt_groups = tuple(m.target_factors for m in maps)
+    # Fold the maps in from the left over mixed-radix codes of the per-map
+    # indices.  Each source code carries the parity of its vectors so far,
+    # its Koszul sign and the nonzero (target code, value) pairs of its column;
+    # unit entries, as in the identities most tensors carry, skip the product.
+    codes = [(0, 0, [(0, _ONE)])]
     for m in maps:
-        cols.append([[(i, m.rows[i][j]) for i in range(m.target.dim) if m.rows[i][j]]
-                     for j in range(m.source.dim)])
-    rows = [[Cyc.zero() for _ in range(len(src_tuples))] for _ in range(len(tgt_tuples))]
-    lengths = [len(g) for g in fine_src]
-    for s_index, s in enumerate(src_tuples):
-        parts = []
-        start = 0
-        for n in lengths:
-            parts.append(tuple(s[start:start + n]))
-            start += n
-        part_cols = [src_part_pos[m][parts[m]] for m in range(len(maps))]
-        sign = 1
-        prefix = 0
-        for m_index, m in enumerate(maps):
-            if m.parity and (prefix % 2):
-                sign = -sign
-            prefix += group_parity[m_index][part_cols[m_index]]
-        for combo in itertools.product(*[cols[m_index][part_cols[m_index]]
-                                         for m_index in range(len(maps))]):
-            value = Cyc.rational(sign)
-            t = []
-            for m_index, (i, v) in enumerate(combo):
-                t.extend(tgt_part_tuples[m_index][i])
-                value = value * v
-            key = tuple(t)
-            rows[tgt_pos[key]][s_index] = rows[tgt_pos[key]][s_index] + value
-    src_factors = tuple(all_src)
-    tgt_factors = tuple(all_tgt)
-    return SuperMap(source, target, parity, rows, src_factors, tgt_factors)
+        tdim, split, odd_map = m.target.dim, m.source.even, m.parity
+        cols = [[(i, row[j]) for i, row in enumerate(m.rows) if row[j]]
+                for j in range(m.source.dim)]
+        folded = []
+        for par, sign, entries in codes:
+            sign ^= odd_map & par
+            for j, col in enumerate(cols):
+                out = []
+                for code, value in entries:
+                    base = code * tdim
+                    for i, v in col:
+                        out.append((base + i, v if value is _ONE
+                                    else value if v is _ONE else value * v))
+                folded.append((par ^ (j >= split), sign, out))
+        codes = folded
+    src_pos = _tensor_layout(src_groups)
+    tgt_pos = _tensor_layout(tgt_groups)
+    rows = [[_ZERO] * len(src_pos) for _ in range(len(tgt_pos))]
+    for code, (_, sign, entries) in enumerate(codes):
+        s = src_pos[code]
+        for t, value in entries:
+            rows[tgt_pos[t]][s] = -value if sign else value
+    src_factors = tuple(s for group in src_groups for s in group)
+    tgt_factors = tuple(t for group in tgt_groups for t in group)
+    return SuperMap(tensor_space(*src_factors), tensor_space(*tgt_factors),
+                    sum(m.parity for m in maps), rows, src_factors, tgt_factors)
 
 
 def braiding(v, w):
     """b_{V,W}(x o y) = (-1)^{|x||y|} y o x."""
-    src_tuples = graded_tuples([v, w])
-    tgt_tuples = graded_tuples([w, v])
-    tgt_pos = {t: k for k, t in enumerate(tgt_tuples)}
-    rows = [[Cyc.zero() for _ in src_tuples] for _ in tgt_tuples]
-    for j, (a, b) in enumerate(src_tuples):
-        sign = -1 if (v.parity(a) and w.parity(b)) else 1
-        rows[tgt_pos[(b, a)]][j] = Cyc.rational(sign)
+    src_rank = _graded_rank((v, w))
+    tgt_rank = _graded_rank((w, v))
+    rows = [[_ZERO] * len(src_rank) for _ in tgt_rank]
+    for a in range(v.dim):
+        for b in range(w.dim):
+            sign = -1 if (a >= v.even and b >= w.even) else 1
+            rows[tgt_rank[b * v.dim + a]][src_rank[a * w.dim + b]] = Cyc.rational(sign)
     return SuperMap(tensor_space(v, w), tensor_space(w, v), 0, rows,
                     (v, w), (w, v))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .scalars import divisors
 from .superlinalg import compose, identity, tensor
 
 
@@ -101,10 +102,6 @@ def evaluate_surface(alg, s, split_shift=0):
     if c != (-1) % alg.r:
         raise SurfaceError("grading thread ended at C_%d instead of C_{-1}" % c)
     return compose(alg.eps, current).scalar
-
-
-def divisors(r):
-    return [d for d in range(1, r + 1) if r % d == 0]
 
 
 def all_torus_invariants(alg):

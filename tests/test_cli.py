@@ -125,3 +125,15 @@ def test_nakayama_command(runner):
     payload = json.loads(result.output)
     assert payload["results"]["nakayama"]["0"] == [["-1"]]
     assert payload["results"]["nakayama"]["1"] == [["1"]]
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--builtin", "trivial", "r=0"],
+    ["check", "--builtin", "trivial", "r=-3"],
+    ["lg-hom", "x^3", "--group", "Z0", "--g", "1"],
+])
+def test_bad_order_exit_2_without_traceback(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert "must be a positive integer" in result.output

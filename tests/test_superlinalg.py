@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
@@ -186,3 +187,98 @@ def test_split_idempotent_mixed_parity():
     assert image == SuperSpace(1, 1)
     assert compose(proj, incl) == identity(image)
     assert compose(incl, proj) == p
+
+
+# -- differential test of tensor against a literal enumeration ----------------
+
+def reference_basis(spaces):
+    """Basis tuples of a flat product, sorted by (parity, tuple) by brute force."""
+    tuples = itertools.product(*[range(s.dim) for s in spaces])
+    return sorted(tuples, key=lambda t: (sum(s.parity(i) for s, i in zip(spaces, t)) % 2, t))
+
+
+def reference_tensor(maps):
+    """(f1 x ... x fn) entry by entry: the product of the map entries on the
+    split tuples, signed by (-1)^(|f_m| (|v_1| + ... + |v_{m-1}|)) per tuple."""
+    src_groups = [m.source_factors for m in maps]
+    tgt_groups = [m.target_factors for m in maps]
+    src_index = [{t: k for k, t in enumerate(reference_basis(g))} for g in src_groups]
+    tgt_index = [{t: k for k, t in enumerate(reference_basis(g))} for g in tgt_groups]
+
+    def split(flat, groups):
+        parts, start = [], 0
+        for g in groups:
+            parts.append(flat[start:start + len(g)])
+            start += len(g)
+        return parts
+
+    src_basis = reference_basis([s for g in src_groups for s in g])
+    tgt_basis = reference_basis([t for g in tgt_groups for t in g])
+    rows = [[Cyc.zero() for _ in src_basis] for _ in tgt_basis]
+    for sj, s in enumerate(src_basis):
+        s_parts = split(s, src_groups)
+        sign, passed = 1, 0
+        for m, g, part in zip(maps, src_groups, s_parts):
+            if m.parity and passed % 2:
+                sign = -sign
+            passed += sum(v.parity(i) for v, i in zip(g, part))
+        for ti, t in enumerate(tgt_basis):
+            value = Cyc.rational(sign)
+            for m, idx_s, idx_t, part_s, part_t in zip(
+                    maps, src_index, tgt_index, s_parts, split(t, tgt_groups)):
+                value = value * m.rows[idx_t[part_t]][idx_s[part_s]]
+            rows[ti][sj] = value
+    return rows
+
+
+SPACES = st.builds(SuperSpace, st.integers(0, 2), st.integers(0, 2)).filter(
+    lambda s: 1 <= s.dim <= 3)
+
+
+@st.composite
+def homogeneous_maps(draw, max_factors):
+    source_factors = tuple(draw(st.lists(SPACES, max_size=max_factors)))
+    target_factors = tuple(draw(st.lists(SPACES, max_size=max_factors)))
+    source, target = tensor_space(*source_factors), tensor_space(*target_factors)
+    parity = draw(st.integers(0, 1))
+    rows = [[draw(st.integers(-2, 2)) if target.parity(i) == (source.parity(j) + parity) % 2
+             else 0 for j in range(source.dim)] for i in range(target.dim)]
+    return SuperMap(source, target, parity, rows, source_factors, target_factors)
+
+
+@st.composite
+def map_lists(draw):
+    count = draw(st.integers(1, 3))
+    return [draw(homogeneous_maps(max_factors=2 if count < 3 else 1)) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(map_lists())
+def test_tensor_matches_literal_enumeration(maps):
+    result = tensor(*maps)
+    assert result.rows == reference_tensor(maps)
+    assert result.parity == sum(m.parity for m in maps) % 2
+    assert result.source_factors == tuple(s for m in maps for s in m.source_factors)
+    assert result.target_factors == tuple(t for m in maps for t in m.target_factors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.builds(SuperSpace, st.integers(0, 3), st.integers(0, 3)), max_size=4))
+def test_tensor_space_closed_form_matches_enumeration(spaces):
+    basis = list(itertools.product(*[range(s.dim) for s in spaces]))
+    odd = sum(1 for t in basis if sum(s.parity(i) for s, i in zip(spaces, t)) % 2)
+    assert tensor_space(*spaces) == SuperSpace(len(basis) - odd, odd)
+    assert graded_tuples(spaces) == reference_basis(spaces)
+
+
+def test_supermap_rejects_factors_that_do_not_multiply_out():
+    v, w = SuperSpace(1, 1), SuperSpace(2, 1)
+    square = tensor_space(v, v)   # (2|2)
+    rows = [[1 if i == j else 0 for j in range(square.dim)] for i in range(square.dim)]
+    SuperMap(square, square, 0, rows, (v, v), (v, v))
+    with pytest.raises(SuperLinAlgError):
+        SuperMap(square, square, 0, rows, (v, w), (v, v))
+    with pytest.raises(SuperLinAlgError):
+        SuperMap(square, square, 0, rows, (v, v), (SuperSpace(4, 0),))
+    with pytest.raises(SuperLinAlgError):
+        SuperMap(square, square, 0, rows, (), (v, v))
