@@ -120,6 +120,9 @@ def _load_lambda(builtin_name, file_path, r, n):
             "builtin": builtin_name, "r": r}
     with open(file_path) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise click.UsageError("input file must hold a JSON object, not a %s"
+                               % type(data).__name__)
     if data.get("format") == "lambda_frobenius":
         alg = LambdaFrobenius.from_dict(data)
         if r is not None and alg.r != r:

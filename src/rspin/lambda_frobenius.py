@@ -141,6 +141,9 @@ class LambdaFrobenius:
 
     @staticmethod
     def from_dict(data):
+        missing = [k for k in ("r", "spaces", "mu", "delta", "eta", "eps") if k not in data]
+        if missing:
+            raise LambdaFrobeniusError("lambda_frobenius data lacks %s" % ", ".join(missing))
         r = int(data["r"])
         order = int(data.get("scalar_order", 1))
         spaces = {int(a): SuperSpace(int(e), int(o)) for a, (e, o) in data["spaces"].items()}

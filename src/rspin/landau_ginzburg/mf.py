@@ -3,9 +3,13 @@
 A factorization is a free Z2-graded module over the polynomial ring on all
 involved variables, with an odd differential squaring to the potential
 difference (checked symbolically on construction).  Hom cohomology is
-computed on the degree filtration of the morphism complex: kernels are
-exact over the untruncated ring, boundaries are saturated degree by degree
-and the dimensions are accepted once stable for two consecutive cutoffs.
+computed incrementally on the degree filtration of the morphism complex:
+kernels are exact over the untruncated ring, boundaries are saturated
+degree by degree, and both echelons are carried from one cutoff to the
+next.  The quotient is taken against the boundaries and the
+representatives already accepted together, in one echelon, so the count
+does not depend on the kernel basis.  The dimensions are accepted once
+stable for two consecutive cutoffs.
 """
 
 from __future__ import annotations
@@ -277,6 +281,7 @@ class HomCohomology:
     even_reps: list
     odd_reps: list
     stabilized_at: int
+    trajectory: tuple  # (even, odd) dimensions at each cutoff 1..stabilized_at
 
     @property
     def dims(self):
@@ -284,61 +289,61 @@ class HomCohomology:
 
 
 class _SparseEchelon:
-    """Incremental echelon form of sparse rows over Q(zeta_r)."""
+    """Echelon form of sparse rows over Q(zeta_r), keyed by column index.
 
-    def __init__(self):
-        self.pivots = {}
+    Each pivot row's pivot is its largest key, with coefficient -1, so
+    reducing by it is one multiply-add per entry.  Negative keys are tracking
+    coordinates: they ride along in every row operation but are never
+    pivots, so a row whose nonnegative keys cancel records the combination
+    of the rows it came from.
+    """
+
+    def __init__(self, pivots=()):
+        self.pivots = dict(pivots)
 
     def reduce(self, row):
+        """(key, row): the row reduced until its largest key is no pivot.
+
+        The key is that largest key, or None once only tracking
+        coordinates are left.
+        """
         row = dict(row)
         while row:
-            key = min(row)
-            if key not in self.pivots:
+            key = max(row)
+            if key < 0:
+                break
+            pivot = self.pivots.get(key)
+            if pivot is None:
                 return key, row
             coeff = row[key]
-            for k, v in self.pivots[key].items():
-                acc = row.get(k, None)
+            for k, v in pivot.items():
+                acc = row.get(k)
                 delta = coeff * v
-                total = -delta if acc is None else acc - delta
+                total = delta if acc is None else acc + delta
                 if total:
                     row[k] = total
                 else:
-                    row.pop(k, None)
-        return None, None
+                    del row[k]
+        return None, row
 
     def add(self, row):
+        """Reduce the row and keep it as a pivot row unless nothing is left."""
         key, reduced = self.reduce(row)
-        if key is None:
-            return None
-        inv = reduced[key].inverse()
-        self.pivots[key] = {k: inv * v for k, v in reduced.items()}
-        return key
-
-    @property
-    def rank(self):
-        return len(self.pivots)
+        if key is not None:
+            inv = -reduced[key].inverse()
+            self.pivots[key] = {k: inv * v for k, v in reduced.items()}
+        return key, reduced
 
 
-def _monomials_upto(variables, degree):
-    out = []
-    n = len(variables)
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, n)
-    return sorted(out)
-
-
-def _entry_vector(slot, poly, variables):
-    vec = {}
-    for exp, coeff in poly.align(variables).terms.items():
-        vec[(slot, exp)] = coeff
-    return vec
+def _monomials_of_degree(nvars, degree):
+    """Exponent tuples of total degree `degree` in `nvars` variables."""
+    if nvars == 0:
+        if degree == 0:
+            yield ()
+        return
+    for e in range(degree, -1, -1):
+        for rest in _monomials_of_degree(nvars - 1, degree - e):
+            yield (e,) + rest
 
 
 def hom_cohomology(x, y, nmax=None):
@@ -346,8 +351,13 @@ def hom_cohomology(x, y, nmax=None):
 
     Kernel elements are polynomial matrices of entry degree <= D that are
     exactly delta-closed over the full ring; boundaries are computed from
-    preimages of degree <= D + margin.  Dimensions are accepted once two
-    consecutive cutoffs agree, else InconclusiveCohomology is raised.
+    preimages of degree <= D + margin.  Both echelons are carried from one
+    cutoff to the next and fed only the monomials of the new degree.  At
+    each cutoff the kernel vectors are reduced against one echelon holding
+    the boundaries and the representatives accepted so far, so the count
+    is dim K_D / (K_D meet B_D) whatever basis the kernel came out in.
+    Dimensions are accepted once two consecutive cutoffs agree, else
+    InconclusiveCohomology is raised.
     """
     if sorted(x.source_vars) != sorted(y.source_vars) or \
             x.source_potential != y.source_potential:
@@ -359,126 +369,96 @@ def hom_cohomology(x, y, nmax=None):
         nmax = int(os.environ.get("RSPIN_HOM_NMAX", DEFAULT_NMAX))
     variables = tuple(sorted(set(x.ring_vars) | set(y.ring_vars)))
     nx, ny = len(x.parities), len(y.parities)
-    xd = [[e.align(variables) for e in row] for row in x.d]
-    yd = [[e.align(variables) for e in row] for row in y.d]
     maxdeg = max([e.degree() for row in x.d for e in row if e] +
                  [e.degree() for row in y.d for e in row if e] + [1])
     margin = maxdeg + 1
 
-    slots = [(i, j) for i in range(ny) for j in range(nx)]
-    slot_parity = {s: (y.parities[s[0]] + x.parities[s[1]]) % 2 for s in slots}
+    # delta of the monomial in slot (i, j): the terms of each differential
+    # entry it meets, shifted by the monomial's exponent
+    slots = ([], [])
+    shifts = {}
+    for i in range(ny):
+        for j in range(nx):
+            parity = (y.parities[i] + x.parities[j]) % 2
+            slots[parity].append((i, j))
+            terms = []
+            for i2 in range(ny):
+                for exp, c in y.d[i2][i].align(variables).terms.items():
+                    terms.append(((i2, j), exp, c))
+            for j2 in range(nx):
+                for exp, c in x.d[j][j2].align(variables).terms.items():
+                    terms.append(((i, j2), exp, c if parity else -c))
+            shifts[(i, j)] = terms
 
-    def delta_of_basis(slot, mono, parity):
-        i, j = slot
-        sign = -1 if parity else 1
-        mono_poly = Poly(variables, {mono: Cyc.one()})
+    columns = {}  # (slot, exponent) -> column index, numbered on first sight
+
+    def column(key):
+        col = columns.get(key)
+        if col is None:
+            col = columns[key] = len(columns)
+        return col
+
+    def delta(slot, mono):
         vec = {}
-        for i2 in range(ny):
-            if yd[i2][i]:
-                for key, coeff in _entry_vector((i2, j), yd[i2][i] * mono_poly,
-                                                variables).items():
-                    vec[key] = vec.get(key, Cyc.zero()) + coeff
-        for j2 in range(nx):
-            if xd[j][j2]:
-                contrib = xd[j][j2] * mono_poly
-                for key, coeff in _entry_vector((i, j2), contrib, variables).items():
-                    vec[key] = vec.get(key, Cyc.zero()) + (-sign) * coeff
+        for target, exp, c in shifts[slot]:
+            col = column((target, tuple(a + b for a, b in zip(exp, mono))))
+            acc = vec.get(col)
+            vec[col] = c if acc is None else acc + c
         return {k: v for k, v in vec.items() if v}
 
-    previous = None
+    domain = ([], [])     # (slot, monomial) of each tracking index, per parity
+    kernel = ([], [])     # kernel vectors in tracking coordinates -1 - index
+    tracked = (_SparseEchelon(), _SparseEchelon())
+    bound = (_SparseEchelon(), _SparseEchelon())
+    kernel_degree = bound_degree = 0   # next degree to feed
+    trajectory = []
     for cutoff in range(1, nmax + 1):
-        dims = []
+        for parity in (0, 1):
+            for degree in range(kernel_degree, cutoff + 1):
+                for mono in _monomials_of_degree(len(variables), degree):
+                    for slot in slots[parity]:
+                        row = delta(slot, mono)
+                        row[-1 - len(domain[parity])] = Cyc.one()
+                        domain[parity].append((slot, mono))
+                        key, reduced = tracked[parity].add(row)
+                        if key is None:
+                            kernel[parity].append(reduced)
+            # the image of the other parity spans this parity's boundaries
+            for degree in range(bound_degree, cutoff + margin + 1):
+                for mono in _monomials_of_degree(len(variables), degree):
+                    for slot in slots[1 - parity]:
+                        bound[parity].add(delta(slot, mono))
+        kernel_degree, bound_degree = cutoff + 1, cutoff + margin + 1
         reps_pair = []
         for parity in (0, 1):
-            par_slots = [s for s in slots if slot_parity[s] == parity]
-            basis = [(s, m) for s in par_slots for m in _monomials_upto(variables, cutoff)]
-            # exact kernel of delta restricted to degree <= cutoff
-            rows = []
-            for s, m in basis:
-                rows.append(delta_of_basis(s, m, parity))
-            # kernel via sparse elimination on the transpose: build column space
-            ker = _sparse_kernel(rows, len(basis))
-            # boundary space: delta applied to the opposite parity up to cutoff+margin
-            opp = [s for s in slots if slot_parity[s] == 1 - parity]
-            bound = _SparseEchelon()
-            for s in opp:
-                for m in _monomials_upto(variables, cutoff + margin):
-                    row = delta_of_basis(s, m, 1 - parity)
-                    if row:
-                        bound.add(row)
+            # one echelon for the boundaries and the representatives so far
+            quotient = _SparseEchelon(bound[parity].pivots)
             reps = []
-            quotient = _SparseEchelon()
-            for kv in ker:
-                vec = {}
-                for idx, coeff in kv.items():
-                    s, m = basis[idx]
-                    vec[(s, m)] = coeff
-                key, reduced = bound.reduce(vec)
-                if key is None:
-                    continue
-                if quotient.add(reduced) is not None:
+            for vec in kernel[parity]:
+                key, _ = quotient.add({column(domain[parity][-1 - t]): c
+                                       for t, c in vec.items()})
+                if key is not None:
                     reps.append(vec)
-            dims.append(len(reps))
             reps_pair.append(reps)
+        trajectory.append(tuple(len(reps) for reps in reps_pair))
         # stability below the entry degree of the differentials can be a
         # plateau before the first representatives appear; wait it out
-        if previous is not None and previous[0] == tuple(dims) and cutoff >= maxdeg:
-            even_reps = [_vec_to_matrix(v, ny, nx, variables) for v in reps_pair[0]]
-            odd_reps = [_vec_to_matrix(v, ny, nx, variables) for v in reps_pair[1]]
+        if len(trajectory) > 1 and trajectory[-2] == trajectory[-1] and cutoff >= maxdeg:
+            even_reps, odd_reps = (
+                [_vec_to_matrix(vec, domain[parity], ny, nx, variables) for vec in reps]
+                for parity, reps in enumerate(reps_pair))
             _verify_closed(x, y, even_reps, 0)
             _verify_closed(x, y, odd_reps, 1)
-            return HomCohomology(dims[0], dims[1], even_reps, odd_reps, cutoff)
-        previous = (tuple(dims), reps_pair)
+            return HomCohomology(len(even_reps), len(odd_reps), even_reps, odd_reps,
+                                 cutoff, tuple(trajectory))
     raise InconclusiveCohomology(
         "dimensions did not stabilize up to cutoff %d; raise RSPIN_HOM_NMAX" % nmax)
 
 
-def _sparse_kernel(rows, ncols):
-    """Kernel of the linear map sending basis j to sparse vector rows[j]."""
-    echelon = _SparseEchelon()
-    kernel = []
-    images = []
-    for j, row in enumerate(rows):
-        # augment with tracking coordinates
-        tracked = dict(row)
-        tracked[("#", j)] = Cyc.one()
-        key, reduced = _reduce_tracked(echelon, tracked)
-        if key is None or str(key[0]) == "#":
-            # the untracked part vanished: kernel vector found
-            vec = {k[1]: v for k, v in (reduced or {}).items() if k[0] == "#"}
-            if not vec:
-                vec = {j: Cyc.one()}
-            kernel.append(vec)
-        else:
-            inv = reduced[key].inverse()
-            echelon.pivots[key] = {k: inv * v for k, v in reduced.items()}
-    return kernel
-
-
-def _reduce_tracked(echelon, row):
-    row = dict(row)
-    while True:
-        keys = [k for k in row if k[0] != "#"]
-        if not keys:
-            return None, row
-        key = min(keys)
-        if key not in echelon.pivots:
-            return key, row
-        coeff = row[key]
-        for k, v in echelon.pivots[key].items():
-            acc = row.get(k)
-            delta = coeff * v
-            total = -delta if acc is None else acc - delta
-            if total:
-                row[k] = total
-            else:
-                row.pop(k, None)
-
-
-def _vec_to_matrix(vec, ny, nx, variables):
+def _vec_to_matrix(vec, domain, ny, nx, variables):
     mat = [[Poly.zero(variables) for _ in range(nx)] for _ in range(ny)]
-    for (slot, mono), coeff in vec.items():
-        i, j = slot
+    for t, coeff in vec.items():
+        (i, j), mono = domain[-1 - t]
         mat[i][j] = mat[i][j] + Poly(variables, {mono: coeff})
     return mat
 

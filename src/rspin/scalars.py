@@ -431,7 +431,10 @@ class _ScalarParser:
 def parse_scalar(text, order=1):
     """Parse the textual scalar syntax; `z` is zeta_r for the given order."""
     parser = _ScalarParser(_tokenize(text), order)
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except ZeroDivisionError as exc:
+        raise ScalarError("division by zero in scalar %r" % text) from exc
     if parser.pos != len(parser.tokens):
         raise ScalarError("trailing tokens in scalar %r" % text)
     return value

@@ -137,3 +137,28 @@ def test_bad_order_exit_2_without_traceback(runner, args):
     assert result.exit_code == 2, (result.output, result.exception)
     assert "Traceback" not in result.output
     assert "must be a positive integer" in result.output
+
+
+def _lambda_file_without_spaces(data):
+    del data["spaces"]
+    return data
+
+
+def _lambda_file_dividing_by_zero(data):
+    data["mu"]["0,0"][0][0] = "1/0"
+    return data
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda data: [data], "JSON object"),
+    (_lambda_file_without_spaces, "lacks spaces"),
+    (_lambda_file_dividing_by_zero, "division by zero"),
+], ids=["top_level_list", "no_spaces_key", "scalar_1_over_0"])
+def test_bad_file_exit_2_without_traceback(runner, tmp_path, corrupt, message):
+    data = graded_center(builtin("group_algebra_Zn", n=2), 1).to_dict()
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(corrupt(data)))
+    result = runner.invoke(main, ["check", "--file", str(path)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert message in result.output

@@ -12,6 +12,7 @@ from rspin.landau_ginzburg.mf import (
     mf_tensor,
     twisted_identity,
 )
+from rspin.landau_ginzburg.groebner import jacobi
 from rspin.landau_ginzburg.poly import Poly, parse_poly
 from rspin.scalars import Cyc
 
@@ -173,3 +174,24 @@ def test_nmax_environment_ceiling(monkeypatch):
         hom_cohomology(mf, mf)
     monkeypatch.setenv("RSPIN_HOM_NMAX", "12")
     assert hom_cohomology(mf, mf).dims == (3, 0)
+
+
+@pytest.mark.parametrize("potential", ["x^2 + y^2", "x^2 + y^3"])
+def test_end_identity_is_milnor_number(potential):
+    """End(I_W) is the Jacobi algebra: (mu | 0), and (0 | mu) into I_W[1].
+
+    mu comes from the Groebner staircase of the Jacobian ideal, a route
+    that shares nothing with the Hom echelon.
+    """
+    w = parse_poly(potential)
+    mu = jacobi(w).dimension
+    one = identity_mf(w)
+    assert hom_cohomology(one, one).dims == (mu, 0)
+    assert hom_cohomology(one, one.shift()).dims == (0, mu)
+
+
+def test_trajectory_x4():
+    mf = identity_mf(p("x^4"))
+    h = hom_cohomology(mf, mf)
+    assert h.trajectory == ((2, 0), (3, 0), (3, 0))
+    assert len(h.trajectory) == h.stabilized_at
