@@ -164,11 +164,7 @@ class AlgebraAutomorphism:
     inverse: SuperMap
 
     def power(self, k):
-        base = self.map if k >= 0 else self.inverse
-        result = identity(self.map.source)
-        for _ in range(abs(k)):
-            result = compose(base, result)
-        return result
+        return (self.map if k >= 0 else self.inverse) ** abs(k)
 
     def order_divides(self, r):
         return self.power(r) == identity(self.map.source)

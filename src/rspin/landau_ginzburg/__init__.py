@@ -28,6 +28,7 @@ from .orbifold import (
     CircleSpaces,
     OrbifoldAlgebra,
     OrbifoldError,
+    circle_spaces,
     lg_circle_spaces,
     lg_torus_invariants,
     orbifold_algebra,
@@ -42,5 +43,5 @@ __all__ = [
     "identity_mf", "twisted_identity", "koszul_factorization",
     "mf_tensor", "hom_cohomology", "HomCohomology", "InconclusiveCohomology",
     "orbifold_algebra", "OrbifoldAlgebra", "OrbifoldError",
-    "lg_circle_spaces", "lg_torus_invariants", "CircleSpaces",
+    "circle_spaces", "lg_circle_spaces", "lg_torus_invariants", "CircleSpaces",
 ]

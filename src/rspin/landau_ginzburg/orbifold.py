@@ -15,6 +15,13 @@ coboundaries: evaluation at the origin for the twisted sectors, and
 restriction to the diagonal modulo the Jacobi ideal for untwisted ones.
 Multi-variable Fermat sums are graded tensor products of the one-variable
 data with the usual Koszul signs.
+
+Each orbifold_algebra call computes the per-sector data of a variable
+(v_g and u_g keyed by g mod r, the canonical cocycles, and q0) once, on its
+SectorModel, and fills one product table keyed on (d, weight, g, labels),
+which variables of equal exponent and weight share.  Every distinct product
+is still checked to be a cocycle of the right parity.  Nothing is kept
+from one call to the next.
 """
 
 from __future__ import annotations
@@ -78,16 +85,36 @@ class SectorModel:
         self.weight = weight % r
         self.x = Poly.variable(var)
         self.xp = Poly.variable(self.prime)
+        # per-sector data, each computed on first use; orbifold_algebra builds
+        # new models on every call, so no two calls share it
+        self._v = {}
+        self._u = {}
+        self._matrix = {}
+        self._q0 = None
 
     def lam(self, g):
         return Cyc.zeta(self.r, (-self.weight * g) % self.r)
 
     def v(self, g):
-        return self.xp.scale(self.lam(g)) - self.x
+        g %= self.r
+        if g not in self._v:
+            self._v[g] = self.xp.scale(self.lam(g)) - self.x
+        return self._v[g]
 
     def u(self, g):
-        num = (self.xp ** self.d) - (self.x ** self.d)
-        return num.divide_exact(self.v(g))
+        g %= self.r
+        if g not in self._u:
+            num = (self.xp ** self.d) - (self.x ** self.d)
+            self._u[g] = num.divide_exact(self.v(g))
+        return self._u[g]
+
+    def q0(self):
+        """(u_0(y, x) - u_0(x', x)) / (y - x') with y the middle variable."""
+        if self._q0 is None:
+            u_mid = self.u(0).rename({self.prime: self.mid})
+            self._q0 = (u_mid - self.u(0)).divide_exact(
+                Poly.variable(self.mid) - self.xp)
+        return self._q0
 
     def untwisted(self, g):
         return self.lam(g) == Cyc.one(self.r)
@@ -102,75 +129,57 @@ class SectorModel:
         return 0 if label[0] == "even" else 1
 
     def matrix(self, g, label):
-        """Canonical cocycle representative as a 2x2 matrix over (var', var)."""
-        if label[0] == "even":
-            mono = self.x ** label[1]
-            zero = Poly.zero(mono.vars)
-            return [[mono, zero], [zero, mono]]
-        cbar = self.u(0).divide_exact(self.v(g))
-        zero = Poly.zero(cbar.vars)
-        return [[zero, Poly.const(1)], [-cbar, zero]]
+        """Canonical cocycle representative as a 2x2 matrix over (var', var).
+
+        The model keeps the matrix and returns it again; callers must not mutate it.
+        """
+        key = (g % self.r, label)
+        if key not in self._matrix:
+            if label[0] == "even":
+                mono = self.x ** label[1]
+                zero = Poly.zero(mono.vars)
+                mat = [[mono, zero], [zero, mono]]
+            else:
+                cbar = self.u(0).divide_exact(self.v(g))
+                zero = Poly.zero(cbar.vars)
+                mat = [[zero, Poly.const(1)], [-cbar, zero]]
+            self._matrix[key] = mat
+        return self._matrix[key]
 
     # -- composition over the middle variable --------------------------------
 
-    def _rename_left(self, mat):
-        # left slot lives on (var', mid)
-        return [[e.rename({self.var: self.mid}) for e in row] for row in mat]
-
-    def _rename_right(self, mat):
-        # right slot lives on (mid, var)
-        return [[e.rename({self.prime: self.mid}) for e in row] for row in mat]
-
     def product(self, g, lab1, h, lab2):
-        """Class of the composite cocycle in sector g + h, as basis coefficients."""
-        left = self._rename_left(self.matrix(g, lab1))
-        right = self._rename_right(self.matrix(h, lab2))
-        # q0 = (u_0(y, x) - u_0(x', x)) / (y - x') with y the middle variable
-        u_mid = self.u(0).rename({self.prime: self.mid})
-        q0 = (u_mid - self.u(0)).divide_exact(Poly.variable(self.mid) - self.xp)
+        """Class of the composite cocycle in sector g + h, as basis coefficients.
 
-        def phi_hat(vec):
-            out = [Poly.zero() for _ in range(4)]
-            P, Q, S, T = left[0][0], left[0][1], left[1][0], left[1][1]
-            out[0] = P * vec[0] + Q * vec[1]
-            out[1] = S * vec[0] + T * vec[1]
-            out[2] = P * vec[2] + Q * vec[3]
-            out[3] = S * vec[2] + T * vec[3]
-            return out
-
-        def psi_hat(vec):
-            out = [Poly.zero() for _ in range(4)]
-            P, Q, S, T = right[0][0], right[0][1], right[1][0], right[1][1]
-            out[0] = P * vec[0] + Q * vec[2]
-            out[2] = S * vec[0] + T * vec[2]
-            out[1] = P * vec[1] - Q * vec[3]
-            out[3] = T * vec[3] - S * vec[1]
-            return out
-
+        The left factor lives on (var', mid), the right one on (mid, var).
+        Their composite is applied to the lifts 1 + q0 th1 th2 and th1 + th2
+        of the two basis vectors, and pi keeps the 1 and th2 components, so
+        only the first row of the left factor enters.
+        """
+        P, Q = [e.rename({self.var: self.mid}) for e in self.matrix(g, lab1)[0]]
+        (P2, Q2), (S2, T2) = [[e.rename({self.prime: self.mid}) for e in row]
+                              for row in self.matrix(h, lab2)]
+        q0 = self.q0()
+        composite = [[P * P2 - Q * Q2 * q0, P * Q2 + Q * P2],
+                     [P * S2 + Q * T2 * q0, P * T2 - Q * S2]]
         sub = {self.mid: (self.lam(g), self.prime)}
-
-        def contract(vec):
-            return vec[0].substitute(sub), vec[2].substitute(sub)
-
-        col0 = contract(phi_hat(psi_hat([Poly.const(1), Poly.zero(),
-                                         Poly.zero(), q0])))
-        col1 = contract(phi_hat(psi_hat([Poly.zero(), Poly.const(1),
-                                         Poly.const(1), Poly.zero()])))
-        raw = [[col0[0], col1[0]], [col0[1], col1[1]]]
+        raw = [[e.substitute(sub) for e in row] for row in composite]
         s = (g + h) % self.r
         parity = (SectorModel.parity(lab1) + SectorModel.parity(lab2)) % 2
         self._assert_cocycle(raw, s, parity)
         return self._extract_class(raw, s, parity)
 
     def _assert_cocycle(self, mat, s, parity):
-        d_s = [[Poly.zero(), self.v(s)], [self.u(s), Poly.zero()]]
-        d_0 = [[Poly.zero(), self.v(0)], [self.u(0), Poly.zero()]]
+        """d_s . mat = (-1)^parity mat . d_0, with d_g = [[0, v_g], [u_g, 0]]."""
+        v_s, u_s, v_0, u_0 = self.v(s), self.u(s), self.v(0), self.u(0)
+        lhs = [[v_s * mat[1][0], v_s * mat[1][1]],
+               [u_s * mat[0][0], u_s * mat[0][1]]]
+        rhs = [[mat[0][1] * u_0, mat[0][0] * v_0],
+               [mat[1][1] * u_0, mat[1][0] * v_0]]
         sign = -1 if parity else 1
         for i in range(2):
             for j in range(2):
-                lhs = sum((d_s[i][k] * mat[k][j] for k in range(2)), Poly.zero())
-                rhs = sum((mat[i][k] * d_0[k][j] for k in range(2)), Poly.zero())
-                if lhs - rhs.scale(sign) != Poly.zero():
+                if lhs[i][j] != rhs[i][j].scale(sign):
                     raise OrbifoldError("raw product is not a cocycle; convention bug")
 
     def _extract_class(self, mat, s, parity):
@@ -220,6 +229,7 @@ class OrbifoldAlgebra:
     basis_labels: list  # (sector, per-variable labels) in matrix order
     sector_of: list
     counit_scale: Cyc
+    models: list  # one SectorModel per variable, in sorted variable order
 
     @property
     def delta_separable(self):
@@ -257,13 +267,15 @@ def orbifold_algebra(w, action):
     index = {lab: k for k, lab in enumerate(labels)}
     space = SuperSpace(parities.count(0), parities.count(1))
 
-    product_cache = {}
+    # the products of one variable depend on its exponent and weight, not on
+    # its name, so variables with equal (d, weight) share their entries
+    product_table = {}
 
-    def var_product(m_index, g, lab1, h, lab2):
-        key = (m_index, g, lab1, h, lab2)
-        if key not in product_cache:
-            product_cache[key] = models[m_index].product(g, lab1, h, lab2)
-        return product_cache[key]
+    def var_product(model, g, lab1, h, lab2):
+        key = (model.d, model.weight, g, lab1, h, lab2)
+        if key not in product_table:
+            product_table[key] = model.product(g, lab1, h, lab2)
+        return product_table[key]
 
     def multiply(e1, e2):
         g, labs1 = e1
@@ -273,7 +285,7 @@ def orbifold_algebra(w, action):
             for j in range(i):
                 if SectorModel.parity(labs1[i]) and SectorModel.parity(labs2[j]):
                     sign = -sign
-        results = [var_product(i, g, labs1[i], h, labs2[i]) for i in range(len(models))]
+        results = [var_product(m, g, l1, h, l2) for m, l1, l2 in zip(models, labs1, labs2)]
         out = {}
         for combo in itertools.product(*[list(res.items()) for res in results]):
             coeff = Cyc.rational(sign)
@@ -354,7 +366,7 @@ def orbifold_algebra(w, action):
         raise OrbifoldError("gamma^r != id")
 
     return OrbifoldAlgebra(algebra, gamma, w, action, labels,
-                           [g for g, _ in labels], scale)
+                           [g for g, _ in labels], scale, models)
 
 
 def _sq(space):
@@ -381,18 +393,16 @@ def _character_exponent(labs, models):
     return m
 
 
-def lg_circle_spaces(w, action):
-    """Circle space table from the diagonal projector with the example weights.
+def circle_spaces(orb):
+    """Circle space table of a built orbifold, from the diagonal projector.
 
     A sector-g basis element with loop character xi^{h m} survives in C_a
     iff m = 1 - a (mod r); the resulting subspace is regraded by the shift
     [n (1-a)].  The graded-centre route is cross-checked whenever the
     flattened algebra is Delta-separable.
     """
-    orb = orbifold_algebra(w, action)
-    r = action.r
-    models = [SectorModel(v, _fermat_exponents(w)[v], r, action.weight(v))
-              for v in sorted(_fermat_exponents(w))]
+    r = orb.action.r
+    models = orb.models
     n = len(models)
     spaces = {}
     for a in range(r):
@@ -424,6 +434,11 @@ def lg_circle_spaces(w, action):
                       "the maximal ideal), so the 1-categorical graded "
                       "centre does not apply")
     return CircleSpaces(spaces, qdims, torus, crosscheck)
+
+
+def lg_circle_spaces(w, action):
+    """Circle space table of the orbifold of w under action."""
+    return circle_spaces(orbifold_algebra(w, action))
 
 
 def lg_torus_invariants(w, action):

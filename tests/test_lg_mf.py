@@ -63,15 +63,12 @@ def test_shift_interplay_dimension_tables():
     x = identity_mf(w)
     sx = x.shift()
     assert sx.rank == (x.rank[1], x.rank[0])
-    y = identity_mf(p("y^2")).shift()
-    # (X[1]) o Y and (X o Y)[1] have identical parity tables
-    # build composable pair instead: shift commutes with tensor up to regrading
-    w2 = mf_tensor_rename_safe()
-    assert w2 is None or True
-
-
-def mf_tensor_rename_safe():
-    return None
+    y = identity_mf(p("y^2"))
+    # shifting either argument swaps the parities of Hom(X, X): (mu, 0) -> (0, mu)
+    for mf, mu in ((x, 2), (identity_mf(p("x^4")), 3), (y, 1)):
+        assert hom_cohomology(mf, mf).dims == (mu, 0)
+        assert hom_cohomology(mf, mf.shift()).dims == (0, mu)
+        assert hom_cohomology(mf.shift(), mf).dims == (0, mu)
 
 
 def test_mf_tensor_disjoint_fermat():

@@ -1,17 +1,26 @@
+import itertools
+
 import pytest
 
 from rspin.constructors import nakayama_gamma
-from rspin.landau_ginzburg.mf import GroupAction, MFError
+from rspin.landau_ginzburg.mf import (
+    GroupAction,
+    MFError,
+    hom_cohomology,
+    identity_mf,
+    twisted_identity,
+)
 from rspin.landau_ginzburg.orbifold import (
     OrbifoldError,
     SectorModel,
+    circle_spaces,
     lg_circle_spaces,
     lg_torus_invariants,
     orbifold_algebra,
 )
-from rspin.landau_ginzburg.poly import parse_poly
+from rspin.landau_ginzburg.poly import Poly, parse_poly
 from rspin.scalars import Cyc
-from rspin.superlinalg import SuperSpace, identity
+from rspin.superlinalg import SuperSpace, graded_tuples, identity
 
 
 def act1(r):
@@ -116,7 +125,7 @@ def test_multivariable_fermat():
     assert orb.sector_dims() == {0: 1, 1: 1}
     # det weights: gamma_g = xi^{-g (w_x + w_y)} = 1 for r = 2
     assert orb.gamma.map == identity(orb.algebra.space)
-    cs = lg_circle_spaces(w, act)
+    cs = circle_spaces(orb)
     assert sum(s.dim for s in cs.spaces.values()) == 2
     # the 1-categorical route disagrees here and the mismatch is reported
     assert cs.crosscheck.startswith("MISMATCH") or cs.crosscheck == "ok"
@@ -129,7 +138,7 @@ def test_exposed_higher_example_builds():
     act = GroupAction(3, (("x", 1), ("y", 1)))
     orb = orbifold_algebra(w, act)
     assert orb.algebra.dim == 12
-    cs = lg_circle_spaces(w, act)
+    cs = circle_spaces(orb)
     assert sum(s.dim for s in cs.spaces.values()) == 12
 
 
@@ -143,3 +152,59 @@ def test_unsupported_potentials_rejected():
 def test_gamma_x2_r2():
     orb = orbifold_algebra(parse_poly("x^2"), act1(2))
     assert [orb.gamma.map.rows[k][k] for k in range(2)] == [Cyc.one(), Cyc.rational(-1)]
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_sector_basis_matches_hom_cohomology(r):
+    # the hard-coded sector bases against Hom(I_W, _g(I_W)) from the echelon
+    w = parse_poly("x^%d" % r)
+    action = act1(r)
+    model = SectorModel("x", r, r, 1)
+    one = identity_mf(w)
+    for g in range(r):
+        parities = [SectorModel.parity(lab) for lab in model.basis(g)]
+        counts = (parities.count(0), parities.count(1))
+        assert hom_cohomology(one, twisted_identity(w, action, g)).dims == counts, g
+
+
+@pytest.mark.parametrize("dx, dy, r, wx, wy", [
+    (2, 4, 4, 2, 1),
+    (3, 3, 3, 1, 1),  # x and y share the product table
+])
+def test_product_table_matches_fresh_models(dx, dy, r, wx, wy):
+    w = parse_poly("x^%d + y^%d" % (dx, dy))
+    action = GroupAction(r, (("x", wx), ("y", wy)))
+    exponents = {"x": dx, "y": dy}
+    orb = orbifold_algebra(w, action)
+    space = orb.algebra.space
+    index = {lab: k for k, lab in enumerate(orb.basis_labels)}
+    pair_pos = {t: k for k, t in enumerate(graded_tuples([space, space]))}
+    for i, (g, labs1) in enumerate(orb.basis_labels):
+        for j, (h, labs2) in enumerate(orb.basis_labels):
+            (x1, y1), (x2, y2) = labs1, labs2
+            sign = -1 if SectorModel.parity(y1) and SectorModel.parity(x2) else 1
+            fresh = [SectorModel(v, exponents[v], r, action.weight(v)).product(g, a, h, b)
+                     for v, a, b in (("x", x1, x2), ("y", y1, y2))]
+            expected = [Cyc.zero() for _ in range(space.dim)]
+            for (xl, xc), (yl, yc) in itertools.product(fresh[0].items(), fresh[1].items()):
+                k = index[((g + h) % r, (xl, yl))]
+                expected[k] = expected[k] + Cyc.rational(sign) * xc * yc
+            column = [row[pair_pos[(i, j)]] for row in orb.algebra.mult.rows]
+            assert column == expected, (labs1, labs2)
+
+
+def test_nothing_cached_between_calls(monkeypatch):
+    calls = []
+    divide_exact = Poly.divide_exact
+
+    def counted(self, divisor):
+        calls.append(None)
+        return divide_exact(self, divisor)
+
+    monkeypatch.setattr(Poly, "divide_exact", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        orbifold_algebra(parse_poly("x^4"), act1(4))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -47,6 +47,14 @@ def test_cyclotomic_6_against_division_oracle():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
 
 
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for r in range(1, 61):
+        phi = sympy.Poly(sympy.cyclotomic_poly(r, x), x)
+        assert cyclotomic_polynomial(r) == tuple(reversed(phi.all_coeffs())), r
+
+
 def test_zeta_power_relations():
     for r in range(1, 13):
         z = Cyc.zeta(r)
