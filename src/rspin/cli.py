@@ -374,8 +374,8 @@ def lg_orbifold(potential, group, weights, as_json):
         orb = orbifold_algebra(w, action)
     except INPUT_ERRORS as exc:
         raise click.UsageError(str(exc))
-    gamma_diag = [format_scalar(orb.gamma.map.rows[k][k])
-                  for k in range(orb.algebra.dim)]
+    gamma_rows = orb.gamma.map.rows
+    gamma_diag = [format_scalar(gamma_rows[k][k]) for k in range(orb.algebra.dim)]
     payload = {
         "command": "lg-orbifold",
         "inputs": {"potential": format_poly(w), "r": action.r,

@@ -69,9 +69,7 @@ class FrobeniusAlgebraData:
         other = compose(tensor(one, mult), tensor(copairing, one))
         if comult != other:
             raise FrobeniusError("the two Frobenius comultiplications disagree")
-        if compose(tensor(counit, one), comult) != one or \
-                compose(tensor(one, counit), comult) != one:
-            raise FrobeniusError("counit axiom fails")
+        _check_counit(counit, comult, one)
         frob_l = compose(tensor(mult, one), tensor(one, comult))
         frob_m = compose(comult, mult)
         frob_r = compose(tensor(one, mult), tensor(comult, one))
@@ -81,6 +79,26 @@ class FrobeniusAlgebraData:
         if require_delta_separable and not separable:
             raise FrobeniusError("algebra is not Delta-separable (mu o Delta != id)")
         return FrobeniusAlgebraData(space, mult, unit, counit, comult,
+                                    pairing, copairing, separable)
+
+    def rescaled(self, scale):
+        """The same algebra with counit scale * eps.
+
+        The pairing scales by scale, and the copairing and the
+        comultiplication by 1/scale.  Associativity, the unit axiom and the
+        Frobenius relation do not see the scale and are not checked again;
+        the counit axiom, the mirrored zorro identity and mu o Delta = id are.
+        """
+        inverse = as_cyc(scale).inverse()
+        one = identity(self.space)
+        counit = self.counit.scale(scale)
+        pairing = self.pairing.scale(scale)
+        copairing = self.copairing.scale(inverse)
+        comult = self.comult.scale(inverse)
+        _check_mirrored_zorro(pairing, copairing, one)
+        _check_counit(counit, comult, one)
+        separable = compose(self.mult, comult) == one
+        return FrobeniusAlgebraData(self.space, self.mult, self.unit, counit, comult,
                                     pairing, copairing, separable)
 
     @property
@@ -97,8 +115,8 @@ class FrobeniusAlgebraData:
         if scalar_order is None:
             scalar_order = 1
             for m in (self.mult, self.unit, self.counit):
-                for row in m.rows:
-                    for x in row:
+                for stored in m.entries:
+                    for x in stored.values():
                         if not x.is_rational():
                             scalar_order = max(scalar_order, x.order)
 
@@ -141,7 +159,8 @@ def _copairing_from(pairing, space):
     """
     dim = space.dim
     pairs = _pair_index(space)
-    gram = [[pairing.rows[0][pairs[(i, j)]] for j in range(dim)] for i in range(dim)]
+    values, zero = pairing.entries[0], Cyc.zero()
+    gram = [[values.get(pairs[(i, j)], zero) for j in range(dim)] for i in range(dim)]
     one = identity(space)
     try:
         inverse = solve_exact(gram, one.rows, dim)
@@ -152,10 +171,19 @@ def _copairing_from(pairing, space):
         cop_rows[k][0] = inverse[i][j]
     copairing = SuperMap(UNIT_SPACE, tensor_space(space, space), 0, cop_rows,
                          (), (space, space))
-    check = compose(tensor(one, pairing), tensor(copairing, one))
-    if check != one:
-        raise DegeneratePairingError("copairing fails the mirrored zorro identity")
+    _check_mirrored_zorro(pairing, copairing, one)
     return copairing
+
+
+def _check_mirrored_zorro(pairing, copairing, one):
+    if compose(tensor(one, pairing), tensor(copairing, one)) != one:
+        raise DegeneratePairingError("copairing fails the mirrored zorro identity")
+
+
+def _check_counit(counit, comult, one):
+    if compose(tensor(counit, one), comult) != one or \
+            compose(tensor(one, counit), comult) != one:
+        raise FrobeniusError("counit axiom fails")
 
 
 @dataclass
@@ -394,14 +422,15 @@ def center_basis(algebra):
     space = algebra.space
     dim = space.dim
     pairs = _pair_index(space)
+    mult, zero = algebra.mult.entries, Cyc.zero()
     rows = []
     # unknown x = sum_j x_j e_j; for each basis e_i and output slot k one equation
     for i in range(dim):
         for k in range(dim):
             row = []
             for j in range(dim):
-                left = algebra.mult.rows[k][pairs[(j, i)]]
-                right = algebra.mult.rows[k][pairs[(i, j)]]
+                left = mult[k].get(pairs[(j, i)], zero)
+                right = mult[k].get(pairs[(i, j)], zero)
                 row.append(left - right)
             rows.append(row)
     return kernel_of_matrix(rows, dim)

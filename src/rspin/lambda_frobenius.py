@@ -107,17 +107,31 @@ class LambdaFrobenius:
         and deck relations plus the graded-centre comparison with gamma_A.
         """
         a %= self.r
-        if a not in self._nakayama_cache:
+        # cached as the power (a, 1); for r = 1 no power reaches that key
+        key = (a, 1)
+        if key not in self._nakayama_cache:
             ca = self.space(a)
             cma = self.space(-a)
             crossed = compose(braiding(ca, cma), self.copairing(a))
             step = tensor(identity(ca), crossed)
             zig = tensor(self.pairing(a), identity(ca))
-            self._nakayama_cache[a] = compose(zig, step)
-        return self._nakayama_cache[a]
+            self._nakayama_cache[key] = compose(zig, step)
+        return self._nakayama_cache[key]
 
     def nakayama_power(self, a, k):
-        return self.nakayama(a) ** (k % self.r)
+        """N_a^(k mod r), each power one compose above the power below it."""
+        a %= self.r
+        k %= self.r
+        if k == 1:
+            return self.nakayama(a)
+        key = (a, k)
+        if key not in self._nakayama_cache:
+            if k == 0:
+                power = identity(self.space(a))
+            else:
+                power = compose(self.nakayama(a), self.nakayama_power(a, k - 1))
+            self._nakayama_cache[key] = power
+        return self._nakayama_cache[key]
 
     # -- serialization -------------------------------------------------------
 
@@ -295,8 +309,8 @@ def _infer_scalar_order(alg):
     order = 1
     maps = [alg.eta, alg.eps] + list(alg.mu.values()) + list(alg.delta.values())
     for m in maps:
-        for row in m.rows:
-            for x in row:
+        for stored in m.entries:
+            for x in stored.values():
                 if not x.is_rational():
                     order = max(order, x.order)
     return order

@@ -327,8 +327,8 @@ def orbifold_algebra(w, action):
     scale = Cyc.one()
     if not algebra.delta_separable:
         z = algebra.handle_element()
-        unit_col = [row[0] for row in unit.rows]
-        z_col = [row[0] for row in z.rows]
+        unit_col = unit.column(0)
+        z_col = z.column(0)
         ratio = None
         proportional = True
         for zu, uu in zip(z_col, unit_col):
@@ -342,9 +342,7 @@ def orbifold_algebra(w, action):
                     proportional = False
                     break
         if proportional and ratio:
-            counit = counit.scale(ratio)
-            algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit,
-                                                    require_delta_separable=False)
+            algebra = algebra.rescaled(ratio)
             scale = ratio
 
     total_weight = sum(action.weight(v) for v in variables) % r

@@ -106,31 +106,52 @@ def _tensor_layout(groups):
 class SuperMap:
     """Parity-homogeneous linear map in the fixed graded bases.
 
-    rows[i][j] is the coefficient of target basis vector i in the image of
-    source basis vector j.  Block structure is enforced: an entry may be
-    nonzero only if parity(target i) = parity(source j) + parity(map).
+    entries[i] maps a source index j to the coefficient of target basis
+    vector i in the image of source basis vector j; only nonzero
+    coefficients are stored, so equal maps store equal entries.  Give the
+    matrix either as dense rows (zeros are dropped) or as entries, which
+    must hold no zero and become the map's own.  rows is the dense matrix,
+    rebuilt from the entries on each access.  Block structure is enforced:
+    an entry may be nonzero only if parity(target i) = parity(source j) +
+    parity(map).
     """
 
-    __slots__ = ("source", "target", "parity", "rows", "source_factors", "target_factors")
+    __slots__ = ("source", "target", "parity", "entries", "source_factors", "target_factors")
 
-    def __init__(self, source, target, parity, rows, source_factors=None, target_factors=None):
+    def __init__(self, source, target, parity, rows=None, source_factors=None,
+                 target_factors=None, *, entries=None):
         self.source = source
         self.target = target
         self.parity = parity % 2
-        if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
+        if (rows is None) == (entries is None):
+            raise SuperLinAlgError("give the matrix as exactly one of rows and entries")
+        sdim = source.dim
+        if rows is not None:
+            if len(rows) != target.dim or any(len(r) != sdim for r in rows):
+                raise SuperLinAlgError("matrix shape does not match spaces")
+            entries = []
+            for row in rows:
+                stored = {}
+                for j, x in enumerate(row):
+                    if x.__class__ is not Cyc:
+                        x = as_cyc(x)
+                    if x:
+                        stored[j] = x
+                entries.append(stored)
+        elif len(entries) != target.dim:
             raise SuperLinAlgError("matrix shape does not match spaces")
-        self.rows = rows = [[x if x.__class__ is Cyc else as_cyc(x) for x in row]
-                            for row in rows]
-        # nonzero entries of row i may only sit in source columns of parity
+        self.entries = entries
+        # the entries of row i may only sit in source columns of parity
         # parity(i) + |f|: the evens [0, source.even) or the odds after them
         split, target_even = source.even, target.even
-        for i, row in enumerate(rows):
-            if (i >= target_even) != self.parity:
-                stray, offset = row[:split], 0
-            else:
-                stray, offset = row[split:], split
-            if any(stray):
-                j = offset + next(k for k, x in enumerate(stray) if x)
+        for i, stored in enumerate(entries):
+            if not stored:
+                continue
+            lo, hi = (split, sdim) if (i >= target_even) != self.parity else (0, split)
+            if min(stored) < lo or max(stored) >= hi:
+                j = min(k for k in stored if not lo <= k < hi)
+                if not 0 <= j < sdim:
+                    raise SuperLinAlgError("entry (%d,%d) lies outside the matrix" % (i, j))
                 raise SuperLinAlgError(
                     "entry (%d,%d) violates the parity block structure" % (i, j))
         self.source_factors = tuple(source_factors) if source_factors is not None else (source,)
@@ -140,26 +161,28 @@ class SuperMap:
         if tensor_space(*self.target_factors) != target:
             raise SuperLinAlgError("declared target factors do not multiply out to the target")
 
+    @property
+    def rows(self):
+        """The dense matrix: rows[i][j], zeros included (a fresh copy)."""
+        dim = self.source.dim
+        out = []
+        for stored in self.entries:
+            row = [_ZERO] * dim
+            for j, x in stored.items():
+                row[j] = x
+            out.append(row)
+        return out
+
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def zero(source, target, parity=0, source_factors=None, target_factors=None):
-        rows = [[Cyc.zero() for _ in range(source.dim)] for _ in range(target.dim)]
-        return SuperMap(source, target, parity, rows, source_factors, target_factors)
+        return SuperMap(source, target, parity, None, source_factors, target_factors,
+                        entries=[{} for _ in range(target.dim)])
 
     @staticmethod
     def from_scalar(value):
         return SuperMap(UNIT_SPACE, UNIT_SPACE, 0, [[as_cyc(value)]])
-
-    def clone_with(self, source=None, target=None, source_factors=None, target_factors=None):
-        return SuperMap(
-            source or self.source,
-            target or self.target,
-            self.parity,
-            self.rows,
-            source_factors if source_factors is not None else self.source_factors,
-            target_factors if target_factors is not None else self.target_factors,
-        )
 
     # -- algebra -------------------------------------------------------------
 
@@ -173,17 +196,33 @@ class SuperMap:
 
     def scale(self, scalar):
         scalar = as_cyc(scalar)
-        rows = [[scalar * x for x in row] for row in self.rows]
-        return SuperMap(self.source, self.target, self.parity, rows,
-                        self.source_factors, self.target_factors)
+        if scalar:
+            entries = [{j: scalar * x for j, x in stored.items()} for stored in self.entries]
+        else:
+            entries = [{} for _ in self.entries]
+        return SuperMap(self.source, self.target, self.parity, None,
+                        self.source_factors, self.target_factors, entries=entries)
 
     def __add__(self, other):
         if (self.source.dim, self.target.dim, self.parity) != (
                 other.source.dim, other.target.dim, other.parity):
             raise SuperLinAlgError("cannot add maps of different shapes or parities")
-        rows = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        return SuperMap(self.source, self.target, self.parity, rows,
-                        self.source_factors, self.target_factors)
+        entries = []
+        for mine, theirs in zip(self.entries, other.entries):
+            total = dict(mine)
+            for j, y in theirs.items():
+                x = total.get(j)
+                if x is None:
+                    total[j] = y
+                else:
+                    x = x + y
+                    if x:
+                        total[j] = x
+                    else:
+                        del total[j]
+            entries.append(total)
+        return SuperMap(self.source, self.target, self.parity, None,
+                        self.source_factors, self.target_factors, entries=entries)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -206,49 +245,51 @@ class SuperMap:
         if not isinstance(other, SuperMap):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
-                and self.parity == other.parity and self.rows == other.rows)
+                and self.parity == other.parity and self.entries == other.entries)
 
     def is_zero(self):
-        return all(not x for row in self.rows for x in row)
+        return not any(self.entries)
 
     @property
     def scalar(self):
         if self.source.dim != 1 or self.target.dim != 1:
             raise SuperLinAlgError("not a 1x1 map")
-        return self.rows[0][0]
+        return self.entries[0].get(0, _ZERO)
 
     def column(self, j):
-        return [self.rows[i][j] for i in range(self.target.dim)]
+        return [stored.get(j, _ZERO) for stored in self.entries]
 
     def __repr__(self):
         return "SuperMap(%r -> %r, parity %d)" % (self.source, self.target, self.parity)
 
 
 def identity(space):
-    rows = [[Cyc.one() if i == j else Cyc.zero() for j in range(space.dim)]
-            for i in range(space.dim)]
-    return SuperMap(space, space, 0, rows)
+    return SuperMap(space, space, 0, None, entries=[{i: _ONE} for i in range(space.dim)])
 
 
 def compose(g, f):
     if f.target.dim != g.source.dim:
         raise SuperLinAlgError("composition shape mismatch: %r after %r" % (g, f))
-    n, m, k = g.target.dim, f.source.dim, f.target.dim
-    rows = [[Cyc.zero() for _ in range(m)] for _ in range(n)]
-    for t in range(k):
-        grow = [g.rows[i][t] for i in range(n)]
-        frow = f.rows[t]
-        for i in range(n):
-            gv = grow[i]
-            if not gv:
-                continue
-            out = rows[i]
-            for j in range(m):
-                fv = frow[j]
-                if fv:
-                    out[j] = out[j] + gv * fv
-    return SuperMap(f.source, g.target, (f.parity + g.parity) % 2, rows,
-                    f.source_factors, g.target_factors)
+    f_entries = f.entries
+    entries = []
+    for g_row in g.entries:
+        out = {}
+        for t, gv in g_row.items():
+            for j, fv in f_entries[t].items():
+                value = fv if gv is _ONE else gv if fv is _ONE else gv * fv
+                old = out.get(j)
+                if old is None:
+                    out[j] = value
+                else:
+                    # a sum may cancel; products of nonzeros never do
+                    value = old + value
+                    if value:
+                        out[j] = value
+                    else:
+                        del out[j]
+        entries.append(out)
+    return SuperMap(f.source, g.target, (f.parity + g.parity) % 2, None,
+                    f.source_factors, g.target_factors, entries=entries)
 
 
 def tensor(*maps):
@@ -272,14 +313,16 @@ def tensor(*maps):
     codes = [(0, 0, [(0, _ONE)])]
     for m in maps:
         tdim, split, odd_map = m.target.dim, m.source.even, m.parity
-        cols = [[(i, row[j]) for i, row in enumerate(m.rows) if row[j]]
-                for j in range(m.source.dim)]
+        cols = [[] for _ in range(m.source.dim)]
+        for i, stored in enumerate(m.entries):
+            for j, v in stored.items():
+                cols[j].append((i, v))
         folded = []
-        for par, sign, entries in codes:
+        for par, sign, pairs in codes:
             sign ^= odd_map & par
             for j, col in enumerate(cols):
                 out = []
-                for code, value in entries:
+                for code, value in pairs:
                     base = code * tdim
                     for i, v in col:
                         out.append((base + i, v if value is _ONE
@@ -288,28 +331,30 @@ def tensor(*maps):
         codes = folded
     src_pos = _tensor_layout(src_groups)
     tgt_pos = _tensor_layout(tgt_groups)
-    rows = [[_ZERO] * len(src_pos) for _ in range(len(tgt_pos))]
-    for code, (_, sign, entries) in enumerate(codes):
+    entries = [{} for _ in tgt_pos]
+    for code, (_, sign, pairs) in enumerate(codes):
         s = src_pos[code]
-        for t, value in entries:
-            rows[tgt_pos[t]][s] = -value if sign else value
+        for t, value in pairs:
+            entries[tgt_pos[t]][s] = -value if sign else value
     src_factors = tuple(s for group in src_groups for s in group)
     tgt_factors = tuple(t for group in tgt_groups for t in group)
     return SuperMap(tensor_space(*src_factors), tensor_space(*tgt_factors),
-                    sum(m.parity for m in maps), rows, src_factors, tgt_factors)
+                    sum(m.parity for m in maps), None, src_factors, tgt_factors,
+                    entries=entries)
 
 
 def braiding(v, w):
     """b_{V,W}(x o y) = (-1)^{|x||y|} y o x."""
     src_rank = _graded_rank((v, w))
     tgt_rank = _graded_rank((w, v))
-    rows = [[_ZERO] * len(src_rank) for _ in tgt_rank]
+    minus = -_ONE
+    entries = [{} for _ in tgt_rank]
     for a in range(v.dim):
         for b in range(w.dim):
-            sign = -1 if (a >= v.even and b >= w.even) else 1
-            rows[tgt_rank[b * v.dim + a]][src_rank[a * w.dim + b]] = Cyc.rational(sign)
-    return SuperMap(tensor_space(v, w), tensor_space(w, v), 0, rows,
-                    (v, w), (w, v))
+            sign = minus if (a >= v.even and b >= w.even) else _ONE
+            entries[tgt_rank[b * v.dim + a]][src_rank[a * w.dim + b]] = sign
+    return SuperMap(tensor_space(v, w), tensor_space(w, v), 0, None,
+                    (v, w), (w, v), entries=entries)
 
 
 def quantum_dimension(space):
@@ -321,11 +366,10 @@ def supertrace(f):
     if f.source.dim != f.target.dim:
         raise SuperLinAlgError("supertrace requires an endomorphism")
     total = Cyc.zero()
-    for i in range(f.source.dim):
-        term = f.rows[i][i]
-        if f.source.parity(i):
-            term = -term
-        total = total + term
+    for i, stored in enumerate(f.entries):
+        term = stored.get(i)
+        if term is not None:
+            total = total - term if f.source.parity(i) else total + term
     return total
 
 
@@ -393,7 +437,7 @@ def kernel_basis(f):
         cols = [j for j in range(f.source.dim) if f.source.parity(j) == par]
         if not cols:
             continue
-        sub = [[f.rows[i][j] for j in cols] for i in range(f.target.dim)]
+        sub = [[stored.get(j, _ZERO) for j in cols] for stored in f.entries if stored]
         for vec in kernel_of_matrix(sub, len(cols)):
             full = [Cyc.zero() for _ in range(f.source.dim)]
             for c, value in zip(cols, vec):
@@ -404,7 +448,7 @@ def kernel_basis(f):
 
 def image_basis(f):
     """Parity-homogeneous image basis (pivot columns of the matrix)."""
-    work = [list(r) for r in f.rows]
+    work = f.rows
     pivots = _rref(work, f.source.dim)
     cols = [f.column(j) for j in pivots]
 

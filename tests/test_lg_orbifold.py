@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from rspin.constructors import nakayama_gamma
+from rspin.constructors import FrobeniusAlgebraData, nakayama_gamma
 from rspin.landau_ginzburg.mf import (
     GroupAction,
     MFError,
@@ -208,3 +208,22 @@ def test_nothing_cached_between_calls(monkeypatch):
         orbifold_algebra(parse_poly("x^4"), act1(4))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("potential, weights", [("x^2", (1,)), ("x^2+y^2", (1, 1))])
+def test_rescaled_counit_matches_fresh_assembly(monkeypatch, potential, weights):
+    assemble = FrobeniusAlgebraData.assemble
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(FrobeniusAlgebraData, "assemble", staticmethod(counted))
+    action = GroupAction(2, tuple(zip("xy", weights)))
+    orb = orbifold_algebra(parse_poly(potential), action)
+    assert orb.counit_scale == 2 and orb.delta_separable
+    assert len(calls) == 1
+    alg = orb.algebra
+    fresh = assemble(alg.space, alg.mult, alg.unit, alg.counit, require_delta_separable=False)
+    assert fresh == alg

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from rspin.landau_ginzburg.groebner import (
@@ -62,6 +64,28 @@ def test_groebner_staircase_kills_y():
     basis = groebner([p("3*x^2"), p("2*y")])
     mons = staircase(basis, ("x", "y"))
     assert mons == [(0, 0), (1, 0)]  # {1, x}
+
+
+@pytest.mark.parametrize("potential", [
+    "x^3 + x*y^2",
+    "x^2*y + y^4",
+    "x^3 + x*y^3",
+    "x^4 + x^2*y^2 + y^4",
+    "x^3 + y^3 + z^3 + x*y*z",
+    "x^3 + 2*x*y + y^3 + y*z^2 + z^4",
+])
+def test_groebner_matches_sympy(potential):
+    sympy = pytest.importorskip("sympy")
+    w = p(potential)
+    ours = groebner([w.derivative(v) for v in w.vars])
+    symbols = sympy.symbols(" ".join(w.vars))
+    partials = [sympy.diff(sympy.sympify(potential.replace("^", "**")), s) for s in symbols]
+    # over QQ sympy returns the reduced basis with monic elements
+    theirs = sympy.groebner(partials, *symbols, order="grevlex", domain="QQ")
+    assert {frozenset((exp, c.as_fraction()) for exp, c in g.align(w.vars).terms.items())
+            for g in ours} == \
+        {frozenset((exp, Fraction(int(c.p), int(c.q))) for exp, c in g.terms())
+         for g in theirs.polys}
 
 
 def test_jacobi_x3_plus_y3():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rspin.scalars import (
     Cyc,
@@ -128,6 +128,24 @@ def test_field_axioms(data, order):
     assert (a + b) + c == a + (b + c)
     if a:
         assert a * a.inverse() == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), order=st.integers(1, 30))
+def test_inverse_round_trip_matches_sympy(data, order):
+    sympy = pytest.importorskip("sympy")
+    a = data.draw(cyc_scalars(order))
+    assume(a)
+    inverse = a.inverse()
+    assert a * inverse == 1
+    # independent route: the inverse of a(z) modulo Phi_r(z) in sympy
+    z = sympy.Symbol("z")
+    poly = sum(sympy.Rational(c.numerator, c.denominator) * z ** k
+               for k, c in enumerate(a.coeffs))
+    expected = sympy.Poly(sympy.invert(poly, sympy.cyclotomic_poly(order, z), z), z)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+    coeffs += [Fraction(0)] * (len(inverse.coeffs) - len(coeffs))
+    assert inverse.coeffs == tuple(coeffs)
 
 
 def test_parse_format_roundtrip():

@@ -1,8 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
@@ -282,3 +283,162 @@ def test_supermap_rejects_factors_that_do_not_multiply_out():
         SuperMap(square, square, 0, rows, (v, v), (SuperSpace(4, 0),))
     with pytest.raises(SuperLinAlgError):
         SuperMap(square, square, 0, rows, (), (v, v))
+
+
+# -- differential tests of the sparse core against dense matrices -------------
+
+# 1 + z + z^2 = 0 in Q(zeta_3), so irrational entries cancel as well as integers
+NONZERO = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Cyc.zeta(3), -Cyc.zeta(3),
+                           Cyc.zeta(3, 2), Cyc.rational(1, 3)])
+SCALARS = st.one_of(st.just(0), NONZERO)
+ZEROS = st.sampled_from([0, Fraction(0), Cyc.zero(), Cyc.zero(3), Cyc.zero(5)])
+
+
+def on_block(source, target, parity, i, j):
+    return target.parity(i) == (source.parity(j) + parity) % 2
+
+
+@st.composite
+def dense_matrices(draw, source, target, parity, like=None):
+    """A parity-homogeneous dense matrix; with like, about half its entries
+    are the negated entries of like, so that sums with like cancel."""
+    rows = []
+    for i in range(target.dim):
+        row = []
+        for j in range(source.dim):
+            if not on_block(source, target, parity, i, j):
+                row.append(Cyc.zero())
+            elif like is not None and draw(st.booleans()):
+                row.append(-like[i][j])
+            else:
+                row.append(as_cyc_value(draw(SCALARS)))
+        rows.append(row)
+    return rows
+
+
+def as_cyc_value(x):
+    return x if isinstance(x, Cyc) else Cyc.rational(x)
+
+
+def dense_compose(g_rows, f_rows, n, m):
+    return [[sum((g_rows[i][t] * f_rows[t][j] for t in range(len(f_rows))), Cyc.zero())
+             for j in range(m)] for i in range(n)]
+
+
+def assert_sparse(m):
+    """No stored zero, and every stored index inside the matrix."""
+    assert len(m.entries) == m.target.dim
+    for stored in m.entries:
+        assert all(stored.values())
+        assert all(0 <= j < m.source.dim for j in stored)
+
+
+@st.composite
+def composable(draw):
+    """(f, its rows), (g, its rows) with g o f defined.  Where v allows it,
+    row i of g keeps only two nonzero entries a, b at s, t and row t of f is
+    -a/b times row s, so that every sum in row i of g o f cancels."""
+    u, v, w = draw(SPACES), draw(SPACES), draw(SPACES)
+    pf, pg = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    f_rows = draw(dense_matrices(u, v, pf))
+    g_rows = draw(dense_matrices(v, w, pg))
+    triples = [(i, s, t) for i in range(w.dim) for s in range(v.dim) for t in range(v.dim)
+               if s != t and on_block(v, w, pg, i, s) and on_block(v, w, pg, i, t)]
+    if triples:
+        i, s, t = draw(st.sampled_from(triples))
+        a, b = as_cyc_value(draw(NONZERO)), as_cyc_value(draw(NONZERO))
+        g_rows[i] = [a if k == s else b if k == t else Cyc.zero() for k in range(v.dim)]
+        on = [j for j in range(u.dim) if on_block(u, v, pf, s, j)]
+        if on and not any(f_rows[s]):
+            f_rows[s][draw(st.sampled_from(on))] = as_cyc_value(draw(NONZERO))
+        f_rows[t] = [-(a / b) * x for x in f_rows[s]]
+    return (SuperMap(u, v, pf, f_rows), f_rows), (SuperMap(v, w, pg, g_rows), g_rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(composable())
+def test_compose_and_tensor_match_dense_reference(maps):
+    (f, f_rows), (g, g_rows) = maps
+    gf = compose(g, f)
+    assert_sparse(gf)
+    assert gf.rows == dense_compose(g_rows, f_rows, g.target.dim, f.source.dim)
+    assert gf == SuperMap(f.source, g.target, f.parity + g.parity,
+                          dense_compose(g_rows, f_rows, g.target.dim, f.source.dim))
+    assert gf.is_zero() == (not any(x for row in gf.rows for x in row))
+    fg = tensor(f, g)
+    assert_sparse(fg)
+    assert fg.rows == reference_tensor([f, g])
+
+
+@st.composite
+def same_shape(draw):
+    source, target = draw(SPACES), draw(SPACES)
+    parity = draw(st.integers(0, 1))
+    a_rows = draw(dense_matrices(source, target, parity))
+    b_rows = draw(dense_matrices(source, target, parity, like=a_rows))
+    scalar = as_cyc_value(draw(SCALARS))
+    return source, target, parity, a_rows, b_rows, scalar
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_shape())
+def test_add_sub_scale_match_dense_reference(case):
+    source, target, parity, a_rows, b_rows, scalar = case
+    a = SuperMap(source, target, parity, a_rows)
+    b = SuperMap(source, target, parity, b_rows)
+    expected = {
+        "add": [[x + y for x, y in zip(r, s)] for r, s in zip(a_rows, b_rows)],
+        "sub": [[x - y for x, y in zip(r, s)] for r, s in zip(a_rows, b_rows)],
+        "scale": [[scalar * x for x in r] for r in a_rows],
+    }
+    for name, result in (("add", a + b), ("sub", a - b), ("scale", a.scale(scalar))):
+        assert_sparse(result)
+        assert result.rows == expected[name], name
+        assert result == SuperMap(source, target, parity, expected[name]), name
+    assert (a - a).is_zero() and (a - a).entries == [{} for _ in range(target.dim)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(composable(), st.data())
+def test_dense_rows_with_any_zeros_equal_the_stored_entries(maps, data):
+    (f, _), (g, _) = maps
+    gf = compose(g, f)
+    rows = [[stored[j] if j in stored else data.draw(ZEROS) for j in range(gf.source.dim)]
+            for stored in gf.entries]
+    rebuilt = SuperMap(gf.source, gf.target, gf.parity, rows)
+    assert rebuilt == gf
+    assert rebuilt.entries == gf.entries
+    assert rebuilt == SuperMap(gf.source, gf.target, gf.parity, None,
+                               entries=[dict(stored) for stored in gf.entries])
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_shape(), st.data())
+def test_entries_off_the_parity_block_are_rejected(case, data):
+    source, target, parity, a_rows, _, _ = case
+    off = [(i, j) for i in range(target.dim) for j in range(source.dim)
+           if not on_block(source, target, parity, i, j)]
+    assume(off)
+    i, j = data.draw(st.sampled_from(off))
+    entries = [dict(stored) for stored in SuperMap(source, target, parity, a_rows).entries]
+    entries[i][j] = Cyc.one()
+    with pytest.raises(SuperLinAlgError, match="parity block"):
+        SuperMap(source, target, parity, None, entries=entries)
+    rows = [list(row) for row in a_rows]
+    rows[i][j] = Cyc.one()
+    with pytest.raises(SuperLinAlgError, match="parity block"):
+        SuperMap(source, target, parity, rows)
+
+
+def test_cancelled_entries_are_not_stored():
+    v = SuperSpace(2, 0)
+    g = smap(2, 0, 1, 0, 0, [[1, 1]])
+    f = smap(1, 0, 2, 0, 0, [[1], [-1]])
+    assert compose(g, f).entries == [{}]
+    assert compose(g, f) == SuperMap.zero(SuperSpace(1, 0), SuperSpace(1, 0))
+    a = identity(v)
+    assert (a + a.scale(-1)).entries == [{}, {}]
+    z = Cyc.zeta(3)
+    row = smap(3, 0, 1, 0, 0, [[1, z, z * z]])
+    ones = smap(1, 0, 3, 0, 0, [[1], [1], [1]])
+    assert compose(row, ones).entries == [{}]
