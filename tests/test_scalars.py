@@ -130,7 +130,7 @@ def test_field_axioms(data, order):
         assert a * a.inverse() == 1
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(data=st.data(), order=st.integers(1, 30))
 def test_inverse_round_trip_matches_sympy(data, order):
     sympy = pytest.importorskip("sympy")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rspin.scalars import Cyc
+from rspin.scalars import Cyc, as_cyc
 from rspin.superlinalg import (
     SuperLinAlgError,
     SuperMap,
@@ -311,13 +311,9 @@ def dense_matrices(draw, source, target, parity, like=None):
             elif like is not None and draw(st.booleans()):
                 row.append(-like[i][j])
             else:
-                row.append(as_cyc_value(draw(SCALARS)))
+                row.append(as_cyc(draw(SCALARS)))
         rows.append(row)
     return rows
-
-
-def as_cyc_value(x):
-    return x if isinstance(x, Cyc) else Cyc.rational(x)
 
 
 def dense_compose(g_rows, f_rows, n, m):
@@ -346,11 +342,11 @@ def composable(draw):
                if s != t and on_block(v, w, pg, i, s) and on_block(v, w, pg, i, t)]
     if triples:
         i, s, t = draw(st.sampled_from(triples))
-        a, b = as_cyc_value(draw(NONZERO)), as_cyc_value(draw(NONZERO))
+        a, b = as_cyc(draw(NONZERO)), as_cyc(draw(NONZERO))
         g_rows[i] = [a if k == s else b if k == t else Cyc.zero() for k in range(v.dim)]
         on = [j for j in range(u.dim) if on_block(u, v, pf, s, j)]
         if on and not any(f_rows[s]):
-            f_rows[s][draw(st.sampled_from(on))] = as_cyc_value(draw(NONZERO))
+            f_rows[s][draw(st.sampled_from(on))] = as_cyc(draw(NONZERO))
         f_rows[t] = [-(a / b) * x for x in f_rows[s]]
     return (SuperMap(u, v, pf, f_rows), f_rows), (SuperMap(v, w, pg, g_rows), g_rows)
 
@@ -376,7 +372,7 @@ def same_shape(draw):
     parity = draw(st.integers(0, 1))
     a_rows = draw(dense_matrices(source, target, parity))
     b_rows = draw(dense_matrices(source, target, parity, like=a_rows))
-    scalar = as_cyc_value(draw(SCALARS))
+    scalar = as_cyc(draw(SCALARS))
     return source, target, parity, a_rows, b_rows, scalar
 
 
