@@ -135,6 +135,10 @@ class FrobeniusAlgebraData:
 
     @staticmethod
     def from_config(data):
+        missing = [k for k in ("even_dim", "odd_dim", "mult", "unit", "counit")
+                   if k not in data]
+        if missing:
+            raise FrobeniusError("frobenius_algebra data lacks %s" % ", ".join(missing))
         order = int(data.get("scalar_order", 1))
         space = SuperSpace(int(data["even_dim"]), int(data["odd_dim"]))
 
@@ -159,18 +163,22 @@ def _copairing_from(pairing, space):
     """
     dim = space.dim
     pairs = _pair_index(space)
-    values, zero = pairing.entries[0], Cyc.zero()
-    gram = [[values.get(pairs[(i, j)], zero) for j in range(dim)] for i in range(dim)]
+    values = pairing.entries[0]
+    gram = [{} for _ in range(dim)]
+    for (i, j), k in pairs.items():
+        if k in values:
+            gram[i][j] = values[k]
     one = identity(space)
     try:
-        inverse = solve_exact(gram, one.rows, dim)
+        inverse = solve_exact(gram, one.entries, dim)
     except SuperLinAlgError as exc:
         raise DegeneratePairingError("pairing is degenerate; no copairing exists") from exc
-    cop_rows = [[Cyc.zero()] for _ in pairs]
+    cop = [{} for _ in pairs]
     for (i, j), k in pairs.items():
-        cop_rows[k][0] = inverse[i][j]
-    copairing = SuperMap(UNIT_SPACE, tensor_space(space, space), 0, cop_rows,
-                         (), (space, space))
+        if j in inverse[i]:
+            cop[k][0] = inverse[i][j]
+    copairing = SuperMap(UNIT_SPACE, tensor_space(space, space), 0, None,
+                         (), (space, space), entries=cop)
     _check_mirrored_zorro(pairing, copairing, one)
     return copairing
 
@@ -209,8 +217,8 @@ def nakayama_gamma(algebra):
     one = identity(space)
     crossed = compose(braiding(space, space), algebra.copairing)
     zig = compose(tensor(algebra.pairing, one), tensor(one, crossed))
-    inv_rows = solve_exact(zig.rows, identity(space).rows, space.dim)
-    gamma = SuperMap(space, space, 0, inv_rows)
+    gamma = SuperMap(space, space, 0, None,
+                     entries=solve_exact(zig.entries, one.entries, space.dim))
     _check_algebra_automorphism(algebra, gamma)
     return AlgebraAutomorphism(gamma, zig)
 
@@ -427,10 +435,10 @@ def center_basis(algebra):
     # unknown x = sum_j x_j e_j; for each basis e_i and output slot k one equation
     for i in range(dim):
         for k in range(dim):
-            row = []
+            row = {}
             for j in range(dim):
                 left = mult[k].get(pairs[(j, i)], zero)
                 right = mult[k].get(pairs[(i, j)], zero)
-                row.append(left - right)
+                row[j] = left - right
             rows.append(row)
     return kernel_of_matrix(rows, dim)

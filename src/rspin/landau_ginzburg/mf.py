@@ -9,7 +9,8 @@ degree by degree, and both echelons are carried from one cutoff to the
 next.  The quotient is taken against the boundaries and the
 representatives already accepted together, in one echelon, so the count
 does not depend on the kernel basis.  The dimensions are accepted once
-stable for two consecutive cutoffs.
+stable for two consecutive cutoffs.  The echelons are
+superlinalg.SparseEchelon, the one elimination engine of the package.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 from dataclasses import dataclass
 
 from ..scalars import Cyc
+from ..superlinalg import SparseEchelon
 from .poly import Poly
 
 
@@ -288,53 +290,6 @@ class HomCohomology:
         return (self.even_dim, self.odd_dim)
 
 
-class _SparseEchelon:
-    """Echelon form of sparse rows over Q(zeta_r), keyed by column index.
-
-    Each pivot row's pivot is its largest key, with coefficient -1, so
-    reducing by it is one multiply-add per entry.  Negative keys are tracking
-    coordinates: they ride along in every row operation but are never
-    pivots, so a row whose nonnegative keys cancel records the combination
-    of the rows it came from.
-    """
-
-    def __init__(self, pivots=()):
-        self.pivots = dict(pivots)
-
-    def reduce(self, row):
-        """(key, row): the row reduced until its largest key is no pivot.
-
-        The key is that largest key, or None once only tracking
-        coordinates are left.
-        """
-        row = dict(row)
-        while row:
-            key = max(row)
-            if key < 0:
-                break
-            pivot = self.pivots.get(key)
-            if pivot is None:
-                return key, row
-            coeff = row[key]
-            for k, v in pivot.items():
-                acc = row.get(k)
-                delta = coeff * v
-                total = delta if acc is None else acc + delta
-                if total:
-                    row[k] = total
-                else:
-                    del row[k]
-        return None, row
-
-    def add(self, row):
-        """Reduce the row and keep it as a pivot row unless nothing is left."""
-        key, reduced = self.reduce(row)
-        if key is not None:
-            inv = -reduced[key].inverse()
-            self.pivots[key] = {k: inv * v for k, v in reduced.items()}
-        return key, reduced
-
-
 def _monomials_of_degree(nvars, degree):
     """Exponent tuples of total degree `degree` in `nvars` variables."""
     if nvars == 0:
@@ -408,8 +363,8 @@ def hom_cohomology(x, y, nmax=None):
 
     domain = ([], [])     # (slot, monomial) of each tracking index, per parity
     kernel = ([], [])     # kernel vectors in tracking coordinates -1 - index
-    tracked = (_SparseEchelon(), _SparseEchelon())
-    bound = (_SparseEchelon(), _SparseEchelon())
+    tracked = (SparseEchelon(), SparseEchelon())
+    bound = (SparseEchelon(), SparseEchelon())
     kernel_degree = bound_degree = 0   # next degree to feed
     trajectory = []
     for cutoff in range(1, nmax + 1):
@@ -432,7 +387,7 @@ def hom_cohomology(x, y, nmax=None):
         reps_pair = []
         for parity in (0, 1):
             # one echelon for the boundaries and the representatives so far
-            quotient = _SparseEchelon(bound[parity].pivots)
+            quotient = SparseEchelon(bound[parity].pivots)
             reps = []
             for vec in kernel[parity]:
                 key, _ = quotient.add({column(domain[parity][-1 - t]): c

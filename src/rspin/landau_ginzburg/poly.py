@@ -8,7 +8,7 @@ guaranteed (difference quotients, twisted-identity entries).
 
 from __future__ import annotations
 
-from ..scalars import Cyc, as_cyc, format_scalar
+from ..scalars import Cyc, as_cyc, format_scalar, parse_expression
 
 
 class PolyError(ValueError):
@@ -156,7 +156,18 @@ class Poly:
         value = as_cyc(value)
         return Poly(self.vars, {e: value * c for e, c in self.terms.items()})
 
+    def __truediv__(self, other):
+        """Division by a constant; divide_exact divides by a polynomial."""
+        if isinstance(other, Poly):
+            if other.degree() > 0:
+                raise PolyError("only division by a constant is supported, not by %s"
+                                % format_poly(other))
+            other = other.constant_term()
+        return self.scale(as_cyc(other).inverse())
+
     def __pow__(self, k):
+        if k < 0:
+            raise PolyError("negative exponents are not polynomial")
         result = Poly.const(1, self.vars)
         for _ in range(k):
             result = result * self
@@ -302,118 +313,12 @@ def format_poly(p):
     return " ".join(parts)
 
 
-# -- parsing: `x^3 + y^3`, `2*x^2*y - 1/3`, zeta via `z` is NOT used here ------
+# -- parsing: `x^3 + y^3`, `2*x^2*y - 1/3`; every name is a variable ----------
 
 def parse_poly(text, order=1, variables=None):
     """Parse a polynomial; variables are inferred and sorted unless given."""
-    tokens = _poly_tokenize(text)
-    parser = _PolyParser(tokens, order)
-    p = parser.parse_expr()
-    if parser.pos != len(tokens):
-        raise PolyError("trailing tokens in polynomial %r" % text)
+    p = parse_expression(text, "polynomial", PolyError,
+                         lambda n: Poly.const(Cyc.rational(n, order)), Poly.variable)
     if variables is not None:
         p = p.align(tuple(sorted(set(variables) | set(p.vars))))
     return p
-
-
-def _poly_tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'~"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise PolyError("unexpected character %r in polynomial %r" % (ch, text))
-    return tokens
-
-
-class _PolyParser:
-    def __init__(self, tokens, order):
-        self.tokens = tokens
-        self.pos = 0
-        self.order = order
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self, kind=None):
-        if self.pos >= len(self.tokens):
-            raise PolyError("unexpected end of polynomial")
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise PolyError("expected %r, found %r" % (kind, tok[0]))
-        self.pos += 1
-        return tok
-
-    def parse_expr(self):
-        if self.peek() == "-":
-            self.take()
-            value = -self.parse_term()
-        else:
-            if self.peek() == "+":
-                self.take()
-            value = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            term = self.parse_term()
-            value = value + term if op == "+" else value - term
-        return value
-
-    def parse_term(self):
-        value = self.parse_factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.parse_factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.degree() > 0:
-                    raise PolyError("polynomial division is not part of the input syntax")
-                value = value.scale(rhs.constant_term().inverse())
-        return value
-
-    def parse_factor(self):
-        kind = self.peek()
-        if kind == "int":
-            n = self.take()[1]
-            value = Poly.const(Cyc.rational(n, self.order))
-        elif kind == "name":
-            # every name is a variable; cyclotomic coefficients only arise
-            # internally, never in the input syntax for potentials
-            value = Poly.variable(self.take()[1])
-        elif kind == "(":
-            self.take()
-            value = self.parse_expr()
-            self.take(")")
-            return self._maybe_power(value)
-        elif kind == "-":
-            self.take()
-            return -self.parse_factor()
-        else:
-            raise PolyError("cannot parse polynomial near %r" % (kind,))
-        return self._maybe_power(value)
-
-    def _maybe_power(self, value):
-        if self.peek() == "^":
-            self.take()
-            if self.peek() == "-":
-                raise PolyError("negative exponents are not polynomial")
-            n = self.take("int")[1]
-            value = value ** n
-        return value

@@ -330,9 +330,19 @@ def as_cyc(value, order=1):
     return Cyc.rational(value, order)
 
 
-# -- textual scalar syntax: `3/2`, `z`, `z^2`, `1 - 2*z^3` ------------------
+# -- textual expressions: `3/2`, `1 - 2*z^3`, `x^3 + y^3`, `(1 + z)^2` -------
+#
+# One grammar serves scalars and polynomials; its values come from the caller:
+#
+#   expr   := [+ | -] term {(+ | -) term}
+#   term   := factor {(* | /) factor}
+#   factor := - factor | (int | name | "(" expr ")") [^ [-] int]
+#
+# A name is a letter or _ followed by letters, digits, _, ' and ~.  The
+# operators are those of the values, so each value type decides what it
+# accepts: a polynomial refuses a negative exponent or a nonconstant divisor.
 
-def _tokenize(text):
+def _tokenize(text, noun, error):
     tokens = []
     i = 0
     while i < len(text):
@@ -345,29 +355,38 @@ def _tokenize(text):
                 j += 1
             tokens.append(("int", int(text[i:j])))
             i = j
-        elif ch in "+-*/^()z":
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] in "_'~"):
+                j += 1
+            tokens.append(("name", text[i:j]))
+            i = j
+        elif ch in "+-*/^()":
             tokens.append((ch, ch))
             i += 1
         else:
-            raise ScalarError("unexpected character %r in scalar %r" % (ch, text))
+            raise error("unexpected character %r in %s %r" % (ch, noun, text))
     return tokens
 
 
-class _ScalarParser:
-    def __init__(self, tokens, order):
-        self.tokens = tokens
+class _Parser:
+    def __init__(self, text, noun, error, constant, name):
+        self.tokens = _tokenize(text, noun, error)
         self.pos = 0
-        self.order = order
+        self.noun = noun
+        self.error = error
+        self.constant = constant
+        self.name = name
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
     def take(self, kind=None):
         if self.pos >= len(self.tokens):
-            raise ScalarError("unexpected end of scalar expression")
+            raise self.error("unexpected end of %s" % self.noun)
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ScalarError("expected %r, found %r" % (kind, tok[0]))
+            raise self.error("expected %r, found %r" % (kind, tok[0]))
         self.pos += 1
         return tok
 
@@ -395,49 +414,57 @@ class _ScalarParser:
 
     def parse_factor(self):
         kind = self.peek()
-        if kind == "int":
-            n = self.take()[1]
-            if self.peek() == "^":
-                self.take()
-                e = self._exponent()
-                return Cyc.rational(n, self.order) ** e
-            return Cyc.rational(n, self.order)
-        if kind == "z":
-            self.take()
-            power = 1
-            if self.peek() == "^":
-                self.take()
-                power = self._exponent()
-            return Cyc.zeta(self.order, power)
-        if kind == "(":
-            self.take()
-            value = self.parse_expr()
-            self.take(")")
-            return value
         if kind == "-":
             self.take()
             return -self.parse_factor()
-        raise ScalarError("cannot parse scalar factor near token %r" % (kind,))
-
-    def _exponent(self):
-        neg = False
-        if self.peek() == "-":
+        if kind == "int":
+            value = self.constant(self.take()[1])
+        elif kind == "name":
+            value = self.name(self.take()[1])
+        elif kind == "(":
             self.take()
-            neg = True
-        n = self.take("int")[1]
-        return -n if neg else n
+            value = self.parse_expr()
+            self.take(")")
+        else:
+            raise self.error("cannot parse %s near token %r" % (self.noun, kind))
+        if self.peek() == "^":
+            self.take()
+            negative = self.peek() == "-"
+            if negative:
+                self.take()
+            n = self.take("int")[1]
+            value = value ** (-n if negative else n)
+        return value
+
+
+def parse_expression(text, noun, error, constant, name):
+    """Parse the expression grammar above into the caller's values.
+
+    constant(n) is the value of the integer n and name(s) the value of the
+    name s; noun names the kind of expression in messages.  Syntax errors
+    and division by zero raise error.
+    """
+    parser = _Parser(text, noun, error, constant, name)
+    try:
+        value = parser.parse_expr()
+    except ZeroDivisionError as exc:
+        raise error("division by zero in %s %r" % (noun, text)) from exc
+    if parser.pos != len(parser.tokens):
+        raise error("trailing tokens in %s %r" % (noun, text))
+    return value
 
 
 def parse_scalar(text, order=1):
     """Parse the textual scalar syntax; `z` is zeta_r for the given order."""
-    parser = _ScalarParser(_tokenize(text), order)
-    try:
-        value = parser.parse_expr()
-    except ZeroDivisionError as exc:
-        raise ScalarError("division by zero in scalar %r" % text) from exc
-    if parser.pos != len(parser.tokens):
-        raise ScalarError("trailing tokens in scalar %r" % text)
-    return value
+
+    def name(s):
+        if s != "z":
+            raise ScalarError("unknown name %r in scalar %r; only z (zeta_r) is allowed"
+                              % (s, text))
+        return Cyc.zeta(order)
+
+    return parse_expression(text, "scalar", ScalarError,
+                            lambda n: Cyc.rational(n, order), name)
 
 
 def _format_fraction(q):

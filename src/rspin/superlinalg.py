@@ -373,93 +373,133 @@ def supertrace(f):
     return total
 
 
-# -- exact Gaussian elimination over Q(zeta_r) -------------------------------
+# -- exact elimination over Q(zeta_r) ----------------------------------------
+#
+# A matrix is given as sparse rows, the layout of SuperMap.entries: rows[i]
+# maps a column index to the entry in row i.
 
-def _rref(rows, ncols):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
+class SparseEchelon:
+    """Echelon form of sparse rows over Q(zeta_r), keyed by column index.
+
+    Each pivot row's pivot is its largest key, with coefficient -1, so
+    reducing by it is one multiply-add per entry.  Negative keys are tracking
+    coordinates: they ride along in every row operation but are never
+    pivots, so a row whose nonnegative keys cancel records the combination
+    of the rows it came from.
+    """
+
+    def __init__(self, pivots=()):
+        self.pivots = dict(pivots)
+
+    def reduce(self, row):
+        """(key, row): the row reduced until its largest key is no pivot.
+
+        The key is that largest key, or None once only tracking
+        coordinates are left.
+        """
+        row = dict(row)
+        while row:
+            key = max(row)
+            if key < 0:
                 break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+            pivot = self.pivots.get(key)
+            if pivot is None:
+                return key, row
+            coeff = row[key]
+            for k, v in pivot.items():
+                acc = row.get(k)
+                delta = coeff * v
+                total = delta if acc is None else acc + delta
+                if total:
+                    row[k] = total
+                else:
+                    del row[k]
+        return None, row
+
+    def add(self, row):
+        """Reduce the row and keep it as a pivot row unless nothing is left."""
+        key, reduced = self.reduce(row)
+        if key is not None:
+            inv = -reduced[key].inverse()
+            self.pivots[key] = {k: inv * v for k, v in reduced.items()}
+        return key, reduced
+
+
+def _columns(rows):
+    """The nonzero entries of a sparse matrix by column: {j: {i: entry}}."""
+    cols = {}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if x:
+                cols.setdefault(j, {})[i] = x
+    return cols
+
+
+def _column_echelon(rows, ncols):
+    """(echelon, pivot columns, kernel rows) of the matrix, column by column.
+
+    Column j is fed in order with tracking coordinate -1 - j.  It leaves a
+    nonzero row exactly when it lies outside the span of the columns before
+    it, so the pivot columns are those of the reduced row echelon form.  A
+    column that reduces to tracking coordinates alone is a kernel vector
+    with coefficient 1 at j, supported on j and the pivot columns before it:
+    the kernel vector the reduced row echelon form gives for free column j.
+    """
+    cols = _columns(rows)
+    echelon = SparseEchelon()
+    pivots, kernel = [], []
+    for j in range(ncols):
+        col = cols.get(j, {})
+        col[-1 - j] = _ONE
+        key, reduced = echelon.add(col)
+        if key is None:
+            kernel.append(reduced)
+        else:
+            pivots.append(j)
+    return echelon, pivots, kernel
 
 
 def kernel_of_matrix(rows, ncols):
-    """Basis of the kernel of the matrix (list of coordinate vectors)."""
-    work = [list(r) for r in rows]
-    pivots = _rref(work, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Cyc.zero() for _ in range(ncols)]
-        vec[fc] = Cyc.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
-    return basis
+    """Basis of the kernel of the sparse matrix, as dense coordinate vectors."""
+    _, _, kernel = _column_echelon(rows, ncols)
+    return [[vec.get(-1 - j, _ZERO) for j in range(ncols)] for vec in kernel]
 
 
 def solve_exact(a_rows, b_rows, ncols_a):
-    """Solve A X = B exactly; raises if inconsistent."""
-    ncols_b = len(b_rows[0]) if b_rows else 0
-    aug = [list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)]
-    pivots = _rref(aug, ncols_a)
-    for row in aug:
-        if all(not x for x in row[:ncols_a]) and any(row[ncols_a:]):
+    """The unique X with A X = B, all three as sparse rows.
+
+    Each column b of B is reduced against the column echelon of A; it
+    leaves tracking coordinates t alone exactly when b + sum_j t_j a_j = 0,
+    and then x_j = -t_j.  Raises SuperLinAlgError when the columns of A
+    are dependent or the system is inconsistent.
+    """
+    echelon, _, kernel = _column_echelon(a_rows, ncols_a)
+    if kernel:
+        raise SuperLinAlgError("the columns of A are dependent; the solution is not unique")
+    x = [{} for _ in range(ncols_a)]
+    for k, col in _columns(b_rows).items():
+        key, reduced = echelon.reduce(col)
+        if key is not None:
             raise SuperLinAlgError("inconsistent linear system")
-    x = [[Cyc.zero() for _ in range(ncols_b)] for _ in range(ncols_a)]
-    for r, pc in enumerate(pivots):
-        for j in range(ncols_b):
-            x[pc][j] = aug[r][ncols_a + j]
+        for t, value in reduced.items():
+            x[-1 - t][k] = -value
     return x
 
 
 def kernel_basis(f):
-    """Parity-homogeneous kernel basis, computed blockwise per source parity."""
-    basis = []
-    for par in (0, 1):
-        cols = [j for j in range(f.source.dim) if f.source.parity(j) == par]
-        if not cols:
-            continue
-        sub = [[stored.get(j, _ZERO) for j in cols] for stored in f.entries if stored]
-        for vec in kernel_of_matrix(sub, len(cols)):
-            full = [Cyc.zero() for _ in range(f.source.dim)]
-            for c, value in zip(cols, vec):
-                full[c] = value
-            basis.append(full)
-    return basis
+    """Kernel basis; every vector is parity-homogeneous, evens first.
+
+    The parity blocks of f keep even and odd source columns in disjoint
+    target rows, so no elimination step mixes them.
+    """
+    return kernel_of_matrix(f.entries, f.source.dim)
 
 
 def image_basis(f):
-    """Parity-homogeneous image basis (pivot columns of the matrix)."""
-    work = f.rows
-    pivots = _rref(work, f.source.dim)
-    cols = [f.column(j) for j in pivots]
-
-    def col_parity(col):
-        for i, x in enumerate(col):
-            if x:
-                return f.target.parity(i)
-        return 0
-
-    cols.sort(key=col_parity)
-    return cols
+    """Parity-homogeneous image basis (pivot columns of the matrix), evens first."""
+    _, pivots, _ = _column_echelon(f.entries, f.source.dim)
+    pivots.sort(key=lambda j: (f.source.parity(j) + f.parity) % 2)
+    return [f.column(j) for j in pivots]
 
 
 def split_idempotent(p):
@@ -472,14 +512,10 @@ def split_idempotent(p):
     even = sum(1 for col in cols
                if all(not x for i, x in enumerate(col) if p.target.parity(i) == 1))
     image = SuperSpace(even, len(cols) - even)
-    if not cols:
-        incl = SuperMap.zero(image, p.target)
-        proj = SuperMap.zero(p.source, image)
-        return incl, proj, image
-    incl_rows = [[cols[k][i] for k in range(len(cols))] for i in range(p.target.dim)]
+    incl_rows = [[col[i] for col in cols] for i in range(p.target.dim)]
     incl = SuperMap(image, p.target, 0, incl_rows)
-    proj_rows = solve_exact(incl_rows, p.rows, len(cols))
-    proj = SuperMap(p.source, image, 0, proj_rows)
+    proj = SuperMap(p.source, image, 0, None,
+                    entries=solve_exact(incl.entries, p.entries, len(cols)))
     if compose(proj, incl) != identity(image) or compose(incl, proj) != p:
         raise SuperLinAlgError("idempotent splitting failed the roundtrip check")
     return incl, proj, image

@@ -162,3 +162,31 @@ def test_bad_file_exit_2_without_traceback(runner, tmp_path, corrupt, message):
     assert result.exit_code == 2, (result.output, result.exception)
     assert "Traceback" not in result.output
     assert message in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["lg-jacobi", "x^2/0"],
+    ["lg-jacobi", "x^2/(1-1)"],
+    ["lg-hom", "x^2/0"],
+    ["lg-orbifold", "x^2/(1-1)", "--group", "Z2"],
+    ["lg-circle-spaces", "x^2/0", "--group", "Z2"],
+])
+def test_potential_dividing_by_zero_exit_2_without_traceback(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert "division by zero in polynomial" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["nakayama"], ["torus", "--all-divisors"], ["surface", "genus=1"],
+])
+def test_frobenius_file_missing_keys_exit_2_without_traceback(runner, tmp_path, command):
+    data = builtin("clifford1").to_config()
+    del data["even_dim"], data["counit"]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, command + ["--file", str(path), "r=2"])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert "frobenius_algebra data lacks even_dim, counit" in result.output

@@ -58,7 +58,7 @@ def test_graded_center_of_kz2_validates():
     # reshape to dim x dim
     dim = center.space(0).dim
     pos = {t: k for k, t in enumerate(graded_tuples([center.space(0), center.space(0)]))}
-    mat = [[p.rows[0][pos[(i, j)]] for j in range(dim)] for i in range(dim)]
+    mat = [{j: p.rows[0][pos[(i, j)]] for j in range(dim)} for i in range(dim)]
     from rspin.superlinalg import kernel_of_matrix
 
     assert kernel_of_matrix(mat, dim) == []
@@ -138,7 +138,7 @@ def test_pairing_nondegenerate_for_graded_centers():
             dim = alg.space(a).dim
             pos = {t: k for k, t in enumerate(
                 graded_tuples([alg.space(a), alg.space(-a)]))}
-            mat = [[p.rows[0][pos[(i, j)]] for j in range(alg.space(-a).dim)]
+            mat = [{j: p.rows[0][pos[(i, j)]] for j in range(alg.space(-a).dim)}
                    for i in range(dim)]
             assert kernel_of_matrix(mat, alg.space(-a).dim) == [], (name, r, a)
 

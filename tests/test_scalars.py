@@ -160,3 +160,18 @@ def test_parse_format_roundtrip():
         parse_scalar("z +", 5)
     with pytest.raises(ScalarError):
         parse_scalar("w", 5)
+
+
+def test_parse_scalar_powers_and_division():
+    z = Cyc.zeta(5)
+    assert parse_scalar("z^-1", 5) == z ** 4
+    assert parse_scalar("2^-2", 5) == Fraction(1, 4)
+    # a parenthesised expression takes an exponent, as in polynomials
+    assert parse_scalar("(1 + z)^2", 5) == 1 + 2 * z + z ** 2
+    assert parse_scalar("(1 + z)^-1", 5) == (1 + z).inverse()
+    for text in ("1/0", "z/(1 - 1)", "0^-1"):
+        with pytest.raises(ScalarError, match="division by zero in scalar"):
+            parse_scalar(text, 5)
+    for text in ("zz", "x", "z'"):
+        with pytest.raises(ScalarError):
+            parse_scalar(text, 5)

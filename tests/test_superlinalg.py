@@ -16,7 +16,9 @@ from rspin.superlinalg import (
     identity,
     image_basis,
     kernel_basis,
+    kernel_of_matrix,
     quantum_dimension,
+    solve_exact,
     split_idempotent,
     supertrace,
     tensor,
@@ -438,3 +440,80 @@ def test_cancelled_entries_are_not_stored():
     row = smap(3, 0, 1, 0, 0, [[1, z, z * z]])
     ones = smap(1, 0, 3, 0, 0, [[1], [1], [1]])
     assert compose(row, ones).entries == [{}]
+
+
+# -- the elimination engine against sympy -------------------------------------
+
+@st.composite
+def rational_systems(draw):
+    """(A, b, n): a small m x n integer matrix A and a right-hand side b."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(entries, min_size=m, max_size=m))
+    return a, b, n
+
+
+def sparse_rows(matrix):
+    return [{j: Cyc.rational(x) for j, x in enumerate(row) if x} for row in matrix]
+
+
+def as_map(rows, ncols):
+    """The sparse rows as an even map between purely even spaces."""
+    return SuperMap(SuperSpace(ncols, 0), SuperSpace(len(rows), 0), 0, None, entries=rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_systems())
+def test_elimination_matches_sympy(system):
+    sympy = pytest.importorskip("sympy")
+    a, b, n = system
+    m = len(a)
+    ref = sympy.Matrix(m, n, [x for row in a for x in row])
+    rows = sparse_rows(a)
+
+    ker = kernel_of_matrix(rows, n)
+    assert len(ker) == n - ref.rank()
+    for vec in ker:
+        assert all(sum((row.get(j, 0) * vec[j] for j in range(n)), Cyc.zero()) == 0
+                   for row in rows)
+
+    f = as_map(rows, n)
+    _, pivots = ref.rref()
+    assert image_basis(f) == [f.column(j) for j in pivots]
+
+    if m == n:
+        if ref.det() == 0:
+            with pytest.raises(SuperLinAlgError):
+                solve_exact(rows, identity(SuperSpace(n, 0)).entries, n)
+        else:
+            inverse = solve_exact(rows, identity(SuperSpace(n, 0)).entries, n)
+            expected = ref.inv()
+            assert [[inverse[i].get(j, Cyc.zero()) for j in range(n)] for i in range(n)] == [
+                [Fraction(int(expected[i, j].p), int(expected[i, j].q)) for j in range(n)]
+                for i in range(n)]
+
+    rhs = [{0: Cyc.rational(x)} if x else {} for x in b]
+    augmented = ref.row_join(sympy.Matrix(m, 1, b))
+    if ref.rank() < n or augmented.rank() > ref.rank():
+        with pytest.raises(SuperLinAlgError):
+            solve_exact(rows, rhs, n)
+    else:
+        x = solve_exact(rows, rhs, n)
+        assert compose(f, as_map(x, 1)) == as_map(rhs, 1)
+
+
+def test_elimination_over_q_zeta3():
+    z = Cyc.zeta(3)
+    # det = 2 - z^3 = 1
+    a = [{0: Cyc.one(), 1: z}, {0: z * z, 1: Cyc.rational(2)}]
+    b = [{0: 1 + z, 1: Cyc.rational(-1)}, {1: z}]
+    x = solve_exact(a, b, 2)
+    assert compose(as_map(a, 2), as_map(x, 2)) == as_map(b, 2)
+    # det = 1 - z^3 = 0: one kernel vector and one pivot column
+    singular = [{0: Cyc.one(), 1: z}, {0: z * z, 1: Cyc.one()}]
+    (vec,) = kernel_of_matrix(singular, 2)
+    assert vec == [-z, Cyc.one()]
+    assert image_basis(as_map(singular, 2)) == [[Cyc.one(), z * z]]
+    with pytest.raises(SuperLinAlgError):
+        solve_exact(singular, b, 2)
