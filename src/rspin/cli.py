@@ -8,6 +8,7 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import click
@@ -83,14 +84,36 @@ def _parse_kv(args):
     return options
 
 
+def _ascii_int(text):
+    """The integer text spells in ASCII digits with an optional sign, or None."""
+    return int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else None
+
+
+class _AsciiInt(click.ParamType):
+    """click's integer type, ASCII digits only (int() also reads other scripts' digits)."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, int):
+            return value
+        number = _ascii_int(value)
+        if number is None:
+            self.fail("%r is not a valid integer." % value, param, ctx)
+        return number
+
+
+_ASCII_INT = _AsciiInt()
+
+
 def _int_option(options, key, default):
     text = options.get(key)
     if text is None:
         return default
-    try:
-        return int(text)
-    except ValueError:
-        raise click.UsageError("%s must be an integer, got %r" % (key, text)) from None
+    value = _ascii_int(text)
+    if value is None:
+        raise click.UsageError("%s must be an integer, got %r" % (key, text))
+    return value
 
 
 def _gamma_order(algebra, bound=24):
@@ -139,12 +162,16 @@ def _load_lambda(builtin_name, file_path, r, n):
 def _action_from_options(w, group, weights):
     if group is None:
         raise click.UsageError("--group Zr is required for orbifold commands")
-    if not group.startswith("Z") or not group[1:].isdigit():
+    match = re.fullmatch(r"Z([0-9]+)", group)
+    if match is None:
         raise click.UsageError("--group must look like Z5")
-    r = int(group[1:])
+    r = int(match.group(1))
     names = tuple(sorted(w.vars))
     if weights:
-        parts = [int(x) for x in weights.split(",")]
+        parts = [_ascii_int(x.strip()) for x in weights.split(",")]
+        if None in parts:
+            raise click.UsageError("weights must be comma-separated integers, got %r"
+                                   % weights)
         if len(parts) != len(names):
             raise click.UsageError("need one weight per variable (%d)" % len(names))
     else:
@@ -162,8 +189,8 @@ def common_options(fn):
                       default=None, help="built-in Frobenius algebra")(fn)
     fn = click.option("--file", "file_path", default=None,
                       help="algebra file (Lambda_r or Frobenius JSON)")(fn)
-    fn = click.option("--r", "r_opt", type=int, default=None, help="spin order r")(fn)
-    fn = click.option("--n", type=int, default=2,
+    fn = click.option("--r", "r_opt", type=_ASCII_INT, default=None, help="spin order r")(fn)
+    fn = click.option("--n", type=_ASCII_INT, default=2,
                       help="size parameter for parametrised builtins")(fn)
     fn = click.option("--json", "as_json", is_flag=True, help="machine-readable output")(fn)
     return fn
@@ -271,7 +298,9 @@ def surface(builtin_name, file_path, r_opt, n, as_json, kv):
     r = _int_option(options, "r", r_opt)
     try:
         alg, inputs = _load_lambda(builtin_name, file_path, r, n)
-        genus = int(options["genus"])
+        if "genus" not in options:
+            raise click.UsageError("missing option 'genus'")
+        genus = _int_option(options, "genus", None)
         holonomies = _parse_holonomies(options.get("holonomies", "[]"))
         surf = RSpinClosedSurface(alg.r, genus, tuple(holonomies))
         value = evaluate_surface(alg, surf)
@@ -296,9 +325,7 @@ def _parse_holonomies(text):
     body = text[1:-1].strip()
     if not body:
         return []
-    import re
-
-    pairs = re.findall(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", body)
+    pairs = re.findall(r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)", body)
     rebuilt = ",".join("(%s,%s)" % p for p in pairs)
     if rebuilt.replace(" ", "") != body.replace(" ", ""):
         raise click.UsageError("holonomies must look like [(0,1),(1,1)]")
@@ -333,7 +360,7 @@ def lg_jacobi(potential, as_json):
 @click.argument("potential")
 @click.option("--group", default=None, help="cyclic group Zr for twists")
 @click.option("--weights", default=None, help="comma-separated action weights")
-@click.option("--g", "g_twist", type=int, default=None, help="twisted sector")
+@click.option("--g", "g_twist", type=_ASCII_INT, default=None, help="twisted sector")
 @click.option("--shift", is_flag=True, help="shift the target by [1]")
 @click.option("--json", "as_json", is_flag=True)
 def lg_hom(potential, group, weights, g_twist, shift, as_json):

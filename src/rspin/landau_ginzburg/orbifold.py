@@ -298,29 +298,25 @@ def orbifold_algebra(w, action):
         return {k: v for k, v in out.items() if v}
 
     pair_pos = {t: k for k, t in enumerate(graded_tuples([space, space]))}
-    mult_rows = [[Cyc.zero() for _ in range(space.dim ** 2)] for _ in range(space.dim)]
+    mult_entries = [{} for _ in range(space.dim)]
     for i, e1 in enumerate(labels):
         for j, e2 in enumerate(labels):
             col = pair_pos[(i, j)]
             for target, coeff in multiply(e1, e2).items():
-                mult_rows[index[target]][col] = coeff
-    mult = SuperMap(_sq(space), space, 0, mult_rows, (space, space), None)
+                mult_entries[index[target]][col] = coeff
+    mult = SuperMap(_sq(space), space, 0, None, (space, space), None, entries=mult_entries)
 
     unit_label = (0, tuple(("even", 0) for _ in models))
-    unit = SuperMap(UNIT_SPACE, space, 0,
-                    [[Cyc.one() if k == index[unit_label] else Cyc.zero()]
-                     for k in range(space.dim)], (), None)
+    unit_entries = [{} for _ in range(space.dim)]
+    unit_entries[index[unit_label]][0] = Cyc.one()
+    unit = SuperMap(UNIT_SPACE, space, 0, None, (), None, entries=unit_entries)
 
     def socle(lab, model):
         return lab == ("even", model.d - 2)
 
-    counit_row = []
-    for g, labs in labels:
-        if g == 0 and all(socle(l, m) for l, m in zip(labs, models)):
-            counit_row.append(Cyc.one())
-        else:
-            counit_row.append(Cyc.zero())
-    counit = SuperMap(space, UNIT_SPACE, 0, [counit_row], None, ())
+    counit_row = {k: Cyc.one() for k, (g, labs) in enumerate(labels)
+                  if g == 0 and all(socle(l, m) for l, m in zip(labs, models))}
+    counit = SuperMap(space, UNIT_SPACE, 0, None, None, (), entries=[counit_row])
 
     algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit,
                                             require_delta_separable=False)
@@ -346,14 +342,11 @@ def orbifold_algebra(w, action):
             scale = ratio
 
     total_weight = sum(action.weight(v) for v in variables) % r
-    gamma_rows = [[Cyc.zero() for _ in range(space.dim)] for _ in range(space.dim)]
-    for k, (g, labs) in enumerate(labels):
-        gamma_rows[k][k] = Cyc.zeta(r, (-g * total_weight) % r)
-    gamma_map = SuperMap(space, space, 0, gamma_rows)
-    gamma_inv_rows = [[Cyc.zero() for _ in range(space.dim)] for _ in range(space.dim)]
-    for k, (g, labs) in enumerate(labels):
-        gamma_inv_rows[k][k] = Cyc.zeta(r, (g * total_weight) % r)
-    gamma = AlgebraAutomorphism(gamma_map, SuperMap(space, space, 0, gamma_inv_rows))
+    gamma_map = SuperMap(space, space, 0, entries=[
+        {k: Cyc.zeta(r, (-g * total_weight) % r)} for k, (g, _) in enumerate(labels)])
+    gamma_inv = SuperMap(space, space, 0, entries=[
+        {k: Cyc.zeta(r, (g * total_weight) % r)} for k, (g, _) in enumerate(labels)])
+    gamma = AlgebraAutomorphism(gamma_map, gamma_inv)
 
     computed = nakayama_gamma(algebra)
     if computed.map != gamma.map:

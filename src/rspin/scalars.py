@@ -2,13 +2,17 @@
 
 A scalar of order r is an integer-coefficient polynomial in zeta reduced
 modulo the r-th cyclotomic polynomial Phi_r, over a single positive
-denominator.  Purely rational values embed into any order, so arithmetic
-mixing rationals with a fixed Q(zeta_r) works without a tower of fields.
-No floating point appears anywhere.
+denominator in lowest terms.  Purely rational values embed into any order,
+so arithmetic mixing rationals with a fixed Q(zeta_r) works without a tower
+of fields.  A rational operand skips the convolution and the reduction mod
+Phi_r: a product with a rational factor scales the other numerator by one
+integer, and in Q itself (orders 1 and 2) a sum or product is one integer
+operation and one gcd.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -97,25 +101,22 @@ class Cyc:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             den, num = -den, [-c for c in num]
-        g = den
-        for c in num:
-            g = gcd(g, c)
-            if g == 1:
-                break
+        # gcd(den, 0, ..., 0) = den, so zero comes out as 0/1
+        g = gcd(den, *num)
         if g > 1:
             den //= g
             num = [c // g for c in num]
-        if not any(num):
-            den = 1
         return Cyc(order, den, tuple(num))
 
     @staticmethod
     def rational(value, order=1):
-        value = Fraction(value)
-        deg = field_degree(order)
-        num = [0] * deg
-        num[0] = value.numerator
-        return Cyc._make(order, value.denominator, num)
+        if value.__class__ is int:
+            n, den = value, 1
+        else:
+            value = Fraction(value)
+            n, den = value.numerator, value.denominator
+        # a Fraction is already in lowest terms with a positive denominator
+        return Cyc(order, den, _rational_num(n, order))
 
     @staticmethod
     def zeta(order, power=1):
@@ -168,7 +169,7 @@ class Cyc:
         if order == self.order:
             return self
         if self.is_rational():
-            return Cyc.rational(self.as_fraction(), order)
+            return Cyc(order, self.den, _rational_num(self.num[0], order))
         raise ScalarError(
             "order mismatch: cannot move irrational scalar from Q(zeta_%d) to Q(zeta_%d)"
             % (self.order, order)
@@ -185,8 +186,16 @@ class Cyc:
         return a, b.to_order(a.order)
 
     def __add__(self, other):
-        a, b = Cyc._coerce_pair(self, other)
+        a, b = self, other
+        if b.__class__ is not Cyc or a.order != b.order:
+            a, b = Cyc._coerce_pair(a, b)
         da, db = a.den, b.den
+        if len(a.num) == 1:
+            # a degree-1 field (orders 1 and 2) is Q: one integer sum, one gcd
+            n = a.num[0] * db + b.num[0] * da
+            den = da * db
+            g = gcd(n, den)
+            return Cyc(a.order, den // g, (n // g,))
         num = [x * db + y * da for x, y in zip(a.num, b.num)]
         return Cyc._make(a.order, da * db, num)
 
@@ -203,18 +212,37 @@ class Cyc:
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = Cyc._coerce_pair(self, other)
-        if not any(a.num) or not any(b.num):
-            return Cyc.zero(a.order)
-        la, lb = len(a.num), len(b.num)
-        conv = [0] * (la + lb - 1)
-        for i, x in enumerate(a.num):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.num):
-                if y:
-                    conv[i + j] += x * y
-        return Cyc._make(a.order, a.den * b.den, _reduce_mod_phi(conv, a.order))
+        a, b = self, other
+        if b.__class__ is not Cyc or a.order != b.order:
+            a, b = Cyc._coerce_pair(a, b)
+        an, bn = a.num, b.num
+        if len(an) == 1:
+            # a degree-1 field (orders 1 and 2) is Q: one integer product, one gcd
+            n = an[0] * bn[0]
+            den = a.den * b.den
+            g = gcd(n, den)
+            return Cyc(a.order, den // g, (n // g,))
+        if not any(an) or not any(bn):
+            return _ZEROS(a.order)
+        if any(an[1:]):
+            if any(bn[1:]):
+                conv = [0] * (len(an) + len(bn) - 1)
+                for i, x in enumerate(an):
+                    if x == 0:
+                        continue
+                    for j, y in enumerate(bn):
+                        if y:
+                            conv[i + j] += x * y
+                return Cyc._make(a.order, a.den * b.den, _reduce_mod_phi(conv, a.order))
+            c, num = bn[0], an
+        else:
+            c, num = an[0], bn
+        # a rational factor scales the other numerator: no convolution and no
+        # reduction mod Phi_r; both factors are nonzero, so the product is too
+        num = [c * x for x in num]
+        den = a.den * b.den
+        g = gcd(den, *num)
+        return Cyc(a.order, den // g, tuple(x // g for x in num))
 
     __rmul__ = __mul__
 
@@ -280,16 +308,19 @@ class Cyc:
         return "Cyc(%d, %s)" % (self.order, format_scalar(self))
 
 
+def _rational_num(n, order):
+    """The reduced numerator of the rational n/den in Q(zeta_order)."""
+    return (n,) + (0,) * (field_degree(order) - 1)
+
+
 @lru_cache(maxsize=None)
 def _ZEROS(order):
-    return Cyc(order, 1, (0,) * field_degree(order))
+    return Cyc(order, 1, _rational_num(0, order))
 
 
 @lru_cache(maxsize=None)
 def _ONES(order):
-    num = [0] * field_degree(order)
-    num[0] = 1
-    return Cyc(order, 1, tuple(num))
+    return Cyc(order, 1, _rational_num(1, order))
 
 
 def _frac_poly_divmod(a, b):
@@ -338,34 +369,30 @@ def as_cyc(value, order=1):
 #   term   := factor {(* | /) factor}
 #   factor := - factor | (int | name | "(" expr ")") [^ [-] int]
 #
-# A name is a letter or _ followed by letters, digits, _, ' and ~.  The
+# An integer is ASCII digits; a name is an ASCII letter or _ followed by
+# ASCII letters, digits, _, ' and ~; any other non-space character is an
+# error (so x² or a non-ASCII digit is refused, not misread).  The
 # operators are those of the values, so each value type decides what it
 # accepts: a polynomial refuses a negative exponent or a nonconstant divisor.
 
+_TOKEN = re.compile(r"\s+|([0-9]+)|([A-Za-z_][A-Za-z0-9_'~]*)|([-+*/^()])")
+
+
 def _tokenize(text, noun, error):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'~"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise error("unexpected character %r in %s %r" % (ch, noun, text))
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise error("unexpected character %r in %s %r" % (text[pos], noun, text))
+        digits, name, op = match.groups()
+        if digits:
+            tokens.append(("int", int(digits)))
+        elif name:
+            tokens.append(("name", name))
+        elif op:
+            tokens.append((op, op))
+        pos = match.end()
     return tokens
 
 

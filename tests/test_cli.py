@@ -178,6 +178,35 @@ def test_potential_dividing_by_zero_exit_2_without_traceback(runner, args):
     assert "division by zero in polynomial" in result.output
 
 
+@pytest.mark.parametrize("args,message", [
+    (["lg-jacobi", "x²"], "unexpected character '²' in polynomial"),
+    (["lg-jacobi", "x^²"], "unexpected character '²' in polynomial"),
+    (["lg-jacobi", "x^2+y^٣"], "unexpected character '٣' in polynomial"),
+    (["lg-orbifold", "x^2+y^2", "--group", "Z2", "--weights", "a"],
+     "weights must be comma-separated integers, got 'a'"),
+    (["lg-orbifold", "x^2+y^2", "--group", "Z2", "--weights", "1,,"],
+     "weights must be comma-separated integers, got '1,,'"),
+    (["lg-circle-spaces", "x^2+y^2", "--group", "Z2", "--weights", "1,٣"],
+     "weights must be comma-separated integers, got '1,٣'"),
+    (["lg-orbifold", "x^2", "--group", "Z²"], "--group must look like Z5"),
+    (["lg-hom", "x^3", "--group", "Z٣", "--g", "1"], "--group must look like Z5"),
+    (["check", "--builtin", "trivial", "r=٣"], "r must be an integer, got '٣'"),
+    (["check", "--builtin", "trivial", "--r", "٣"], "'٣' is not a valid integer"),
+    (["torus", "--builtin", "group_algebra_Zn", "--n", "٢", "--all-divisors"],
+     "'٢' is not a valid integer"),
+    (["lg-hom", "x^3", "--group", "Z3", "--g", "١"], "'١' is not a valid integer"),
+    (["surface", "--builtin", "trivial", "r=2", "genus=a"],
+     "genus must be an integer, got 'a'"),
+    (["surface", "--builtin", "trivial", "r=2", "genus=1", "holonomies=[(٣,1)]"],
+     "holonomies must look like"),
+])
+def test_malformed_or_non_ascii_numbers_exit_2_without_traceback(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert message in result.output
+
+
 @pytest.mark.parametrize("command", [
     ["check"], ["nakayama"], ["torus", "--all-divisors"], ["surface", "genus=1"],
 ])

@@ -187,6 +187,15 @@ def test_end_identity_is_milnor_number(potential):
     assert hom_cohomology(one, one.shift()).dims == (0, mu)
 
 
+@pytest.mark.slow
+def test_end_identity_is_milnor_number_three_variables():
+    """End(I_W) = (mu | 0) for x^2 + y^2 + z^2 (mu = 1); the shift is left out."""
+    w = parse_poly("x^2 + y^2 + z^2")
+    one = identity_mf(w)
+    assert jacobi(w).dimension == 1
+    assert hom_cohomology(one, one).dims == (1, 0)
+
+
 def test_trajectory_x4():
     mf = identity_mf(p("x^4"))
     h = hom_cohomology(mf, mf)

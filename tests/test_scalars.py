@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -175,3 +176,115 @@ def test_parse_scalar_powers_and_division():
     for text in ("zz", "x", "z'"):
         with pytest.raises(ScalarError):
             parse_scalar(text, 5)
+
+
+def test_only_ascii_digits_and_names_are_tokens():
+    assert parse_scalar("z^2", 3) == Cyc.zeta(3, 2)
+    for text in ("z²", "z^²", "1 + ٣", "2*ｚ"):
+        with pytest.raises(ScalarError, match="unexpected character"):
+            parse_scalar(text, 3)
+
+
+# -- rational operands against a reference that shares no code with Cyc ------
+
+# Phi_r for r <= 6, ascending, written out by hand
+PHI = {1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1], 5: [1, 1, 1, 1, 1], 6: [1, -1, 1]}
+
+
+def ref_degree(order):
+    return len(PHI[order]) - 1
+
+
+def ref_reduce(coeffs, order):
+    """Fraction coefficients of a polynomial in zeta, reduced mod Phi_r by long division."""
+    coeffs = list(coeffs) + [Fraction(0)] * max(0, len(PHI[order]) - len(coeffs))
+    return frac_poly_divide(coeffs, PHI[order])[1]
+
+
+def ref_product(a, b, order):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_reduce(out, order)
+
+
+def ref_embed(q, order):
+    return [Fraction(q)] + [Fraction(0)] * (ref_degree(order) - 1)
+
+
+def assert_canonical(c, order, coeffs):
+    """c is coeffs in Q(zeta_order), in the fields _make produces."""
+    assert c.order == order
+    assert len(c.num) == ref_degree(order)
+    assert c.den > 0
+    assert gcd(c.den, *c.num) == 1
+    if not any(c.num):
+        assert c.den == 1
+    assert [Fraction(n, c.den) for n in c.num] == coeffs
+    made = Cyc.from_coeffs(order, coeffs)
+    assert (c.den, c.num) == (made.den, made.num)
+    assert c == made and hash(c) == hash(made)
+
+
+ref_orders = st.sampled_from(sorted(PHI))
+
+
+@st.composite
+def ref_operands(draw, rational):
+    """(order, Fraction coefficients, Cyc); rational ones are often zero."""
+    order = draw(ref_orders)
+    deg = ref_degree(order)
+    if rational or deg == 1:
+        coeffs = ref_embed(draw(st.one_of(st.just(Fraction(0)), small_rationals)), order)
+    else:
+        coeffs = draw(st.lists(small_rationals, min_size=deg, max_size=deg)
+                      .filter(lambda cs: any(cs[1:])))
+    return order, coeffs, Cyc.from_coeffs(order, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(left=st.booleans().flatmap(ref_operands), right=st.booleans().flatmap(ref_operands))
+def test_arithmetic_with_rational_operands_matches_reference(left, right):
+    (oa, ca, a), (ob, cb, b) = left, right
+    a_rational, b_rational = not any(ca[1:]), not any(cb[1:])
+    if oa != ob and not (a_rational or b_rational):
+        for op in (lambda: a * b, lambda: a + b, lambda: a - b):
+            with pytest.raises(ScalarError):
+                op()
+        return
+    # a rational left operand moves to the right one's order, else the right one moves
+    order = ob if oa != ob and a_rational else oa
+    ca = ca if oa == order else ref_embed(ca[0], order)
+    cb = cb if ob == order else ref_embed(cb[0], order)
+    assert_canonical(a * b, order, ref_product(ca, cb, order))
+    assert_canonical(a + b, order, [x + y for x, y in zip(ca, cb)])
+    assert_canonical(a - b, order, [x - y for x, y in zip(ca, cb)])
+    assert_canonical(a - a, oa, ref_embed(0, oa))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand=st.booleans().flatmap(ref_operands),
+       q=st.one_of(st.integers(-5, 5), small_rationals))
+def test_int_and_fraction_operands_match_reference(operand, q):
+    order, coeffs, c = operand
+    embedded = ref_embed(q, order)
+    for product in (c * q, q * c):
+        assert_canonical(product, order, ref_product(coeffs, embedded, order))
+    for total in (c + q, q + c):
+        assert_canonical(total, order, [x + y for x, y in zip(coeffs, embedded)])
+    assert_canonical(c - q, order, [x - y for x, y in zip(coeffs, embedded)])
+    assert_canonical(q - c, order, [y - x for x, y in zip(coeffs, embedded)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(operand=st.booleans().flatmap(ref_operands), target=ref_orders)
+def test_to_order_matches_reference(operand, target):
+    order, coeffs, c = operand
+    if target == order:
+        assert c.to_order(target) is c
+    elif any(coeffs[1:]):
+        with pytest.raises(ScalarError):
+            c.to_order(target)
+    else:
+        assert_canonical(c.to_order(target), target, ref_embed(coeffs[0], target))
