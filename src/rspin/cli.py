@@ -20,6 +20,7 @@ from .constructors import (
     FrobeniusError,
     builtin,
     graded_center_data,
+    nakayama_gamma,
 )
 from .lambda_frobenius import LambdaFrobenius, validate
 from .landau_ginzburg.groebner import GroebnerError, jacobi
@@ -38,7 +39,6 @@ from .surface_eval import (
     RSpinTorus,
     SurfaceError,
     all_torus_invariants,
-    divisors,
     evaluate_surface,
     evaluate_torus,
     torus_normal_form,
@@ -116,20 +116,6 @@ def _int_option(options, key, default):
     return value
 
 
-def _gamma_order(algebra, bound=24):
-    from .constructors import nakayama_gamma
-    from .superlinalg import identity
-
-    gamma = nakayama_gamma(algebra)
-    power = gamma.map
-    one = identity(algebra.space)
-    for k in range(1, bound + 1):
-        if power == one:
-            return k
-        power = power * gamma.map
-    raise click.UsageError("could not infer r: gamma has order > %d" % bound)
-
-
 def _load_lambda(builtin_name, file_path, r, n):
     """Resolve the input source into a LambdaFrobenius (building if needed)."""
     if (builtin_name is None) == (file_path is None):
@@ -138,7 +124,10 @@ def _load_lambda(builtin_name, file_path, r, n):
         algebra = builtin(builtin_name, n=n)
         if r is None:
             # default to the minimal admissible order, the order of gamma_A
-            r = _gamma_order(algebra)
+            powers = nakayama_gamma(algebra).powers(24)
+            if powers is None:
+                raise click.UsageError("could not infer r: gamma has order > 24")
+            r = len(powers)
         return graded_center_data(algebra, r).algebra, {
             "builtin": builtin_name, "r": r}
     with open(file_path) as handle:

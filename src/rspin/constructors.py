@@ -12,8 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lambda_frobenius import LambdaFrobenius
-from .scalars import Cyc, as_cyc, format_scalar, parse_scalar
+from .lambda_frobenius import (
+    LambdaFrobenius,
+    infer_scalar_order,
+    nakayama_zigzag,
+    read_int,
+    read_keys,
+    read_map,
+    read_space,
+    write_map,
+)
+from .scalars import Cyc, as_cyc
 from .superlinalg import (
     SuperLinAlgError,
     SuperMap,
@@ -51,8 +60,9 @@ class FrobeniusAlgebraData:
     delta_separable: bool
 
     @staticmethod
-    def assemble(space, mult, unit, counit, require_delta_separable=True):
-        """Check all axioms and derive the comultiplication from the pairing."""
+    def assemble(space, mult, unit, counit):
+        """Check all axioms, derive the comultiplication from the pairing and
+        record whether mu o Delta = id."""
         one = identity(space)
         if mult.parity or unit.parity or counit.parity:
             raise FrobeniusError("structure maps must be even")
@@ -75,11 +85,8 @@ class FrobeniusAlgebraData:
         frob_r = compose(tensor(one, mult), tensor(comult, one))
         if frob_l != frob_m or frob_r != frob_m:
             raise FrobeniusError("Frobenius relation fails")
-        separable = compose(mult, comult) == one
-        if require_delta_separable and not separable:
-            raise FrobeniusError("algebra is not Delta-separable (mu o Delta != id)")
         return FrobeniusAlgebraData(space, mult, unit, counit, comult,
-                                    pairing, copairing, separable)
+                                    pairing, copairing, compose(mult, comult) == one)
 
     def rescaled(self, scale):
         """The same algebra with counit scale * eps.
@@ -113,45 +120,29 @@ class FrobeniusAlgebraData:
 
     def to_config(self, scalar_order=None):
         if scalar_order is None:
-            scalar_order = 1
-            for m in (self.mult, self.unit, self.counit):
-                for stored in m.entries:
-                    for x in stored.values():
-                        if not x.is_rational():
-                            scalar_order = max(scalar_order, x.order)
-
-        def mat(m):
-            return [[format_scalar(x) for x in row] for row in m.rows]
-
+            scalar_order = infer_scalar_order([self.mult, self.unit, self.counit])
         return {
             "format": "frobenius_algebra",
             "scalar_order": scalar_order,
             "even_dim": self.space.even,
             "odd_dim": self.space.odd,
-            "mult": mat(self.mult),
-            "unit": mat(self.unit),
-            "counit": mat(self.counit),
+            "mult": write_map(self.mult),
+            "unit": write_map(self.unit),
+            "counit": write_map(self.counit),
         }
 
     @staticmethod
     def from_config(data):
-        missing = [k for k in ("even_dim", "odd_dim", "mult", "unit", "counit")
-                   if k not in data]
-        if missing:
-            raise FrobeniusError("frobenius_algebra data lacks %s" % ", ".join(missing))
-        order = int(data.get("scalar_order", 1))
-        space = SuperSpace(int(data["even_dim"]), int(data["odd_dim"]))
-
-        def parse_map(rows, source, target, sf=None, tf=None):
-            parsed = [[parse_scalar(x, order) for x in row] for row in rows]
-            return SuperMap(source, target, 0, parsed, sf, tf)
-
-        sq = tensor_space(space, space)
-        mult = parse_map(data["mult"], sq, space, (space, space), None)
-        unit = parse_map(data["unit"], UNIT_SPACE, space, (), None)
-        counit = parse_map(data["counit"], space, UNIT_SPACE, None, ())
-        return FrobeniusAlgebraData.assemble(space, mult, unit, counit,
-                                             require_delta_separable=True)
+        read_keys(data, "frobenius_algebra", ("even_dim", "odd_dim", "mult", "unit", "counit"))
+        order = read_int(data.get("scalar_order", 1), "scalar_order", 1)
+        space = read_space([data["even_dim"], data["odd_dim"]])
+        mult = read_map(data["mult"], "mult", order, (space, space), (space,))
+        unit = read_map(data["unit"], "unit", order, (), (space,))
+        counit = read_map(data["counit"], "counit", order, (space,), ())
+        algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit)
+        if not algebra.delta_separable:
+            raise FrobeniusError("algebra is not Delta-separable (mu o Delta != id)")
+        return algebra
 
 
 def _copairing_from(pairing, space):
@@ -197,13 +188,17 @@ def _check_counit(counit, comult, one):
 @dataclass
 class AlgebraAutomorphism:
     map: SuperMap
-    inverse: SuperMap
 
-    def power(self, k):
-        return (self.map if k >= 0 else self.inverse) ** abs(k)
-
-    def order_divides(self, r):
-        return self.power(r) == identity(self.map.source)
+    def powers(self, bound):
+        """[map^0, ..., map^(m-1)] for the order m <= bound of the map, or None."""
+        one = identity(self.map.source)
+        powers, power = [one], self.map
+        while power != one:
+            if len(powers) == bound:
+                return None
+            powers.append(power)
+            power = compose(self.map, power)
+        return powers
 
 
 def nakayama_gamma(algebra):
@@ -214,13 +209,11 @@ def nakayama_gamma(algebra):
     inverse.  gamma_A = id iff the algebra is symmetric.
     """
     space = algebra.space
-    one = identity(space)
-    crossed = compose(braiding(space, space), algebra.copairing)
-    zig = compose(tensor(algebra.pairing, one), tensor(one, crossed))
+    zig = nakayama_zigzag(algebra.pairing, algebra.copairing, space, space)
     gamma = SuperMap(space, space, 0, None,
-                     entries=solve_exact(zig.entries, one.entries, space.dim))
+                     entries=solve_exact(zig.entries, identity(space).entries, space.dim))
     _check_algebra_automorphism(algebra, gamma)
-    return AlgebraAutomorphism(gamma, zig)
+    return AlgebraAutomorphism(gamma)
 
 
 def _check_algebra_automorphism(algebra, phi):
@@ -239,11 +232,10 @@ class GammaOrderError(FrobeniusError):
     pass
 
 
-def averaging_projector(algebra, gamma, a):
-    """P_a(x) = sum_i ebar_i . x . gamma^(1-a)(e_i), Koszul signs included."""
+def averaging_projector(algebra, gpow):
+    """P_a(x) = sum_i ebar_i . x . gpow(e_i) for gpow = gamma^(1-a), Koszul signs included."""
     space = algebra.space
     one = identity(space)
-    gpow = gamma.power(1 - a)
     cop = algebra.copairing  # legs (ebar_i, e_i)
     step1 = tensor(cop, one)                     # x -> (ebar, e, x)
     step2 = tensor(one, braiding(space, space))  # -> (ebar, x, e)
@@ -272,7 +264,8 @@ def graded_center_data(algebra, r):
     """Build the graded centre with the twisted averaging projectors.
 
     Requires gamma_A^r = id; the Nakayama automorphisms of the result act as
-    gamma_A restricted to each circle space.
+    gamma_A restricted to each circle space.  P_a depends on a only through
+    gamma^(1-a), so only the ord(gamma) distinct ones are split.
     """
     if r < 1:
         raise FrobeniusError("the spin order r must be a positive integer, got %d" % r)
@@ -280,39 +273,30 @@ def graded_center_data(algebra, r):
         raise FrobeniusError(
             "graded_center requires a Delta-separable algebra (mu o Delta = id)")
     gamma = nakayama_gamma(algebra)
-    if not gamma.order_divides(r):
+    powers = gamma.powers(r)
+    if powers is None or r % len(powers):
         raise GammaOrderError("gamma_A^%d != id; the graded centre needs gamma_A^r = 1" % r)
-    splits = {}
-    for a in range(r):
-        p = averaging_projector(algebra, gamma, a)
-        if compose(p, p) != p:
-            raise FrobeniusError(
-                "averaging projector P_%d is not idempotent; convention bug" % a)
-        splits[a] = split_idempotent(p)
-
-    def incl(a):
-        return splits[a % r][0]
-
-    def proj(a):
-        return splits[a % r][1]
-
-    spaces = {a: splits[a][2] for a in range(r)}
-    mu = {}
-    delta = {}
-    for a in range(r):
-        for b in range(r):
-            mu[(a, b)] = compose(proj(a + b - 1),
-                                 compose(algebra.mult, tensor(incl(a), incl(b))))
-            delta[(a, b)] = compose(tensor(proj(a), proj(b)),
-                                    compose(algebra.comult, incl(a + b + 1)))
-    eta = compose(proj(1), algebra.unit)
-    if compose(incl(1), eta) != algebra.unit:
+    m = len(powers)
+    # split_idempotent checks p o p = p exactly
+    incl, proj, images = zip(*(split_idempotent(averaging_projector(algebra, powers[(1 - a) % m]))
+                               for a in range(m)))
+    # index pairs congruent mod m share one restricted mu and Delta
+    mu_m = {(a, b): compose(proj[(a + b - 1) % m], compose(algebra.mult, tensor(incl[a], incl[b])))
+            for a in range(m) for b in range(m)}
+    delta_m = {(a, b): compose(tensor(proj[a], proj[b]),
+                               compose(algebra.comult, incl[(a + b + 1) % m]))
+               for a in range(m) for b in range(m)}
+    mu = {(a, b): mu_m[(a % m, b % m)] for a in range(r) for b in range(r)}
+    delta = {(a, b): delta_m[(a % m, b % m)] for a in range(r) for b in range(r)}
+    eta = compose(proj[1 % m], algebra.unit)
+    if compose(incl[1 % m], eta) != algebra.unit:
         raise FrobeniusError("unit does not lie in C_1; convention bug")
-    eps = compose(algebra.counit, incl(-1))
+    eps = compose(algebra.counit, incl[-1])
+    spaces = {a: images[a % m] for a in range(r)}
     result = LambdaFrobenius(r=r, spaces=spaces, mu=mu, delta=delta, eta=eta, eps=eps)
     return GradedCenter(result, algebra, gamma,
-                        {a: incl(a) for a in range(r)},
-                        {a: proj(a) for a in range(r)})
+                        {a: incl[a % m] for a in range(r)},
+                        {a: proj[a % m] for a in range(r)})
 
 
 def graded_center(algebra, r):

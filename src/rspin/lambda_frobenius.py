@@ -39,7 +39,7 @@ class LambdaFrobenius:
     delta: dict
     eta: SuperMap
     eps: SuperMap
-    _nakayama_cache: dict = field(default_factory=dict, repr=False)
+    _nakayama_powers: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         r = self.r
@@ -106,82 +106,126 @@ class LambdaFrobenius:
         braiding the copairing legs; the convention is pinned by the twist
         and deck relations plus the graded-centre comparison with gamma_A.
         """
-        a %= self.r
-        # cached as the power (a, 1); for r = 1 no power reaches that key
-        key = (a, 1)
-        if key not in self._nakayama_cache:
-            ca = self.space(a)
-            cma = self.space(-a)
-            crossed = compose(braiding(ca, cma), self.copairing(a))
-            step = tensor(identity(ca), crossed)
-            zig = tensor(self.pairing(a), identity(ca))
-            self._nakayama_cache[key] = compose(zig, step)
-        return self._nakayama_cache[key]
+        return self._nakayama_list(a, 1)[1]
 
     def nakayama_power(self, a, k):
-        """N_a^(k mod r), each power one compose above the power below it."""
-        a %= self.r
+        """N_a^(k mod r), read from the literal powers of N_a."""
         k %= self.r
-        if k == 1:
-            return self.nakayama(a)
-        key = (a, k)
-        if key not in self._nakayama_cache:
-            if k == 0:
-                power = identity(self.space(a))
-            else:
-                power = compose(self.nakayama(a), self.nakayama_power(a, k - 1))
-            self._nakayama_cache[key] = power
-        return self._nakayama_cache[key]
+        return self._nakayama_list(a, k)[k]
+
+    def _nakayama_list(self, a, k):
+        """[N_a^0, N_a^1, ...] through N_a^k at least, each one compose above the last."""
+        a %= self.r
+        powers = self._nakayama_powers.get(a)
+        if powers is None:
+            ca = self.space(a)
+            zig = nakayama_zigzag(self.pairing(a), self.copairing(a), ca, self.space(-a))
+            powers = self._nakayama_powers[a] = [identity(ca), zig]
+        while len(powers) <= k:
+            powers.append(compose(powers[1], powers[-1]))
+        return powers
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self, scalar_order=None):
         if scalar_order is None:
-            scalar_order = _infer_scalar_order(self)
-
-        def mat(m):
-            return [[format_scalar(x) for x in row] for row in m.rows]
-
+            scalar_order = infer_scalar_order(
+                [self.eta, self.eps] + list(self.mu.values()) + list(self.delta.values()))
         return {
             "format": "lambda_frobenius",
             "r": self.r,
             "scalar_order": scalar_order,
             "spaces": {str(a): [self.space(a).even, self.space(a).odd] for a in range(self.r)},
-            "mu": {"%d,%d" % key: mat(m) for key, m in sorted(self.mu.items())},
-            "delta": {"%d,%d" % key: mat(m) for key, m in sorted(self.delta.items())},
-            "eta": mat(self.eta),
-            "eps": mat(self.eps),
+            "mu": {"%d,%d" % key: write_map(m) for key, m in sorted(self.mu.items())},
+            "delta": {"%d,%d" % key: write_map(m) for key, m in sorted(self.delta.items())},
+            "eta": write_map(self.eta),
+            "eps": write_map(self.eps),
         }
 
     @staticmethod
     def from_dict(data):
-        missing = [k for k in ("r", "spaces", "mu", "delta", "eta", "eps") if k not in data]
-        if missing:
-            raise LambdaFrobeniusError("lambda_frobenius data lacks %s" % ", ".join(missing))
-        r = int(data["r"])
-        order = int(data.get("scalar_order", 1))
-        spaces = {int(a): SuperSpace(int(e), int(o)) for a, (e, o) in data["spaces"].items()}
+        read_keys(data, "lambda_frobenius", ("r", "spaces", "mu", "delta", "eta", "eps"))
+        r = read_int(data["r"], "r", 1)
+        order = read_int(data.get("scalar_order", 1), "scalar_order", 1)
+        spaces = {int(a) % r: read_space(dims) for a, dims in read_table(data, "spaces").items()}
 
         def space(a):
+            if a % r not in spaces:
+                raise LambdaFrobeniusError("missing circle space C_%d" % (a % r))
             return spaces[a % r]
 
-        def parse_map(rows, source, target, src_factors=None, tgt_factors=None):
-            parsed = [[parse_scalar(x, order) for x in row] for row in rows]
-            return SuperMap(source, target, 0, parsed, src_factors, tgt_factors)
-
-        mu = {}
-        delta = {}
-        for key, rows in data["mu"].items():
+        mu, delta = {}, {}
+        for key, rows in read_table(data, "mu").items():
             a, b = (int(x) for x in key.split(","))
-            mu[(a, b)] = parse_map(rows, tensor_space(space(a), space(b)), space(a + b - 1),
-                                   (space(a), space(b)), None)
-        for key, rows in data["delta"].items():
+            mu[(a, b)] = read_map(rows, "mu " + key, order, (space(a), space(b)),
+                                  (space(a + b - 1),))
+        for key, rows in read_table(data, "delta").items():
             a, b = (int(x) for x in key.split(","))
-            delta[(a, b)] = parse_map(rows, space(a + b + 1), tensor_space(space(a), space(b)),
-                                      None, (space(a), space(b)))
-        eta = parse_map(data["eta"], UNIT_SPACE, space(1), (), None)
-        eps = parse_map(data["eps"], space(-1), UNIT_SPACE, None, ())
+            delta[(a, b)] = read_map(rows, "delta " + key, order, (space(a + b + 1),),
+                                     (space(a), space(b)))
+        eta = read_map(data["eta"], "eta", order, (), (space(1),))
+        eps = read_map(data["eps"], "eps", order, (space(-1),), ())
         return LambdaFrobenius(r=r, spaces=spaces, mu=mu, delta=delta, eta=eta, eps=eps)
+
+
+def nakayama_zigzag(pairing, copairing, left, right):
+    """(p o id) . (id o b.c) on left, with b braiding the legs of c: 1 -> left o right;
+    N_a for (C_a, C_{-a}) and gamma_A^{-1} for (A, A)."""
+    one = identity(left)
+    crossed = compose(braiding(left, right), copairing)
+    return compose(tensor(pairing, one), tensor(one, crossed))
+
+
+# -- algebra files: one reader and one writer for lambda_frobenius and frobenius_algebra
+
+class AlgebraFileError(ValueError):
+    pass
+
+
+def read_keys(data, kind, keys):
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise AlgebraFileError("%s data lacks %s" % (kind, ", ".join(missing)))
+
+
+def read_int(value, name, least):
+    """A JSON integer >= least; a bool, a float or a string is refused."""
+    if type(value) is not int or value < least:
+        raise AlgebraFileError("%s must be an integer >= %d, got %r" % (name, least, value))
+    return value
+
+
+def read_space(dims):
+    """A super vector space from its dimensions [even, odd]."""
+    if not isinstance(dims, list) or len(dims) != 2:
+        raise AlgebraFileError("dimensions must be a pair [even, odd], got %r" % (dims,))
+    return SuperSpace(*(read_int(d, "a dimension", 0) for d in dims))
+
+
+def read_table(data, key):
+    if not isinstance(data[key], dict):
+        raise AlgebraFileError("%s must be a JSON object" % key)
+    return data[key]
+
+
+def read_map(rows, name, order, sources, targets):
+    """The even map from the tensor product of sources to that of targets whose
+    dense matrix rows hold the scalar strings."""
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(isinstance(x, str) for x in row) for row in rows):
+        raise AlgebraFileError("%s must be a list of rows of scalar strings" % name)
+    parsed = [[parse_scalar(x, order) for x in row] for row in rows]
+    return SuperMap(tensor_space(*sources), tensor_space(*targets), 0, parsed, sources, targets)
+
+
+def write_map(m):
+    return [[format_scalar(x) for x in row] for row in m.rows]
+
+
+def infer_scalar_order(maps):
+    """The largest order of an irrational entry of the maps; 1 if all are rational."""
+    return max((x.order for m in maps for stored in m.entries for x in stored.values()
+                if not x.is_rational()), default=1)
 
 
 # -- relation validation -----------------------------------------------------
@@ -286,8 +330,8 @@ def validate(alg):
             _entry(entries, "commutativity", (a, b, "right"), rhs, braided)
 
     for a in range(r):
-        # literal a-th power: reducing the exponent mod r would presuppose deck
-        _entry(entries, "twist_power", (a,), alg.nakayama(a) ** a, ids[a])
+        # a < r, so this power is literal: reducing mod r would presuppose deck
+        _entry(entries, "twist_power", (a,), alg.nakayama_power(a, a), ids[a])
     for a in range(r):
         for b in range(r):
             lhs = compose(alg.mu_map(a, -a),
@@ -300,17 +344,9 @@ def validate(alg):
             _entry(entries, "twist_pairing", (a, b), lhs, rhs)
 
     for a in range(r):
-        _entry(entries, "deck", (a,), alg.nakayama(a) ** alg.r, ids[a])
+        # the literal r-th power, never read as N_a^(r mod r) = id
+        deck = compose(alg.nakayama(a), alg.nakayama_power(a, r - 1))
+        _entry(entries, "deck", (a,), deck, ids[a])
 
     return ValidationReport(entries)
 
-
-def _infer_scalar_order(alg):
-    order = 1
-    maps = [alg.eta, alg.eps] + list(alg.mu.values()) + list(alg.delta.values())
-    for m in maps:
-        for stored in m.entries:
-            for x in stored.values():
-                if not x.is_rational():
-                    order = max(order, x.order)
-    return order

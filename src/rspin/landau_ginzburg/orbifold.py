@@ -35,7 +35,6 @@ from ..superlinalg import (
     SuperSpace,
     UNIT_SPACE,
     graded_tuples,
-    identity,
     tensor_space,
 )
 from ..constructors import (
@@ -318,42 +317,28 @@ def orbifold_algebra(w, action):
                   if g == 0 and all(socle(l, m) for l, m in zip(labs, models))}
     counit = SuperMap(space, UNIT_SPACE, 0, None, None, (), entries=[counit_row])
 
-    algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit,
-                                            require_delta_separable=False)
+    algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit)
     scale = Cyc.one()
     if not algebra.delta_separable:
+        # the unit is the single basis vector 1_0, so the handle element is a
+        # multiple of it exactly when it equals its own entry there times the unit
         z = algebra.handle_element()
-        unit_col = unit.column(0)
-        z_col = z.column(0)
-        ratio = None
-        proportional = True
-        for zu, uu in zip(z_col, unit_col):
-            if uu and zu:
-                ratio = zu / uu
-            elif bool(zu) != bool(uu):
-                proportional = False
-        if proportional and ratio is not None:
-            for zu, uu in zip(z_col, unit_col):
-                if zu != ratio * uu:
-                    proportional = False
-                    break
-        if proportional and ratio:
+        ratio = z.entries[index[unit_label]].get(0)
+        if ratio and z == unit.scale(ratio):
             algebra = algebra.rescaled(ratio)
             scale = ratio
 
     total_weight = sum(action.weight(v) for v in variables) % r
-    gamma_map = SuperMap(space, space, 0, entries=[
-        {k: Cyc.zeta(r, (-g * total_weight) % r)} for k, (g, _) in enumerate(labels)])
-    gamma_inv = SuperMap(space, space, 0, entries=[
-        {k: Cyc.zeta(r, (g * total_weight) % r)} for k, (g, _) in enumerate(labels)])
-    gamma = AlgebraAutomorphism(gamma_map, gamma_inv)
+    gamma = AlgebraAutomorphism(SuperMap(space, space, 0, entries=[
+        {k: Cyc.zeta(r, (-g * total_weight) % r)} for k, (g, _) in enumerate(labels)]))
 
     computed = nakayama_gamma(algebra)
     if computed.map != gamma.map:
         raise OrbifoldError(
             "pairing zig-zag disagrees with the det(g)^{-1} Nakayama weights; "
             "convention bug")
-    if gamma.power(r) != identity(space):
+    powers = gamma.powers(r)
+    if powers is None or r % len(powers):
         raise OrbifoldError("gamma^r != id")
 
     return OrbifoldAlgebra(algebra, gamma, w, action, labels,

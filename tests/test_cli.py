@@ -149,16 +149,47 @@ def _lambda_file_dividing_by_zero(data):
     return data
 
 
-@pytest.mark.parametrize("corrupt,message", [
-    (lambda data: [data], "JSON object"),
-    (_lambda_file_without_spaces, "lacks spaces"),
-    (_lambda_file_dividing_by_zero, "division by zero"),
-], ids=["top_level_list", "no_spaces_key", "scalar_1_over_0"])
-def test_bad_file_exit_2_without_traceback(runner, tmp_path, corrupt, message):
+def _lambda_file(**changes):
+    def corrupt(data):
+        data.update(changes)
+        return data
+    return corrupt
+
+
+def _lambda_file_with_number_entry(data):
+    data["mu"]["0,0"][0][0] = 1
+    return data
+
+
+def _frobenius_file(name, **changes):
+    def corrupt(data):
+        return dict(builtin(name).to_config(), **changes)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt,args,message", [
+    (lambda data: [data], [], "JSON object"),
+    (_lambda_file_without_spaces, [], "lacks spaces"),
+    (_lambda_file_dividing_by_zero, [], "division by zero"),
+    (_lambda_file_with_number_entry, [], "mu 0,0 must be a list of rows of scalar strings"),
+    (_frobenius_file("clifford1", unit=[[1], ["0"]]), ["r=2"],
+     "unit must be a list of rows of scalar strings"),
+    (_lambda_file(spaces={"0": 5}), [], "dimensions must be a pair [even, odd], got 5"),
+    (_lambda_file(r=2), [], "missing circle space C_1"),
+    (_lambda_file(r=0), [], "r must be an integer >= 1, got 0"),
+    (_lambda_file(r=1.5), [], "r must be an integer >= 1, got 1.5"),
+    (_lambda_file(eta="10"), [], "eta must be a list of rows of scalar strings"),
+    (_frobenius_file("clifford1", unit="10"), ["r=2"],
+     "unit must be a list of rows of scalar strings"),
+    (_frobenius_file("group_algebra_Zn", counit=[["1", "0"]]), ["r=2"], "Delta-separable"),
+], ids=["top_level_list", "no_spaces_key", "scalar_1_over_0", "number_entry",
+        "frobenius_number_entry", "space_not_a_pair", "r_without_spaces", "r_0", "r_not_integer",
+        "string_as_rows", "frobenius_string_as_rows", "frobenius_not_separable"])
+def test_bad_file_exit_2_without_traceback(runner, tmp_path, corrupt, args, message):
     data = graded_center(builtin("group_algebra_Zn", n=2), 1).to_dict()
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(corrupt(data)))
-    result = runner.invoke(main, ["check", "--file", str(path)])
+    result = runner.invoke(main, ["check", "--file", str(path)] + args)
     assert result.exit_code == 2, (result.output, result.exception)
     assert "Traceback" not in result.output
     assert message in result.output

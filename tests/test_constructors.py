@@ -1,6 +1,8 @@
 import pytest
 
+from rspin import constructors
 from rspin.constructors import (
+    AlgebraAutomorphism,
     DegeneratePairingError,
     FrobeniusAlgebraData,
     FrobeniusError,
@@ -45,7 +47,7 @@ def test_builtin_clifford():
     gamma = nakayama_gamma(a)
     assert gamma.map.rows[0][0] == 1
     assert gamma.map.rows[1][1] == Cyc.rational(-1)
-    assert gamma.power(2) == identity(a.space)
+    assert gamma.map ** 2 == identity(a.space)
     assert gamma.map != identity(a.space)
 
 
@@ -83,10 +85,7 @@ def test_non_separable_rejected():
     mult = SuperMap(sq, space, 0, rows, (space, space), None)
     unit = SuperMap(UNIT_SPACE, space, 0, [[1], [0]], (), None)
     socle = SuperMap(space, UNIT_SPACE, 0, [[0, 1]], None, ())
-    with pytest.raises(FrobeniusError, match="Delta-separable"):
-        FrobeniusAlgebraData.assemble(space, mult, unit, socle)
-    a = FrobeniusAlgebraData.assemble(space, mult, unit, socle,
-                                      require_delta_separable=False)
+    a = FrobeniusAlgebraData.assemble(space, mult, unit, socle)
     assert not a.delta_separable
     with pytest.raises(FrobeniusError):
         graded_center(a, 1)
@@ -106,7 +105,7 @@ def test_projector_idempotent_all_builtins():
     for algebra, r in cases:
         gamma = nakayama_gamma(algebra)
         for a in range(r):
-            p = averaging_projector(algebra, gamma, a)
+            p = averaging_projector(algebra, gamma.map ** ((1 - a) % r))
             assert compose(p, p) == p
 
 
@@ -152,3 +151,35 @@ def test_config_rejects_bad_data():
     cfg["counit"] = [["1", "0"]]  # degenerate choice
     with pytest.raises(FrobeniusError):
         FrobeniusAlgebraData.from_config(cfg)
+
+
+def test_gamma_powers_up_to_its_order():
+    for name, n, order in (("group_algebra_Zn", 3, 1), ("clifford1", 2, 2),
+                           ("matrix_algebra_n", 2, 1)):
+        gamma = nakayama_gamma(builtin(name, n=n))
+        powers = gamma.powers(24)
+        assert len(powers) == order, name
+        for k, power in enumerate(powers):
+            assert power == gamma.map ** k, (name, k)
+        assert gamma.powers(order) == powers
+    assert nakayama_gamma(builtin("clifford1")).powers(1) is None
+    assert AlgebraAutomorphism(SuperMap.from_scalar(2)).powers(24) is None
+
+
+def test_graded_center_splits_one_projector_per_power_of_gamma(monkeypatch):
+    # P_a depends on a only through gamma^(1-a), so ord(gamma) projectors suffice
+    project = constructors.averaging_projector
+    calls = []
+
+    def counted(algebra, gpow):
+        calls.append(gpow)
+        return project(algebra, gpow)
+
+    monkeypatch.setattr(constructors, "averaging_projector", counted)
+    for name, n, r, order in (("clifford1", 2, 8, 2), ("group_algebra_Zn", 3, 4, 1)):
+        calls.clear()
+        data = graded_center_data(builtin(name, n=n), r)
+        assert len(calls) == order, name
+        assert validate(data.algebra).ok, name
+        for a in range(r):
+            assert data.algebra.nakayama(a) == data.gamma_restriction(a), (name, a)

@@ -6,7 +6,9 @@ algebra from matrix factorizations, take its graded centre, validate every
 relation family, and evaluate tori and a genus-2 surface.
 """
 
+import importlib
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +72,15 @@ def test_lg_center_genus_two(lg_r2_center):
 def test_surface_r_mismatch(lg_r2_center):
     with pytest.raises(SurfaceError):
         evaluate_surface(lg_r2_center.algebra, RSpinClosedSurface(1, 1, ((0, 0),)))
+
+
+def test_perfbench_trace_spec_resolves(monkeypatch):
+    # the traced benchmark reads rspin names in spec(); a renamed or deleted
+    # class there would crash the traced run, and a required group that loses
+    # every function it names would never fire
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    entries = tracing.spec()
+    resolved = {group for owner, attr, group, _, _ in entries if attr in vars(owner)}
+    # run.py times the "cli" group around each CLI job itself
+    assert set(tracing.REQUIRED) - {"cli"} <= resolved

@@ -162,3 +162,20 @@ def test_serialization_roundtrip():
         for b in range(2):
             assert again.mu_map(a, b) == alg.mu_map(a, b)
             assert again.delta_map(a, b) == alg.delta_map(a, b)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_deck_and_twist_powers_are_literal(r):
+    # every C_a = A for A = clifford1, whose zig-zag N_a = gamma^{-1} has order 2:
+    # N_a^r = N_a for odd r, so deck fails at every a, and N_1^1 != id fails twist_power
+    # at a = 1, while a deck read as N_a^(r mod r) = id would pass
+    algebra = builtin("clifford1")
+    pairs = [(a, b) for a in range(r) for b in range(r)]
+    alg = LambdaFrobenius(r=r, spaces={a: algebra.space for a in range(r)},
+                          mu={p: algebra.mult for p in pairs},
+                          delta={p: algebra.comult for p in pairs},
+                          eta=algebra.unit, eps=algebra.counit)
+    failed = {(e.family, e.indices) for e in validate(alg).failures()}
+    assert {("deck", (a,)) for a in range(r)} <= failed
+    twist = {indices for family, indices in failed if family == "twist_power"}
+    assert twist == ({(1,)} if r == 3 else set())

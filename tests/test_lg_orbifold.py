@@ -61,7 +61,7 @@ def test_orbifold_dims_and_gamma(r):
     # pairing zig-zag inside orbifold_algebra; check the weights here
     for k, (g, _) in enumerate(orb.basis_labels):
         assert orb.gamma.map.rows[k][k] == Cyc.zeta(r, (-g) % r)
-    assert orb.gamma.power(r) == identity(orb.algebra.space)
+    assert orb.gamma.map ** r == identity(orb.algebra.space)
     # gamma is the algebra's Nakayama automorphism
     assert nakayama_gamma(orb.algebra).map == orb.gamma.map
 
@@ -69,7 +69,7 @@ def test_orbifold_dims_and_gamma(r):
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_gamma_order(r):
     orb = orbifold_algebra(parse_poly("x^%d" % r), act1(r))
-    assert orb.gamma.power(r) == identity(orb.algebra.space)
+    assert orb.gamma.map ** r == identity(orb.algebra.space)
 
 
 def test_delta_separability_honest():
@@ -225,5 +225,5 @@ def test_rescaled_counit_matches_fresh_assembly(monkeypatch, potential, weights)
     assert orb.counit_scale == 2 and orb.delta_separable
     assert len(calls) == 1
     alg = orb.algebra
-    fresh = assemble(alg.space, alg.mult, alg.unit, alg.counit, require_delta_separable=False)
+    fresh = assemble(alg.space, alg.mult, alg.unit, alg.counit)
     assert fresh == alg
