@@ -30,9 +30,9 @@ from .superlinalg import (
     UNIT_SPACE,
     braiding,
     compose,
-    graded_tuples,
     identity,
     kernel_of_matrix,
+    pair_index,
     solve_exact,
     split_idempotent,
     tensor,
@@ -118,12 +118,10 @@ class FrobeniusAlgebraData:
 
     # -- config schema ---------------------------------------------------------
 
-    def to_config(self, scalar_order=None):
-        if scalar_order is None:
-            scalar_order = infer_scalar_order([self.mult, self.unit, self.counit])
+    def to_config(self):
         return {
             "format": "frobenius_algebra",
-            "scalar_order": scalar_order,
+            "scalar_order": infer_scalar_order([self.mult, self.unit, self.counit]),
             "even_dim": self.space.even,
             "odd_dim": self.space.odd,
             "mult": write_map(self.mult),
@@ -153,7 +151,7 @@ def _copairing_from(pairing, space):
     even, so no Koszul sign enters.
     """
     dim = space.dim
-    pairs = _pair_index(space)
+    pairs = pair_index(space)
     values = pairing.entries[0]
     gram = [{} for _ in range(dim)]
     for (i, j), k in pairs.items():
@@ -312,14 +310,10 @@ def builtin(name, **params):
         return _trivial()
     if name == "group_algebra_Zn":
         return _group_algebra(int(params.get("n", 2)))
-    if name.startswith("group_algebra_Z") and name[15:].isdigit():
-        return _group_algebra(int(name[15:]))
     if name == "clifford1":
         return _clifford1()
     if name == "matrix_algebra_n":
         return _matrix_algebra(int(params.get("n", 2)))
-    if name.startswith("matrix_algebra_") and name[15:].isdigit():
-        return _matrix_algebra(int(name[15:]))
     raise FrobeniusError("unknown builtin algebra %r" % name)
 
 
@@ -329,17 +323,13 @@ BUILTIN_NAMES = ("trivial", "group_algebra_Zn", "clifford1", "matrix_algebra_n")
 def _mult_from_table(space, table):
     """table[(i, j)] = list of (k, coeff) for e_i * e_j."""
     sq = tensor_space(space, space)
-    pairs = _pair_index(space)
+    pairs = pair_index(space)
     rows = [[Cyc.zero() for _ in range(sq.dim)] for _ in range(space.dim)]
     for (i, j), terms in table.items():
         col = pairs[(i, j)]
         for k, coeff in terms:
             rows[k][col] = rows[k][col] + as_cyc(coeff)
     return SuperMap(sq, space, 0, rows, (space, space), None)
-
-
-def _pair_index(space):
-    return {t: k for k, t in enumerate(graded_tuples([space, space]))}
 
 
 def _vector_map(space, coeffs):
@@ -413,7 +403,7 @@ def center_basis(algebra):
     """Brute-force centre: solve x e_i = e_i x for all i (oracle helper)."""
     space = algebra.space
     dim = space.dim
-    pairs = _pair_index(space)
+    pairs = pair_index(space)
     mult, zero = algebra.mult.entries, Cyc.zero()
     rows = []
     # unknown x = sum_j x_j e_j; for each basis e_i and output slot k one equation

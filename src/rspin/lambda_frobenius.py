@@ -10,6 +10,7 @@ family as an exact matrix identity over all index tuples.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .scalars import format_scalar, parse_scalar
@@ -127,14 +128,12 @@ class LambdaFrobenius:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self, scalar_order=None):
-        if scalar_order is None:
-            scalar_order = infer_scalar_order(
-                [self.eta, self.eps] + list(self.mu.values()) + list(self.delta.values()))
+    def to_dict(self):
+        maps = [self.eta, self.eps] + list(self.mu.values()) + list(self.delta.values())
         return {
             "format": "lambda_frobenius",
             "r": self.r,
-            "scalar_order": scalar_order,
+            "scalar_order": infer_scalar_order(maps),
             "spaces": {str(a): [self.space(a).even, self.space(a).odd] for a in range(self.r)},
             "mu": {"%d,%d" % key: write_map(m) for key, m in sorted(self.mu.items())},
             "delta": {"%d,%d" % key: write_map(m) for key, m in sorted(self.delta.items())},
@@ -147,7 +146,8 @@ class LambdaFrobenius:
         read_keys(data, "lambda_frobenius", ("r", "spaces", "mu", "delta", "eta", "eps"))
         r = read_int(data["r"], "r", 1)
         order = read_int(data.get("scalar_order", 1), "scalar_order", 1)
-        spaces = {int(a) % r: read_space(dims) for a, dims in read_table(data, "spaces").items()}
+        spaces = {read_index(key, "spaces", "[0-9]+")[0] % r: read_space(dims)
+                  for key, dims in read_table(data, "spaces").items()}
 
         def space(a):
             if a % r not in spaces:
@@ -156,11 +156,11 @@ class LambdaFrobenius:
 
         mu, delta = {}, {}
         for key, rows in read_table(data, "mu").items():
-            a, b = (int(x) for x in key.split(","))
+            a, b = read_index(key, "mu", "[0-9]+,[0-9]+")
             mu[(a, b)] = read_map(rows, "mu " + key, order, (space(a), space(b)),
                                   (space(a + b - 1),))
         for key, rows in read_table(data, "delta").items():
-            a, b = (int(x) for x in key.split(","))
+            a, b = read_index(key, "delta", "[0-9]+,[0-9]+")
             delta[(a, b)] = read_map(rows, "delta " + key, order, (space(a + b + 1),),
                                      (space(a), space(b)))
         eta = read_map(data["eta"], "eta", order, (), (space(1),))
@@ -193,6 +193,14 @@ def read_int(value, name, least):
     if type(value) is not int or value < least:
         raise AlgebraFileError("%s must be an integer >= %d, got %r" % (name, least, value))
     return value
+
+
+def read_index(key, table, pattern):
+    """The integers of a key of table, which must match pattern: ASCII digits,
+    "[0-9]+" for one index and "[0-9]+,[0-9]+" for a pair."""
+    if re.fullmatch(pattern, key) is None:
+        raise AlgebraFileError("%s key %r must match %s" % (table, key, pattern))
+    return [int(x) for x in key.split(",")]
 
 
 def read_space(dims):
@@ -235,12 +243,6 @@ class ReportEntry:
     family: str
     indices: tuple
     passed: bool
-    lhs: list = None
-    rhs: list = None
-
-    def describe(self):
-        state = "pass" if self.passed else "FAIL"
-        return "%s %s at indices %s" % (state, self.family, (self.indices,))
 
 
 @dataclass
@@ -267,15 +269,7 @@ class ValidationReport:
 
 
 def _entry(report, family, indices, lhs, rhs):
-    passed = lhs == rhs
-    if passed:
-        report.append(ReportEntry(family, indices, True))
-    else:
-        report.append(ReportEntry(
-            family, indices, False,
-            [[format_scalar(x) for x in row] for row in lhs.rows],
-            [[format_scalar(x) for x in row] for row in rhs.rows],
-        ))
+    report.append(ReportEntry(family, indices, lhs == rhs))
 
 
 def validate(alg):

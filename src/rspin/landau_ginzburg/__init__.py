@@ -21,7 +21,6 @@ from .mf import (
     identity_mf,
     koszul_factorization,
     mf_tensor,
-    partial_derivative,
     twisted_identity,
 )
 from .orbifold import (
@@ -39,7 +38,7 @@ __all__ = [
     "groebner", "normal_form", "staircase", "jacobi", "JacobiAlgebra",
     "GroebnerError", "InfiniteQuotientError",
     "MatrixFactorization", "MFError", "GroupAction",
-    "difference_quotient", "partial_derivative",
+    "difference_quotient",
     "identity_mf", "twisted_identity", "koszul_factorization",
     "mf_tensor", "hom_cohomology", "HomCohomology", "InconclusiveCohomology",
     "orbifold_algebra", "OrbifoldAlgebra", "OrbifoldError",

@@ -164,9 +164,6 @@ class JacobiAlgebra:
             coeffs[self._index[exp]] = coeff
         return coeffs
 
-    def basis_monomials(self):
-        return list(self.monomial_basis)
-
 
 def jacobi(potential):
     """Jacobi algebra of a potential; rejects non-isolated singularities."""

@@ -61,10 +61,6 @@ class GroupAction:
             raise MFError("potential is not invariant under the group action")
 
 
-def partial_derivative(p, var):
-    return p.derivative(var)
-
-
 def prime(name):
     return name + "'"
 
@@ -201,27 +197,23 @@ def koszul_factorization(us, vs, source_vars, target_vars, middle_vars,
 
 def identity_mf(w):
     """The unit 1-morphism I_W: d = sum_i (u_i theta_i + (x'_i - x_i) theta_i*)."""
-    variables = w.vars
-    us = [difference_quotient(w, v) for v in variables]
-    vs = [Poly.variable(prime(v)) - Poly.variable(v) for v in variables]
-    primed = tuple(prime(v) for v in variables)
-    return koszul_factorization(us, vs, variables, primed, (),
-                                w, w.rename({v: prime(v) for v in variables}))
+    return _koszul_identity(w, {v: Cyc.one() for v in w.vars})
 
 
 def twisted_identity(w, action, g):
     """The g-twisted identity: substitute x'_i -> xi^{-w_i g} x'_i in I_W."""
+    return _koszul_identity(w, {v: action.root(v, -g) for v in w.vars})
+
+
+def _koszul_identity(w, lam):
+    """I_W with x'_i -> lam_i x'_i substituted; lam_i = 1 for every i gives I_W itself."""
     variables = w.vars
-    lam = {v: action.root(v, -g) for v in variables}
-    us = []
-    vs = []
-    for v in variables:
-        u = difference_quotient(w, v)
-        us.append(u.substitute({prime(x): (lam[x], prime(x)) for x in variables}))
-        vs.append(Poly.variable(prime(v)).scale(lam[v]) - Poly.variable(v))
     primed = tuple(prime(v) for v in variables)
+    scaled = {p: (lam[v], p) for v, p in zip(variables, primed) if lam[v] != 1}
+    us = [difference_quotient(w, v).substitute(scaled) for v in variables]
+    vs = [Poly.variable(p).scale(lam[v]) - Poly.variable(v) for v, p in zip(variables, primed)]
     return koszul_factorization(us, vs, variables, primed, (),
-                                w, w.rename({v: prime(v) for v in variables}))
+                                w, w.rename(dict(zip(variables, primed))))
 
 
 def mf_tensor(y, x):

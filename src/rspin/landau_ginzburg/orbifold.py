@@ -29,12 +29,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..scalars import Cyc
+from ..scalars import Cyc, divisors
 from ..superlinalg import (
     SuperMap,
     SuperSpace,
     UNIT_SPACE,
-    graded_tuples,
+    pair_index,
     tensor_space,
 )
 from ..constructors import (
@@ -43,7 +43,6 @@ from ..constructors import (
     graded_center,
     nakayama_gamma,
 )
-from ..surface_eval import divisors
 from .poly import Poly
 from .mf import GroupAction
 
@@ -210,7 +209,7 @@ class SectorModel:
             mat[0][1].divide_exact(self.v(0))
             return {}
         if parity == 1:
-            value = mat[0][1].eval_zero()
+            value = mat[0][1].constant_term()
             if value:
                 coeffs[("odd", 0)] = value
             return coeffs
@@ -226,7 +225,6 @@ class OrbifoldAlgebra:
     potential: Poly
     action: GroupAction
     basis_labels: list  # (sector, per-variable labels) in matrix order
-    sector_of: list
     counit_scale: Cyc
     models: list  # one SectorModel per variable, in sorted variable order
 
@@ -296,11 +294,11 @@ def orbifold_algebra(w, action):
             out[key] = out.get(key, Cyc.zero()) + coeff
         return {k: v for k, v in out.items() if v}
 
-    pair_pos = {t: k for k, t in enumerate(graded_tuples([space, space]))}
+    pairs = pair_index(space)
     mult_entries = [{} for _ in range(space.dim)]
     for i, e1 in enumerate(labels):
         for j, e2 in enumerate(labels):
-            col = pair_pos[(i, j)]
+            col = pairs[(i, j)]
             for target, coeff in multiply(e1, e2).items():
                 mult_entries[index[target]][col] = coeff
     mult = SuperMap(_sq(space), space, 0, None, (space, space), None, entries=mult_entries)
@@ -341,8 +339,7 @@ def orbifold_algebra(w, action):
     if powers is None or r % len(powers):
         raise OrbifoldError("gamma^r != id")
 
-    return OrbifoldAlgebra(algebra, gamma, w, action, labels,
-                           [g for g, _ in labels], scale, models)
+    return OrbifoldAlgebra(algebra, gamma, w, action, labels, scale, models)
 
 
 def _sq(space):

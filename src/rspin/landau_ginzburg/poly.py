@@ -89,9 +89,6 @@ class Poly:
         zero_exp = (0,) * len(self.vars)
         return self.terms.get(zero_exp, Cyc.zero())
 
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), Cyc.zero())
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             if other == 0:
@@ -238,10 +235,6 @@ class Poly:
     def rename(self, mapping):
         return self.substitute({old: (1, new) for old, new in mapping.items()})
 
-    def eval_zero(self):
-        """Value at the origin."""
-        return self.constant_term()
-
     # -- division -----------------------------------------------------------------
 
     def divide_exact(self, divisor):
@@ -251,9 +244,9 @@ class Poly:
             raise PolyError("division by the zero polynomial")
         quot = Poly.zero(variables)
         rem = a
-        lead_b = _leading_term(b)
+        lead_b = leading_term(b)
         while rem.terms:
-            lead_r = _leading_term(rem)
+            lead_r = leading_term(rem)
             exp = tuple(x - y for x, y in zip(lead_r[0], lead_b[0]))
             if any(e < 0 for e in exp):
                 raise PolyError("inexact polynomial division")
@@ -274,13 +267,14 @@ def grevlex_key(exp):
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
-def _leading_term(p):
+def leading_term(p):
     exp = max(p.terms, key=grevlex_key)
     return exp, p.terms[exp]
 
 
-def leading_term(p):
-    return _leading_term(p)
+def format_monomial(variables, exp):
+    """x^2*y for the exponent (2, 1) over (x, y); the empty string for 1."""
+    return "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in zip(variables, exp) if e)
 
 
 def format_poly(p):
@@ -288,12 +282,8 @@ def format_poly(p):
         return "0"
     parts = []
     for exp in sorted(p.terms, key=grevlex_key, reverse=True):
-        coeff = p.terms[exp]
-        mono = "*".join(
-            ("%s" % v if e == 1 else "%s^%d" % (v, e))
-            for v, e in zip(p.vars, exp) if e
-        )
-        c = format_scalar(coeff)
+        mono = format_monomial(p.vars, exp)
+        c = format_scalar(p.terms[exp])
         if mono:
             if c == "1":
                 body = mono

@@ -226,14 +226,8 @@ class Cyc:
             return _ZEROS(a.order)
         if any(an[1:]):
             if any(bn[1:]):
-                conv = [0] * (len(an) + len(bn) - 1)
-                for i, x in enumerate(an):
-                    if x == 0:
-                        continue
-                    for j, y in enumerate(bn):
-                        if y:
-                            conv[i + j] += x * y
-                return Cyc._make(a.order, a.den * b.den, _reduce_mod_phi(conv, a.order))
+                return Cyc._make(a.order, a.den * b.den,
+                                 _reduce_mod_phi(_int_poly_mul(an, bn), a.order))
             c, num = bn[0], an
         else:
             c, num = an[0], bn
@@ -252,22 +246,19 @@ class Cyc:
         if self.is_rational():
             q = self.as_fraction()
             return Cyc.rational(Fraction(q.denominator, q.numerator), self.order)
-        # Extended Euclid against Phi_r over Q[x].
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = [Fraction(c, self.den) for c in self.num]
-        r0, r1 = phi, list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        lead = r1[0]
-        inv_coeffs = [c / lead for c in s1]
-        return Cyc.from_coeffs(self.order, inv_coeffs)
+        # Galois norm: with c the product of the conjugates sigma_k(a), zeta -> zeta^k
+        # for the units k != 1 mod r, N = a c is rational and a^-1 = c / N.  On
+        # numerators, a = num / den gives a^-1 = den * c_num / N_num.
+        r = self.order
+        conj = [1]
+        for k in range(2, r):
+            if gcd(k, r) == 1:
+                sigma = [0] * r
+                for i, x in enumerate(self.num):
+                    sigma[i * k % r] += x
+                conj = _reduce_mod_phi(_int_poly_mul(conj, sigma), r)
+        norm = _reduce_mod_phi(_int_poly_mul(self.num, conj), r)[0]
+        return Cyc._make(r, norm, [self.den * x for x in conj])
 
     def __truediv__(self, other):
         a, b = Cyc._coerce_pair(self, other)
@@ -323,36 +314,16 @@ def _ONES(order):
     return Cyc(order, 1, _rational_num(1, order))
 
 
-def _frac_poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    quot = [Fraction(0)] * max(len(a) - db, 1)
-    for k in range(len(a) - 1, db - 1, -1):
-        if a[k] == 0:
-            continue
-        c = a[k] / b[-1]
-        quot[k - db] = c
-        for i, d in enumerate(b):
-            a[k - db + i] -= c * d
-    return quot, a[:db]
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _int_poly_mul(a, b):
+    """Product of integer coefficient lists (ascending)."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
         for j, y in enumerate(b):
-            out[i + j] += x * y
+            if y:
+                out[i + j] += x * y
     return out
-
-
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for j, y in enumerate(b):
-        a[j] -= y
-    return a
 
 
 def as_cyc(value, order=1):
@@ -369,11 +340,16 @@ def as_cyc(value, order=1):
 #   term   := factor {(* | /) factor}
 #   factor := - factor | (int | name | "(" expr ")") [^ [-] int]
 #
+# Parentheses and unary minus together nest at most MAX_NESTING levels deep;
+# past that the caller's error is raised, not a RecursionError.
+#
 # An integer is ASCII digits; a name is an ASCII letter or _ followed by
 # ASCII letters, digits, _, ' and ~; any other non-space character is an
 # error (so x² or a non-ASCII digit is refused, not misread).  The
 # operators are those of the values, so each value type decides what it
 # accepts: a polynomial refuses a negative exponent or a nonconstant divisor.
+
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s+|([0-9]+)|([A-Za-z_][A-Za-z0-9_'~]*)|([-+*/^()])")
 
@@ -400,6 +376,7 @@ class _Parser:
     def __init__(self, text, noun, error, constant, name):
         self.tokens = _tokenize(text, noun, error)
         self.pos = 0
+        self.depth = 0
         self.noun = noun
         self.error = error
         self.constant = constant
@@ -443,14 +420,14 @@ class _Parser:
         kind = self.peek()
         if kind == "-":
             self.take()
-            return -self.parse_factor()
+            return -self.nested(self.parse_factor)
         if kind == "int":
             value = self.constant(self.take()[1])
         elif kind == "name":
             value = self.name(self.take()[1])
         elif kind == "(":
             self.take()
-            value = self.parse_expr()
+            value = self.nested(self.parse_expr)
             self.take(")")
         else:
             raise self.error("cannot parse %s near token %r" % (self.noun, kind))
@@ -461,6 +438,16 @@ class _Parser:
                 self.take()
             n = self.take("int")[1]
             value = value ** (-n if negative else n)
+        return value
+
+    def nested(self, parse):
+        """parse() one level deeper, refused past MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            raise self.error("%s nests parentheses and unary minus deeper than %d levels"
+                             % (self.noun, MAX_NESTING))
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
         return value
 
 

@@ -73,6 +73,11 @@ def graded_tuples(spaces):
     return out
 
 
+def pair_index(space):
+    """{(i, j): k}: the graded index k of the basis pair (i, j) of space o space."""
+    return {t: k for k, t in enumerate(graded_tuples([space, space]))}
+
+
 def tensor_space(*spaces):
     """Parity split in closed form: odd = (prod dim - prod (even - odd)) / 2."""
     total = signed = 1

@@ -161,6 +161,13 @@ def _lambda_file_with_number_entry(data):
     return data
 
 
+def _renamed_key(table, old, new):
+    def corrupt(data):
+        data[table][new] = data[table].pop(old)
+        return data
+    return corrupt
+
+
 def _frobenius_file(name, **changes):
     def corrupt(data):
         return dict(builtin(name).to_config(), **changes)
@@ -182,9 +189,13 @@ def _frobenius_file(name, **changes):
     (_frobenius_file("clifford1", unit="10"), ["r=2"],
      "unit must be a list of rows of scalar strings"),
     (_frobenius_file("group_algebra_Zn", counit=[["1", "0"]]), ["r=2"], "Delta-separable"),
+    (_renamed_key("mu", "0,0", "٠,٠"), [], "mu key '٠,٠' must match [0-9]+,[0-9]+"),
+    (_renamed_key("spaces", "0", "٠"), [], "spaces key '٠' must match [0-9]+"),
+    (_renamed_key("mu", "0,0", "0"), [], "mu key '0' must match [0-9]+,[0-9]+"),
 ], ids=["top_level_list", "no_spaces_key", "scalar_1_over_0", "number_entry",
         "frobenius_number_entry", "space_not_a_pair", "r_without_spaces", "r_0", "r_not_integer",
-        "string_as_rows", "frobenius_string_as_rows", "frobenius_not_separable"])
+        "string_as_rows", "frobenius_string_as_rows", "frobenius_not_separable",
+        "non_ascii_pair_key", "non_ascii_index_key", "pair_key_without_comma"])
 def test_bad_file_exit_2_without_traceback(runner, tmp_path, corrupt, args, message):
     data = graded_center(builtin("group_algebra_Zn", n=2), 1).to_dict()
     path = tmp_path / "algebra.json"
@@ -222,7 +233,7 @@ def test_potential_dividing_by_zero_exit_2_without_traceback(runner, args):
     (["lg-orbifold", "x^2", "--group", "Z²"], "--group must look like Z5"),
     (["lg-hom", "x^3", "--group", "Z٣", "--g", "1"], "--group must look like Z5"),
     (["check", "--builtin", "trivial", "r=٣"], "r must be an integer, got '٣'"),
-    (["check", "--builtin", "trivial", "--r", "٣"], "'٣' is not a valid integer"),
+    (["check", "--builtin", "trivial", "r=1", "--r", "2"], "No such option '--r'"),
     (["torus", "--builtin", "group_algebra_Zn", "--n", "٢", "--all-divisors"],
      "'٢' is not a valid integer"),
     (["lg-hom", "x^3", "--group", "Z3", "--g", "١"], "'١' is not a valid integer"),
@@ -236,6 +247,15 @@ def test_malformed_or_non_ascii_numbers_exit_2_without_traceback(runner, args, m
     assert result.exit_code == 2, (result.output, result.exception)
     assert "Traceback" not in result.output
     assert message in result.output
+
+
+@pytest.mark.parametrize("potential", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
+                         ids=["parentheses", "unary_minus"])
+def test_deep_nesting_exit_2_without_traceback(runner, potential):
+    result = runner.invoke(main, ["lg-jacobi", "--", potential])
+    assert result.exit_code == 2, (result.output[-300:], result.exception)
+    assert "Traceback" not in result.output
+    assert "polynomial nests parentheses and unary minus deeper than 100 levels" in result.output
 
 
 @pytest.mark.parametrize("command", [

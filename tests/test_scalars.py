@@ -11,6 +11,7 @@ from rspin.scalars import (
     format_scalar,
     parse_scalar,
 )
+from rspin.landau_ginzburg.poly import PolyError, parse_poly
 
 
 def frac_poly_divide(num, den):
@@ -183,6 +184,40 @@ def test_only_ascii_digits_and_names_are_tokens():
     for text in ("z²", "z^²", "1 + ٣", "2*ｚ"):
         with pytest.raises(ScalarError, match="unexpected character"):
             parse_scalar(text, 3)
+
+
+def test_nesting_is_bounded():
+    assert parse_scalar("(" * 100 + "z" + ")" * 100, 3) == Cyc.zeta(3)
+    assert parse_poly("(" * 100 + "x" + ")" * 100) == parse_poly("x")
+    assert parse_scalar("- " * 101 + "1") == -1  # the leading sign is not nested
+    for text in ("(" * 101 + "z" + ")" * 101, "-" * 102 + "z", "-" * 50 + "(" * 52 + "z" + ")" * 52):
+        with pytest.raises(ScalarError, match="deeper than 100 levels"):
+            parse_scalar(text, 3)
+    with pytest.raises(PolyError, match="deeper than 100 levels"):
+        parse_poly("(" * 3000 + "x" + ")" * 3000)
+
+
+# ASCII names, operators, parentheses and integers below 100, so that powers stay cheap
+_TOKENS = st.one_of(st.sampled_from(["x", "y", "z", "+", "-", "*", "/", "^", "(", ")"]),
+                    st.integers(0, 99).map(str))
+
+
+@st.composite
+def token_strings(draw):
+    body = " ".join(draw(st.lists(_TOKENS, max_size=25)))
+    depth = draw(st.sampled_from([0, 1, 99, 100, 101, 3000]))
+    opener = draw(st.sampled_from(["(", "-", "-("]))
+    return opener * depth + body + ")" * (opener.count("(") * depth)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=token_strings())
+def test_parsers_raise_only_their_own_errors(text):
+    for parse, error in ((parse_poly, PolyError), (lambda t: parse_scalar(t, 12), ScalarError)):
+        try:
+            parse(text)
+        except error:
+            pass
 
 
 # -- rational operands against a reference that shares no code with Cyc ------
