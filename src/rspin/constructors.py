@@ -37,6 +37,7 @@ from .superlinalg import (
     split_idempotent,
     tensor,
     tensor_space,
+    whisker,
 )
 
 
@@ -63,26 +64,24 @@ class FrobeniusAlgebraData:
     def assemble(space, mult, unit, counit):
         """Check all axioms, derive the comultiplication from the pairing and
         record whether mu o Delta = id."""
-        one = identity(space)
+        one, side = identity(space), (space,)
         if mult.parity or unit.parity or counit.parity:
             raise FrobeniusError("structure maps must be even")
-        assoc_l = compose(mult, tensor(mult, one))
-        assoc_r = compose(mult, tensor(one, mult))
-        if assoc_l != assoc_r:
+        if whisker(mult, (), mult, side) != whisker(mult, side, mult, ()):
             raise FrobeniusError("multiplication is not associative")
-        if compose(mult, tensor(unit, one)) != one or compose(mult, tensor(one, unit)) != one:
+        if whisker(mult, (), unit, side) != one or whisker(mult, side, unit, ()) != one:
             raise FrobeniusError("unit axiom fails")
 
         pairing = compose(counit, mult)
         copairing = _copairing_from(pairing, space)
-        comult = compose(tensor(mult, one), tensor(one, copairing))
-        other = compose(tensor(one, mult), tensor(copairing, one))
+        comult = whisker(tensor(one, copairing), (), mult, side, g_first=True)
+        other = whisker(tensor(copairing, one), side, mult, (), g_first=True)
         if comult != other:
             raise FrobeniusError("the two Frobenius comultiplications disagree")
         _check_counit(counit, comult, one)
-        frob_l = compose(tensor(mult, one), tensor(one, comult))
+        frob_l = whisker(tensor(one, comult), (), mult, side, g_first=True)
         frob_m = compose(comult, mult)
-        frob_r = compose(tensor(one, mult), tensor(comult, one))
+        frob_r = whisker(tensor(comult, one), side, mult, (), g_first=True)
         if frob_l != frob_m or frob_r != frob_m:
             raise FrobeniusError("Frobenius relation fails")
         return FrobeniusAlgebraData(space, mult, unit, counit, comult,
@@ -173,13 +172,14 @@ def _copairing_from(pairing, space):
 
 
 def _check_mirrored_zorro(pairing, copairing, one):
-    if compose(tensor(one, pairing), tensor(copairing, one)) != one:
+    if whisker(tensor(copairing, one), (one.source,), pairing, (), g_first=True) != one:
         raise DegeneratePairingError("copairing fails the mirrored zorro identity")
 
 
 def _check_counit(counit, comult, one):
-    if compose(tensor(counit, one), comult) != one or \
-            compose(tensor(one, counit), comult) != one:
+    side = (one.source,)
+    if whisker(comult, (), counit, side, g_first=True) != one or \
+            whisker(comult, side, counit, (), g_first=True) != one:
         raise FrobeniusError("counit axiom fails")
 
 
@@ -215,14 +215,16 @@ def nakayama_gamma(algebra):
 
 
 def _check_algebra_automorphism(algebra, phi):
-    one = identity(algebra.space)
-    if compose(phi, algebra.mult) != compose(algebra.mult, tensor(phi, phi)):
+    side = (algebra.space,)
+    # phi o phi = (phi o id).(id o phi), with no Koszul sign
+    if compose(phi, algebra.mult) != whisker(whisker(algebra.mult, (), phi, side), side, phi, ()):
         raise FrobeniusError("map does not respect multiplication")
     if compose(phi, algebra.unit) != algebra.unit:
         raise FrobeniusError("map does not fix the unit")
     if compose(algebra.counit, phi) != algebra.counit:
         raise FrobeniusError("map does not preserve the counit")
-    if compose(algebra.comult, phi) != compose(tensor(phi, phi), algebra.comult):
+    if compose(algebra.comult, phi) != whisker(
+            whisker(algebra.comult, side, phi, (), g_first=True), (), phi, side, g_first=True):
         raise FrobeniusError("map does not respect comultiplication")
 
 
@@ -233,13 +235,11 @@ class GammaOrderError(FrobeniusError):
 def averaging_projector(algebra, gpow):
     """P_a(x) = sum_i ebar_i . x . gpow(e_i) for gpow = gamma^(1-a), Koszul signs included."""
     space = algebra.space
-    one = identity(space)
-    cop = algebra.copairing  # legs (ebar_i, e_i)
-    step1 = tensor(cop, one)                     # x -> (ebar, e, x)
-    step2 = tensor(one, braiding(space, space))  # -> (ebar, x, e)
-    step3 = tensor(one, one, gpow)               # -> (ebar, x, gamma(e))
-    step4 = tensor(algebra.mult, one)
-    return compose(algebra.mult, compose(step4, compose(step3, compose(step2, step1))))
+    side = (space,)
+    step = tensor(algebra.copairing, identity(space))                       # x -> (ebar, e, x)
+    step = whisker(step, side, braiding(space, space), (), g_first=True)   # -> (ebar, x, e)
+    step = whisker(step, side + side, gpow, (), g_first=True)              # -> (ebar, x, gamma(e))
+    return compose(algebra.mult, whisker(step, (), algebra.mult, side, g_first=True))
 
 
 @dataclass
@@ -278,12 +278,17 @@ def graded_center_data(algebra, r):
     # split_idempotent checks p o p = p exactly
     incl, proj, images = zip(*(split_idempotent(averaging_projector(algebra, powers[(1 - a) % m]))
                                for a in range(m)))
-    # index pairs congruent mod m share one restricted mu and Delta
-    mu_m = {(a, b): compose(proj[(a + b - 1) % m], compose(algebra.mult, tensor(incl[a], incl[b])))
+    # index pairs congruent mod m share one restricted mu and Delta;
+    # f o g = (f o id).(id o g) with no Koszul sign
+    side = (algebra.space,)
+    mult_incl = [whisker(algebra.mult, (), incl[a], side) for a in range(m)]
+    mu_m = {(a, b): compose(proj[(a + b - 1) % m],
+                            whisker(mult_incl[a], incl[a].source_factors, incl[b], ()))
             for a in range(m) for b in range(m)}
-    delta_m = {(a, b): compose(tensor(proj[a], proj[b]),
-                               compose(algebra.comult, incl[(a + b + 1) % m]))
-               for a in range(m) for b in range(m)}
+    comult_incl = [compose(algebra.comult, incl[c]) for c in range(m)]
+    delta_m = {(a, b): whisker(
+        whisker(comult_incl[(a + b + 1) % m], side, proj[b], (), g_first=True),
+        (), proj[a], proj[b].target_factors, g_first=True) for a in range(m) for b in range(m)}
     mu = {(a, b): mu_m[(a % m, b % m)] for a in range(r) for b in range(r)}
     delta = {(a, b): delta_m[(a % m, b % m)] for a in range(r) for b in range(r)}
     eta = compose(proj[1 % m], algebra.unit)

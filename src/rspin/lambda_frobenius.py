@@ -23,6 +23,7 @@ from .superlinalg import (
     identity,
     tensor,
     tensor_space,
+    whisker,
 )
 
 
@@ -171,9 +172,8 @@ class LambdaFrobenius:
 def nakayama_zigzag(pairing, copairing, left, right):
     """(p o id) . (id o b.c) on left, with b braiding the legs of c: 1 -> left o right;
     N_a for (C_a, C_{-a}) and gamma_A^{-1} for (A, A)."""
-    one = identity(left)
     crossed = compose(braiding(left, right), copairing)
-    return compose(tensor(pairing, one), tensor(one, crossed))
+    return whisker(tensor(identity(left), crossed), (), pairing, (left,), g_first=True)
 
 
 # -- algebra files: one reader and one writer for lambda_frobenius and frobenius_algebra
@@ -282,24 +282,28 @@ def validate(alg):
     r = alg.r
     entries = []
     ids = {a: identity(alg.space(a)) for a in range(r)}
+    # the factor list of C_a, for the identity whiskers around a structure map
+    side = {a: (alg.space(a),) for a in range(r)}
 
     for a in range(r):
         for b in range(r):
             for c in range(r):
-                lhs = compose(alg.mu_map(a + b - 1, c), tensor(alg.mu_map(a, b), ids[c]))
-                rhs = compose(alg.mu_map(a, b + c - 1), tensor(ids[a], alg.mu_map(b, c)))
+                lhs = whisker(alg.mu_map(a + b - 1, c), (), alg.mu_map(a, b), side[c])
+                rhs = whisker(alg.mu_map(a, b + c - 1), side[a], alg.mu_map(b, c), ())
                 _entry(entries, "associativity", (a, b, c), lhs, rhs)
-                lhs = compose(tensor(alg.delta_map(a, b), ids[c]), alg.delta_map((a + b + 1) % r, c))
-                rhs = compose(tensor(ids[a], alg.delta_map(b, c)), alg.delta_map(a, (b + c + 1) % r))
+                lhs = whisker(alg.delta_map((a + b + 1) % r, c), (), alg.delta_map(a, b), side[c],
+                              g_first=True)
+                rhs = whisker(alg.delta_map(a, (b + c + 1) % r), side[a], alg.delta_map(b, c), (),
+                              g_first=True)
                 _entry(entries, "coassociativity", (a, b, c), lhs, rhs)
 
     for a in range(r):
-        left = compose(alg.mu_map(1, a), tensor(alg.eta, ids[a]))
-        right = compose(alg.mu_map(a, 1), tensor(ids[a], alg.eta))
+        left = whisker(alg.mu_map(1, a), (), alg.eta, side[a])
+        right = whisker(alg.mu_map(a, 1), side[a], alg.eta, ())
         _entry(entries, "unitality", (a, "left"), left, ids[a])
         _entry(entries, "unitality", (a, "right"), right, ids[a])
-        left = compose(tensor(alg.eps, ids[a]), alg.delta_map(-1, a))
-        right = compose(tensor(ids[a], alg.eps), alg.delta_map(a, -1))
+        left = whisker(alg.delta_map(-1, a), (), alg.eps, side[a], g_first=True)
+        right = whisker(alg.delta_map(a, -1), side[a], alg.eps, (), g_first=True)
         _entry(entries, "counitality", (a, "left"), left, ids[a])
         _entry(entries, "counitality", (a, "right"), right, ids[a])
 
@@ -308,18 +312,18 @@ def validate(alg):
             for c in range(r):
                 d = (a + b - c - 2) % r
                 middle = compose(alg.delta_map(c, d), alg.mu_map(a, b))
-                lhs = compose(tensor(ids[c], alg.mu_map(a - c - 1, b)),
-                              tensor(alg.delta_map(c, a - c - 1), ids[b]))
-                rhs = compose(tensor(alg.mu_map(a, c - a + 1), ids[d]),
-                              tensor(ids[a], alg.delta_map(c - a + 1, d)))
+                lhs = whisker(tensor(alg.delta_map(c, a - c - 1), ids[b]),
+                              side[c], alg.mu_map(a - c - 1, b), (), g_first=True)
+                rhs = whisker(tensor(ids[a], alg.delta_map(c - a + 1, d)),
+                              (), alg.mu_map(a, c - a + 1), side[d], g_first=True)
                 _entry(entries, "frobenius", (a, b, c, "left"), lhs, middle)
                 _entry(entries, "frobenius", (a, b, c, "right"), rhs, middle)
 
     for a in range(r):
         for b in range(r):
             braided = compose(alg.mu_map(a, b), braiding(alg.space(b), alg.space(a)))
-            lhs = compose(alg.mu_map(b, a), tensor(alg.nakayama_power(b, 1 - a), ids[a]))
-            rhs = compose(alg.mu_map(b, a), tensor(ids[b], alg.nakayama_power(a, b - 1)))
+            lhs = whisker(alg.mu_map(b, a), (), alg.nakayama_power(b, 1 - a), side[a])
+            rhs = whisker(alg.mu_map(b, a), side[b], alg.nakayama_power(a, b - 1), ())
             _entry(entries, "commutativity", (a, b, "left"), lhs, braided)
             _entry(entries, "commutativity", (a, b, "right"), rhs, braided)
 
@@ -329,12 +333,12 @@ def validate(alg):
     for a in range(r):
         for b in range(r):
             lhs = compose(alg.mu_map(a, -a),
-                          compose(tensor(alg.nakayama_power(a, b), ids[(-a) % r]),
-                                  alg.copairing(a)))
+                          whisker(alg.copairing(a), (), alg.nakayama_power(a, b), side[-a % r],
+                                  g_first=True))
             a2 = (a + b - 1) % r
             rhs = compose(alg.mu_map(a2, -a2),
-                          compose(tensor(alg.nakayama_power(a2, b), ids[(-a2) % r]),
-                                  alg.copairing(a2)))
+                          whisker(alg.copairing(a2), (), alg.nakayama_power(a2, b), side[-a2 % r],
+                                  g_first=True))
             _entry(entries, "twist_pairing", (a, b), lhs, rhs)
 
     for a in range(r):

@@ -165,9 +165,14 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise PolyError("negative exponents are not polynomial")
-        result = Poly.const(1, self.vars)
-        for _ in range(k):
-            result = result * self
+        # square and multiply: about 2 log2(k) products, not k
+        result, square = Poly.const(1, self.vars), self
+        while k:
+            if k & 1:
+                result = result * square
+            k >>= 1
+            if k:
+                square = square * square
         return result
 
     # -- calculus and substitution ----------------------------------------------

@@ -348,6 +348,98 @@ def tensor(*maps):
                     entries=entries)
 
 
+@lru_cache(maxsize=256)
+def _whisker_plan(left, source, target, right):
+    """Positions for id_left o f o id_right with f from source to target (factor lists).
+
+    Returns (flat, split, odd_left, right dim, source space, target space).
+    flat[(l * dim source + j) * dim right + w] is the graded index of the
+    basis vector l o j o w over left + source + right, where l, j and w
+    index the graded bases of the three groups; split[k] = (l, i, w) for
+    the basis vector of graded index k over left + target + right;
+    odd_left[l] is the parity of l.
+    """
+    n_right = tensor_space(*right).dim
+    stride = tensor_space(*target).dim * n_right
+    split = [None] * tensor_space(*left, *target, *right).dim
+    for code, k in enumerate(_tensor_layout((left, target, right))):
+        l, rest = divmod(code, stride)
+        split[k] = (l, *divmod(rest, n_right))
+    left_space = tensor_space(*left)
+    odd_left = tuple(l >= left_space.even for l in range(left_space.dim))
+    return (_tensor_layout((left, source, right)), tuple(split), odd_left, n_right,
+            tensor_space(*left, *source, *right), tensor_space(*left, *target, *right))
+
+
+def whisker(g, left, f, right, *, g_first=False):
+    """g o W, or W o g with g_first, for the whiskered map W = id_left o f o id_right.
+
+    left and right are factor lists, and W(l o v o w) = (-1)^(|f||l|) l o f(v) o w
+    as in tensor(identity(...), f, identity(...)) over the same flat lists.  W
+    itself is never built: every entry of the composite is a sum over the
+    stored entries of f and g, placed through the graded positions of
+    left + f.source_factors + right and left + f.target_factors + right.
+    """
+    left, right = tuple(left), tuple(right)
+    src_flat, tgt_split, odd_left, n_right, src_space, tgt_space = _whisker_plan(
+        left, f.source_factors, f.target_factors, right)
+    src_factors = left + f.source_factors + right
+    tgt_factors = left + f.target_factors + right
+    n_src, f_entries, odd_f = f.source.dim, f.entries, f.parity
+    entries = []
+    if g_first:
+        if g.target != src_space:
+            raise SuperLinAlgError("composition shape mismatch: whiskered %r after %r" % (f, g))
+        g_entries = g.entries
+        # row (l, i, w) of W o g is the sum over j of +-f[i][j] times row (l, j, w) of g
+        for l, i, w in tgt_split:
+            out = {}
+            negate = odd_f and odd_left[l]
+            base = l * n_src
+            for j, fv in f_entries[i].items():
+                if negate:
+                    fv = -fv
+                for s, gv in g_entries[src_flat[(base + j) * n_right + w]].items():
+                    value = gv if fv is _ONE else fv if gv is _ONE else fv * gv
+                    old = out.get(s)
+                    if old is None:
+                        out[s] = value
+                    else:
+                        value = old + value
+                        if value:
+                            out[s] = value
+                        else:
+                            del out[s]
+            entries.append(out)
+        return SuperMap(g.source, tgt_space, f.parity + g.parity, None,
+                        g.source_factors, tgt_factors, entries=entries)
+    if g.source != tgt_space:
+        raise SuperLinAlgError("composition shape mismatch: %r after whiskered %r" % (g, f))
+    # column t = (l, i, w) of g meets row i of f at the columns (l, j, w) of g o W
+    for g_row in g.entries:
+        out = {}
+        for t, gv in g_row.items():
+            l, i, w = tgt_split[t]
+            if odd_f and odd_left[l]:
+                gv = -gv
+            base = l * n_src
+            for j, fv in f_entries[i].items():
+                s = src_flat[(base + j) * n_right + w]
+                value = fv if gv is _ONE else gv if fv is _ONE else gv * fv
+                old = out.get(s)
+                if old is None:
+                    out[s] = value
+                else:
+                    value = old + value
+                    if value:
+                        out[s] = value
+                    else:
+                        del out[s]
+        entries.append(out)
+    return SuperMap(src_space, g.target, f.parity + g.parity, None,
+                    src_factors, g.target_factors, entries=entries)
+
+
 def braiding(v, w):
     """b_{V,W}(x o y) = (-1)^{|x||y|} y o x."""
     src_rank = _graded_rank((v, w))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .scalars import divisors
-from .superlinalg import compose, identity, tensor
+from .superlinalg import compose, whisker
 
 
 class SurfaceError(ValueError):
@@ -62,7 +62,7 @@ def evaluate_torus(alg, t):
     ma = (-t.a) % alg.r
     insertion = alg.nakayama_power(ma, 1 - t.b)
     zig = compose(alg.pairing(ma),
-                  compose(tensor(insertion, identity(alg.space(t.a))), alg.copairing(ma)))
+                  whisker(alg.copairing(ma), (), insertion, (alg.space(t.a),), g_first=True))
     return zig.scalar
 
 
@@ -79,12 +79,10 @@ def handle_operator(alg, c, a, b, split_shift=0):
     other = (c - a - 1) % r
     n = alg.nakayama_power(a, 1 - b)
     if split_shift == 0:
-        return compose(alg.mu_map(a, other),
-                       compose(tensor(n, identity(alg.space(other))),
-                               alg.delta_map(a, other)))
-    return compose(alg.mu_map(other, a),
-                   compose(tensor(identity(alg.space(other)), n),
-                           alg.delta_map(other, a)))
+        return compose(whisker(alg.mu_map(a, other), (), n, (alg.space(other),)),
+                       alg.delta_map(a, other))
+    return compose(whisker(alg.mu_map(other, a), (alg.space(other),), n, ()),
+                   alg.delta_map(other, a))
 
 
 def evaluate_surface(alg, s, split_shift=0):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from rspin.constructors import builtin, graded_center, graded_center_data
@@ -7,6 +9,7 @@ from rspin.superlinalg import (
     SuperMap,
     SuperSpace,
     UNIT_SPACE,
+    braiding,
     compose,
     graded_tuples,
     identity,
@@ -179,3 +182,107 @@ def test_deck_and_twist_powers_are_literal(r):
     assert {("deck", (a,)) for a in range(r)} <= failed
     twist = {indices for family, indices in failed if family == "twist_power"}
     assert twist == ({(1,)} if r == 3 else set())
+
+
+# -- validate against a compose o tensor reference -----------------------------
+
+# (name, params, step): the spin orders r <= 4 where gamma_A^r = 1 are the multiples of step
+BUILTINS_UP_TO_4 = [(name, params, r) for name, params, step in (
+    ("trivial", {}, 1), ("group_algebra_Zn", {"n": 2}, 1), ("group_algebra_Zn", {"n": 3}, 1),
+    ("clifford1", {}, 2), ("matrix_algebra_n", {"n": 2}, 1)) for r in range(step, 5, step)]
+
+
+@pytest.mark.parametrize("name, params, r", BUILTINS_UP_TO_4)
+def test_validate_checks_every_index_tuple(name, params, r):
+    report = validate(graded_center(builtin(name, **params), r))
+    assert len(report.entries) == 4 * r ** 3 + 3 * r ** 2 + 6 * r
+    assert len({(e.family, e.indices) for e in report.entries}) == len(report.entries)
+    assert report.ok, report.summary()
+
+
+def reference_validate(alg):
+    """validate's (family, indices, passed) list, every composite with an
+    identity factor built as compose o tensor, the Nakayama maps included."""
+    r = alg.r
+    ids = {a: identity(alg.space(a)) for a in range(r)}
+    zigzags = {}
+    for a in range(r):
+        left, right = alg.space(a), alg.space(-a)
+        crossed = compose(braiding(left, right), alg.copairing(a))
+        zigzags[a] = compose(tensor(alg.pairing(a), ids[a]), tensor(ids[a], crossed))
+
+    def nak(a, k):
+        a, power = a % r, ids[a % r]
+        for _ in range(k % r):
+            power = compose(zigzags[a], power)
+        return power
+
+    mu, delta, out = alg.mu_map, alg.delta_map, []
+
+    def check(family, indices, lhs, rhs):
+        out.append((family, indices, lhs == rhs))
+
+    for a, b, c in itertools.product(range(r), repeat=3):
+        check("associativity", (a, b, c), compose(mu(a + b - 1, c), tensor(mu(a, b), ids[c])),
+              compose(mu(a, b + c - 1), tensor(ids[a], mu(b, c))))
+        check("coassociativity", (a, b, c),
+              compose(tensor(delta(a, b), ids[c]), delta(a + b + 1, c)),
+              compose(tensor(ids[a], delta(b, c)), delta(a, b + c + 1)))
+    for a in range(r):
+        check("unitality", (a, "left"), compose(mu(1, a), tensor(alg.eta, ids[a])), ids[a])
+        check("unitality", (a, "right"), compose(mu(a, 1), tensor(ids[a], alg.eta)), ids[a])
+        check("counitality", (a, "left"), compose(tensor(alg.eps, ids[a]), delta(-1, a)), ids[a])
+        check("counitality", (a, "right"), compose(tensor(ids[a], alg.eps), delta(a, -1)), ids[a])
+    for a, b, c in itertools.product(range(r), repeat=3):
+        d = (a + b - c - 2) % r
+        middle = compose(delta(c, d), mu(a, b))
+        check("frobenius", (a, b, c, "left"),
+              compose(tensor(ids[c], mu(a - c - 1, b)), tensor(delta(c, a - c - 1), ids[b])),
+              middle)
+        check("frobenius", (a, b, c, "right"),
+              compose(tensor(mu(a, c - a + 1), ids[d]), tensor(ids[a], delta(c - a + 1, d))),
+              middle)
+    for a, b in itertools.product(range(r), repeat=2):
+        braided = compose(mu(a, b), braiding(alg.space(b), alg.space(a)))
+        check("commutativity", (a, b, "left"),
+              compose(mu(b, a), tensor(nak(b, 1 - a), ids[a])), braided)
+        check("commutativity", (a, b, "right"),
+              compose(mu(b, a), tensor(ids[b], nak(a, b - 1))), braided)
+    for a in range(r):
+        check("twist_power", (a,), nak(a, a), ids[a])
+
+    def twisted(a, b):
+        return compose(mu(a, -a), compose(tensor(nak(a, b), ids[-a % r]), alg.copairing(a)))
+
+    for a, b in itertools.product(range(r), repeat=2):
+        check("twist_pairing", (a, b), twisted(a, b), twisted(a + b - 1, b))
+    for a in range(r):
+        check("deck", (a,), compose(zigzags[a], nak(a, r - 1)), ids[a])
+    return out
+
+
+def corrupted(alg, mu=None, delta=None):
+    return LambdaFrobenius(r=alg.r, spaces=alg.spaces, mu={**alg.mu, **(mu or {})},
+                           delta={**alg.delta, **(delta or {})}, eta=alg.eta, eps=alg.eps)
+
+
+def bumped(m):
+    """m with 1 added to its first stored entry."""
+    entries = [dict(stored) for stored in m.entries]
+    row = next(stored for stored in entries if stored)
+    j = min(row)
+    row[j] = row[j] + 1
+    return SuperMap(m.source, m.target, m.parity, None, m.source_factors, m.target_factors,
+                    entries=entries)
+
+
+@pytest.mark.parametrize("name, params, r", [("group_algebra_Zn", {"n": 3}, 3),
+                                             ("clifford1", {}, 2), ("clifford1", {}, 4)])
+def test_validate_fails_where_the_tensor_reference_fails(name, params, r):
+    alg = graded_center(builtin(name, **params), r)
+    cases = [corrupted(alg, mu={(1, r - 1): bumped(alg.mu_map(1, -1))}),
+             corrupted(alg, delta={(0, 1 % r): alg.delta_map(0, 1).scale(2)})]
+    for bad in cases:
+        got = [(e.family, e.indices, e.passed) for e in validate(bad).entries]
+        assert got == reference_validate(bad)
+        assert not all(passed for _, _, passed in got)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from rspin.landau_ginzburg.groebner import (
 )
 from rspin.landau_ginzburg.poly import Poly, PolyError, format_poly, parse_poly
 from rspin.landau_ginzburg.mf import difference_quotient
+from rspin.scalars import Cyc
 
 
 def p(text):
@@ -41,6 +43,18 @@ def test_power_and_division_of_polynomials():
     for text in ("x^-1", "x/y", "2^-1*x"):
         with pytest.raises(PolyError):
             parse_poly(text)
+
+
+def test_power_is_square_and_multiply():
+    x, s = p("x"), p("x + y + z")
+    repeated = p("1")
+    for k in range(11):
+        assert s ** k == repeated, k
+        repeated = repeated * s
+    started = time.perf_counter()
+    huge = parse_poly("x^1000000")
+    assert time.perf_counter() - started < 0.5
+    assert huge.terms == (x ** 1000000).terms == {(1000000,): Cyc.one()}
 
 
 def test_derivative():

@@ -23,6 +23,7 @@ from rspin.superlinalg import (
     supertrace,
     tensor,
     tensor_space,
+    whisker,
 )
 
 
@@ -440,6 +441,77 @@ def test_cancelled_entries_are_not_stored():
     row = smap(3, 0, 1, 0, 0, [[1, z, z * z]])
     ones = smap(1, 0, 3, 0, 0, [[1], [1], [1]])
     assert compose(row, ones).entries == [{}]
+
+
+# -- whiskered composition against compose o tensor ----------------------------
+
+# zero-dimensional and purely odd factors included
+FACTORS = st.lists(st.builds(SuperSpace, st.integers(0, 2), st.integers(0, 2)), max_size=2)
+
+
+@st.composite
+def factored_maps(draw, source_factors, target_factors):
+    source, target = tensor_space(*source_factors), tensor_space(*target_factors)
+    parity = draw(st.integers(0, 1))
+    return SuperMap(source, target, parity, draw(dense_matrices(source, target, parity)),
+                    source_factors, target_factors)
+
+
+@st.composite
+def whiskerings(draw):
+    """(g, left, f, right, g_first) with g composable with id_left o f o id_right."""
+    left, right = tuple(draw(FACTORS)), tuple(draw(FACTORS))
+    f_source, f_target = tuple(draw(FACTORS)), tuple(draw(FACTORS))
+    w_source, w_target = left + f_source + right, left + f_target + right
+    assume(tensor_space(*w_source).dim <= 24 and tensor_space(*w_target).dim <= 24)
+    f = draw(factored_maps(f_source, f_target))
+    other = tuple(draw(FACTORS.filter(lambda fs: tensor_space(*fs).dim <= 6)))
+    g_first = draw(st.booleans())
+    if g_first:
+        g = draw(factored_maps(other, w_source))
+    else:
+        g = draw(factored_maps(w_target, other))
+    return g, left, f, right, g_first
+
+
+@settings(max_examples=200, deadline=None)
+@given(whiskerings())
+def test_whisker_matches_compose_of_tensor(case):
+    g, left, f, right, g_first = case
+    w = tensor(*[identity(s) for s in left], f, *[identity(s) for s in right])
+    expected = compose(w, g) if g_first else compose(g, w)
+    result = whisker(g, left, f, right, g_first=g_first)
+    assert_sparse(result)
+    assert result == expected
+    assert result.parity == (f.parity + g.parity) % 2
+    assert result.source_factors == expected.source_factors
+    assert result.target_factors == expected.target_factors
+
+
+def test_whisker_signs_on_odd_left_factors():
+    rng = random.Random(5)
+    v, w = SuperSpace(1, 1), SuperSpace(2, 1)
+    for pf, pg, g_first in itertools.product((0, 1), (0, 1), (False, True)):
+        f = random_homogeneous(rng, v, w, pf)
+        before, after = tensor_space(v, v, w), tensor_space(v, w, w)
+        if g_first:
+            g = random_homogeneous(rng, w, before, pg)
+            g = SuperMap(g.source, g.target, pg, g.rows, None, (v, v, w))
+            expected = compose(tensor(identity(v), f, identity(w)), g)
+        else:
+            g = random_homogeneous(rng, after, w, pg)
+            g = SuperMap(g.source, g.target, pg, g.rows, (v, w, w), None)
+            expected = compose(g, tensor(identity(v), f, identity(w)))
+        assert whisker(g, (v,), f, (w,), g_first=g_first) == expected, (pf, pg, g_first)
+
+
+def test_whisker_shape_mismatch():
+    v, w = SuperSpace(1, 1), SuperSpace(3, 0)
+    f = identity(v)
+    with pytest.raises(SuperLinAlgError):
+        whisker(identity(tensor_space(v, v)), (w,), f, ())
+    with pytest.raises(SuperLinAlgError):
+        whisker(identity(tensor_space(v, v)), (), f, (w,), g_first=True)
 
 
 # -- the elimination engine against sympy -------------------------------------
