@@ -121,7 +121,10 @@ def _algebra(builtin_name, file_path, n, kv):
             r = len(powers)
         return graded_center_data(algebra, r).algebra, {"builtin": builtin_name, "r": r}, options
     with open(file_path) as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise click.UsageError("input file nests JSON arrays or objects too deeply") from None
     if not isinstance(data, dict):
         raise click.UsageError("input file must hold a JSON object, not a %s"
                                % type(data).__name__)

@@ -330,16 +330,17 @@ def validate(alg):
     for a in range(r):
         # a < r, so this power is literal: reducing mod r would presuppose deck
         _entry(entries, "twist_power", (a,), alg.nakayama_power(a, a), ids[a])
+    # mu_{a,-a} o (N_a^b o id) o c_a, one per (a, b); the relation equates
+    # the zig-zags at (a, b) and (a + b - 1, b)
+    copairings = [alg.copairing(a) for a in range(r)]
+    zigzags = {(a, b): compose(alg.mu_map(a, -a),
+                               whisker(copairings[a], (), alg.nakayama_power(a, b),
+                                       side[-a % r], g_first=True))
+               for a in range(r) for b in range(r)}
     for a in range(r):
         for b in range(r):
-            lhs = compose(alg.mu_map(a, -a),
-                          whisker(alg.copairing(a), (), alg.nakayama_power(a, b), side[-a % r],
-                                  g_first=True))
-            a2 = (a + b - 1) % r
-            rhs = compose(alg.mu_map(a2, -a2),
-                          whisker(alg.copairing(a2), (), alg.nakayama_power(a2, b), side[-a2 % r],
-                                  g_first=True))
-            _entry(entries, "twist_pairing", (a, b), lhs, rhs)
+            _entry(entries, "twist_pairing", (a, b), zigzags[(a, b)],
+                   zigzags[((a + b - 1) % r, b)])
 
     for a in range(r):
         # the literal r-th power, never read as N_a^(r mod r) = id

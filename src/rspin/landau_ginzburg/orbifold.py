@@ -16,12 +16,11 @@ restriction to the diagonal modulo the Jacobi ideal for untwisted ones.
 Multi-variable Fermat sums are graded tensor products of the one-variable
 data with the usual Koszul signs.
 
-Each orbifold_algebra call computes the per-sector data of a variable
-(v_g and u_g keyed by g mod r, the canonical cocycles, and q0) once, on its
-SectorModel, and fills one product table keyed on (d, weight, g, labels),
-which variables of equal exponent and weight share.  Every distinct product
-is still checked to be a cocycle of the right parity.  Nothing is kept
-from one call to the next.
+Each orbifold_algebra call builds one SectorModel per distinct (exponent,
+weight); variables that agree in both share it.  A model computes its
+sector data (v_g, u_g, q0 and the canonical cocycles) when it is built and
+memoises its own products, each of which is checked to be a cocycle of the
+right parity.  Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -34,12 +33,14 @@ from ..superlinalg import (
     SuperMap,
     SuperSpace,
     UNIT_SPACE,
+    compose,
     pair_index,
     tensor_space,
 )
 from ..constructors import (
     AlgebraAutomorphism,
     FrobeniusAlgebraData,
+    copairing_from,
     graded_center,
     nakayama_gamma,
 )
@@ -72,7 +73,13 @@ def _fermat_exponents(w):
 
 
 class SectorModel:
-    """One Fermat variable x^d with the weight-w action of Z_r."""
+    """One Fermat variable x^d with the weight-w action of Z_r.
+
+    The constructor computes the sector data once: v_g and u_g for every g,
+    q0, and the canonical cocycle of every basis label.  product memoises
+    its own results, so a model shared by the variables of one (d, weight)
+    computes each product once.
+    """
 
     def __init__(self, var, d, r, weight):
         self.var = var
@@ -83,36 +90,29 @@ class SectorModel:
         self.weight = weight % r
         self.x = Poly.variable(var)
         self.xp = Poly.variable(self.prime)
-        # per-sector data, each computed on first use; orbifold_algebra builds
-        # new models on every call, so no two calls share it
-        self._v = {}
-        self._u = {}
-        self._matrix = {}
-        self._q0 = None
+        num = (self.xp ** d) - (self.x ** d)
+        self.v = [self.xp.scale(self.lam(g)) - self.x for g in range(r)]
+        self.u = [num.divide_exact(v_g) for v_g in self.v]
+        # q0 = (u_0(y, x) - u_0(x', x)) / (y - x') with y the middle variable
+        u_mid = self.u[0].rename({self.prime: self.mid})
+        self.q0 = (u_mid - self.u[0]).divide_exact(Poly.variable(self.mid) - self.xp)
+        # canonical cocycle representatives as 2x2 matrices over (var', var)
+        self.cocycles = {}
+        for g in range(r):
+            for label in self.basis(g):
+                if label[0] == "even":
+                    mono = self.x ** label[1]
+                    zero = Poly.zero(mono.vars)
+                    mat = [[mono, zero], [zero, mono]]
+                else:
+                    cbar = self.u[0].divide_exact(self.v[g])
+                    zero = Poly.zero(cbar.vars)
+                    mat = [[zero, Poly.const(1)], [-cbar, zero]]
+                self.cocycles[(g, label)] = mat
+        self.products = {}
 
     def lam(self, g):
         return Cyc.zeta(self.r, (-self.weight * g) % self.r)
-
-    def v(self, g):
-        g %= self.r
-        if g not in self._v:
-            self._v[g] = self.xp.scale(self.lam(g)) - self.x
-        return self._v[g]
-
-    def u(self, g):
-        g %= self.r
-        if g not in self._u:
-            num = (self.xp ** self.d) - (self.x ** self.d)
-            self._u[g] = num.divide_exact(self.v(g))
-        return self._u[g]
-
-    def q0(self):
-        """(u_0(y, x) - u_0(x', x)) / (y - x') with y the middle variable."""
-        if self._q0 is None:
-            u_mid = self.u(0).rename({self.prime: self.mid})
-            self._q0 = (u_mid - self.u(0)).divide_exact(
-                Poly.variable(self.mid) - self.xp)
-        return self._q0
 
     def untwisted(self, g):
         return self.lam(g) == Cyc.one(self.r)
@@ -126,24 +126,6 @@ class SectorModel:
     def parity(label):
         return 0 if label[0] == "even" else 1
 
-    def matrix(self, g, label):
-        """Canonical cocycle representative as a 2x2 matrix over (var', var).
-
-        The model keeps the matrix and returns it again; callers must not mutate it.
-        """
-        key = (g % self.r, label)
-        if key not in self._matrix:
-            if label[0] == "even":
-                mono = self.x ** label[1]
-                zero = Poly.zero(mono.vars)
-                mat = [[mono, zero], [zero, mono]]
-            else:
-                cbar = self.u(0).divide_exact(self.v(g))
-                zero = Poly.zero(cbar.vars)
-                mat = [[zero, Poly.const(1)], [-cbar, zero]]
-            self._matrix[key] = mat
-        return self._matrix[key]
-
     # -- composition over the middle variable --------------------------------
 
     def product(self, g, lab1, h, lab2):
@@ -152,12 +134,17 @@ class SectorModel:
         The left factor lives on (var', mid), the right one on (mid, var).
         Their composite is applied to the lifts 1 + q0 th1 th2 and th1 + th2
         of the two basis vectors, and pi keeps the 1 and th2 components, so
-        only the first row of the left factor enters.
+        only the first row of the left factor enters.  The result is kept and
+        returned again; callers must not mutate it.
         """
-        P, Q = [e.rename({self.var: self.mid}) for e in self.matrix(g, lab1)[0]]
+        g, h = g % self.r, h % self.r
+        key = (g, lab1, h, lab2)
+        if key in self.products:
+            return self.products[key]
+        P, Q = [e.rename({self.var: self.mid}) for e in self.cocycles[(g, lab1)][0]]
         (P2, Q2), (S2, T2) = [[e.rename({self.prime: self.mid}) for e in row]
-                              for row in self.matrix(h, lab2)]
-        q0 = self.q0()
+                              for row in self.cocycles[(h, lab2)]]
+        q0 = self.q0
         composite = [[P * P2 - Q * Q2 * q0, P * Q2 + Q * P2],
                      [P * S2 + Q * T2 * q0, P * T2 - Q * S2]]
         sub = {self.mid: (self.lam(g), self.prime)}
@@ -165,11 +152,12 @@ class SectorModel:
         s = (g + h) % self.r
         parity = (SectorModel.parity(lab1) + SectorModel.parity(lab2)) % 2
         self._assert_cocycle(raw, s, parity)
-        return self._extract_class(raw, s, parity)
+        self.products[key] = self._extract_class(raw, s, parity)
+        return self.products[key]
 
     def _assert_cocycle(self, mat, s, parity):
         """d_s . mat = (-1)^parity mat . d_0, with d_g = [[0, v_g], [u_g, 0]]."""
-        v_s, u_s, v_0, u_0 = self.v(s), self.u(s), self.v(0), self.u(0)
+        v_s, u_s, v_0, u_0 = self.v[s], self.u[s], self.v[0], self.u[0]
         lhs = [[v_s * mat[1][0], v_s * mat[1][1]],
                [u_s * mat[0][0], u_s * mat[0][1]]]
         rhs = [[mat[0][1] * u_0, mat[0][0] * v_0],
@@ -206,7 +194,7 @@ class SectorModel:
                 return coeffs
             # the odd cohomology of an untwisted sector vanishes; the entries
             # must be syzygy multiples, which exact division certifies
-            mat[0][1].divide_exact(self.v(0))
+            mat[0][1].divide_exact(self.v[0])
             return {}
         if parity == 1:
             value = mat[0][1].constant_term()
@@ -214,7 +202,7 @@ class SectorModel:
                 coeffs[("odd", 0)] = value
             return coeffs
         # the even cohomology of a twisted sector vanishes
-        mat[0][0].divide_exact(self.v(s))
+        mat[0][0].divide_exact(self.v[s])
         return {}
 
 
@@ -226,7 +214,7 @@ class OrbifoldAlgebra:
     action: GroupAction
     basis_labels: list  # (sector, per-variable labels) in matrix order
     counit_scale: Cyc
-    models: list  # one SectorModel per variable, in sorted variable order
+    models: list  # one SectorModel per variable, sorted; shared by equal (d, weight)
 
     @property
     def delta_separable(self):
@@ -251,7 +239,14 @@ def orbifold_algebra(w, action):
     action.check_invariance(w)
     r = action.r
     variables = tuple(sorted(exponents))
-    models = [SectorModel(v, exponents[v], r, action.weight(v)) for v in variables]
+    # the products of one variable depend on its exponent and weight, not on
+    # its name, so variables with equal (d, weight) share one model
+    shared, models = {}, []
+    for v in variables:
+        key = (exponents[v], action.weight(v) % r)
+        if key not in shared:
+            shared[key] = SectorModel(v, key[0], r, key[1])
+        models.append(shared[key])
 
     labels = []
     for g in range(r):
@@ -264,16 +259,6 @@ def orbifold_algebra(w, action):
     index = {lab: k for k, lab in enumerate(labels)}
     space = SuperSpace(parities.count(0), parities.count(1))
 
-    # the products of one variable depend on its exponent and weight, not on
-    # its name, so variables with equal (d, weight) share their entries
-    product_table = {}
-
-    def var_product(model, g, lab1, h, lab2):
-        key = (model.d, model.weight, g, lab1, h, lab2)
-        if key not in product_table:
-            product_table[key] = model.product(g, lab1, h, lab2)
-        return product_table[key]
-
     def multiply(e1, e2):
         g, labs1 = e1
         h, labs2 = e2
@@ -282,7 +267,7 @@ def orbifold_algebra(w, action):
             for j in range(i):
                 if SectorModel.parity(labs1[i]) and SectorModel.parity(labs2[j]):
                     sign = -sign
-        results = [var_product(m, g, l1, h, l2) for m, l1, l2 in zip(models, labs1, labs2)]
+        results = [m.product(g, l1, h, l2) for m, l1, l2 in zip(models, labs1, labs2)]
         out = {}
         for combo in itertools.product(*[list(res.items()) for res in results]):
             coeff = Cyc.rational(sign)
@@ -315,16 +300,14 @@ def orbifold_algebra(w, action):
                   if g == 0 and all(socle(l, m) for l, m in zip(labs, models))}
     counit = SuperMap(space, UNIT_SPACE, 0, None, None, (), entries=[counit_row])
 
-    algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit)
-    scale = Cyc.one()
-    if not algebra.delta_separable:
-        # the unit is the single basis vector 1_0, so the handle element is a
-        # multiple of it exactly when it equals its own entry there times the unit
-        z = algebra.handle_element()
-        ratio = z.entries[index[unit_label]].get(0)
-        if ratio and z == unit.scale(ratio):
-            algebra = algebra.rescaled(ratio)
-            scale = ratio
+    # the unit is the single basis vector 1_0, so the handle element
+    # z = mu o Delta o eta is a multiple of it exactly when it equals its own
+    # entry there times the unit; then the counit s . eps makes mu o Delta = id
+    z = compose(mult, copairing_from(compose(counit, mult), space))
+    scale = z.entries[index[unit_label]].get(0)
+    if not scale or z != unit.scale(scale):
+        scale = Cyc.one()
+    algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit.scale(scale))
 
     total_weight = sum(action.weight(v) for v in variables) % r
     gamma = AlgebraAutomorphism(SuperMap(space, space, 0, entries=[
@@ -335,9 +318,6 @@ def orbifold_algebra(w, action):
         raise OrbifoldError(
             "pairing zig-zag disagrees with the det(g)^{-1} Nakayama weights; "
             "convention bug")
-    powers = gamma.powers(r)
-    if powers is None or r % len(powers):
-        raise OrbifoldError("gamma^r != id")
 
     return OrbifoldAlgebra(algebra, gamma, w, action, labels, scale, models)
 
@@ -391,9 +371,6 @@ def circle_spaces(orb):
             else:
                 odd += 1
         spaces[a] = SuperSpace(even, odd)
-    total = sum(s.dim for s in spaces.values())
-    if total != orb.algebra.dim:
-        raise OrbifoldError("projector images do not decompose the identity")
     qdims = {a: spaces[a].even - spaces[a].odd for a in range(r)}
     torus = {d: qdims[d % r] for d in divisors(r)}
     if orb.delta_separable:

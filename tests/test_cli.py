@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 from click.testing import CliRunner
@@ -270,3 +272,26 @@ def test_frobenius_file_missing_keys_exit_2_without_traceback(runner, tmp_path, 
     assert result.exit_code == 2, (result.output, result.exception)
     assert "Traceback" not in result.output
     assert "frobenius_algebra data lacks even_dim, counit" in result.output
+
+
+@pytest.mark.parametrize("command", [["check"], ["torus", "--all-divisors"]])
+def test_deeply_nested_file_exit_2_without_traceback(runner, tmp_path, command):
+    # json.dumps cannot build input this deep, so the text is written directly
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    result = runner.invoke(main, command + ["--file", str(path), "r=2"])
+    assert result.exit_code == 2, (result.output[-300:], result.exception)
+    assert "Traceback" not in result.output
+    assert "input file nests JSON arrays or objects too deeply" in result.output
+
+
+def test_readme_cli_commands_run(runner):
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("rspin ") and "my_algebra.json" not in line]
+    assert commands
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output[-300:], result.exception)
+        assert "Traceback" not in result.output, args

@@ -167,15 +167,16 @@ def test_sector_basis_matches_hom_cohomology(r):
         assert hom_cohomology(one, twisted_identity(w, action, g)).dims == counts, g
 
 
-@pytest.mark.parametrize("dx, dy, r, wx, wy", [
-    (2, 4, 4, 2, 1),
-    (3, 3, 3, 1, 1),  # x and y share the product table
-])
-def test_product_table_matches_fresh_models(dx, dy, r, wx, wy):
+@pytest.mark.parametrize("dx, dy, r, wx, wy, shared", [
+    (2, 4, 4, 2, 1, False),
+    (3, 3, 3, 1, 1, True),  # x and y share one model
+], ids=["2-4-4-2-1", "3-3-3-1-1"])
+def test_product_table_matches_fresh_models(dx, dy, r, wx, wy, shared):
     w = parse_poly("x^%d + y^%d" % (dx, dy))
     action = GroupAction(r, (("x", wx), ("y", wy)))
     exponents = {"x": dx, "y": dy}
     orb = orbifold_algebra(w, action)
+    assert (orb.models[0] is orb.models[1]) == shared
     space = orb.algebra.space
     index = {lab: k for k, lab in enumerate(orb.basis_labels)}
     pair_pos = {t: k for k, t in enumerate(graded_tuples([space, space]))}
@@ -210,8 +211,16 @@ def test_nothing_cached_between_calls(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-@pytest.mark.parametrize("potential, weights", [("x^2", (1,)), ("x^2+y^2", (1, 1))])
-def test_rescaled_counit_matches_fresh_assembly(monkeypatch, potential, weights):
+@pytest.mark.parametrize("r, potential, weights, scale, separable", [
+    (2, "x^2", (1,), 2, True),
+    (2, "x^2+y^2", (1, 1), 2, True),
+    (3, "x^3", (1,), 1, False),
+    (3, "x^3+y^3", (1, 1), 1, False),
+    (2, "x^2+y^2+z^2", (1, 1, 1), 2, True),
+], ids=["x^2-weights0", "x^2+y^2-weights1", "x^3-weights2", "x^3+y^3-weights3",
+        "x^2+y^2+z^2-weights4"])
+def test_rescaled_counit_matches_fresh_assembly(monkeypatch, r, potential, weights, scale,
+                                                separable):
     assemble = FrobeniusAlgebraData.assemble
     calls = []
 
@@ -220,9 +229,9 @@ def test_rescaled_counit_matches_fresh_assembly(monkeypatch, potential, weights)
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(FrobeniusAlgebraData, "assemble", staticmethod(counted))
-    action = GroupAction(2, tuple(zip("xy", weights)))
+    action = GroupAction(r, tuple(zip("xyz", weights)))
     orb = orbifold_algebra(parse_poly(potential), action)
-    assert orb.counit_scale == 2 and orb.delta_separable
+    assert orb.counit_scale == scale and orb.delta_separable == separable
     assert len(calls) == 1
     alg = orb.algebra
     fresh = assemble(alg.space, alg.mult, alg.unit, alg.counit)
