@@ -33,7 +33,8 @@ class LambdaFrobeniusError(ValueError):
 
 @dataclass
 class LambdaFrobenius:
-    """The tuple ({C_a}, mu_{a,b}, eta, Delta_{a,b}, eps), indices mod r."""
+    """The tuple ({C_a}, mu_{a,b}, eta, Delta_{a,b}, eps), keyed by indices in 0..r-1;
+    the accessors read any index mod r."""
 
     r: int
     spaces: dict
@@ -41,15 +42,17 @@ class LambdaFrobenius:
     delta: dict
     eta: SuperMap
     eps: SuperMap
-    _nakayama_powers: dict = field(default_factory=dict, repr=False)
+    # a cache of the literal powers of each N_a, not part of the value
+    _nakayama_powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         r = self.r
         if r < 1:
             raise LambdaFrobeniusError("r must be a positive integer")
-        self.spaces = {a % r: s for a, s in self.spaces.items()}
-        self.mu = {(a % r, b % r): m for (a, b), m in self.mu.items()}
-        self.delta = {(a % r, b % r): m for (a, b), m in self.delta.items()}
+        keys = [(a,) for a in self.spaces] + list(self.mu) + list(self.delta)
+        outside = [key for key in keys if not all(i in range(r) for i in key)]
+        if outside:
+            raise LambdaFrobeniusError("index %r lies outside 0..%d" % (outside[0], r - 1))
         for a in range(r):
             if a not in self.spaces:
                 raise LambdaFrobeniusError("missing circle space C_%d" % a)
@@ -147,8 +150,8 @@ class LambdaFrobenius:
         read_keys(data, "lambda_frobenius", ("r", "spaces", "mu", "delta", "eta", "eps"))
         r = read_int(data["r"], "r", 1)
         order = read_int(data.get("scalar_order", 1), "scalar_order", 1)
-        spaces = {read_index(key, "spaces", "[0-9]+")[0] % r: read_space(dims)
-                  for key, dims in read_table(data, "spaces").items()}
+        spaces = {a: read_space(dims)
+                  for (a,), _, dims in read_indexed(data, "spaces", "[0-9]+", r)}
 
         def space(a):
             if a % r not in spaces:
@@ -156,12 +159,10 @@ class LambdaFrobenius:
             return spaces[a % r]
 
         mu, delta = {}, {}
-        for key, rows in read_table(data, "mu").items():
-            a, b = read_index(key, "mu", "[0-9]+,[0-9]+")
+        for (a, b), key, rows in read_indexed(data, "mu", "[0-9]+,[0-9]+", r):
             mu[(a, b)] = read_map(rows, "mu " + key, order, (space(a), space(b)),
                                   (space(a + b - 1),))
-        for key, rows in read_table(data, "delta").items():
-            a, b = read_index(key, "delta", "[0-9]+,[0-9]+")
+        for (a, b), key, rows in read_indexed(data, "delta", "[0-9]+,[0-9]+", r):
             delta[(a, b)] = read_map(rows, "delta " + key, order, (space(a + b + 1),),
                                      (space(a), space(b)))
         eta = read_map(data["eta"], "eta", order, (), (space(1),))
@@ -195,12 +196,21 @@ def read_int(value, name, least):
     return value
 
 
-def read_index(key, table, pattern):
-    """The integers of a key of table, which must match pattern: ASCII digits,
-    "[0-9]+" for one index and "[0-9]+,[0-9]+" for a pair."""
-    if re.fullmatch(pattern, key) is None:
-        raise AlgebraFileError("%s key %r must match %s" % (table, key, pattern))
-    return [int(x) for x in key.split(",")]
+def read_indexed(data, table, pattern, r):
+    """(index, key, value) per key of a table.  A key is ASCII digits matching
+    pattern, "[0-9]+" for one index and "[0-9]+,[0-9]+" for a pair, and names
+    indices in 0..r-1 that no other key of the table names."""
+    seen = set()
+    for key, value in read_table(data, table).items():
+        if re.fullmatch(pattern, key) is None:
+            raise AlgebraFileError("%s key %r must match %s" % (table, key, pattern))
+        index = tuple(int(x) for x in key.split(","))
+        if max(index) >= r:
+            raise AlgebraFileError("%s key %r has an index outside 0..%d" % (table, key, r - 1))
+        if index in seen:
+            raise AlgebraFileError("%s key %r repeats the index of another key" % (table, key))
+        seen.add(index)
+        yield index, key, value
 
 
 def read_space(dims):
@@ -272,13 +282,10 @@ def _entry(report, family, indices, lhs, rhs):
     report.append(ReportEntry(family, indices, lhs == rhs))
 
 
-def validate(alg):
-    """Check all six relation families of the structure, exactly.
-
-    Families: (co)associativity, (co)unitality, Frobenius, twisted
-    commutativity, twist relations, and the deck transformation relation
-    N_a^r = 1.  Iteration order is fixed, so the report is deterministic.
-    """
+def frobenius_entries(alg):
+    """The entries of the untwisted families, (co)associativity, (co)unitality
+    and Frobenius, over every index tuple.  At r = 1, where C_{-1} = C_0 = C_1,
+    they are exactly the axioms of a Frobenius algebra."""
     r = alg.r
     entries = []
     ids = {a: identity(alg.space(a)) for a in range(r)}
@@ -318,6 +325,20 @@ def validate(alg):
                               (), alg.mu_map(a, c - a + 1), side[d], g_first=True)
                 _entry(entries, "frobenius", (a, b, c, "left"), lhs, middle)
                 _entry(entries, "frobenius", (a, b, c, "right"), rhs, middle)
+    return entries
+
+
+def validate(alg):
+    """Check all six relation families of the structure, exactly.
+
+    Families: (co)associativity, (co)unitality, Frobenius, twisted
+    commutativity, twist relations, and the deck transformation relation
+    N_a^r = 1.  Iteration order is fixed, so the report is deterministic.
+    """
+    r = alg.r
+    entries = frobenius_entries(alg)
+    ids = {a: identity(alg.space(a)) for a in range(r)}
+    side = {a: (alg.space(a),) for a in range(r)}
 
     for a in range(r):
         for b in range(r):

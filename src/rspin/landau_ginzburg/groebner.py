@@ -2,8 +2,8 @@
 
 Reduced Groebner bases in graded-reverse-lexicographic order, with the
 coprime-leading-term criterion; deterministic given the canonical variable
-order.  JacobiAlgebra carries the staircase monomial basis and a normal
-form multiplication table.
+order.  JacobiAlgebra carries the staircase monomial basis and reduces
+polynomials to normal form.
 """
 
 from __future__ import annotations
@@ -136,33 +136,17 @@ def staircase(basis, variables):
 
 
 class JacobiAlgebra:
-    """k[x1..xn]/(dW/dx1, ..., dW/dxn) with staircase basis and product table."""
+    """k[x1..xn]/(dW/dx1, ..., dW/dxn) with its staircase monomial basis."""
 
     def __init__(self, potential):
-        self.potential = potential
         self.vars = potential.vars
         gens = [potential.derivative(v) for v in self.vars]
         self.groebner_basis = groebner(gens)
         self.monomial_basis = staircase(self.groebner_basis, self.vars)
         self.dimension = len(self.monomial_basis)
-        self._index = {e: k for k, e in enumerate(self.monomial_basis)}
-        self.mult_table = {}
-        for i, e1 in enumerate(self.monomial_basis):
-            for j, e2 in enumerate(self.monomial_basis):
-                prod = Poly(self.vars, {tuple(a + b for a, b in zip(e1, e2)): Cyc.one()})
-                self.mult_table[(i, j)] = self.reduce_to_coeffs(prod)
 
     def normal_form(self, p):
         return normal_form(p.align(self.vars), self.groebner_basis)
-
-    def reduce_to_coeffs(self, p):
-        nf = self.normal_form(p)
-        coeffs = [Cyc.zero()] * self.dimension
-        for exp, coeff in nf.terms.items():
-            if exp not in self._index:
-                raise GroebnerError("normal form has a monomial outside the staircase")
-            coeffs[self._index[exp]] = coeff
-        return coeffs
 
 
 def jacobi(potential):

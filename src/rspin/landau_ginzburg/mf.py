@@ -293,7 +293,7 @@ def _monomials_of_degree(nvars, degree):
             yield (e,) + rest
 
 
-def hom_cohomology(x, y, nmax=None):
+def hom_cohomology(x, y):
     """Cohomology of delta(zeta) = d_Y zeta - (-1)^{|zeta|} zeta d_X.
 
     Kernel elements are polynomial matrices of entry degree <= D that are
@@ -312,8 +312,7 @@ def hom_cohomology(x, y, nmax=None):
     if sorted(x.target_vars) != sorted(y.target_vars) or \
             x.target_potential != y.target_potential:
         raise MFError("target potentials differ")
-    if nmax is None:
-        nmax = int(os.environ.get("RSPIN_HOM_NMAX", DEFAULT_NMAX))
+    nmax = int(os.environ.get("RSPIN_HOM_NMAX", DEFAULT_NMAX))
     variables = tuple(sorted(set(x.ring_vars) | set(y.ring_vars)))
     nx, ny = len(x.parities), len(y.parities)
     maxdeg = max([e.degree() for row in x.d for e in row if e] +

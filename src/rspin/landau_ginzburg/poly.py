@@ -44,14 +44,8 @@ class Poly:
         return Poly(variables, {(0,) * len(variables): as_cyc(value)})
 
     @staticmethod
-    def variable(name, variables=None):
-        if variables is None:
-            variables = (name,)
-        variables = tuple(variables)
-        exp = tuple(1 if v == name else 0 for v in variables)
-        if name not in variables:
-            raise PolyError("variable %r not among %r" % (name, variables))
-        return Poly(variables, {exp: Cyc.one()})
+    def variable(name):
+        return Poly((name,), {(1,): Cyc.one()})
 
     def align(self, variables):
         variables = tuple(variables)
@@ -96,9 +90,6 @@ class Poly:
             other = Poly.const(other, self.vars)
         a, b, _ = Poly._aligned(self, other)
         return a.terms == b.terms
-
-    def __hash__(self):
-        raise TypeError("Poly is not hashable")
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -310,10 +301,7 @@ def format_poly(p):
 
 # -- parsing: `x^3 + y^3`, `2*x^2*y - 1/3`; every name is a variable ----------
 
-def parse_poly(text, order=1, variables=None):
-    """Parse a polynomial; variables are inferred and sorted unless given."""
-    p = parse_expression(text, "polynomial", PolyError,
-                         lambda n: Poly.const(Cyc.rational(n, order)), Poly.variable)
-    if variables is not None:
-        p = p.align(tuple(sorted(set(variables) | set(p.vars))))
-    return p
+def parse_poly(text):
+    """Parse a polynomial with rational coefficients; its variables are sorted."""
+    return parse_expression(text, "polynomial", PolyError,
+                            lambda n: Poly.const(Cyc.rational(n)), Poly.variable)

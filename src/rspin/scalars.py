@@ -326,10 +326,10 @@ def _int_poly_mul(a, b):
     return out
 
 
-def as_cyc(value, order=1):
+def as_cyc(value):
     if isinstance(value, Cyc):
         return value
-    return Cyc.rational(value, order)
+    return Cyc.rational(value)
 
 
 # -- textual expressions: `3/2`, `1 - 2*z^3`, `x^3 + y^3`, `(1 + z)^2` -------

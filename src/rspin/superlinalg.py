@@ -181,23 +181,14 @@ class SuperMap:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def zero(source, target, parity=0, source_factors=None, target_factors=None):
-        return SuperMap(source, target, parity, None, source_factors, target_factors,
-                        entries=[{} for _ in range(target.dim)])
+    def zero(source, target):
+        return SuperMap(source, target, 0, entries=[{} for _ in range(target.dim)])
 
     @staticmethod
     def from_scalar(value):
         return SuperMap(UNIT_SPACE, UNIT_SPACE, 0, [[as_cyc(value)]])
 
     # -- algebra -------------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, SuperMap):
-            return compose(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
 
     def scale(self, scalar):
         scalar = as_cyc(scalar)
@@ -231,12 +222,6 @@ class SuperMap:
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __matmul__(self, other):
-        return tensor(self, other)
 
     def __pow__(self, k):
         if self.source.dim != self.target.dim:

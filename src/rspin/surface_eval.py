@@ -66,26 +66,17 @@ def evaluate_torus(alg, t):
     return zig.scalar
 
 
-def handle_operator(alg, c, a, b, split_shift=0):
-    """K_{a,b}: C_c -> C_{c-2}; split_shift moves the free splitting index.
-
-    The canonical splitting is (a, c-a-1); the invariant is independent of
-    the choice, which the shifted variant exercises by braiding the
-    insertion onto the second leg: mu_{c-a-1,a} o (id o N_a^{1-b}) o
-    Delta_{c-a-1,a}.
-    """
+def handle_operator(alg, c, a, b):
+    """K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1}: C_c -> C_{c-2}."""
     r = alg.r
     a %= r
     other = (c - a - 1) % r
     n = alg.nakayama_power(a, 1 - b)
-    if split_shift == 0:
-        return compose(whisker(alg.mu_map(a, other), (), n, (alg.space(other),)),
-                       alg.delta_map(a, other))
-    return compose(whisker(alg.mu_map(other, a), (alg.space(other),), n, ()),
-                   alg.delta_map(other, a))
+    return compose(whisker(alg.mu_map(a, other), (), n, (alg.space(other),)),
+                   alg.delta_map(a, other))
 
 
-def evaluate_surface(alg, s, split_shift=0):
+def evaluate_surface(alg, s):
     """eps o K_{a_g,b_g} o ... o K_{a_1,b_1} o eta, checked for admissibility."""
     if alg.r != s.r:
         raise SurfaceError("algebra has r=%d but surface has r=%d" % (alg.r, s.r))
@@ -95,7 +86,7 @@ def evaluate_surface(alg, s, split_shift=0):
     current = alg.eta
     c = 1
     for a, b in s.handles:
-        current = compose(handle_operator(alg, c, a, b, split_shift), current)
+        current = compose(handle_operator(alg, c, a, b), current)
         c = (c - 2) % alg.r
     if c != (-1) % alg.r:
         raise SurfaceError("grading thread ended at C_%d instead of C_{-1}" % c)

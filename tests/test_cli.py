@@ -191,12 +191,16 @@ def _frobenius_file(name, **changes):
     (_frobenius_file("clifford1", unit="10"), ["r=2"],
      "unit must be a list of rows of scalar strings"),
     (_frobenius_file("group_algebra_Zn", counit=[["1", "0"]]), ["r=2"], "Delta-separable"),
+    # 1 * theta = 2 theta, so (1 * 1) * theta != 1 * (1 * theta)
+    (_frobenius_file("clifford1", mult=[["1", "1", "0", "0"], ["0", "0", "2", "1"]]), ["r=2"],
+     "the associativity axiom fails"),
     (_renamed_key("mu", "0,0", "٠,٠"), [], "mu key '٠,٠' must match [0-9]+,[0-9]+"),
     (_renamed_key("spaces", "0", "٠"), [], "spaces key '٠' must match [0-9]+"),
     (_renamed_key("mu", "0,0", "0"), [], "mu key '0' must match [0-9]+,[0-9]+"),
 ], ids=["top_level_list", "no_spaces_key", "scalar_1_over_0", "number_entry",
         "frobenius_number_entry", "space_not_a_pair", "r_without_spaces", "r_0", "r_not_integer",
         "string_as_rows", "frobenius_string_as_rows", "frobenius_not_separable",
+        "frobenius_not_associative",
         "non_ascii_pair_key", "non_ascii_index_key", "pair_key_without_comma"])
 def test_bad_file_exit_2_without_traceback(runner, tmp_path, corrupt, args, message):
     data = graded_center(builtin("group_algebra_Zn", n=2), 1).to_dict()
@@ -206,6 +210,38 @@ def test_bad_file_exit_2_without_traceback(runner, tmp_path, corrupt, args, mess
     assert result.exit_code == 2, (result.output, result.exception)
     assert "Traceback" not in result.output
     assert message in result.output
+
+
+def _zero_mu_at_2_0(first):
+    """A zero mu matrix under the key "2,0", which lies outside 0..r-1 for r = 2,
+    placed before or after "0,0"; read mod r it would alias (0, 0)."""
+    def corrupt(data):
+        zero = [["0"] * len(row) for row in data["mu"]["0,0"]]
+        extra = {"2,0": zero}
+        data["mu"] = {**extra, **data["mu"]} if first else {**data["mu"], **extra}
+        return data
+    return corrupt
+
+
+def _spaces_with_00(data):
+    data["spaces"]["00"] = data["spaces"]["0"]
+    return data
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_zero_mu_at_2_0(True), "mu key '2,0' has an index outside 0..1"),
+    (_zero_mu_at_2_0(False), "mu key '2,0' has an index outside 0..1"),
+    (_spaces_with_00, "spaces key '00' repeats the index of another key"),
+], ids=["outside_key_first", "outside_key_last", "leading_zero_alias"])
+def test_aliasing_file_keys_exit_2_with_one_error_line(runner, tmp_path, corrupt, message):
+    data = graded_center(builtin("group_algebra_Zn", n=2), 2).to_dict()
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(corrupt(data)))
+    result = runner.invoke(main, ["check", "--file", str(path)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
+        ["Error: " + message], result.output
 
 
 @pytest.mark.parametrize("args", [

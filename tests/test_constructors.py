@@ -9,6 +9,7 @@ from rspin.constructors import (
     GammaOrderError,
     builtin,
     center_basis,
+    copairing_from,
     graded_center,
     graded_center_data,
     nakayama_gamma,
@@ -21,6 +22,7 @@ from rspin.superlinalg import (
     UNIT_SPACE,
     compose,
     identity,
+    tensor,
     tensor_space,
 )
 
@@ -183,3 +185,76 @@ def test_graded_center_splits_one_projector_per_power_of_gamma(monkeypatch):
         assert validate(data.algebra).ok, name
         for a in range(r):
             assert data.algebra.nakayama(a) == data.gamma_restriction(a), (name, a)
+
+
+def reference_rejects(space, mult, unit, counit):
+    """The axiom checks of a Frobenius algebra one by one with compose and tensor,
+    in the order assemble once made them, with the cross-check that the two
+    comultiplications built from the copairing agree."""
+    one = identity(space)
+    if compose(mult, tensor(mult, one)) != compose(mult, tensor(one, mult)):
+        return True
+    if compose(mult, tensor(unit, one)) != one or compose(mult, tensor(one, unit)) != one:
+        return True
+    try:
+        copairing = copairing_from(compose(counit, mult), space)
+    except DegeneratePairingError:
+        return True
+    comult = compose(tensor(mult, one), tensor(one, copairing))
+    if comult != compose(tensor(one, mult), tensor(copairing, one)):
+        return True
+    if compose(tensor(counit, one), comult) != one or \
+            compose(tensor(one, counit), comult) != one:
+        return True
+    middle = compose(comult, mult)
+    return compose(tensor(mult, one), tensor(one, comult)) != middle or \
+        compose(tensor(one, mult), tensor(comult, one)) != middle
+
+
+def with_entries(m, change):
+    """A copy of m whose entries list is passed through change."""
+    entries = change([dict(stored) for stored in m.entries])
+    return SuperMap(m.source, m.target, m.parity, None, m.source_factors, m.target_factors,
+                    entries=[{j: x for j, x in stored.items() if x} for stored in entries])
+
+
+def assemble_inputs():
+    """Each built-in, and copies with one mult entry bumped by 1, the unit moved to
+    another even basis vector, one counit entry zeroed, or the counit scaled by 3."""
+    for name, n in (("trivial", 1), ("group_algebra_Zn", 2), ("group_algebra_Zn", 3),
+                    ("clifford1", 1), ("matrix_algebra_n", 2)):
+        a = builtin(name, n=n)
+        yield name, a.mult, a.unit, a.counit
+        for i, stored in enumerate(a.mult.entries):
+            for j in stored:
+                def bump(entries, i=i, j=j):
+                    entries[i][j] = entries[i][j] + 1
+                    return entries
+                yield name, with_entries(a.mult, bump), a.unit, a.counit
+        for k in range(a.space.even):
+            if a.unit.entries[k] != {0: Cyc.one()}:
+                moved = [{0: Cyc.one()} if i == k else {} for i in range(a.space.dim)]
+                yield name, a.mult, SuperMap(a.unit.source, a.unit.target, 0, None,
+                                             a.unit.source_factors, a.unit.target_factors,
+                                             entries=moved), a.counit
+        for j in a.counit.entries[0]:
+            def zeroed(entries, j=j):
+                del entries[0][j]
+                return entries
+            yield name, a.mult, a.unit, with_entries(a.counit, zeroed)
+        yield name, a.mult, a.unit, a.counit.scale(3)
+
+
+def test_assemble_rejects_exactly_what_the_reference_rejects():
+    outcomes = []
+    for name, mult, unit, counit in assemble_inputs():
+        space = mult.target
+        try:
+            FrobeniusAlgebraData.assemble(space, mult, unit, counit)
+            rejected = False
+        except FrobeniusError:
+            rejected = True
+        assert rejected == reference_rejects(space, mult, unit, counit), name
+        outcomes.append(rejected)
+    # both verdicts occur: the built-ins and their scaled counits pass
+    assert True in outcomes and False in outcomes

@@ -48,6 +48,26 @@ def test_missing_data_rejected():
                         eta=alg.eta, eps=alg.eps)
 
 
+def test_keys_outside_0_to_r_minus_1_rejected():
+    alg = trivial_lambda(2)
+    for mu, spaces in (({**alg.mu, (2, 0): alg.mu[(0, 0)]}, alg.spaces),
+                       (alg.mu, {**alg.spaces, -1: alg.space(1)})):
+        with pytest.raises(LambdaFrobeniusError, match="outside 0..1"):
+            LambdaFrobenius(r=2, spaces=spaces, mu=mu, delta=alg.delta,
+                            eta=alg.eta, eps=alg.eps)
+
+
+def test_nakayama_cache_is_not_part_of_the_value():
+    alg = graded_center(builtin("clifford1"), 2)
+    copy = LambdaFrobenius.from_dict(alg.to_dict())
+    assert alg == copy
+    alg.nakayama(0)
+    assert alg == copy and copy == alg
+    with pytest.raises(TypeError):
+        LambdaFrobenius(r=alg.r, spaces=alg.spaces, mu=alg.mu, delta=alg.delta,
+                        eta=alg.eta, eps=alg.eps, _nakayama_powers={})
+
+
 def test_graded_center_of_kz2_validates():
     center = graded_center(builtin("group_algebra_Zn", n=2), 1)
     assert center.space(0).dim == 2

@@ -158,10 +158,11 @@ def test_tensor_with_identity_preserves_hom_dims():
     assert out_of.dims == (base.dims[1], base.dims[0])
 
 
-def test_inconclusive_raises():
+def test_inconclusive_raises(monkeypatch):
+    monkeypatch.setenv("RSPIN_HOM_NMAX", "1")
     mf = identity_mf(p("x^4"))
     with pytest.raises(InconclusiveCohomology):
-        hom_cohomology(mf, mf, nmax=1)
+        hom_cohomology(mf, mf)
 
 
 def test_nmax_environment_ceiling(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from rspin.constructors import builtin, graded_center
 from rspin.lambda_frobenius import validate
 from rspin.scalars import Cyc
-from rspin.superlinalg import graded_tuples, quantum_dimension
+from rspin.superlinalg import compose, graded_tuples, identity, quantum_dimension, tensor
 from rspin.surface_eval import (
     RSpinClosedSurface,
     RSpinTorus,
@@ -209,8 +209,24 @@ def test_handles_commute():
         assert evaluate_surface(alg, RSpinClosedSurface(2, 3, perm)) == base
 
 
+def shifted_surface_oracle(alg, s):
+    """Z(s) through the other splitting of every handle, built here with
+    compose and tensor: mu_{c-a-1,a} o (id o N_a^{1-b}) o Delta_{c-a-1,a}."""
+    r = alg.r
+    current, c = alg.eta, 1
+    for a, b in s.handles:
+        other = (c - a - 1) % r
+        insertion = tensor(identity(alg.space(other)), alg.nakayama(a) ** ((1 - b) % r))
+        handle = compose(alg.mu_map(other, a), compose(insertion, alg.delta_map(other, a)))
+        current = compose(handle, current)
+        c = (c - 2) % r
+    return compose(alg.eps, current).scalar
+
+
 def test_split_shift_independence():
-    alg = graded_center(builtin("clifford1"), 2)
-    for hol in itertools.product(range(2), repeat=4):
-        surf = RSpinClosedSurface(2, 2, ((hol[0], hol[1]), (hol[2], hol[3])))
-        assert evaluate_surface(alg, surf) == evaluate_surface(alg, surf, split_shift=1)
+    for name, r in (("clifford1", 2), ("clifford1", 4), ("group_algebra_Zn", 2)):
+        alg = graded_center(builtin(name), r)
+        genus = 1 + r // 2
+        for hol in itertools.product(range(r), repeat=2 * genus):
+            surf = RSpinClosedSurface(r, genus, tuple(zip(hol[::2], hol[1::2])))
+            assert evaluate_surface(alg, surf) == shifted_surface_oracle(alg, surf)
