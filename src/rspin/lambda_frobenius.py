@@ -42,8 +42,11 @@ class LambdaFrobenius:
     delta: dict
     eta: SuperMap
     eps: SuperMap
-    # a cache of the literal powers of each N_a, not part of the value
+    # derived structure, filled on first use: the literal powers of each N_a and
+    # each handle operator K_{c,a,b} (surface_eval).  Not part of the value, and
+    # never reassigned after construction.
     _nakayama_powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _handle_operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         r = self.r

@@ -156,15 +156,19 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise PolyError("negative exponents are not polynomial")
-        # square and multiply: about 2 log2(k) products, not k
-        result, square = Poly.const(1, self.vars), self
-        while k:
-            if k & 1:
-                result = result * square
-            k >>= 1
-            if k:
-                square = square * square
-        return result
+        # Walk the binary prefixes of k, holding power = self^j.  Squaring costs
+        # |power|^2 term products; the j products by self that it would replace
+        # cost at least j |power| |self|.  So square while power has at most
+        # j |self| terms (sparse bases, monomials), and otherwise multiply by self.
+        if k == 0:
+            return Poly.const(1, self.vars)
+        power, j = self, 1
+        for shift in range(k.bit_length() - 2, -1, -1):
+            if len(power.terms) <= j * len(self.terms):
+                power, j = power * power, 2 * j
+            while j < k >> shift:
+                power, j = power * self, j + 1
+        return power
 
     # -- calculus and substitution ----------------------------------------------
 

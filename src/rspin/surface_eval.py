@@ -3,7 +3,9 @@
 Tori are evaluated through the pairing/copairing zig-zag with a Nakayama
 insertion; higher genus uses the handle decomposition, one handle operator
 K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1} per handle,
-threading the intermediate grading c = 1 - 2k mod r.
+threading the intermediate grading c = 1 - 2k mod r.  An algebra has at
+most r^3 distinct handle operators K_{c,a,b}; each is built once and kept
+with the algebra, as the powers of N_a are.
 """
 
 from __future__ import annotations
@@ -67,13 +69,17 @@ def evaluate_torus(alg, t):
 
 
 def handle_operator(alg, c, a, b):
-    """K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1}: C_c -> C_{c-2}."""
+    """K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1}: C_c -> C_{c-2},
+    built once per (c, a, b) mod r and kept with the algebra."""
     r = alg.r
-    a %= r
-    other = (c - a - 1) % r
-    n = alg.nakayama_power(a, 1 - b)
-    return compose(whisker(alg.mu_map(a, other), (), n, (alg.space(other),)),
-                   alg.delta_map(a, other))
+    key = (c % r, a % r, b % r)
+    k = alg._handle_operators.get(key)
+    if k is None:
+        other = (c - a - 1) % r
+        n = alg.nakayama_power(a, 1 - b)
+        k = alg._handle_operators[key] = compose(
+            whisker(alg.mu_map(a, other), (), n, (alg.space(other),)), alg.delta_map(a, other))
+    return k
 
 
 def evaluate_surface(alg, s):

@@ -20,7 +20,6 @@ from rspin.superlinalg import SuperMap, SuperSpace, identity, quantum_dimension
 from rspin.surface_eval import (
     RSpinClosedSurface,
     RSpinTorus,
-    all_torus_invariants,
     divisors,
     evaluate_surface,
     evaluate_torus,

@@ -16,6 +16,7 @@ from rspin.superlinalg import (
     tensor,
     tensor_space,
 )
+from rspin.surface_eval import RSpinClosedSurface, evaluate_surface
 
 
 def trivial_lambda(r=1):
@@ -58,14 +59,20 @@ def test_keys_outside_0_to_r_minus_1_rejected():
 
 
 def test_nakayama_cache_is_not_part_of_the_value():
+    """Neither the Nakayama powers nor the handle operators are part of the value."""
     alg = graded_center(builtin("clifford1"), 2)
     copy = LambdaFrobenius.from_dict(alg.to_dict())
     assert alg == copy
     alg.nakayama(0)
     assert alg == copy and copy == alg
-    with pytest.raises(TypeError):
-        LambdaFrobenius(r=alg.r, spaces=alg.spaces, mu=alg.mu, delta=alg.delta,
-                        eta=alg.eta, eps=alg.eps, _nakayama_powers={})
+    evaluate_surface(alg, RSpinClosedSurface(2, 2, ((0, 1), (1, 1))))
+    assert alg._handle_operators
+    assert alg == copy and copy == alg
+    assert alg == LambdaFrobenius.from_dict(alg.to_dict())
+    for cache in ("_nakayama_powers", "_handle_operators"):
+        with pytest.raises(TypeError):
+            LambdaFrobenius(r=alg.r, spaces=alg.spaces, mu=alg.mu, delta=alg.delta,
+                            eta=alg.eta, eps=alg.eps, **{cache: {}})
 
 
 def test_graded_center_of_kz2_validates():
@@ -75,9 +82,6 @@ def test_graded_center_of_kz2_validates():
     assert report.ok, report.summary()
     # nondegenerate pairing: the 1x(dim^2) pairing matrix has full rank
     p = center.pairing(0)
-    from rspin.superlinalg import image_basis
-
-    bilinear = [[p.rows[0][k] for k in range(p.source.dim)]]
     # reshape to dim x dim
     dim = center.space(0).dim
     pos = {t: k for k, t in enumerate(graded_tuples([center.space(0), center.space(0)]))}

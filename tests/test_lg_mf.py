@@ -4,7 +4,6 @@ from rspin.landau_ginzburg.mf import (
     GroupAction,
     InconclusiveCohomology,
     MFError,
-    MatrixFactorization,
     difference_quotient,
     hom_cohomology,
     identity_mf,

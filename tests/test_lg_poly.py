@@ -7,7 +7,6 @@ from rspin.landau_ginzburg.groebner import (
     InfiniteQuotientError,
     groebner,
     jacobi,
-    normal_form,
     staircase,
 )
 from rspin.landau_ginzburg.poly import Poly, PolyError, format_poly, parse_poly
@@ -55,6 +54,44 @@ def test_power_is_square_and_multiply():
     huge = parse_poly("x^1000000")
     assert time.perf_counter() - started < 0.5
     assert huge.terms == (x ** 1000000).terms == {(1000000,): Cyc.one()}
+
+
+def repeated_power(base, k):
+    """The plain reference: k products by the base, and their term products."""
+    result, work = Poly.const(1, base.vars), 0
+    for _ in range(k):
+        work += len(result.terms) * len(base.terms)
+        result = result * base
+    return result, work
+
+
+@pytest.mark.parametrize("text, k, route", [
+    ("x + y + z", 80, "products"),
+    pytest.param("x + 1", 1000, "squaring", marks=pytest.mark.slow),
+    ("3*x^2*y", 1000, "squaring"),
+])
+def test_power_picks_squaring_or_products_by_term_counts(monkeypatch, text, k, route):
+    """(x+y+z)^80 is cheapest by repeated products (squaring p^40 alone would
+    multiply two 861-term factors), while (x+1)^1000 and monomials are cheapest
+    by squaring: the products a power makes show which route it took."""
+    base = p(text)
+    reference, reference_work = repeated_power(base, k)
+    products = []
+    plain = Poly.__mul__
+
+    def counted(a, b):
+        products.append(len(a.terms) * len(b.terms))
+        return plain(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    power = base ** k
+    monkeypatch.undo()
+    assert power == reference
+    assert format_poly(power) == format_poly(reference)
+    if route == "products":
+        assert sum(products) <= reference_work
+    else:
+        assert len(products) <= 2 * k.bit_length()
 
 
 def test_derivative():

@@ -1,9 +1,11 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from rspin.constructors import builtin, graded_center
-from rspin.lambda_frobenius import validate
+from rspin.lambda_frobenius import LambdaFrobenius, validate
 from rspin.scalars import Cyc
 from rspin.superlinalg import compose, graded_tuples, identity, quantum_dimension, tensor
 from rspin.surface_eval import (
@@ -14,6 +16,7 @@ from rspin.surface_eval import (
     divisors,
     evaluate_surface,
     evaluate_torus,
+    handle_operator,
     torus_normal_form,
 )
 
@@ -186,6 +189,51 @@ def test_surface_matches_independent_oracle():
         handles = tuple((0, 0) for _ in range(g))
         surf = RSpinClosedSurface(1, g, handles)
         assert evaluate_surface(alg1, surf) == surface_oracle(alg1, handles), g
+
+
+@pytest.mark.parametrize("name, params", [("clifford1", {}), ("group_algebra_Zn", {"n": 3})])
+def test_cached_handle_operators_match_fresh_copy_and_oracle(name, params):
+    """Every 7th genus-3 4-spin structure, evaluated in a shuffled order on one
+    shared algebra, whose handle operators are built once and then reused: each
+    value equals that of a fresh copy, swept in order, and the oracle's."""
+    alg = graded_center(builtin(name, **params), 4)
+    fresh = LambdaFrobenius.from_dict(alg.to_dict())
+    structures = [tuple(zip(hol[::2], hol[1::2]))
+                  for hol in itertools.product(range(4), repeat=6)][::7]
+    expected = {h: evaluate_surface(fresh, RSpinClosedSurface(4, 3, h)) for h in structures}
+    random.Random(7).shuffle(structures)
+    for handles in structures:
+        z = evaluate_surface(alg, RSpinClosedSurface(4, 3, handles))
+        assert z == expected[handles] == surface_oracle(alg, handles), handles
+    assert len(alg._handle_operators) <= 4 ** 3
+
+
+def rescaled(alg, scale):
+    """The copy of alg transported along x -> scale(a) x on every C_a."""
+    mu = {(a, b): m.scale(scale(a + b - 1) / (scale(a) * scale(b)))
+          for (a, b), m in alg.mu.items()}
+    delta = {(a, b): d.scale(scale(a) * scale(b) / scale(a + b + 1))
+             for (a, b), d in alg.delta.items()}
+    return LambdaFrobenius(alg.r, alg.spaces, mu, delta,
+                           alg.eta.scale(scale(1)), alg.eps.scale(1 / scale(-1)))
+
+
+def test_isomorphic_copy_has_the_same_surface_values():
+    """Rescaling each C_a by a + 1 is an isomorphism, so no surface value moves;
+    but K_{c,a,b} picks up scale(c-2)/scale(c), so the handle operators at
+    c = 1 and c = 3 differ although clifford1's C_1 and C_3 and its K's agree."""
+    alg = graded_center(builtin("clifford1"), 4)
+    copy = rescaled(alg, lambda a: Fraction(a % 4 + 1))
+    assert validate(copy).ok
+    assert handle_operator(alg, 1, 2, 1) == handle_operator(alg, 3, 2, 1)
+    structures = [tuple(zip(hol[::2], hol[1::2]))
+                  for hol in itertools.product(range(4), repeat=6)][::7]
+    random.Random(3).shuffle(structures)
+    for handles in structures:
+        surface = RSpinClosedSurface(4, 3, handles)
+        assert evaluate_surface(copy, surface) == evaluate_surface(alg, surface), handles
+    assert handle_operator(copy, 1, 2, 1) == handle_operator(alg, 1, 2, 1).scale(2)
+    assert handle_operator(copy, 3, 2, 1) == handle_operator(alg, 3, 2, 1).scale(Fraction(1, 2))
 
 
 def test_clifford_genus_two_two_values():
