@@ -99,15 +99,28 @@ def _int_option(options, key, default):
     return value
 
 
-def _algebra(builtin_name, file_path, n, kv):
-    """The algebra the options name (built if needed), its inputs record, and
-    the key=value options; r= is the spin order."""
-    options = {}
-    for arg in kv:
-        if "=" not in arg:
-            raise click.UsageError("expected key=value, got %r" % arg)
-        key, value = arg.split("=", 1)
-        options[key.strip()] = value.strip()
+def _key_values(keys):
+    """The callback turning the key=value arguments into {key: value}: each key
+    one of the command's keys, given at most once."""
+    def parse(ctx, param, kv):
+        options = {}
+        for arg in kv:
+            if "=" not in arg:
+                raise click.UsageError("expected key=value, got %r" % arg, ctx)
+            key, value = (part.strip() for part in arg.split("=", 1))
+            if key not in keys:
+                raise click.UsageError("unknown key %r; %s takes %s"
+                                       % (key, ctx.info_name, ", ".join(keys)), ctx)
+            if key in options:
+                raise click.UsageError("key %r is given more than once" % key, ctx)
+            options[key] = value
+        return options
+    return parse
+
+
+def _algebra(builtin_name, file_path, n, options):
+    """The algebra the options name (built if needed) and its inputs record;
+    r= is the spin order."""
     r = _int_option(options, "r", None)
     if (builtin_name is None) == (file_path is None):
         raise click.UsageError("exactly one of --builtin or --file is required")
@@ -119,7 +132,7 @@ def _algebra(builtin_name, file_path, n, kv):
             if powers is None:
                 raise click.UsageError("could not infer r: gamma has order > 24")
             r = len(powers)
-        return graded_center_data(algebra, r).algebra, {"builtin": builtin_name, "r": r}, options
+        return graded_center_data(algebra, r).algebra, {"builtin": builtin_name, "r": r}
     with open(file_path) as handle:
         try:
             data = json.load(handle)
@@ -132,12 +145,12 @@ def _algebra(builtin_name, file_path, n, kv):
         alg = LambdaFrobenius.from_dict(data)
         if r is not None and alg.r != r:
             raise click.UsageError("file has r=%d, got r=%d" % (alg.r, r))
-        return alg, {"file": file_path, "r": alg.r}, options
+        return alg, {"file": file_path, "r": alg.r}
     if data.get("format") == "frobenius_algebra":
         if r is None:
             raise click.UsageError("a Frobenius algebra file needs r=<order>")
         algebra = FrobeniusAlgebraData.from_config(data)
-        return graded_center_data(algebra, r).algebra, {"file": file_path, "r": r}, options
+        return graded_center_data(algebra, r).algebra, {"file": file_path, "r": r}
     raise click.UsageError("unrecognised input file format")
 
 
@@ -183,8 +196,9 @@ def _options(*decorators):
     return apply
 
 
-def algebra_command(*extra):
-    """A command on one algebra: --builtin or --file, --n, --json, extra options, key=value."""
+def algebra_command(*extra, keys=("r",)):
+    """A command on one algebra: --builtin or --file, --n, --json, extra options, and
+    key=value arguments for the given keys."""
     return _options(
         main.command(),
         click.option("--json", "as_json", is_flag=True, help="machine-readable output"),
@@ -195,7 +209,7 @@ def algebra_command(*extra):
         click.option("--builtin", "builtin_name", type=click.Choice(BUILTIN_NAMES),
                      default=None, help="built-in Frobenius algebra"),
         *extra,
-        click.argument("kv", nargs=-1))
+        click.argument("options", nargs=-1, metavar="[KEY=VALUE]...", callback=_key_values(keys)))
 
 
 def lg_command(name, *extra, group=False):
@@ -211,9 +225,9 @@ def lg_command(name, *extra, group=False):
 
 
 @algebra_command()
-def check(builtin_name, file_path, n, as_json, kv):
+def check(builtin_name, file_path, n, as_json, options):
     """Validate all closed Lambda_r-Frobenius relations; exit 1 on failure."""
-    alg, inputs, _ = _algebra(builtin_name, file_path, n, kv)
+    alg, inputs = _algebra(builtin_name, file_path, n, options)
     report = validate(alg)
     failures = [
         {"relation": e.family, "indices": list(map(str, e.indices))}
@@ -230,19 +244,19 @@ def check(builtin_name, file_path, n, as_json, kv):
 
 
 @algebra_command()
-def nakayama(builtin_name, file_path, n, as_json, kv):
+def nakayama(builtin_name, file_path, n, as_json, options):
     """Print the Nakayama automorphisms N_a of the algebra."""
-    alg, inputs, _ = _algebra(builtin_name, file_path, n, kv)
+    alg, inputs = _algebra(builtin_name, file_path, n, options)
     tables = {str(a): [[format_scalar(x) for x in row] for row in alg.nakayama(a).rows]
               for a in range(alg.r)}
     emit("nakayama", inputs, {"nakayama": tables}, as_json)
 
 
 @algebra_command(click.option("--all-divisors", is_flag=True,
-                              help="tabulate Z(T(d)) per divisor d|r"))
-def torus(builtin_name, file_path, n, as_json, all_divisors, kv):
+                              help="tabulate Z(T(d)) per divisor d|r"), keys=("r", "a", "b"))
+def torus(builtin_name, file_path, n, as_json, all_divisors, options):
     """Evaluate r-spin torus invariants: torus r=8 a=4 b=6, or --all-divisors."""
-    alg, inputs, options = _algebra(builtin_name, file_path, n, kv)
+    alg, inputs = _algebra(builtin_name, file_path, n, options)
     results = {}
     if all_divisors:
         table = all_torus_invariants(alg)
@@ -259,10 +273,10 @@ def torus(builtin_name, file_path, n, as_json, all_divisors, kv):
     emit("torus", inputs, results, as_json)
 
 
-@algebra_command()
-def surface(builtin_name, file_path, n, as_json, kv):
+@algebra_command(keys=("r", "genus", "holonomies"))
+def surface(builtin_name, file_path, n, as_json, options):
     """Evaluate a closed surface: surface r=2 genus=2 holonomies=[(0,1),(1,1)]."""
-    alg, inputs, options = _algebra(builtin_name, file_path, n, kv)
+    alg, inputs = _algebra(builtin_name, file_path, n, options)
     if "genus" not in options:
         raise click.UsageError("missing option 'genus'")
     genus = _int_option(options, "genus", None)

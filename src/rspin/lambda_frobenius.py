@@ -5,11 +5,14 @@ multiplication mu_{a,b}: C_a o C_b -> C_{a+b-1}, unit eta: 1 -> C_1,
 comultiplication Delta_{a,b}: C_{a+b+1} -> C_a o C_b and counit
 eps: C_{-1} -> 1, together with the Nakayama automorphisms N_a built from
 the pairing/copairing zig-zag.  validate() checks every defining relation
-family as an exact matrix identity over all index tuples.
+family exactly over all index tuples: the r^3 families (co)associativity
+and Frobenius from tables of the structure constants of mu and Delta, the
+smaller ones as identities of composed maps.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -20,6 +23,7 @@ from .superlinalg import (
     UNIT_SPACE,
     braiding,
     compose,
+    graded_tuples,
     identity,
     tensor,
     tensor_space,
@@ -285,28 +289,92 @@ def _entry(report, family, indices, lhs, rhs):
     report.append(ReportEntry(family, indices, lhs == rhs))
 
 
+def _mu_table(m, left, right):
+    """{(x, y): [(t, coefficient)]}: the nonzero structure constants of
+    m: left o right -> C, keyed by the basis pair of its source."""
+    pairs = graded_tuples([left, right])
+    table = {}
+    for t, stored in enumerate(m.entries):
+        for k, value in stored.items():
+            table.setdefault(pairs[k], []).append((t, value))
+    return table
+
+
+def _delta_table(m, left, right):
+    """{s: [((x, y), coefficient)]}: the nonzero structure constants of
+    m: C -> left o right, keyed by the basis vector of its source."""
+    pairs = graded_tuples([left, right])
+    table = {}
+    for k, stored in enumerate(m.entries):
+        for s, value in stored.items():
+            table.setdefault(s, []).append((pairs[k], value))
+    return table
+
+
+def _add(out, key, value):
+    """out[key] += value in a sparse dict; a sum may cancel, a product of nonzeros never does."""
+    old = out.get(key)
+    if old is None:
+        out[key] = value
+    else:
+        value = old + value
+        if value:
+            out[key] = value
+        else:
+            del out[key]
+
+
 def frobenius_entries(alg):
     """The entries of the untwisted families, (co)associativity, (co)unitality
     and Frobenius, over every index tuple.  At r = 1, where C_{-1} = C_0 = C_1,
-    they are exactly the axioms of a Frobenius algebra."""
+    they are exactly the axioms of a Frobenius algebra.
+
+    The r^3 families read mu and Delta once, as tables of structure
+    constants, and form both sides of each relation as a sparse dict from
+    basis tuples (source indices, then target indices) to coefficients; no
+    map is built per index tuple.  mu and Delta are even (_check_shapes), so
+    no Koszul sign enters.
+    """
     r = alg.r
     entries = []
+    dims = [alg.space(a).dim for a in range(r)]
+    mu, delta = {}, {}
+    for a in range(r):
+        for b in range(r):
+            mu[a, b] = _mu_table(alg.mu[a, b], alg.space(a), alg.space(b))
+            delta[a, b] = _delta_table(alg.delta[a, b], alg.space(a), alg.space(b))
+
+    for a, b, c in itertools.product(range(r), repeat=3):
+        # on x o y o z: mu_{a+b-1,c} o (mu_{a,b} o id) and mu_{a,b+c-1} o (id o mu_{b,c})
+        outer, lhs = mu[(a + b - 1) % r, c], {}
+        for (x, y), images in mu[a, b].items():
+            for u, s in images:
+                for z in range(dims[c]):
+                    for t, v in outer.get((u, z), ()):
+                        _add(lhs, (x, y, z, t), s * v)
+        outer, rhs = mu[a, (b + c - 1) % r], {}
+        for (y, z), images in mu[b, c].items():
+            for u, s in images:
+                for x in range(dims[a]):
+                    for t, v in outer.get((x, u), ()):
+                        _add(rhs, (x, y, z, t), s * v)
+        entries.append(ReportEntry("associativity", (a, b, c), lhs == rhs))
+        # on k: (Delta_{a,b} o id) o Delta_{a+b+1,c} and (id o Delta_{b,c}) o Delta_{a,b+c+1}
+        inner, lhs = delta[a, b], {}
+        for k, images in delta[(a + b + 1) % r, c].items():
+            for (u, z), s in images:
+                for (x, y), v in inner.get(u, ()):
+                    _add(lhs, (k, x, y, z), s * v)
+        inner, rhs = delta[b, c], {}
+        for k, images in delta[a, (b + c + 1) % r].items():
+            for (x, u), s in images:
+                for (y, z), v in inner.get(u, ()):
+                    _add(rhs, (k, x, y, z), s * v)
+        entries.append(ReportEntry("coassociativity", (a, b, c), lhs == rhs))
+
     ids = {a: identity(alg.space(a)) for a in range(r)}
     # the factor list of C_a, for the identity whiskers around a structure map
     side = {a: (alg.space(a),) for a in range(r)}
-
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                lhs = whisker(alg.mu_map(a + b - 1, c), (), alg.mu_map(a, b), side[c])
-                rhs = whisker(alg.mu_map(a, b + c - 1), side[a], alg.mu_map(b, c), ())
-                _entry(entries, "associativity", (a, b, c), lhs, rhs)
-                lhs = whisker(alg.delta_map((a + b + 1) % r, c), (), alg.delta_map(a, b), side[c],
-                              g_first=True)
-                rhs = whisker(alg.delta_map(a, (b + c + 1) % r), side[a], alg.delta_map(b, c), (),
-                              g_first=True)
-                _entry(entries, "coassociativity", (a, b, c), lhs, rhs)
-
     for a in range(r):
         left = whisker(alg.mu_map(1, a), (), alg.eta, side[a])
         right = whisker(alg.mu_map(a, 1), side[a], alg.eta, ())
@@ -317,17 +385,29 @@ def frobenius_entries(alg):
         _entry(entries, "counitality", (a, "left"), left, ids[a])
         _entry(entries, "counitality", (a, "right"), right, ids[a])
 
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                d = (a + b - c - 2) % r
-                middle = compose(alg.delta_map(c, d), alg.mu_map(a, b))
-                lhs = whisker(tensor(alg.delta_map(c, a - c - 1), ids[b]),
-                              side[c], alg.mu_map(a - c - 1, b), (), g_first=True)
-                rhs = whisker(tensor(ids[a], alg.delta_map(c - a + 1, d)),
-                              (), alg.mu_map(a, c - a + 1), side[d], g_first=True)
-                _entry(entries, "frobenius", (a, b, c, "left"), lhs, middle)
-                _entry(entries, "frobenius", (a, b, c, "right"), rhs, middle)
+    for a, b, c in itertools.product(range(r), repeat=3):
+        # on x o y: Delta_{c,d} o mu_{a,b}, (id o mu_{a-c-1,b}) o (Delta_{c,a-c-1} o id)
+        # and (mu_{a,c-a+1} o id) o (id o Delta_{c-a+1,d}), with d = a + b - c - 2
+        d, e, f = (a + b - c - 2) % r, (a - c - 1) % r, (c - a + 1) % r
+        split, middle = delta[c, d], {}
+        for (x, y), images in mu[a, b].items():
+            for t, s in images:
+                for (u, w), v in split.get(t, ()):
+                    _add(middle, (x, y, u, w), s * v)
+        outer, lhs = mu[e, b], {}
+        for x, images in delta[c, e].items():
+            for (u, t), s in images:
+                for y in range(dims[b]):
+                    for w, v in outer.get((t, y), ()):
+                        _add(lhs, (x, y, u, w), s * v)
+        outer, rhs = mu[a, f], {}
+        for y, images in delta[f, d].items():
+            for (t, w), s in images:
+                for x in range(dims[a]):
+                    for u, v in outer.get((x, t), ()):
+                        _add(rhs, (x, y, u, w), s * v)
+        entries.append(ReportEntry("frobenius", (a, b, c, "left"), lhs == middle))
+        entries.append(ReportEntry("frobenius", (a, b, c, "right"), rhs == middle))
     return entries
 
 

@@ -280,15 +280,15 @@ class Cyc:
         return result
 
     def __eq__(self, other):
+        # a Cyc first: isinstance against Fraction, an ABC, is slow
+        if isinstance(other, Cyc):
+            if self.order == other.order:
+                return self.den == other.den and self.num == other.num
+            return (self.is_rational() and other.is_rational()
+                    and self.as_fraction() == other.as_fraction())
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.as_fraction() == other
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        if self.order == other.order:
-            return self.den == other.den and self.num == other.num
-        if self.is_rational() and other.is_rational():
-            return self.as_fraction() == other.as_fraction()
-        return False
+        return NotImplemented
 
     def __hash__(self):
         if self.is_rational():

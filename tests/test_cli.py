@@ -287,6 +287,38 @@ def test_malformed_or_non_ascii_numbers_exit_2_without_traceback(runner, args, m
     assert message in result.output
 
 
+@pytest.mark.parametrize("args,message", [
+    (["check", "--builtin", "clifford1", "R=4"], "unknown key 'R'; check takes r"),
+    (["check", "--builtin", "trivial", "r=1", "r=2"], "key 'r' is given more than once"),
+    (["nakayama", "--builtin", "clifford1", "r=2", "a=1"], "unknown key 'a'; nakayama takes r"),
+    (["nakayama", "--builtin", "clifford1", "r=2", "r=2"], "key 'r' is given more than once"),
+    (["torus", "--builtin", "clifford1", "r=2", "a=1", "b=1", "a=0"],
+     "key 'a' is given more than once"),
+    (["torus", "--builtin", "clifford1", "r=2", "a=1", "B=1"],
+     "unknown key 'B'; torus takes r, a, b"),
+    (["surface", "--builtin", "clifford1", "r=2", "genus=1", "genus=2"],
+     "key 'genus' is given more than once"),
+    (["surface", "--builtin", "clifford1", "r=2", "genus=1", "holonomy=[(0,1)]"],
+     "unknown key 'holonomy'; surface takes r, genus, holonomies"),
+])
+def test_unknown_or_repeated_key_exits_2_with_one_error_line(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
+        ["Error: " + message], result.output
+
+
+@pytest.mark.slow
+def test_check_clifford1_at_r_48(runner):
+    result = runner.invoke(main, ["check", "--builtin", "clifford1", "r=48", "--json"])
+    assert result.exit_code == 0, result.output[-300:]
+    payload = json.loads(result.output)["results"]
+    assert payload["ok"] is True
+    assert payload["checks"] == 4 * 48 ** 3 + 3 * 48 ** 2 + 6 * 48 == 449568
+    assert payload["failures"] == []
+
+
 @pytest.mark.parametrize("potential", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
                          ids=["parentheses", "unary_minus"])
 def test_deep_nesting_exit_2_without_traceback(runner, potential):

@@ -310,3 +310,53 @@ def test_validate_fails_where_the_tensor_reference_fails(name, params, r):
         got = [(e.family, e.indices, e.passed) for e in validate(bad).entries]
         assert got == reference_validate(bad)
         assert not all(passed for _, _, passed in got)
+
+
+# every built-in at every spin order r <= 6 where gamma_A^r = 1
+BUILTINS_UP_TO_6 = [(name, params, r) for name, params, step in (
+    ("trivial", {}, 1), ("group_algebra_Zn", {"n": 2}, 1), ("group_algebra_Zn", {"n": 3}, 1),
+    ("clifford1", {}, 2), ("matrix_algebra_n", {"n": 2}, 1)) for r in range(step, 7, step)]
+
+
+def with_empty_space(alg, a):
+    """alg with C_a = 0 and every structure map whose source or target changes
+    replaced by the zero map of its new shape; no built-in centre has an empty C_a."""
+    spaces = {**alg.spaces, a: SuperSpace(0, 0)}
+
+    def zero(sources, targets):
+        source, target = tensor_space(*sources), tensor_space(*targets)
+        return SuperMap(source, target, 0, None, sources, targets,
+                        entries=[{} for _ in range(target.dim)])
+
+    def space(b):
+        return spaces[b % alg.r]
+
+    def keep_or_zero(m, sources, targets):
+        return m if a % alg.r not in {b % alg.r for b in sources + targets} \
+            else zero(tuple(map(space, sources)), tuple(map(space, targets)))
+
+    pairs = list(alg.mu)
+    return LambdaFrobenius(
+        r=alg.r, spaces=spaces,
+        mu={(b, c): keep_or_zero(alg.mu[b, c], (b, c), (b + c - 1,)) for b, c in pairs},
+        delta={(b, c): keep_or_zero(alg.delta[b, c], (b + c + 1,), (b, c)) for b, c in pairs},
+        eta=keep_or_zero(alg.eta, (), (1,)), eps=keep_or_zero(alg.eps, (-1,), ()))
+
+
+@pytest.mark.parametrize("name, params, r", BUILTINS_UP_TO_6)
+def test_validate_matches_the_tensor_reference_entry_for_entry(name, params, r):
+    alg = graded_center(builtin(name, **params), r)
+    cases = {"intact": alg,
+             "bumped mu": corrupted(alg, mu={(1 % r, r - 1): bumped(alg.mu_map(1, -1))}),
+             "scaled Delta": corrupted(alg, delta={(0, 1 % r): alg.delta_map(0, 1).scale(2)}),
+             "empty C_0": with_empty_space(alg, 0)}
+    if name == "clifford1":
+        # C_0 is the odd line, so mu_{0,1}: C_0 o C_1 -> C_0 is an odd-to-odd block
+        assert alg.space(0) == SuperSpace(0, 1)
+        cases["bumped odd mu"] = corrupted(alg, mu={(0, 1): bumped(alg.mu_map(0, 1))})
+    for label, case in cases.items():
+        got = [(e.family, e.indices, e.passed) for e in validate(case).entries]
+        assert got == reference_validate(case), label
+        # at r = 1, C_0 is the whole algebra, and the empty algebra satisfies every relation
+        intact = label == "intact" or (label == "empty C_0" and r == 1)
+        assert all(passed for _, _, passed in got) == intact, label
