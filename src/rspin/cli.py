@@ -50,23 +50,27 @@ class _Command(click.Command):
 
 
 def emit(command, inputs, results, as_json):
+    # write to the current sys.stdout by name: click.echo's default stream is
+    # cached per stdout object and never released, so every stdout an
+    # in-process caller redirects per command would stay in memory
+    out = sys.stdout
     if as_json:
         payload = {"command": command, "inputs": inputs, "results": results,
                    "convention_flags": conventions.FLAGS}
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        click.echo(json.dumps(payload, sort_keys=True, indent=2), file=out)
         return
     for key in sorted(results):
         value = results[key]
         if isinstance(value, dict):
-            click.echo("%s:" % key)
+            click.echo("%s:" % key, file=out)
             for k in sorted(value, key=str):
-                click.echo("  %s: %s" % (k, value[k]))
+                click.echo("  %s: %s" % (k, value[k]), file=out)
         elif isinstance(value, list):
-            click.echo("%s:" % key)
+            click.echo("%s:" % key, file=out)
             for item in value:
-                click.echo("  %s" % (item,))
+                click.echo("  %s" % (item,), file=out)
         else:
-            click.echo("%s: %s" % (key, value))
+            click.echo("%s: %s" % (key, value), file=out)
 
 
 def _ascii_int(text):

@@ -1,6 +1,10 @@
+import contextlib
+import gc
+import io
 import json
 import pathlib
 import shlex
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -307,6 +311,19 @@ def test_unknown_or_repeated_key_exits_2_with_one_error_line(runner, args, messa
     assert "Traceback" not in result.output
     assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
         ["Error: " + message], result.output
+
+
+def test_in_process_command_releases_its_redirected_stdout():
+    # click.echo's default stdout is cached per stream and never released
+    out = io.StringIO()
+    released = weakref.ref(out)
+    with contextlib.redirect_stdout(out):
+        main.main(args=["check", "--builtin", "trivial", "r=1", "--json"],
+                  prog_name="rspin", standalone_mode=False)
+    assert json.loads(out.getvalue())["results"]["ok"] is True
+    del out
+    gc.collect()
+    assert released() is None
 
 
 @pytest.mark.slow
