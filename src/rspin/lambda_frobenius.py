@@ -72,17 +72,16 @@ class LambdaFrobenius:
         self._check_shapes()
 
     def _check_shapes(self):
-        r = self.r
+        # mu and Delta declare the factors C_a o C_b, so that every check reads
+        # their matrices over the same graded basis of pairs
         for (a, b), m in self.mu.items():
-            want_src = tensor_space(self.space(a), self.space(b))
-            want_tgt = self.space(a + b - 1)
-            if m.parity != 0 or m.source != want_src or m.target != want_tgt:
-                raise LambdaFrobeniusError("mu_{%d,%d} has wrong shape or parity" % (a, b))
+            factors = ((self.space(a), self.space(b)), (self.space(a + b - 1),))
+            if m.parity != 0 or (m.source_factors, m.target_factors) != factors:
+                raise LambdaFrobeniusError("mu_{%d,%d} has wrong factors or parity" % (a, b))
         for (a, b), m in self.delta.items():
-            want_src = self.space(a + b + 1)
-            want_tgt = tensor_space(self.space(a), self.space(b))
-            if m.parity != 0 or m.source != want_src or m.target != want_tgt:
-                raise LambdaFrobeniusError("Delta_{%d,%d} has wrong shape or parity" % (a, b))
+            factors = ((self.space(a + b + 1),), (self.space(a), self.space(b)))
+            if m.parity != 0 or (m.source_factors, m.target_factors) != factors:
+                raise LambdaFrobeniusError("Delta_{%d,%d} has wrong factors or parity" % (a, b))
         if self.eta.parity != 0 or self.eta.source != UNIT_SPACE \
                 or self.eta.target != self.space(1):
             raise LambdaFrobeniusError("eta has wrong shape or parity")

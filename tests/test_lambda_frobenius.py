@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -56,6 +57,23 @@ def test_keys_outside_0_to_r_minus_1_rejected():
         with pytest.raises(LambdaFrobeniusError, match="outside 0..1"):
             LambdaFrobenius(r=2, spaces=spaces, mu=mu, delta=alg.delta,
                             eta=alg.eta, eps=alg.eps)
+
+
+def test_structure_maps_must_declare_their_factors():
+    # the same matrices with the source of mu (or the target of Delta) declared as
+    # one factor: whisker and tensor would read them over another basis order
+    algebra = builtin("clifford1")
+    pairs = [(a, b) for a in range(2) for b in range(2)]
+
+    def flat(m):
+        return SuperMap(m.source, m.target, 0, None, entries=[dict(e) for e in m.entries])
+
+    for mult, comult, name in ((flat(algebra.mult), algebra.comult, "mu_{0,0}"),
+                               (algebra.mult, flat(algebra.comult), "Delta_{0,0}")):
+        with pytest.raises(LambdaFrobeniusError, match=re.escape(name + " has wrong factors")):
+            LambdaFrobenius(r=2, spaces={0: algebra.space, 1: algebra.space},
+                            mu={p: mult for p in pairs}, delta={p: comult for p in pairs},
+                            eta=algebra.unit, eps=algebra.counit)
 
 
 def test_nakayama_cache_is_not_part_of_the_value():
