@@ -254,7 +254,7 @@ def infer_scalar_order(maps):
 
 # -- relation validation -----------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ReportEntry:
     family: str
     indices: tuple

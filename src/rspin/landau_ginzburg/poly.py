@@ -117,9 +117,6 @@ class Poly:
             other = Poly.const(other, self.vars)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)

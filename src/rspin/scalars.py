@@ -264,9 +264,6 @@ class Cyc:
         a, b = Cyc._coerce_pair(self, other)
         return a * b.inverse()
 
-    def __rtruediv__(self, other):
-        return Cyc.rational(other, self.order) / self
-
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)

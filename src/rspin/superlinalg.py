@@ -184,10 +184,6 @@ class SuperMap:
     def zero(source, target):
         return SuperMap(source, target, 0, entries=[{} for _ in range(target.dim)])
 
-    @staticmethod
-    def from_scalar(value):
-        return SuperMap(UNIT_SPACE, UNIT_SPACE, 0, [[as_cyc(value)]])
-
     # -- algebra -------------------------------------------------------------
 
     def scale(self, scalar):
@@ -290,47 +286,23 @@ def tensor(*maps):
 
     Every map's matrix is indexed by the graded-tuple basis over its
     declared factor list, and the result is indexed over the concatenation
-    of those lists; composites therefore never need associators.
+    of those lists; composites therefore never need associators.  It is
+    (f1 x 1 x ... x 1) o ... o (1 x ... x 1 x fn), whiskered in from the
+    right, and whisker's sign (-1)^(|f_m||l|) is the Koszul sign.
     """
     if not maps:
-        return SuperMap.from_scalar(1)
-    src_groups = tuple(m.source_factors for m in maps)
-    tgt_groups = tuple(m.target_factors for m in maps)
-    # Fold the maps in from the left over mixed-radix codes of the per-map
-    # indices.  Each source code carries the parity of its vectors so far,
-    # its Koszul sign and the nonzero (target code, value) pairs of its column;
-    # unit entries, as in the identities most tensors carry, skip the product.
-    codes = [(0, 0, [(0, _ONE)])]
-    for m in maps:
-        tdim, split, odd_map = m.target.dim, m.source.even, m.parity
-        cols = [[] for _ in range(m.source.dim)]
-        for i, stored in enumerate(m.entries):
-            for j, v in stored.items():
-                cols[j].append((i, v))
-        folded = []
-        for par, sign, pairs in codes:
-            sign ^= odd_map & par
-            for j, col in enumerate(cols):
-                out = []
-                for code, value in pairs:
-                    base = code * tdim
-                    for i, v in col:
-                        out.append((base + i, v if value is _ONE
-                                    else value if v is _ONE else value * v))
-                folded.append((par ^ (j >= split), sign, out))
-        codes = folded
-    src_pos = _tensor_layout(src_groups)
-    tgt_pos = _tensor_layout(tgt_groups)
-    entries = [{} for _ in tgt_pos]
-    for code, (_, sign, pairs) in enumerate(codes):
-        s = src_pos[code]
-        for t, value in pairs:
-            entries[tgt_pos[t]][s] = -value if sign else value
-    src_factors = tuple(s for group in src_groups for s in group)
-    tgt_factors = tuple(t for group in tgt_groups for t in group)
-    return SuperMap(tensor_space(*src_factors), tensor_space(*tgt_factors),
-                    sum(m.parity for m in maps), None, src_factors, tgt_factors,
-                    entries=entries)
+        return identity(UNIT_SPACE)
+    src = tuple(s for m in maps for s in m.source_factors)
+    space = tensor_space(*src)
+    result = SuperMap(space, space, 0, None, src, src,
+                      entries=[{i: _ONE} for i in range(space.dim)])
+    # map m sits between the sources of the maps before it and the targets after it
+    left, right = len(src), ()
+    for m in reversed(maps):
+        left -= len(m.source_factors)
+        result = whisker(result, src[:left], m, right, g_first=True)
+        right = m.target_factors + right
+    return result
 
 
 @lru_cache(maxsize=256)
@@ -360,7 +332,7 @@ def whisker(g, left, f, right, *, g_first=False):
     """g o W, or W o g with g_first, for the whiskered map W = id_left o f o id_right.
 
     left and right are factor lists, and W(l o v o w) = (-1)^(|f||l|) l o f(v) o w
-    as in tensor(identity(...), f, identity(...)) over the same flat lists.  W
+    over the flat lists left + f's factors + right; tensor is built from it.  W
     itself is never built: every entry of the composite is a sum over the
     stored entries of f and g, placed through the graded positions of
     left + f.source_factors + right and left + f.target_factors + right.

@@ -1,9 +1,9 @@
 """Invariants of closed r-spin surfaces from a closed Lambda_r-Frobenius algebra.
 
-Tori are evaluated through the pairing/copairing zig-zag with a Nakayama
-insertion; higher genus uses the handle decomposition, one handle operator
-K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1} per handle,
-threading the intermediate grading c = 1 - 2k mod r.  An algebra has at
+Every surface is evaluated through its handle decomposition, one handle
+operator K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1} per
+handle, threading the intermediate grading c = 1 - 2k mod r; the torus
+T(a,b) is the genus-1 surface with the one handle (-a, b).  An algebra has at
 most r^3 distinct handle operators K_{c,a,b}; each is built once and kept
 with the algebra, as the powers of N_a are.
 """
@@ -58,14 +58,11 @@ def torus_normal_form(t):
 
 
 def evaluate_torus(alg, t):
-    """Z(T(a,b)) = p_{-a} o (N_{-a}^{1-b} o id) o c_{-a}, an exact scalar."""
+    """Z(T(a,b)) = eps o mu_{-a,a} o (N_{-a}^{1-b} o id) o Delta_{-a,a} o eta, an
+    exact scalar: the genus-1 surface with the one handle (-a, b)."""
     if alg.r != t.r:
         raise SurfaceError("algebra has r=%d but torus has r=%d" % (alg.r, t.r))
-    ma = (-t.a) % alg.r
-    insertion = alg.nakayama_power(ma, 1 - t.b)
-    zig = compose(alg.pairing(ma),
-                  whisker(alg.copairing(ma), (), insertion, (alg.space(t.a),), g_first=True))
-    return zig.scalar
+    return evaluate_surface(alg, RSpinClosedSurface(t.r, 1, ((-t.a, t.b),)))
 
 
 def handle_operator(alg, c, a, b):

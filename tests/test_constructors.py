@@ -165,7 +165,7 @@ def test_gamma_powers_up_to_its_order():
             assert power == gamma.map ** k, (name, k)
         assert gamma.powers(order) == powers
     assert nakayama_gamma(builtin("clifford1")).powers(1) is None
-    assert AlgebraAutomorphism(SuperMap.from_scalar(2)).powers(24) is None
+    assert AlgebraAutomorphism(SuperMap(UNIT_SPACE, UNIT_SPACE, 0, [[2]])).powers(24) is None
 
 
 def test_graded_center_splits_one_projector_per_power_of_gamma(monkeypatch):

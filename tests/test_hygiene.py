@@ -1,11 +1,13 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every private
+helper in src/ is used somewhere else in src/.
 
-A stdlib `ast` scan of every file under src/ and tests/; package
-`__init__.py` files are skipped (they import to re-export), and so are
-`from __future__` imports.
+A stdlib `ast` scan of every file under src/ and tests/; for the imports,
+package `__init__.py` files are skipped (they import to re-export), and so
+are `from __future__` imports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,3 +43,56 @@ def test_scan_names_a_local_unused_import(tmp_path):
                       "import os.path\nfrom math import gcd, lcm as least\n\n"
                       "def f():\n    from itertools import chain\n    return os.sep, least\n")
     assert unused_imports(source) == [(3, "gcd"), (6, "chain")]
+
+
+def _references(tree):
+    """How often each name is read, as a bare name, an attribute or an import."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unused_private_helpers(paths):
+    """(path, line, name) of each single-underscore function or class that no
+    code outside its own definition refers to, across all the given files."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    total = Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    dead = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") and not name.startswith("__") \
+                    and total[name] == _references(node)[name]:
+                dead.append((path, node.lineno, name))
+    return sorted(dead)
+
+
+def test_no_unused_private_helpers():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    dead = ["%s:%d defines %s" % (path.relative_to(ROOT), line, name)
+            for path, line, name in unused_private_helpers(files)]
+    assert not dead, "private helpers that nothing else in src uses:\n" + "\n".join(dead)
+
+
+def test_scan_names_an_unused_private_helper(tmp_path):
+    used, unused = tmp_path / "used.py", tmp_path / "unused.py"
+    used.write_text("from .unused import _imported\n\n"
+                    "def public():\n    return _imported() + _Local.x\n\n"
+                    "class _Local:\n    x = 1\n")
+    unused.write_text("def _imported():\n    return 1\n\n"
+                      "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+                      "class _Dead:\n    def _method(self):\n        return 0\n\n"
+                      "    def __len__(self):\n        return 0\n")
+    assert [(p.name, line, name) for p, line, name in unused_private_helpers([used, unused])] \
+        == [("unused.py", 4, "_recursive"), ("unused.py", 7, "_Dead"), ("unused.py", 8, "_method")]

@@ -443,7 +443,19 @@ def test_cancelled_entries_are_not_stored():
     assert compose(row, ones).entries == [{}]
 
 
-# -- whiskered composition against compose o tensor ----------------------------
+# -- whiskered composition against compose o the literal enumeration ----------
+#
+# tensor is built from whisker, so W = id_left o f o id_right comes from
+# reference_tensor here, which shares no code with either.
+
+def reference_whiskered(left, f, right):
+    """W = id_left o f o id_right over left + f's factors + right, entry by entry."""
+    maps = [identity(s) for s in left] + [f] + [identity(s) for s in right]
+    source_factors = tuple(left) + f.source_factors + tuple(right)
+    target_factors = tuple(left) + f.target_factors + tuple(right)
+    return SuperMap(tensor_space(*source_factors), tensor_space(*target_factors), f.parity,
+                    reference_tensor(maps), source_factors, target_factors)
+
 
 # zero-dimensional and purely odd factors included
 FACTORS = st.lists(st.builds(SuperSpace, st.integers(0, 2), st.integers(0, 2)), max_size=2)
@@ -476,9 +488,9 @@ def whiskerings(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(whiskerings())
-def test_whisker_matches_compose_of_tensor(case):
+def test_whisker_matches_compose_of_reference_tensor(case):
     g, left, f, right, g_first = case
-    w = tensor(*[identity(s) for s in left], f, *[identity(s) for s in right])
+    w = reference_whiskered(left, f, right)
     expected = compose(w, g) if g_first else compose(g, w)
     result = whisker(g, left, f, right, g_first=g_first)
     assert_sparse(result)
@@ -497,11 +509,11 @@ def test_whisker_signs_on_odd_left_factors():
         if g_first:
             g = random_homogeneous(rng, w, before, pg)
             g = SuperMap(g.source, g.target, pg, g.rows, None, (v, v, w))
-            expected = compose(tensor(identity(v), f, identity(w)), g)
+            expected = compose(reference_whiskered((v,), f, (w,)), g)
         else:
             g = random_homogeneous(rng, after, w, pg)
             g = SuperMap(g.source, g.target, pg, g.rows, (v, w, w), None)
-            expected = compose(g, tensor(identity(v), f, identity(w)))
+            expected = compose(g, reference_whiskered((v,), f, (w,)))
         assert whisker(g, (v,), f, (w,), g_first=g_first) == expected, (pf, pg, g_first)
 
 

@@ -7,7 +7,14 @@ import pytest
 from rspin.constructors import builtin, graded_center
 from rspin.lambda_frobenius import LambdaFrobenius, validate
 from rspin.scalars import Cyc
-from rspin.superlinalg import compose, graded_tuples, identity, quantum_dimension, tensor
+from rspin.superlinalg import (
+    SuperMap,
+    compose,
+    graded_tuples,
+    identity,
+    quantum_dimension,
+    tensor,
+)
 from rspin.surface_eval import (
     RSpinClosedSurface,
     RSpinTorus,
@@ -98,6 +105,30 @@ def test_normal_form_invariance_small_r():
                     rhs = evaluate_torus(alg, RSpinTorus(r, d, 0))
                     assert lhs == rhs, (name, r, a, b)
                     assert lhs == torus_oracle(alg, a, b), (name, r, a, b)
+
+
+def test_torus_matches_oracle_on_a_corrupted_centre():
+    """evaluate_torus and the zig-zag oracle are one composite, associated
+    differently, so they agree on an algebra that fails validation too."""
+    alg = graded_center(builtin("clifford1"), 4)
+    m = alg.mu[(0, 0)]
+    rows = m.rows
+    i, j = next((i, j) for i, stored in enumerate(m.entries) for j in stored)
+    rows[i][j] = rows[i][j] + 1
+    mu = dict(alg.mu)
+    mu[(0, 0)] = SuperMap(m.source, m.target, 0, rows, m.source_factors, m.target_factors)
+    bad = LambdaFrobenius(r=4, spaces=alg.spaces, mu=mu, delta=alg.delta,
+                          eta=alg.eta, eps=alg.eps)
+    assert not validate(bad).ok
+    moved = []
+    for a in range(4):
+        for b in range(4):
+            value = evaluate_torus(bad, RSpinTorus(4, a, b))
+            assert value == torus_oracle(bad, a, b), (a, b)
+            if value != evaluate_torus(alg, RSpinTorus(4, a, b)):
+                moved.append((a, b))
+    # mu_{0,0} enters exactly the tori with a = 0
+    assert moved == [(0, b) for b in range(4)]
 
 
 def test_b_periodicity():
