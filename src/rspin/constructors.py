@@ -263,101 +263,65 @@ def graded_center(algebra, r):
     return graded_center_data(algebra, r).algebra
 
 
-# -- built-in example algebras -------------------------------------------------
+# -- algebras from structure constants ----------------------------------------
+
+def structure_maps(space, products, unit, counit):
+    """The even maps mu, eta and eps of an algebra on space from its structure constants.
+
+    products[(i, j)] = {k: c} reads e_i . e_j = sum_k c e_k; unit = {k: c}
+    reads eta(1) = sum_k c e_k and counit = {k: c} reads eps(e_k) = c.
+    Zero coefficients are dropped; SuperMap refuses any entry outside the
+    even parity blocks.
+    """
+    def nonzero(coeffs):
+        return {k: c for k, c in ((k, as_cyc(c)) for k, c in coeffs.items()) if c}
+
+    pairs = pair_index(space)
+    mult = [{} for _ in range(space.dim)]
+    for pair, images in products.items():
+        for k, c in nonzero(images).items():
+            mult[k][pairs[pair]] = c
+    eta = [{} for _ in range(space.dim)]
+    for k, c in nonzero(unit).items():
+        eta[k][0] = c
+    return (SuperMap(tensor_space(space, space), space, 0, None, (space, space), None,
+                     entries=mult),
+            SuperMap(UNIT_SPACE, space, 0, None, (), None, entries=eta),
+            SuperMap(space, UNIT_SPACE, 0, None, None, (), entries=[nonzero(counit)]))
+
 
 def builtin(name, **params):
     """Named Delta-separable Frobenius algebras in their canonical forms."""
     if name == "trivial":
-        return _trivial()
+        name, params = "group_algebra_Zn", {"n": 1}
     if name == "group_algebra_Zn":
-        return _group_algebra(int(params.get("n", 2)))
-    if name == "clifford1":
-        return _clifford1()
-    if name == "matrix_algebra_n":
-        return _matrix_algebra(int(params.get("n", 2)))
-    raise FrobeniusError("unknown builtin algebra %r" % name)
+        n = int(params.get("n", 2))
+        if n < 1:
+            raise FrobeniusError("group order must be positive")
+        space = SuperSpace(n, 0)
+        products = {(i, j): {(i + j) % n: 1} for i in range(n) for j in range(n)}
+        unit, counit = {0: 1}, {0: n}
+    elif name == "clifford1":
+        # k<theta>/(theta^2 = 1) with theta odd; counit reads off 2x the even part
+        space = SuperSpace(1, 1)
+        products = {(i, j): {(i + j) % 2: 1} for i in range(2) for j in range(2)}
+        unit, counit = {0: 1}, {0: 2}
+    elif name == "matrix_algebra_n":
+        n = int(params.get("n", 2))
+        if n < 1:
+            raise FrobeniusError("matrix size must be positive")
+        # E_ij is the basis vector i n + j, and E_ij E_jl = E_il
+        space = SuperSpace(n * n, 0)
+        products = {(i * n + j, j * n + l): {i * n + l: 1}
+                    for i in range(n) for j in range(n) for l in range(n)}
+        unit = {i * (n + 1): 1 for i in range(n)}
+        counit = {i * (n + 1): n for i in range(n)}
+    else:
+        raise FrobeniusError("unknown builtin algebra %r" % name)
+    return FrobeniusAlgebraData.assemble(space, *structure_maps(space, products, unit, counit))
 
 
 BUILTIN_NAMES = ("trivial", "group_algebra_Zn", "clifford1", "matrix_algebra_n")
-
-
-def _mult_from_table(space, table):
-    """table[(i, j)] = list of (k, coeff) for e_i * e_j."""
-    sq = tensor_space(space, space)
-    pairs = pair_index(space)
-    rows = [[Cyc.zero() for _ in range(sq.dim)] for _ in range(space.dim)]
-    for (i, j), terms in table.items():
-        col = pairs[(i, j)]
-        for k, coeff in terms:
-            rows[k][col] = rows[k][col] + as_cyc(coeff)
-    return SuperMap(sq, space, 0, rows, (space, space), None)
-
-
-def _vector_map(space, coeffs):
-    rows = [[as_cyc(c)] for c in coeffs]
-    return SuperMap(UNIT_SPACE, space, 0, rows, (), None)
-
-
-def _functional_map(space, coeffs):
-    return SuperMap(space, UNIT_SPACE, 0, [[as_cyc(c) for c in coeffs]], None, ())
-
-
-def _trivial():
-    space = SuperSpace(1, 0)
-    mult = _mult_from_table(space, {(0, 0): [(0, 1)]})
-    return FrobeniusAlgebraData.assemble(space, mult, _vector_map(space, [1]),
-                                         _functional_map(space, [1]))
-
-
-def _group_algebra(n):
-    if n < 1:
-        raise FrobeniusError("group order must be positive")
-    space = SuperSpace(n, 0)
-    table = {(i, j): [((i + j) % n, 1)] for i in range(n) for j in range(n)}
-    mult = _mult_from_table(space, table)
-    unit = _vector_map(space, [1] + [0] * (n - 1))
-    counit = _functional_map(space, [n] + [0] * (n - 1))
-    return FrobeniusAlgebraData.assemble(space, mult, unit, counit)
-
-
-def _clifford1():
-    # k<theta>/(theta^2 = 1) with theta odd; counit reads off 2x the even part
-    space = SuperSpace(1, 1)
-    table = {
-        (0, 0): [(0, 1)],
-        (0, 1): [(1, 1)],
-        (1, 0): [(1, 1)],
-        (1, 1): [(0, 1)],
-    }
-    mult = _mult_from_table(space, table)
-    unit = _vector_map(space, [1, 0])
-    counit = _functional_map(space, [2, 0])
-    return FrobeniusAlgebraData.assemble(space, mult, unit, counit)
-
-
-def _matrix_algebra(n):
-    if n < 1:
-        raise FrobeniusError("matrix size must be positive")
-    space = SuperSpace(n * n, 0)
-
-    def idx(i, j):
-        return i * n + j
-
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        table[(idx(i, j), idx(k, l))] = [(idx(i, l), 1)]
-    mult = _mult_from_table(space, table)
-    unit_vec = [0] * (n * n)
-    counit_vec = [0] * (n * n)
-    for i in range(n):
-        unit_vec[idx(i, i)] = 1
-        counit_vec[idx(i, i)] = n
-    return FrobeniusAlgebraData.assemble(space, mult, _vector_map(space, unit_vec),
-                                         _functional_map(space, counit_vec))
 
 
 def center_basis(algebra):

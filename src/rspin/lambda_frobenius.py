@@ -47,8 +47,8 @@ class LambdaFrobenius:
     eta: SuperMap
     eps: SuperMap
     # derived structure, filled on first use: the literal powers of each N_a and
-    # each handle operator K_{c,a,b} (surface_eval).  Not part of the value, and
-    # never reassigned after construction.
+    # each handle operator K_{c,a,b}.  Not part of the value, and never
+    # reassigned after construction.
     _nakayama_powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _handle_operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -135,6 +135,20 @@ class LambdaFrobenius:
         while len(powers) <= k:
             powers.append(compose(powers[1], powers[-1]))
         return powers
+
+    def handle_operator(self, c, a, b):
+        """K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1}: C_c -> C_{c-2},
+        built once per (c, a, b) mod r and kept with the algebra."""
+        r = self.r
+        key = (c % r, a % r, b % r)
+        k = self._handle_operators.get(key)
+        if k is None:
+            other = (c - a - 1) % r
+            n = self.nakayama_power(a, 1 - b)
+            k = self._handle_operators[key] = compose(
+                whisker(self.mu_map(a, other), (), n, (self.space(other),)),
+                self.delta_map(a, other))
+        return k
 
     # -- serialization -------------------------------------------------------
 
@@ -433,12 +447,9 @@ def validate(alg):
     for a in range(r):
         # a < r, so this power is literal: reducing mod r would presuppose deck
         _entry(entries, "twist_power", (a,), alg.nakayama_power(a, a), ids[a])
-    # mu_{a,-a} o (N_a^b o id) o c_a, one per (a, b); the relation equates
-    # the zig-zags at (a, b) and (a + b - 1, b)
-    copairings = [alg.copairing(a) for a in range(r)]
-    zigzags = {(a, b): compose(alg.mu_map(a, -a),
-                               whisker(copairings[a], (), alg.nakayama_power(a, b),
-                                       side[-a % r], g_first=True))
+    # the zig-zag mu_{a,-a} o (N_a^b o id) o c_a is K_{1,a,1-b} o eta; the
+    # relation equates the zig-zags at (a, b) and (a + b - 1, b)
+    zigzags = {(a, b): compose(alg.handle_operator(1, a, 1 - b), alg.eta)
                for a in range(r) for b in range(r)}
     for a in range(r):
         for b in range(r):

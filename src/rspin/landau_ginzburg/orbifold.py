@@ -29,20 +29,14 @@ import itertools
 from dataclasses import dataclass
 
 from ..scalars import Cyc, divisors
-from ..superlinalg import (
-    SuperMap,
-    SuperSpace,
-    UNIT_SPACE,
-    compose,
-    pair_index,
-    tensor_space,
-)
+from ..superlinalg import SuperMap, SuperSpace, compose
 from ..constructors import (
     AlgebraAutomorphism,
     FrobeniusAlgebraData,
     copairing_from,
     graded_center,
     nakayama_gamma,
+    structure_maps,
 )
 from .poly import Poly
 from .mf import GroupAction
@@ -260,6 +254,8 @@ def orbifold_algebra(w, action):
     space = SuperSpace(parities.count(0), parities.count(1))
 
     def multiply(e1, e2):
+        """e1 . e2 as {basis index: coefficient}, with the Koszul sign of the
+        interleaved tensor factors."""
         g, labs1 = e1
         h, labs2 = e2
         sign = 1
@@ -275,30 +271,18 @@ def orbifold_algebra(w, action):
             for lab, c in combo:
                 labs.append(lab)
                 coeff = coeff * c
-            key = ((g + h) % r, tuple(labs))
-            out[key] = out.get(key, Cyc.zero()) + coeff
-        return {k: v for k, v in out.items() if v}
+            k = index[((g + h) % r, tuple(labs))]
+            out[k] = out.get(k, Cyc.zero()) + coeff
+        return out
 
-    pairs = pair_index(space)
-    mult_entries = [{} for _ in range(space.dim)]
-    for i, e1 in enumerate(labels):
-        for j, e2 in enumerate(labels):
-            col = pairs[(i, j)]
-            for target, coeff in multiply(e1, e2).items():
-                mult_entries[index[target]][col] = coeff
-    mult = SuperMap(_sq(space), space, 0, None, (space, space), None, entries=mult_entries)
-
+    products = {(i, j): multiply(e1, e2)
+                for i, e1 in enumerate(labels) for j, e2 in enumerate(labels)}
+    # the shared Cyc.one(), which compose and whisker skip multiplying by
+    one = Cyc.one()
     unit_label = (0, tuple(("even", 0) for _ in models))
-    unit_entries = [{} for _ in range(space.dim)]
-    unit_entries[index[unit_label]][0] = Cyc.one()
-    unit = SuperMap(UNIT_SPACE, space, 0, None, (), None, entries=unit_entries)
-
-    def socle(lab, model):
-        return lab == ("even", model.d - 2)
-
-    counit_row = {k: Cyc.one() for k, (g, labs) in enumerate(labels)
-                  if g == 0 and all(socle(l, m) for l, m in zip(labs, models))}
-    counit = SuperMap(space, UNIT_SPACE, 0, None, None, (), entries=[counit_row])
+    socle = {k: one for k, (g, labs) in enumerate(labels)
+             if g == 0 and all(l == ("even", m.d - 2) for l, m in zip(labs, models))}
+    mult, unit, counit = structure_maps(space, products, {index[unit_label]: one}, socle)
 
     # the unit is the single basis vector 1_0, so the handle element
     # z = mu o Delta o eta is a multiple of it exactly when it equals its own
@@ -320,10 +304,6 @@ def orbifold_algebra(w, action):
             "convention bug")
 
     return OrbifoldAlgebra(algebra, gamma, w, action, labels, scale, models)
-
-
-def _sq(space):
-    return tensor_space(space, space)
 
 
 # -- circle spaces via the diagonal averaging projector ------------------------

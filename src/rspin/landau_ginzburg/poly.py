@@ -183,43 +183,23 @@ class Poly:
         return Poly(self.vars, terms)
 
     def substitute(self, mapping):
-        """Substitute variables by scalar multiples of variables or constants.
+        """Map variables to scalar multiples of variables.
 
-        mapping: name -> (coef, new_name or None); unlisted variables are kept.
+        mapping: name -> (coef, new_name); unlisted variables are kept.
         """
-        new_names = set()
-        for v in self.vars:
-            if v in mapping:
-                _, nn = mapping[v]
-                if nn is not None:
-                    new_names.add(nn)
-            else:
-                new_names.add(v)
-        variables = tuple(sorted(new_names))
+        variables = tuple(sorted({mapping[v][1] if v in mapping else v for v in self.vars}))
         index = {v: k for k, v in enumerate(variables)}
         terms = {}
         for exp, coeff in self.terms.items():
             new_exp = [0] * len(variables)
             value = coeff
-            dead = False
             for v, e in zip(self.vars, exp):
                 if e == 0:
                     continue
                 if v in mapping:
-                    coef, nn = mapping[v]
-                    coef = as_cyc(coef)
-                    if nn is None:
-                        if not coef:
-                            dead = True
-                            break
-                        value = value * coef ** e
-                    else:
-                        value = value * coef ** e
-                        new_exp[index[nn]] += e
-                else:
-                    new_exp[index[v]] += e
-            if dead:
-                continue
+                    coef, v = mapping[v]
+                    value = value * as_cyc(coef) ** e
+                new_exp[index[v]] += e
             key = tuple(new_exp)
             acc = terms.get(key)
             total = value if acc is None else acc + value

@@ -4,8 +4,8 @@ Every surface is evaluated through its handle decomposition, one handle
 operator K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1} per
 handle, threading the intermediate grading c = 1 - 2k mod r; the torus
 T(a,b) is the genus-1 surface with the one handle (-a, b).  An algebra has at
-most r^3 distinct handle operators K_{c,a,b}; each is built once and kept
-with the algebra, as the powers of N_a are.
+most r^3 distinct handle operators K_{c,a,b}; LambdaFrobenius.handle_operator
+builds each once and keeps it with the algebra, as it does the powers of N_a.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .scalars import divisors
-from .superlinalg import compose, whisker
+from .superlinalg import compose
 
 
 class SurfaceError(ValueError):
@@ -65,20 +65,6 @@ def evaluate_torus(alg, t):
     return evaluate_surface(alg, RSpinClosedSurface(t.r, 1, ((-t.a, t.b),)))
 
 
-def handle_operator(alg, c, a, b):
-    """K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1}: C_c -> C_{c-2},
-    built once per (c, a, b) mod r and kept with the algebra."""
-    r = alg.r
-    key = (c % r, a % r, b % r)
-    k = alg._handle_operators.get(key)
-    if k is None:
-        other = (c - a - 1) % r
-        n = alg.nakayama_power(a, 1 - b)
-        k = alg._handle_operators[key] = compose(
-            whisker(alg.mu_map(a, other), (), n, (alg.space(other),)), alg.delta_map(a, other))
-    return k
-
-
 def evaluate_surface(alg, s):
     """eps o K_{a_g,b_g} o ... o K_{a_1,b_1} o eta, checked for admissibility."""
     if alg.r != s.r:
@@ -86,13 +72,10 @@ def evaluate_surface(alg, s):
     if not s.admissible():
         raise SurfaceError(
             "no r-spin structure: r=%d does not divide 2g-2=%d" % (s.r, 2 * s.genus - 2))
+    # after g handles the thread sits at C_{1-2g}, which is C_{-1} since r | 2g - 2
     current = alg.eta
-    c = 1
-    for a, b in s.handles:
-        current = compose(handle_operator(alg, c, a, b), current)
-        c = (c - 2) % alg.r
-    if c != (-1) % alg.r:
-        raise SurfaceError("grading thread ended at C_%d instead of C_{-1}" % c)
+    for k, (a, b) in enumerate(s.handles):
+        current = compose(alg.handle_operator(1 - 2 * k, a, b), current)
     return compose(alg.eps, current).scalar
 
 

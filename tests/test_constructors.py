@@ -13,10 +13,12 @@ from rspin.constructors import (
     graded_center,
     graded_center_data,
     nakayama_gamma,
+    structure_maps,
 )
 from rspin.lambda_frobenius import validate
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
+    SuperLinAlgError,
     SuperMap,
     SuperSpace,
     UNIT_SPACE,
@@ -59,6 +61,60 @@ def test_builtin_matrix_algebra():
     assert a.delta_separable
     # trace form is symmetric, so the algebra is symmetric: gamma = id
     assert nakayama_gamma(a).map == identity(a.space)
+
+
+# the dense matrices of mu, eta and eps of each built-in; mu's columns run
+# over the pairs (i, j) in graded order, evens (lex) then odds (lex)
+BUILTIN_MAPS = {
+    ("trivial", None): ([[1]], [[1]], [[1]]),
+    ("group_algebra_Zn", 1): ([[1]], [[1]], [[1]]),
+    ("group_algebra_Zn", 2): ([[1, 0, 0, 1],
+                               [0, 1, 1, 0]], [[1], [0]], [[2, 0]]),
+    ("group_algebra_Zn", 3): ([[1, 0, 0, 0, 0, 1, 0, 1, 0],
+                               [0, 1, 0, 1, 0, 0, 0, 0, 1],
+                               [0, 0, 1, 0, 1, 0, 1, 0, 0]], [[1], [0], [0]], [[3, 0, 0]]),
+    # pairs (0,0), (1,1), (0,1), (1,0): theta^2 = 1 and 1 theta = theta 1 = theta
+    ("clifford1", None): ([[1, 1, 0, 0],
+                           [0, 0, 1, 1]], [[1], [0]], [[2, 0]]),
+    ("matrix_algebra_n", 1): ([[1]], [[1]], [[1]]),
+    # basis E00, E01, E10, E11; E_ij E_kl = delta_jk E_il
+    ("matrix_algebra_n", 2): ([[1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                               [0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+                               [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0],
+                               [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1]],
+                              [[1], [0], [0], [1]], [[2, 0, 0, 2]]),
+}
+
+
+@pytest.mark.parametrize("name, n", list(BUILTIN_MAPS))
+def test_builtin_maps_are_pinned(name, n):
+    a = builtin(name) if n is None else builtin(name, n=n)
+    mult, unit, counit = BUILTIN_MAPS[(name, n)]
+    assert (a.mult.rows, a.unit.rows, a.counit.rows) == (mult, unit, counit)
+    assert a.delta_separable
+
+
+def test_structure_maps_drop_zero_coefficients():
+    space = SuperSpace(1, 1)
+    mult, unit, counit = structure_maps(
+        space, {(0, 0): {0: 1, 1: 0}, (0, 1): {1: 0}, (1, 1): {0: Cyc.zero()}},
+        {0: 1, 1: 0}, {0: 0, 1: 0})
+    assert mult.entries == [{0: Cyc.one()}, {}]
+    assert unit.entries == [{0: Cyc.one()}, {}]
+    assert counit.entries == [{}]
+    assert (mult.source_factors, mult.target_factors) == ((space, space), (space,))
+    assert (unit.source, counit.target) == (UNIT_SPACE, UNIT_SPACE)
+
+
+@pytest.mark.parametrize("products, unit, counit", [
+    ({(0, 0): {1: 1}}, {}, {}),    # even . even = odd
+    ({(0, 1): {0: 1}}, {}, {}),    # even . odd = even
+    ({}, {1: 1}, {}),              # an odd unit
+    ({}, {}, {1: 1}),              # a counit on the odd part
+])
+def test_structure_maps_refuse_entries_outside_the_even_blocks(products, unit, counit):
+    with pytest.raises(SuperLinAlgError, match="parity block"):
+        structure_maps(SuperSpace(1, 1), products, unit, counit)
 
 
 def test_degenerate_pairing_rejected():

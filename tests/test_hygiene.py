@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every private
-helper in src/ is used somewhere else in src/.
+"""Every name a module imports is used in that module, every private
+helper in src/ is used somewhere else in src/, and src/ touches a private
+attribute only through self, cls or a class name.
 
 A stdlib `ast` scan of every file under src/ and tests/; for the imports,
 package `__init__.py` files are skipped (they import to re-export), and so
@@ -96,3 +97,41 @@ def test_scan_names_an_unused_private_helper(tmp_path):
                       "    def __len__(self):\n        return 0\n")
     assert [(p.name, line, name) for p, line, name in unused_private_helpers([used, unused])] \
         == [("unused.py", 4, "_recursive"), ("unused.py", 7, "_Dead"), ("unused.py", 8, "_method")]
+
+
+def foreign_private_attributes(paths):
+    """(path, line, attribute) of each single-underscore attribute read or
+    written through anything but self, cls or a class defined in the given files."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    owners = {"self", "cls"} | {node.name for tree in trees.values() for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)}
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                    and not node.attr.startswith("__") \
+                    and not (isinstance(node.value, ast.Name) and node.value.id in owners):
+                found.append((path, node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_no_private_attribute_of_another_object():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    found = ["%s:%d touches %s" % (path.relative_to(ROOT), line, name)
+             for path, line, name in foreign_private_attributes(files)]
+    assert not found, "private attributes used from outside their object:\n" + "\n".join(found)
+
+
+def test_scan_names_a_foreign_private_attribute(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("class Local:\n"
+                      "    def f(self, other):\n"
+                      "        self._a = Local._b + other.public + other.__dict__\n"
+                      "        other._c = 1\n"
+                      "        return make()._d\n\n"
+                      "    @classmethod\n"
+                      "    def g(cls):\n"
+                      "        return cls._e\n")
+    assert [(line, name) for _, line, name in foreign_private_attributes([source])] \
+        == [(4, "_c"), (5, "_d")]

@@ -23,7 +23,6 @@ from rspin.surface_eval import (
     divisors,
     evaluate_surface,
     evaluate_torus,
-    handle_operator,
     torus_normal_form,
 )
 
@@ -256,15 +255,15 @@ def test_isomorphic_copy_has_the_same_surface_values():
     alg = graded_center(builtin("clifford1"), 4)
     copy = rescaled(alg, lambda a: Fraction(a % 4 + 1))
     assert validate(copy).ok
-    assert handle_operator(alg, 1, 2, 1) == handle_operator(alg, 3, 2, 1)
+    assert alg.handle_operator(1, 2, 1) == alg.handle_operator(3, 2, 1)
     structures = [tuple(zip(hol[::2], hol[1::2]))
                   for hol in itertools.product(range(4), repeat=6)][::7]
     random.Random(3).shuffle(structures)
     for handles in structures:
         surface = RSpinClosedSurface(4, 3, handles)
         assert evaluate_surface(copy, surface) == evaluate_surface(alg, surface), handles
-    assert handle_operator(copy, 1, 2, 1) == handle_operator(alg, 1, 2, 1).scale(2)
-    assert handle_operator(copy, 3, 2, 1) == handle_operator(alg, 3, 2, 1).scale(Fraction(1, 2))
+    assert copy.handle_operator(1, 2, 1) == alg.handle_operator(1, 2, 1).scale(2)
+    assert copy.handle_operator(3, 2, 1) == alg.handle_operator(3, 2, 1).scale(Fraction(1, 2))
 
 
 def test_clifford_genus_two_two_values():
