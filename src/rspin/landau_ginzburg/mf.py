@@ -2,15 +2,17 @@
 
 A factorization is a free Z2-graded module over the polynomial ring on all
 involved variables, with an odd differential squaring to the potential
-difference (checked symbolically on construction).  Hom cohomology is
-computed incrementally on the degree filtration of the morphism complex:
-kernels are exact over the untruncated ring, boundaries are saturated
-degree by degree, and both echelons are carried from one cutoff to the
-next.  The quotient is taken against the boundaries and the
-representatives already accepted together, in one echelon, so the count
-does not depend on the kernel basis.  The dimensions are accepted once
-stable for two consecutive cutoffs.  The echelons are
-superlinalg.SparseEchelon, the one elimination engine of the package.
+difference (checked symbolically on construction).  The orbifold reads its
+twists (GroupAction.root), primes, difference quotients and its one
+closedness test, d_Y f = (-1)^|f| f d_X (check_closed), from here.  Hom
+cohomology is computed incrementally on the degree filtration of the
+morphism complex: kernels are exact over the untruncated ring, boundaries
+are saturated degree by degree, and both echelons are carried from one
+cutoff to the next.  The quotient is taken against the boundaries and the
+representatives already accepted together, in one echelon, so the count does
+not depend on the kernel basis.  The dimensions are accepted once stable for
+two consecutive cutoffs.  The echelons are superlinalg.SparseEchelon, the one
+elimination engine of the package.
 """
 
 from __future__ import annotations
@@ -130,26 +132,27 @@ class MatrixFactorization:
 
 
 def _pmat_mul(a, b):
-    n = len(a)
-    m = len(b[0]) if b else 0
-    out = [[Poly.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for k in range(len(b)):
-            entry = a[i][k]
-            if not entry:
-                continue
-            for j in range(m):
-                if b[k][j]:
-                    out[i][j] = out[i][j] + entry * b[k][j]
+    """a . b over Poly, summing only the nonzero products."""
+    out = []
+    for row in a:
+        acc = [None] * (len(b[0]) if b else 0)
+        for entry, brow in zip(row, b):
+            if entry:
+                for j, other in enumerate(brow):
+                    if other:
+                        acc[j] = entry * other if acc[j] is None else acc[j] + entry * other
+        out.append([Poly.zero() if e is None else e for e in acc])
     return out
 
 
-def _pmat_sub(a, b):
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _pmat_scale(a, c):
-    return [[c * x for x in row] for row in a]
+def check_closed(dx, dy, mat, parity):
+    """Raise MFError unless d_Y . mat = (-1)^parity mat . d_X, with dx and dy
+    the differential matrices of the source and the target."""
+    rhs = _pmat_mul(mat, dx)
+    for i, row in enumerate(_pmat_mul(dy, mat)):
+        for j, left in enumerate(row):
+            if left != (-rhs[i][j] if parity else rhs[i][j]):
+                raise MFError("d_Y . f != (-1)^|f| f . d_X at entry (%d, %d)" % (i, j))
 
 
 def _koszul_basis(n):
@@ -393,8 +396,9 @@ def hom_cohomology(x, y):
             even_reps, odd_reps = (
                 [_vec_to_matrix(vec, domain[parity], ny, nx, variables) for vec in reps]
                 for parity, reps in enumerate(reps_pair))
-            _verify_closed(x, y, even_reps, 0)
-            _verify_closed(x, y, odd_reps, 1)
+            for parity, reps in enumerate((even_reps, odd_reps)):
+                for mat in reps:
+                    check_closed(x.d, y.d, mat, parity)
             return HomCohomology(len(even_reps), len(odd_reps), even_reps, odd_reps,
                                  cutoff, tuple(trajectory))
     raise InconclusiveCohomology(
@@ -408,14 +412,3 @@ def _vec_to_matrix(vec, domain, ny, nx, variables):
         mat[i][j] = mat[i][j] + Poly(variables, {mono: coeff})
     return mat
 
-
-def _verify_closed(x, y, reps, parity):
-    sign = -1 if parity else 1
-    for mat in reps:
-        lhs = _pmat_mul(y.d, mat)
-        rhs = _pmat_scale(_pmat_mul(mat, x.d), sign)
-        residual = _pmat_sub(lhs, rhs)
-        for row in residual:
-            for entry in row:
-                if not entry.is_zero():
-                    raise MFError("representative is not delta-closed; internal error")

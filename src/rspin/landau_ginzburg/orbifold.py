@@ -6,26 +6,29 @@ composite factorization over a middle variable, then contracting with the
 exact retraction that eliminates the middle variable of a composition of
 graph-type Koszul factorizations:
 
-    pi(A + B th1 + C th2 + F th1 th2) = A|_{y -> lam_g x'} + C|...| . theta
+    pi(A + B th1 + C th2 + F th1 th2) = A|_{y -> root_g x'} + C|...| . theta
     iota(s) = s + q . s . th1 th2,   q = (u(y,x) - u(x',x)) / (y - x')
 
-Class reduction re-expresses the (delta-closed, asserted) raw product in
-the canonical cocycle basis through functionals that provably kill
-coboundaries: evaluation at the origin for the twisted sectors, and
-restriction to the diagonal modulo the Jacobi ideal for untwisted ones.
-Multi-variable Fermat sums are graded tensor products of the one-variable
-data with the usual Koszul signs.
+Class reduction re-expresses the raw product, checked closed by
+mf.check_closed, in the canonical cocycle basis through functionals that
+provably kill coboundaries: evaluation at the origin for the twisted
+sectors, and restriction to the diagonal modulo the Jacobi ideal for
+untwisted ones.  Multi-variable Fermat sums are graded tensor products of
+the one-variable data with the usual Koszul signs.
 
 Each orbifold_algebra call builds one SectorModel per distinct (exponent,
 weight); variables that agree in both share it.  A model computes its
 sector data (v_g, u_g, q0 and the canonical cocycles) when it is built and
-memoises its own products, each of which is checked to be a cocycle of the
-right parity.  Nothing is kept from one call to the next.
+memoises its own products.  Its sector differentials are
+mf.twisted_identity's, built from GroupAction.root, mf.prime and
+mf.difference_quotient without the d^2 check.  Nothing is kept from one
+call to the next.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from ..scalars import Cyc, divisors
@@ -39,7 +42,7 @@ from ..constructors import (
     structure_maps,
 )
 from .poly import Poly
-from .mf import GroupAction
+from .mf import GroupAction, check_closed, difference_quotient, prime
 
 
 class OrbifoldError(ValueError):
@@ -77,39 +80,36 @@ class SectorModel:
 
     def __init__(self, var, d, r, weight):
         self.var = var
-        self.prime = var + "'"
+        self.prime = prime(var)
         self.mid = var + "~"
         self.d = d
         self.r = r
         self.weight = weight % r
-        self.x = Poly.variable(var)
-        self.xp = Poly.variable(self.prime)
-        num = (self.xp ** d) - (self.x ** d)
-        self.v = [self.xp.scale(self.lam(g)) - self.x for g in range(r)]
+        x, xp, zero = Poly.variable(var), Poly.variable(self.prime), Poly.zero()
+        # sector g twists x' -> roots[g] x' in the identity I_W
+        action = GroupAction(r, ((var, weight),))
+        self.roots = [action.root(var, -g) for g in range(r)]
+        self.v = [xp.scale(root) - x for root in self.roots]
+        num = xp ** d - x ** d
         self.u = [num.divide_exact(v_g) for v_g in self.v]
+        # d_g = [[0, v_g], [u_g, 0]] is twisted_identity(x^d, action, g).d
+        self.differentials = [[[zero, v_g], [u_g, zero]] for v_g, u_g in zip(self.v, self.u)]
         # q0 = (u_0(y, x) - u_0(x', x)) / (y - x') with y the middle variable
-        u_mid = self.u[0].rename({self.prime: self.mid})
-        self.q0 = (u_mid - self.u[0]).divide_exact(Poly.variable(self.mid) - self.xp)
+        self.q0 = difference_quotient(self.u[0], self.prime).rename({prime(self.prime): self.mid})
         # canonical cocycle representatives as 2x2 matrices over (var', var)
         self.cocycles = {}
         for g in range(r):
             for label in self.basis(g):
                 if label[0] == "even":
-                    mono = self.x ** label[1]
-                    zero = Poly.zero(mono.vars)
+                    mono = x ** label[1]
                     mat = [[mono, zero], [zero, mono]]
                 else:
-                    cbar = self.u[0].divide_exact(self.v[g])
-                    zero = Poly.zero(cbar.vars)
-                    mat = [[zero, Poly.const(1)], [-cbar, zero]]
+                    mat = [[zero, Poly.const(1)], [-self.u[0].divide_exact(self.v[g]), zero]]
                 self.cocycles[(g, label)] = mat
         self.products = {}
 
-    def lam(self, g):
-        return Cyc.zeta(self.r, (-self.weight * g) % self.r)
-
     def untwisted(self, g):
-        return self.lam(g) == Cyc.one(self.r)
+        return self.roots[g % self.r] == Cyc.one(self.r)
 
     def basis(self, g):
         if self.untwisted(g):
@@ -138,29 +138,15 @@ class SectorModel:
         P, Q = [e.rename({self.var: self.mid}) for e in self.cocycles[(g, lab1)][0]]
         (P2, Q2), (S2, T2) = [[e.rename({self.prime: self.mid}) for e in row]
                               for row in self.cocycles[(h, lab2)]]
-        q0 = self.q0
-        composite = [[P * P2 - Q * Q2 * q0, P * Q2 + Q * P2],
-                     [P * S2 + Q * T2 * q0, P * T2 - Q * S2]]
-        sub = {self.mid: (self.lam(g), self.prime)}
+        composite = [[P * P2 - Q * Q2 * self.q0, P * Q2 + Q * P2],
+                     [P * S2 + Q * T2 * self.q0, P * T2 - Q * S2]]
+        sub = {self.mid: (self.roots[g], self.prime)}
         raw = [[e.substitute(sub) for e in row] for row in composite]
         s = (g + h) % self.r
         parity = (SectorModel.parity(lab1) + SectorModel.parity(lab2)) % 2
-        self._assert_cocycle(raw, s, parity)
+        check_closed(self.differentials[0], self.differentials[s], raw, parity)
         self.products[key] = self._extract_class(raw, s, parity)
         return self.products[key]
-
-    def _assert_cocycle(self, mat, s, parity):
-        """d_s . mat = (-1)^parity mat . d_0, with d_g = [[0, v_g], [u_g, 0]]."""
-        v_s, u_s, v_0, u_0 = self.v[s], self.u[s], self.v[0], self.u[0]
-        lhs = [[v_s * mat[1][0], v_s * mat[1][1]],
-               [u_s * mat[0][0], u_s * mat[0][1]]]
-        rhs = [[mat[0][1] * u_0, mat[0][0] * v_0],
-               [mat[1][1] * u_0, mat[1][0] * v_0]]
-        sign = -1 if parity else 1
-        for i in range(2):
-            for j in range(2):
-                if lhs[i][j] != rhs[i][j].scale(sign):
-                    raise OrbifoldError("raw product is not a cocycle; convention bug")
 
     def _extract_class(self, mat, s, parity):
         """Coefficients of the class in the canonical basis of sector s.
@@ -277,12 +263,10 @@ def orbifold_algebra(w, action):
 
     products = {(i, j): multiply(e1, e2)
                 for i, e1 in enumerate(labels) for j, e2 in enumerate(labels)}
-    # the shared Cyc.one(), which compose and whisker skip multiplying by
-    one = Cyc.one()
     unit_label = (0, tuple(("even", 0) for _ in models))
-    socle = {k: one for k, (g, labs) in enumerate(labels)
+    socle = {k: 1 for k, (g, labs) in enumerate(labels)
              if g == 0 and all(l == ("even", m.d - 2) for l, m in zip(labs, models))}
-    mult, unit, counit = structure_maps(space, products, {index[unit_label]: one}, socle)
+    mult, unit, counit = structure_maps(space, products, {index[unit_label]: 1}, socle)
 
     # the unit is the single basis vector 1_0, so the handle element
     # z = mu o Delta o eta is a multiple of it exactly when it equals its own
@@ -293,9 +277,10 @@ def orbifold_algebra(w, action):
         scale = Cyc.one()
     algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit.scale(scale))
 
-    total_weight = sum(action.weight(v) for v in variables) % r
+    # det(g)^{-1}: the product of the twists of g on every variable
+    det_inverse = [math.prod(action.root(v, -g) for v in variables) for g in range(r)]
     gamma = AlgebraAutomorphism(SuperMap(space, space, 0, entries=[
-        {k: Cyc.zeta(r, (-g * total_weight) % r)} for k, (g, _) in enumerate(labels)]))
+        {k: det_inverse[g]} for k, (g, _) in enumerate(labels)]))
 
     computed = nakayama_gamma(algebra)
     if computed.map != gamma.map:

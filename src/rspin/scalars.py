@@ -115,6 +115,8 @@ class Cyc:
         else:
             value = Fraction(value)
             n, den = value.numerator, value.denominator
+        if n == 1 and den == 1:  # the shared one, which compose and whisker skip
+            return _ONES(order)
         # a Fraction is already in lowest terms with a positive denominator
         return Cyc(order, den, _rational_num(n, order))
 

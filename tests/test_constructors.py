@@ -94,6 +94,15 @@ def test_builtin_maps_are_pinned(name, n):
     assert a.delta_separable
 
 
+@pytest.mark.parametrize("name, n", list(BUILTIN_MAPS))
+def test_builtin_mu_entries_are_the_shared_one(name, n):
+    # every structure constant of the built-ins is 1, so each entry of mu is
+    # the object compose and whisker skip multiplying by
+    a = builtin(name) if n is None else builtin(name, n=n)
+    entries = [c for row in a.mult.entries for c in row.values()]
+    assert entries and all(c is Cyc.one() for c in entries)
+
+
 def test_structure_maps_drop_zero_coefficients():
     space = SuperSpace(1, 1)
     mult, unit, counit = structure_maps(

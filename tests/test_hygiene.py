@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, every private
-helper in src/ is used somewhere else in src/, and src/ touches a private
-attribute only through self, cls or a class name.
+helper in src/ is used somewhere else in src/, src/ touches a private
+attribute only through self, cls or a class name, and only scalars and
+landau_ginzburg/mf call Cyc.zeta.
 
 A stdlib `ast` scan of every file under src/ and tests/; for the imports,
 package `__init__.py` files are skipped (they import to re-export), and so
@@ -135,3 +136,38 @@ def test_scan_names_a_foreign_private_attribute(tmp_path):
                       "        return cls._e\n")
     assert [(line, name) for _, line, name in foreign_private_attributes([source])] \
         == [(4, "_c"), (5, "_d")]
+
+
+# scalars defines the roots of unity and mf's GroupAction.root is the one
+# twist convention; every other module reads its roots from those
+ZETA_OWNERS = ("scalars.py", "landau_ginzburg/mf.py")
+
+
+def zeta_calls(path):
+    """Line of each call of Cyc.zeta in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "zeta" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "Cyc")
+
+
+def test_roots_of_unity_only_from_scalars_and_mf():
+    package = ROOT / "src" / "rspin"
+    files = sorted(p for p in package.rglob("*.py")
+                   if p.relative_to(package).as_posix() not in ZETA_OWNERS)
+    assert files
+    found = ["%s:%d calls Cyc.zeta" % (path.relative_to(ROOT), line)
+             for path in files for line in zeta_calls(path)]
+    assert not found, "take twists from GroupAction.root instead:\n" + "\n".join(found)
+
+
+def test_scan_names_a_zeta_call(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("from rspin.scalars import Cyc\n\n"
+                      "def f(action, r):\n"
+                      "    root = action.root('x', -1) * Cyc.one(r)\n"
+                      "    return [Cyc.zeta(r, k) for k in range(r)], root.zeta(r)\n\n"
+                      "g = Cyc.zeta\n"
+                      "h = 1 + Cyc.zeta(3)\n")
+    assert zeta_calls(source) == [5, 8]

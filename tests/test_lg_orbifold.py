@@ -6,6 +6,7 @@ from rspin.constructors import FrobeniusAlgebraData, nakayama_gamma
 from rspin.landau_ginzburg.mf import (
     GroupAction,
     MFError,
+    check_closed,
     hom_cohomology,
     identity_mf,
     twisted_identity,
@@ -165,6 +166,44 @@ def test_sector_basis_matches_hom_cohomology(r):
         parities = [SectorModel.parity(lab) for lab in model.basis(g)]
         counts = (parities.count(0), parities.count(1))
         assert hom_cohomology(one, twisted_identity(w, action, g)).dims == counts, g
+
+
+SECTOR_CASES = [(2, 2, 1), (3, 3, 1), (3, 3, 2), (4, 4, 1), (4, 2, 1), (5, 5, 1), (4, 4, 2)]
+
+
+@pytest.mark.parametrize("d, r, weight", SECTOR_CASES,
+                         ids=["%d-%d-%d" % case for case in SECTOR_CASES])
+def test_sector_differentials_are_the_twisted_identities(d, r, weight):
+    # the model's sector g is the g-twisted identity of mf, entry by entry
+    w = parse_poly("x^%d" % d)
+    action = GroupAction(r, (("x", weight),))
+    model = SectorModel("x", d, r, weight)
+    for g in range(r):
+        expected = twisted_identity(w, action, g).d
+        assert len(model.differentials[g]) == len(expected) == 2
+        for got_row, want_row in zip(model.differentials[g], expected):
+            assert len(got_row) == len(want_row)
+            for got, want in zip(got_row, want_row):
+                assert got == want, (g, got, want)
+
+
+@pytest.mark.parametrize("d, r, weight", SECTOR_CASES,
+                         ids=["%d-%d-%d" % case for case in SECTOR_CASES])
+def test_canonical_cocycles_are_closed(d, r, weight):
+    model = SectorModel("x", d, r, weight)
+    for (g, label), mat in model.cocycles.items():
+        check_closed(model.differentials[0], model.differentials[g], mat,
+                     SectorModel.parity(label))
+
+
+def test_check_closed_rejects_a_non_closed_matrix():
+    # the even identity does not commute with the twisted differential of x^3
+    d1 = twisted_identity(parse_poly("x^3"), act1(3), 1).d
+    d0 = identity_mf(parse_poly("x^3")).d
+    one, zero = Poly.const(1), Poly.zero()
+    with pytest.raises(MFError):
+        check_closed(d0, d1, [[one, zero], [zero, one]], 0)
+    check_closed(d1, d1, [[one, zero], [zero, one]], 0)
 
 
 @pytest.mark.parametrize("dx, dy, r, wx, wy, shared", [

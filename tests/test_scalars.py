@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rspin.scalars import (
     Cyc,
     ScalarError,
+    as_cyc,
     cyclotomic_polynomial,
     format_scalar,
     parse_scalar,
@@ -102,6 +103,15 @@ def test_rational_canonical_form():
     assert c.as_fraction() == Fraction(-3, 2)
     assert c.as_fraction().numerator == -3
     assert c.as_fraction().denominator == 2
+
+
+def test_rational_one_is_the_shared_one():
+    # compose and whisker skip multiplying by this object, so every 1 built
+    # from an int or a Fraction must be it
+    assert as_cyc(1) is Cyc.one()
+    assert Cyc.rational(Fraction(2, 2)) is Cyc.one()
+    assert Cyc.rational(1, 5) is Cyc.one(5)
+    assert Cyc.rational(-1) is not Cyc.one() and Cyc.rational(-1) == -1
 
 
 small_rationals = st.fractions(
