@@ -322,11 +322,12 @@ def lg_jacobi(potential, as_json):
 def lg_hom(potential, group, weights, g_twist, shift, as_json):
     """Hom cohomology dimensions between (twisted/shifted) identity defects."""
     w = parse_poly(potential)
+    # a given --group or --weights is checked even when no --g uses it
+    action = None
+    if group is not None or weights is not None or g_twist is not None:
+        action = _action_from_options(w, group, weights)
     source = identity_mf(w)
-    if g_twist is not None:
-        target = twisted_identity(w, _action_from_options(w, group, weights), g_twist)
-    else:
-        target = identity_mf(w)
+    target = source if g_twist is None else twisted_identity(w, action, g_twist)
     if shift:
         target = target.shift()
     h = hom_cohomology(source, target)

@@ -261,9 +261,9 @@ def write_map(m):
 
 
 def infer_scalar_order(maps):
-    """The largest order of an irrational entry of the maps; 1 if all are rational."""
-    return max((x.order for m in maps for stored in m.entries for x in stored.values()
-                if not x.is_rational()), default=1)
+    """The largest order of an entry of the maps; a rational entry has order 1."""
+    return max((x.order for m in maps for stored in m.entries for x in stored.values()),
+               default=1)
 
 
 # -- relation validation -----------------------------------------------------

@@ -183,17 +183,16 @@ def koszul_factorization(us, vs, source_vars, target_vars, middle_vars,
     index = {m: k for k, m in enumerate(masks)}
     parities = tuple(bin(m).count("1") % 2 for m in masks)
     size = len(masks)
-    d = [[Poly.zero() for _ in range(size)] for _ in range(size)]
+    # theta_i and theta_i* move a mask to distinct masks, so each entry of d
+    # takes at most one signed u_i or v_i
+    d = [[Poly.zero()] * size for _ in range(size)]
     for col, mask in enumerate(masks):
         for i in range(n):
-            w = _wedge(mask, i)
-            if w is not None:
-                target, sign = w
-                d[index[target]][col] = d[index[target]][col] + us[i].scale(sign)
-            c = _contract(mask, i)
-            if c is not None:
-                target, sign = c
-                d[index[target]][col] = d[index[target]][col] + vs[i].scale(sign)
+            for step, entry in ((_wedge, us[i]), (_contract, vs[i])):
+                moved = step(mask, i)
+                if moved is not None:
+                    target, sign = moved
+                    d[index[target]][col] = entry if sign > 0 else -entry
     return MatrixFactorization(tuple(source_vars), tuple(target_vars), tuple(middle_vars),
                                source_potential, target_potential, parities, d)
 
@@ -214,7 +213,8 @@ def _koszul_identity(w, lam):
     primed = tuple(prime(v) for v in variables)
     scaled = {p: (lam[v], p) for v, p in zip(variables, primed) if lam[v] != 1}
     us = [difference_quotient(w, v).substitute(scaled) for v in variables]
-    vs = [Poly.variable(p).scale(lam[v]) - Poly.variable(v) for v, p in zip(variables, primed)]
+    vs = [Poly.variable(p).substitute(scaled) - Poly.variable(v)
+          for v, p in zip(variables, primed)]
     return koszul_factorization(us, vs, variables, primed, (),
                                 w, w.rename(dict(zip(variables, primed))))
 
@@ -251,16 +251,17 @@ def mf_tensor(y, x):
     order = sorted(range(len(pairs)), key=lambda k: (parities[k], k))
     pos = {pairs[k]: rank for rank, k in enumerate(order)}
     size = len(pairs)
-    d = [[Poly.zero() for _ in range(size)] for _ in range(size)]
+    # both differentials are odd, so their diagonals vanish and no two terms
+    # of d_Y o 1 and 1 o d_X land in the same entry
+    d = [[Poly.zero()] * size for _ in range(size)]
     for q, p in pairs:
         col = pos[(q, p)]
         for q2 in range(ny):
             if yd[q2][q]:
-                d[pos[(q2, p)]][col] = d[pos[(q2, p)]][col] + yd[q2][q]
-        sign = -1 if y.parities[q] else 1
+                d[pos[(q2, p)]][col] = yd[q2][q]
         for p2 in range(nx):
             if xd[p2][p]:
-                d[pos[(q, p2)]][col] = d[pos[(q, p2)]][col] + xd[p2][p].scale(sign)
+                d[pos[(q, p2)]][col] = -xd[p2][p] if y.parities[q] else xd[p2][p]
     new_parities = tuple(parities[k] for k in order)
     middles = tuple(sorted(set(x.middle_vars) | set(y.middle_vars) | set(fresh.values())))
     return MatrixFactorization(x.source_vars, y.target_vars, middles,
@@ -406,9 +407,10 @@ def hom_cohomology(x, y):
 
 
 def _vec_to_matrix(vec, domain, ny, nx, variables):
-    mat = [[Poly.zero(variables) for _ in range(nx)] for _ in range(ny)]
+    # each tracking index is a distinct (slot, monomial), so no terms collide
+    terms = {}
     for t, coeff in vec.items():
-        (i, j), mono = domain[-1 - t]
-        mat[i][j] = mat[i][j] + Poly(variables, {mono: coeff})
-    return mat
+        slot, mono = domain[-1 - t]
+        terms.setdefault(slot, {})[mono] = coeff
+    return [[Poly(variables, terms.get((i, j), {})) for j in range(nx)] for i in range(ny)]
 

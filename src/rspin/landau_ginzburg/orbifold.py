@@ -109,7 +109,7 @@ class SectorModel:
         self.products = {}
 
     def untwisted(self, g):
-        return self.roots[g % self.r] == Cyc.one(self.r)
+        return self.roots[g % self.r] == 1
 
     def basis(self, g):
         if self.untwisted(g):

@@ -2,12 +2,15 @@
 
 A scalar of order r is an integer-coefficient polynomial in zeta reduced
 modulo the r-th cyclotomic polynomial Phi_r, over a single positive
-denominator in lowest terms.  Purely rational values embed into any order,
-so arithmetic mixing rationals with a fixed Q(zeta_r) works without a tower
-of fields.  A rational operand skips the convolution and the reduction mod
-Phi_r: a product with a rational factor scales the other numerator by one
-integer, and in Q itself (orders 1 and 2) a sum or product is one integer
-operation and one gcd.  No floating point appears anywhere.
+denominator in lowest terms.  Every value has one representation: a
+rational value always lives in Q (order 1, one numerator), and a result
+whose zeta coefficients cancel, such as zeta * zeta^-1 or 1 + zeta + zeta^2,
+moves there.  So arithmetic needs no coercion between fields, and an
+operator picks its path from the operands' lengths: in Q a sum or product is
+one integer operation and one gcd; a rational operand scales the other's
+numerators or shifts its constant coefficient, with no convolution and no
+reduction mod Phi_r; two irrational operands must share their order.  No
+floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class ScalarError(ValueError):
@@ -61,11 +64,6 @@ def cyclotomic_polynomial(r):
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def field_degree(r):
-    return len(cyclotomic_polynomial(r)) - 1
-
-
 def _reduce_mod_phi(coeffs, r):
     """Reduce an ascending integer coefficient list modulo Phi_r (monic)."""
     phi = cyclotomic_polynomial(r)
@@ -85,23 +83,31 @@ def _reduce_mod_phi(coeffs, r):
 
 
 class Cyc:
-    """An element of Q(zeta_r), canonically reduced modulo Phi_r."""
+    """An element of Q(zeta_r) in canonical form.
+
+    A rational value has order 1 and one numerator; any other value has the
+    order r >= 3 of its field and deg(Phi_r) numerators, not all of them
+    after the first zero.  Equal values therefore have equal fields.
+    """
 
     __slots__ = ("order", "den", "num")
 
     def __init__(self, order, den, num):
-        # Internal: callers must pass reduced data; use the constructors below.
+        # Internal: callers must pass canonical data; use the constructors below.
         self.order = order
         self.den = den
         self.num = num
 
     @staticmethod
     def _make(order, den, num):
+        """num / den, with num reduced mod Phi_order, in canonical form."""
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             den, num = -den, [-c for c in num]
-        # gcd(den, 0, ..., 0) = den, so zero comes out as 0/1
+        if not any(num[1:]):
+            order, num = 1, num[:1]
+        # gcd(den, 0) = den, so zero comes out as 0/1
         g = gcd(den, *num)
         if g > 1:
             den //= g
@@ -109,16 +115,16 @@ class Cyc:
         return Cyc(order, den, tuple(num))
 
     @staticmethod
-    def rational(value, order=1):
+    def rational(value):
         if value.__class__ is int:
             n, den = value, 1
         else:
             value = Fraction(value)
             n, den = value.numerator, value.denominator
         if n == 1 and den == 1:  # the shared one, which compose and whisker skip
-            return _ONES(order)
+            return _ONE
         # a Fraction is already in lowest terms with a positive denominator
-        return Cyc(order, den, _rational_num(n, order))
+        return Cyc(1, den, (n,))
 
     @staticmethod
     def zeta(order, power=1):
@@ -131,74 +137,53 @@ class Cyc:
     def from_coeffs(order, coeffs):
         """Build from a list of rational coefficients in zeta (any length)."""
         fracs = [Fraction(c) for c in coeffs]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
+        den = lcm(*(f.denominator for f in fracs))
         ints = [int(f * den) for f in fracs]
         return Cyc._make(order, den, _reduce_mod_phi(ints, order))
 
     @staticmethod
-    def zero(order=1):
-        return _ZEROS(order)
+    def zero():
+        return _ZERO
 
     @staticmethod
-    def one(order=1):
-        return _ONES(order)
+    def one():
+        return _ONE
 
     @property
     def coeffs(self):
-        """Coefficients as Fractions, length deg(Phi_r)."""
+        """Coefficients in zeta as Fractions: one for a rational value."""
         return tuple(Fraction(c, self.den) for c in self.num)
-
-    def is_zero(self):
-        return not any(self.num)
 
     def __bool__(self):
         return any(self.num)
 
     def is_rational(self):
-        if len(self.num) == 1:
-            return True
-        return not any(self.num[1:])
+        return len(self.num) == 1
 
     def as_fraction(self):
-        # For deg-1 fields (r = 1, 2) every reduced representative is constant.
-        if not self.is_rational():
+        if len(self.num) > 1:
             raise ScalarError("not a rational value: %s" % format_scalar(self))
         return Fraction(self.num[0], self.den)
 
-    def to_order(self, order):
-        if order == self.order:
-            return self
-        if self.is_rational():
-            return Cyc(order, self.den, _rational_num(self.num[0], order))
-        raise ScalarError(
-            "order mismatch: cannot move irrational scalar from Q(zeta_%d) to Q(zeta_%d)"
-            % (self.order, order)
-        )
-
-    @staticmethod
-    def _coerce_pair(a, b):
-        if not isinstance(b, Cyc):
-            b = Cyc.rational(b, a.order)
-        if a.order == b.order:
-            return a, b
-        if a.is_rational():
-            return a.to_order(b.order), b
-        return a, b.to_order(a.order)
-
     def __add__(self, other):
         a, b = self, other
-        if b.__class__ is not Cyc or a.order != b.order:
-            a, b = Cyc._coerce_pair(a, b)
-        da, db = a.den, b.den
+        if b.__class__ is not Cyc:
+            b = Cyc.rational(b)
         if len(a.num) == 1:
-            # a degree-1 field (orders 1 and 2) is Q: one integer sum, one gcd
+            a, b = b, a  # an irrational summand comes first
+        da, db = a.den, b.den
+        if len(b.num) > 1:
+            num = [x * db + y * da for x, y in zip(a.num, b.num)]
+            return Cyc._make(_common_order(a, b), da * db, num)
+        if len(a.num) == 1:
+            # Q + Q: one integer sum, one gcd
             n = a.num[0] * db + b.num[0] * da
             den = da * db
             g = gcd(n, den)
-            return Cyc(a.order, den // g, (n // g,))
-        num = [x * db + y * da for x, y in zip(a.num, b.num)]
+            return Cyc(1, den // g, (n // g,))
+        # a rational summand shifts the constant coefficient
+        num = [x * db for x in a.num]
+        num[0] += b.num[0] * da
         return Cyc._make(a.order, da * db, num)
 
     __radd__ = __add__
@@ -207,47 +192,46 @@ class Cyc:
         return Cyc(self.order, self.den, tuple(-c for c in self.num))
 
     def __sub__(self, other):
-        a, b = Cyc._coerce_pair(self, other)
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         a, b = self, other
-        if b.__class__ is not Cyc or a.order != b.order:
-            a, b = Cyc._coerce_pair(a, b)
-        an, bn = a.num, b.num
+        if b.__class__ is not Cyc:
+            b = Cyc.rational(b)
+        if len(a.num) == 1:
+            a, b = b, a  # an irrational factor comes first
+        an, bn, den = a.num, b.num, a.den * b.den
+        if len(bn) > 1:
+            return Cyc._make(_common_order(a, b), den,
+                             _reduce_mod_phi(_int_poly_mul(an, bn), a.order))
+        c = bn[0]
         if len(an) == 1:
-            # a degree-1 field (orders 1 and 2) is Q: one integer product, one gcd
-            n = an[0] * bn[0]
-            den = a.den * b.den
+            # Q x Q: one integer product, one gcd
+            n = an[0] * c
             g = gcd(n, den)
-            return Cyc(a.order, den // g, (n // g,))
-        if not any(an) or not any(bn):
-            return _ZEROS(a.order)
-        if any(an[1:]):
-            if any(bn[1:]):
-                return Cyc._make(a.order, a.den * b.den,
-                                 _reduce_mod_phi(_int_poly_mul(an, bn), a.order))
-            c, num = bn[0], an
-        else:
-            c, num = an[0], bn
-        # a rational factor scales the other numerator: no convolution and no
-        # reduction mod Phi_r; both factors are nonzero, so the product is too
-        num = [c * x for x in num]
-        den = a.den * b.den
+            return Cyc(1, den // g, (n // g,))
+        # a rational factor scales the numerators: no convolution and no
+        # reduction mod Phi_r; a nonzero one leaves the product irrational
+        if not c:
+            return _ZERO
+        num = [c * x for x in an]
         g = gcd(den, *num)
         return Cyc(a.order, den // g, tuple(x // g for x in num))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.order)
-        if self.is_rational():
-            q = self.as_fraction()
-            return Cyc.rational(Fraction(q.denominator, q.numerator), self.order)
+        if len(self.num) == 1:
+            n, d = self.num[0], self.den
+            if not n:
+                raise ZeroDivisionError("inverse of zero")
+            if n < 0:
+                n, d = -n, -d
+            # n/d is in lowest terms, so d/n is too; 1/1 stays the shared one
+            return _ONE if d == n else Cyc(1, n, (d,))
         # Galois norm: with c the product of the conjugates sigma_k(a), zeta -> zeta^k
         # for the units k != 1 mod r, N = a c is rational and a^-1 = c / N.  On
         # numerators, a = num / den gives a^-1 = den * c_num / N_num.
@@ -263,13 +247,14 @@ class Cyc:
         return Cyc._make(r, norm, [self.den * x for x in conj])
 
     def __truediv__(self, other):
-        a, b = Cyc._coerce_pair(self, other)
-        return a * b.inverse()
+        if other.__class__ is not Cyc:
+            other = Cyc.rational(other)
+        return self * other.inverse()
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = Cyc.one(self.order)
+        result = _ONE
         base = self
         while k:
             if k & 1:
@@ -280,37 +265,32 @@ class Cyc:
 
     def __eq__(self, other):
         # a Cyc first: isinstance against Fraction, an ABC, is slow
-        if isinstance(other, Cyc):
-            if self.order == other.order:
-                return self.den == other.den and self.num == other.num
-            return (self.is_rational() and other.is_rational()
-                    and self.as_fraction() == other.as_fraction())
+        if other.__class__ is Cyc:
+            return self.num == other.num and self.den == other.den and self.order == other.order
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_fraction() == other
+            return (len(self.num) == 1 and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_fraction())
+        if len(self.num) == 1:
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.order, self.den, self.num))
 
     def __repr__(self):
         return "Cyc(%d, %s)" % (self.order, format_scalar(self))
 
 
-def _rational_num(n, order):
-    """The reduced numerator of the rational n/den in Q(zeta_order)."""
-    return (n,) + (0,) * (field_degree(order) - 1)
+_ZERO = Cyc(1, 1, (0,))
+_ONE = Cyc(1, 1, (1,))
 
 
-@lru_cache(maxsize=None)
-def _ZEROS(order):
-    return Cyc(order, 1, _rational_num(0, order))
-
-
-@lru_cache(maxsize=None)
-def _ONES(order):
-    return Cyc(order, 1, _rational_num(1, order))
+def _common_order(a, b):
+    """The order of two irrational values, which must share their field."""
+    if a.order != b.order:
+        raise ScalarError("order mismatch: cannot combine Q(zeta_%d) with Q(zeta_%d)"
+                          % (a.order, b.order))
+    return a.order
 
 
 def _int_poly_mul(a, b):
@@ -476,8 +456,7 @@ def parse_scalar(text, order=1):
                               % (s, text))
         return Cyc.zeta(order)
 
-    return parse_expression(text, "scalar", ScalarError,
-                            lambda n: Cyc.rational(n, order), name)
+    return parse_expression(text, "scalar", ScalarError, Cyc.rational, name)
 
 
 def _format_fraction(q):
@@ -485,8 +464,6 @@ def _format_fraction(q):
 
 
 def format_scalar(c):
-    if c.is_rational():
-        return _format_fraction(c.as_fraction())
     parts = []
     for k, q in enumerate(c.coeffs):
         if q == 0:

@@ -292,6 +292,20 @@ def test_malformed_or_non_ascii_numbers_exit_2_without_traceback(runner, args, m
 
 
 @pytest.mark.parametrize("args,message", [
+    (["lg-hom", "x^3", "--group", "banana", "--weights", "7,7,7"], "--group must look like Z5"),
+    (["lg-hom", "x^3", "--group", "Z3", "--weights", "7,7,7"],
+     "need one weight per variable (1)"),
+    (["lg-hom", "x^3", "--weights", "1"], "--group Zr is required for orbifold commands"),
+])
+def test_lg_hom_checks_group_and_weights_without_g(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
+        ["Error: " + message], result.output
+
+
+@pytest.mark.parametrize("args,message", [
     (["check", "--builtin", "clifford1", "R=4"], "unknown key 'R'; check takes r"),
     (["check", "--builtin", "trivial", "r=1", "r=2"], "key 'r' is given more than once"),
     (["nakayama", "--builtin", "clifford1", "r=2", "a=1"], "unknown key 'a'; nakayama takes r"),

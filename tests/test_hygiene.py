@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every private
 helper in src/ is used somewhere else in src/, src/ touches a private
-attribute only through self, cls or a class name, and only scalars and
-landau_ginzburg/mf call Cyc.zeta.
+attribute only through self, cls or a class name, only scalars and
+landau_ginzburg/mf call Cyc.zeta, and only scalars builds a Cyc from its
+fields or reads them.
 
 A stdlib `ast` scan of every file under src/ and tests/; for the imports,
 package `__init__.py` files are skipped (they import to re-export), and so
@@ -171,3 +172,39 @@ def test_scan_names_a_zeta_call(tmp_path):
                       "g = Cyc.zeta\n"
                       "h = 1 + Cyc.zeta(3)\n")
     assert zeta_calls(source) == [5, 8]
+
+
+# scalars owns the canonical form of a Cyc; every other module builds one
+# through its constructors and reads it through its methods
+def cyc_internals(path):
+    """(line, what) of each direct Cyc(...) call and each .num or .den read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Cyc":
+                found.append((node.lineno, "Cyc(...)"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("num", "den"):
+            found.append((node.lineno, "." + node.attr))
+    return sorted(found)
+
+
+def test_canonical_form_only_in_scalars():
+    package = ROOT / "src" / "rspin"
+    files = sorted(p for p in package.rglob("*.py") if p != package / "scalars.py")
+    assert files
+    found = ["%s:%d uses %s" % (path.relative_to(ROOT), line, what)
+             for path in files for line, what in cyc_internals(path)]
+    assert not found, "build and read Cyc through its constructors:\n" + "\n".join(found)
+
+
+def test_scan_names_cyc_internals(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("from rspin import scalars\nfrom rspin.scalars import Cyc\n\n"
+                      "def f(c, frac):\n"
+                      "    one = Cyc(1, 1, (1,))\n"
+                      "    half = scalars.Cyc(1, 2, (1,))\n"
+                      "    return c.num[0], c.den, frac.denominator, Cyc.one(), one, half\n")
+    assert cyc_internals(source) == [(5, "Cyc(...)"), (6, "Cyc(...)"), (7, ".den"), (7, ".num")]

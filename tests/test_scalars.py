@@ -63,7 +63,7 @@ def test_zeta_power_relations():
         z = Cyc.zeta(r)
         assert z ** r == 1
         for m in range(1, 2 * r + 1):
-            total = Cyc.zero(r)
+            total = Cyc.zero()
             for k in range(r):
                 total = total + Cyc.zeta(r, (k * m) % r)
             expected = r if m % r == 0 else 0
@@ -85,21 +85,25 @@ def test_inverse_examples():
     assert i.inverse() == -i
     z3 = Cyc.zeta(3)
     assert z3.inverse() == z3 ** 2
-    two = Cyc.rational(2, 7)
-    assert two.inverse() == Fraction(1, 2)
-    with pytest.raises(ZeroDivisionError):
-        Cyc.zero(5).inverse()
+    assert Cyc.rational(2).inverse() == Fraction(1, 2)
+    assert Cyc.rational(Fraction(-2, 3)).inverse() == Fraction(-3, 2)
+    for zero in (Cyc.zero(), Cyc.zeta(5) - Cyc.zeta(5)):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
 
 
 def test_order_mismatch():
     with pytest.raises(ScalarError):
         Cyc.zeta(4) * Cyc.zeta(3)
-    # rationals embed into any order
-    assert Cyc.rational(3, 4) * Cyc.zeta(3) == 3 * Cyc.zeta(3)
+    # a rational combines with any field, also one reached through another field
+    assert Cyc.rational(3) * Cyc.zeta(3) == 3 * Cyc.zeta(3)
+    assert Cyc.zeta(4) ** 2 * Cyc.zeta(3) == -Cyc.zeta(3)
+    assert Cyc.zeta(4) ** 2 + Cyc.zeta(3) == Cyc.zeta(3) - 1
 
 
 def test_rational_canonical_form():
-    c = Cyc.rational(Fraction(6, -4), 5)
+    c = Cyc.rational(Fraction(6, -4))
+    assert (c.order, c.den, c.num) == (1, 2, (-3,))
     assert c.as_fraction() == Fraction(-3, 2)
     assert c.as_fraction().numerator == -3
     assert c.as_fraction().denominator == 2
@@ -110,7 +114,6 @@ def test_rational_one_is_the_shared_one():
     # from an int or a Fraction must be it
     assert as_cyc(1) is Cyc.one()
     assert Cyc.rational(Fraction(2, 2)) is Cyc.one()
-    assert Cyc.rational(1, 5) is Cyc.one(5)
     assert Cyc.rational(-1) is not Cyc.one() and Cyc.rational(-1) == -1
 
 
@@ -119,13 +122,13 @@ small_rationals = st.fractions(
 )
 
 
+def degree(order):
+    return len(cyclotomic_polynomial(order)) - 1
+
+
 @st.composite
 def cyc_scalars(draw, order):
-    from rspin.scalars import field_degree
-
-    coeffs = draw(
-        st.lists(small_rationals, min_size=field_degree(order), max_size=field_degree(order))
-    )
+    coeffs = draw(st.lists(small_rationals, min_size=degree(order), max_size=degree(order)))
     return Cyc.from_coeffs(order, coeffs)
 
 
@@ -259,17 +262,21 @@ def ref_embed(q, order):
 
 
 def assert_canonical(c, order, coeffs):
-    """c is coeffs in Q(zeta_order), in the fields _make produces."""
-    assert c.order == order
-    assert len(c.num) == ref_degree(order)
+    """c is coeffs in Q(zeta_order) in canonical form: a rational value in Q
+    with one numerator, any other value in Q(zeta_order)."""
+    rational = not any(coeffs[1:])
+    assert c.order == (1 if rational else order)
+    assert len(c.num) == (1 if rational else ref_degree(order))
     assert c.den > 0
     assert gcd(c.den, *c.num) == 1
     if not any(c.num):
         assert c.den == 1
-    assert [Fraction(n, c.den) for n in c.num] == coeffs
+    assert [Fraction(n, c.den) for n in c.num] == (coeffs[:1] if rational else coeffs)
     made = Cyc.from_coeffs(order, coeffs)
-    assert (c.den, c.num) == (made.den, made.num)
+    assert (c.order, c.den, c.num) == (made.order, made.den, made.num)
     assert c == made and hash(c) == hash(made)
+    if rational:
+        assert c == coeffs[0] and hash(c) == hash(coeffs[0])
 
 
 ref_orders = st.sampled_from(sorted(PHI))
@@ -298,8 +305,8 @@ def test_arithmetic_with_rational_operands_matches_reference(left, right):
             with pytest.raises(ScalarError):
                 op()
         return
-    # a rational left operand moves to the right one's order, else the right one moves
-    order = ob if oa != ob and a_rational else oa
+    # the reference computes in the field of the irrational operand, if any
+    order = ob if a_rational else oa
     ca = ca if oa == order else ref_embed(ca[0], order)
     cb = cb if ob == order else ref_embed(cb[0], order)
     assert_canonical(a * b, order, ref_product(ca, cb, order))
@@ -322,14 +329,50 @@ def test_int_and_fraction_operands_match_reference(operand, q):
     assert_canonical(q - c, order, [y - x for x, y in zip(coeffs, embedded)])
 
 
-@settings(max_examples=100, deadline=None)
-@given(operand=st.booleans().flatmap(ref_operands), target=ref_orders)
-def test_to_order_matches_reference(operand, target):
-    order, coeffs, c = operand
-    if target == order:
-        assert c.to_order(target) is c
-    elif any(coeffs[1:]):
-        with pytest.raises(ScalarError):
-            c.to_order(target)
-    else:
-        assert_canonical(c.to_order(target), target, ref_embed(coeffs[0], target))
+# -- one representation per value ------------------------------------------------
+
+def assert_one_representation(c):
+    """A rational value lives in Q; any other value in its own field, with
+    deg(Phi_r) numerators not all zero after the first."""
+    assert (len(c.num) == 1) == (c.order == 1)
+    if c.order != 1:
+        assert len(c.num) == degree(c.order) and any(c.num[1:])
+
+
+@st.composite
+def field_operands(draw, order):
+    """Roots of unity, whose products and sums often cancel to rationals,
+    coefficient lists of any length, Cyc rationals, ints and Fractions."""
+    return draw(st.one_of(
+        st.integers(0, 2 * order).map(lambda k: Cyc.zeta(order, k)),
+        st.lists(small_rationals, max_size=order + 2).map(lambda cs: Cyc.from_coeffs(order, cs)),
+        small_rationals.map(Cyc.rational),
+        st.integers(-3, 3),
+        small_rationals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), order=st.integers(1, 12))
+def test_every_result_has_one_representation(data, order):
+    a = as_cyc(data.draw(field_operands(order)))
+    b = data.draw(field_operands(order))
+    results = [Cyc.zeta(order), Cyc.zeta(order, order), a, a + b, b + a, a - b, b - a,
+               a * b, b * a, sum((Cyc.zeta(order, k) for k in range(order)), Cyc.zero())]
+    results += [a ** k for k in range(4)]
+    if b:
+        results += [a / b, as_cyc(b).inverse()]
+    if a:
+        results += [a.inverse(), a ** -2, as_cyc(b) / a]
+    for c in results:
+        assert c.__class__ is Cyc
+        assert_one_representation(c)
+    assert a * a.inverse() == 1 if a else a == 0
+
+
+def test_equal_values_are_one_object_in_a_set():
+    assert len({Cyc.zeta(3) ** 3, Cyc.zeta(4) ** 4, Cyc.one(), 1}) == 1
+    assert len({Cyc.zeta(6) ** 3, Cyc.zeta(4) ** 2, -Cyc.one(), Fraction(-1)}) == 1
+    assert (Cyc.zeta(5) * Cyc.zeta(5).inverse()).order == 1
+    assert (1 + Cyc.zeta(3) + Cyc.zeta(3) ** 2) == 0
+    with pytest.raises(ScalarError):
+        Cyc.zeta(3) + Cyc.zeta(6)
