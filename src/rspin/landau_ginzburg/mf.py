@@ -2,7 +2,11 @@
 
 A factorization is a free Z2-graded module over the polynomial ring on all
 involved variables, with an odd differential squaring to the potential
-difference (checked symbolically on construction).  The orbifold reads its
+difference (checked symbolically on construction).  One helper places every
+Koszul-signed entry: mf_tensor runs it once, and a Koszul factorization such
+as I_W is the tensor product of its rank-one factors, so for two or more
+variables its basis is in pair order (the exterior-algebra monomials permuted
+within each parity block, no sign change).  The orbifold reads its
 twists (GroupAction.root), primes, difference quotients and its one
 closedness test, d_Y f = (-1)^|f| f d_X (check_closed), from here.  Hom
 cohomology is computed incrementally on the degree filtration of the
@@ -155,44 +159,33 @@ def check_closed(dx, dy, mat, parity):
                 raise MFError("d_Y . f != (-1)^|f| f . d_X at entry (%d, %d)" % (i, j))
 
 
-def _koszul_basis(n):
-    """Subsets of {0..n-1} as bitmasks, evens first, each block in mask order."""
-    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1") % 2, m))
-    return masks
-
-
-def _wedge(mask, i):
-    if mask & (1 << i):
-        return None
-    below = bin(mask & ((1 << i) - 1)).count("1")
-    return mask | (1 << i), -1 if below % 2 else 1
-
-
-def _contract(mask, i):
-    if not (mask & (1 << i)):
-        return None
-    below = bin(mask & ((1 << i) - 1)).count("1")
-    return mask & ~(1 << i), -1 if below % 2 else 1
+def _tensor_differential(yd, y_parities, xd, x_parities):
+    """(parities, d) of d_Y o 1 + (-1)^{|q|} 1 o d_X on the pairs (q, p), evens
+    first, each parity block in pair order (the sort is stable).  Both
+    differentials are odd, so no two terms land in the same entry."""
+    pairs = [(q, p) for q in range(len(y_parities)) for p in range(len(x_parities))]
+    pairs.sort(key=lambda pair: (y_parities[pair[0]] + x_parities[pair[1]]) % 2)
+    pos = {pair: k for k, pair in enumerate(pairs)}
+    d = [[Poly.zero()] * len(pairs) for _ in pairs]
+    for (q, p), col in pos.items():
+        for q2, row in enumerate(yd):
+            if row[q]:
+                d[pos[(q2, p)]][col] = row[q]
+        for p2, row in enumerate(xd):
+            if row[p]:
+                d[pos[(q, p2)]][col] = -row[p] if y_parities[q] else row[p]
+    return tuple((y_parities[q] + x_parities[p]) % 2 for q, p in pairs), d
 
 
 def koszul_factorization(us, vs, source_vars, target_vars, middle_vars,
                          source_potential, target_potential):
-    """The Koszul-type factorization sum_i (u_i theta_i + v_i theta_i*)."""
-    n = len(us)
-    masks = _koszul_basis(n)
-    index = {m: k for k, m in enumerate(masks)}
-    parities = tuple(bin(m).count("1") % 2 for m in masks)
-    size = len(masks)
-    # theta_i and theta_i* move a mask to distinct masks, so each entry of d
-    # takes at most one signed u_i or v_i
-    d = [[Poly.zero()] * size for _ in range(size)]
-    for col, mask in enumerate(masks):
-        for i in range(n):
-            for step, entry in ((_wedge, us[i]), (_contract, vs[i])):
-                moved = step(mask, i)
-                if moved is not None:
-                    target, sign = moved
-                    d[index[target]][col] = entry if sign > 0 else -entry
+    """The Koszul factorization sum_i (u_i theta_i + v_i theta_i*): the tensor
+    product of the rank-(1|1) factors [[0, v_i], [u_i, 0]] in the order given,
+    starting from the rank-(1|0) zero differential."""
+    parities, d = (0,), [[Poly.zero()]]
+    for u, v in zip(us, vs):
+        parities, d = _tensor_differential(d, parities, [[Poly.zero(), v], [u, Poly.zero()]],
+                                           (0, 1))
     return MatrixFactorization(tuple(source_vars), tuple(target_vars), tuple(middle_vars),
                                source_potential, target_potential, parities, d)
 
@@ -245,29 +238,10 @@ def mf_tensor(y, x):
         taken.add(base)
     xd = [[entry.rename(fresh) if entry else entry for entry in row] for row in x.d]
     yd = [[entry.rename(fresh) if entry else entry for entry in row] for row in y.d]
-    ny, nx = len(y.parities), len(x.parities)
-    pairs = [(q, p) for q in range(ny) for p in range(nx)]
-    parities = [(y.parities[q] + x.parities[p]) % 2 for q, p in pairs]
-    order = sorted(range(len(pairs)), key=lambda k: (parities[k], k))
-    pos = {pairs[k]: rank for rank, k in enumerate(order)}
-    size = len(pairs)
-    # both differentials are odd, so their diagonals vanish and no two terms
-    # of d_Y o 1 and 1 o d_X land in the same entry
-    d = [[Poly.zero()] * size for _ in range(size)]
-    for q, p in pairs:
-        col = pos[(q, p)]
-        for q2 in range(ny):
-            if yd[q2][q]:
-                d[pos[(q2, p)]][col] = yd[q2][q]
-        for p2 in range(nx):
-            if xd[p2][p]:
-                d[pos[(q, p2)]][col] = -xd[p2][p] if y.parities[q] else xd[p2][p]
-    new_parities = tuple(parities[k] for k in order)
+    parities, d = _tensor_differential(yd, y.parities, xd, x.parities)
     middles = tuple(sorted(set(x.middle_vars) | set(y.middle_vars) | set(fresh.values())))
     return MatrixFactorization(x.source_vars, y.target_vars, middles,
-                               x.source_potential,
-                               y.target_potential,
-                               new_parities, d)
+                               x.source_potential, y.target_potential, parities, d)
 
 
 # -- Hom cohomology on the degree filtration ----------------------------------
@@ -316,7 +290,10 @@ def hom_cohomology(x, y):
     if sorted(x.target_vars) != sorted(y.target_vars) or \
             x.target_potential != y.target_potential:
         raise MFError("target potentials differ")
-    nmax = int(os.environ.get("RSPIN_HOM_NMAX", DEFAULT_NMAX))
+    nmax = os.environ.get("RSPIN_HOM_NMAX", str(DEFAULT_NMAX))
+    if not (nmax.isascii() and nmax.isdigit()) or int(nmax) < 1:
+        raise MFError("RSPIN_HOM_NMAX must be a positive integer, got %r" % nmax)
+    nmax = int(nmax)
     variables = tuple(sorted(set(x.ring_vars) | set(y.ring_vars)))
     nx, ny = len(x.parities), len(y.parities)
     maxdeg = max([e.degree() for row in x.d for e in row if e] +

@@ -27,8 +27,10 @@ call to the next.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from ..scalars import Cyc, divisors
@@ -252,13 +254,11 @@ def orbifold_algebra(w, action):
         results = [m.product(g, l1, h, l2) for m, l1, l2 in zip(models, labs1, labs2)]
         out = {}
         for combo in itertools.product(*[list(res.items()) for res in results]):
-            coeff = Cyc.rational(sign)
-            labs = []
-            for lab, c in combo:
-                labs.append(lab)
-                coeff = coeff * c
-            k = index[((g + h) % r, tuple(labs))]
-            out[k] = out.get(k, Cyc.zero()) + coeff
+            labs = tuple(lab for lab, _ in combo)
+            # the empty product (W = 0 has no variables) is 1
+            coeff = functools.reduce(operator.mul, [c for _, c in combo] or [Cyc.one()])
+            k = index[((g + h) % r, labs)]
+            out[k] = out.get(k, Cyc.zero()) + (coeff if sign > 0 else -coeff)
         return out
 
     products = {(i, j): multiply(e1, e2)

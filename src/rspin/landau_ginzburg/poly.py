@@ -138,6 +138,8 @@ class Poly:
         return self.scale(other)
 
     def scale(self, value):
+        if value == 1:
+            return self
         value = as_cyc(value)
         return Poly(self.vars, {e: value * c for e, c in self.terms.items()})
 
@@ -198,7 +200,8 @@ class Poly:
                     continue
                 if v in mapping:
                     coef, v = mapping[v]
-                    value = value * as_cyc(coef) ** e
+                    if coef != 1:
+                        value = value * as_cyc(coef) ** e
                 new_exp[index[v]] += e
             key = tuple(new_exp)
             acc = terms.get(key)

@@ -291,6 +291,15 @@ def test_malformed_or_non_ascii_numbers_exit_2_without_traceback(runner, args, m
     assert message in result.output
 
 
+@pytest.mark.parametrize("value", ["\u0661\u0662", "1_2", " 12 ", "abc", "-3", "0", ""])
+def test_hom_nmax_must_be_a_positive_ascii_integer(runner, value):
+    result = runner.invoke(main, ["lg-hom", "x^3"], env={"RSPIN_HOM_NMAX": value})
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
+        ["Error: RSPIN_HOM_NMAX must be a positive integer, got %r" % value]
+
+
 @pytest.mark.parametrize("args,message", [
     (["lg-hom", "x^3", "--group", "banana", "--weights", "7,7,7"], "--group must look like Z5"),
     (["lg-hom", "x^3", "--group", "Z3", "--weights", "7,7,7"],

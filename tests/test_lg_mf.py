@@ -30,6 +30,55 @@ def test_identity_mf_x3_entries():
     assert mf.d[1][0] == u
 
 
+def popcount(mask):
+    return bin(mask).count("1")
+
+
+def reference_koszul(us, vs):
+    """(parities, d) of sum_i (u_i theta_i + v_i theta_i*) on the exterior
+    algebra, written out on bitmasks: theta_i and its contraction theta_i*
+    carry the sign (-1)^{#generators below i}.  The basis is listed as the
+    factor-by-factor tensor product lists it: the masks of n - 1 generators,
+    each followed by itself with theta_{n-1} added, evens first."""
+    n = len(us)
+    masks = [0]
+    for i in range(n):
+        masks = [m | (bit << i) for m in masks for bit in (0, 1)]
+        masks = ([m for m in masks if popcount(m) % 2 == 0]
+                 + [m for m in masks if popcount(m) % 2 == 1])
+    index = {m: k for k, m in enumerate(masks)}
+    d = [[Poly.zero()] * len(masks) for _ in masks]
+    for mask in masks:
+        for i in range(n):
+            sign = -1 if popcount(mask & ((1 << i) - 1)) % 2 else 1
+            if mask & (1 << i):
+                target, entry = mask & ~(1 << i), vs[i]
+            else:
+                target, entry = mask | (1 << i), us[i]
+            d[index[target]][index[mask]] = entry if sign > 0 else -entry
+    return tuple(popcount(m) % 2 for m in masks), d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_koszul_factorization_matches_exterior_algebra(n):
+    us = [p("a%d" % i) for i in range(n)]
+    vs = [p("b%d" % i) for i in range(n)]
+    target = sum((u * v for u, v in zip(us, vs)), Poly.zero())
+    mf = koszul_factorization(us, vs, (), tuple(target.vars), (), Poly.zero(), target)
+    parities, d = reference_koszul(us, vs)
+    assert mf.parities == parities
+    assert mf.d == d
+
+
+@pytest.mark.parametrize("potential", ["x^2 + y^3", "x^3 + y^3 + z^4"])
+def test_identity_mf_matches_exterior_algebra(potential):
+    w = p(potential)
+    mf = identity_mf(w)
+    us = [difference_quotient(w, v) for v in w.vars]
+    vs = [Poly.variable(v + "'") - Poly.variable(v) for v in w.vars]
+    assert (mf.parities, mf.d) == reference_koszul(us, vs)
+
+
 def test_identity_mf_two_variables_d_square():
     mf = identity_mf(p("x^3 + y^3"))
     assert mf.rank == (2, 2)  # construction already checks d^2 symbolically
@@ -173,7 +222,7 @@ def test_nmax_environment_ceiling(monkeypatch):
     assert hom_cohomology(mf, mf).dims == (3, 0)
 
 
-@pytest.mark.parametrize("potential", ["x^2 + y^2", "x^2 + y^3"])
+@pytest.mark.parametrize("potential", ["x^2 + y^2", "x^2 + y^3", "x^3 + y^3"])
 def test_end_identity_is_milnor_number(potential):
     """End(I_W) is the Jacobi algebra: (mu | 0), and (0 | mu) into I_W[1].
 

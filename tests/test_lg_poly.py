@@ -94,6 +94,30 @@ def test_power_picks_squaring_or_products_by_term_counts(monkeypatch, text, k, r
         assert len(products) <= 2 * k.bit_length()
 
 
+def test_rename_and_scale_by_one_make_no_products(monkeypatch):
+    """A coefficient 1 costs no Cyc product: rename substitutes with 1, and
+    scale(1) returns the polynomial as it is."""
+    w = p("x^3 + 2*x*y^2 - y^4/3")
+    products = []
+    plain = Cyc.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return plain(a, b)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    monkeypatch.setattr(Cyc, "__rmul__", counted)
+    renamed = w.rename({"x": "x'", "y": "y'"})
+    scaled = [w.scale(one) for one in (1, Cyc.one(), Fraction(1))]
+    monkeypatch.undo()
+    assert products == []
+    assert renamed == p("x'^3 + 2*x'*y'^2 - y'^4/3")
+    assert all(s == w for s in scaled)
+    # a coefficient other than 1 still enters, to the power of the exponent
+    assert w.substitute({"x": (Cyc.zeta(3), "x")}) == \
+        p("x^3 - y^4/3") + p("2*x*y^2").scale(Cyc.zeta(3))
+
+
 def test_derivative():
     assert p("x^3").derivative("x") == p("3*x^2")
     assert p("x^2 + y^2").derivative("y") == p("2*y")
