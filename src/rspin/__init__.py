@@ -38,6 +38,7 @@ from .landau_ginzburg import (
     MatrixFactorization,
     Poly,
     hom_cohomology,
+    identity_hom,
     identity_mf,
     jacobi,
     lg_circle_spaces,

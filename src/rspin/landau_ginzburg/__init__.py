@@ -18,6 +18,7 @@ from .mf import (
     MFError,
     difference_quotient,
     hom_cohomology,
+    identity_hom,
     identity_mf,
     koszul_factorization,
     mf_tensor,
@@ -40,7 +41,7 @@ __all__ = [
     "MatrixFactorization", "MFError", "GroupAction",
     "difference_quotient",
     "identity_mf", "twisted_identity", "koszul_factorization",
-    "mf_tensor", "hom_cohomology", "HomCohomology", "InconclusiveCohomology",
+    "mf_tensor", "hom_cohomology", "HomCohomology", "InconclusiveCohomology", "identity_hom",
     "orbifold_algebra", "OrbifoldAlgebra", "OrbifoldError",
     "circle_spaces", "lg_circle_spaces", "lg_torus_invariants", "CircleSpaces",
 ]

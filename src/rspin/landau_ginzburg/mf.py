@@ -16,7 +16,11 @@ cutoff to the next.  The quotient is taken against the boundaries and the
 representatives already accepted together, in one echelon, so the count does
 not depend on the kernel basis.  The dimensions are accepted once stable for
 two consecutive cutoffs.  The echelons are superlinalg.SparseEchelon, the one
-elimination engine of the package.
+elimination engine of the package.  Hom out of I_W (identity_hom, what lg-hom
+computes) takes the restricted route: I_W is the Koszul factorization of the
+regular sequence x'_i - x_i, so Hom(I_W, Y) is the cohomology of Y with x' set
+to x, a rank-2^n complex over the n variables of W, with the parity shifted by
+n; hom_cohomology runs on it in place of the 4^n slots over (x, x').
 """
 
 from __future__ import annotations
@@ -381,6 +385,36 @@ def hom_cohomology(x, y):
                                  cutoff, tuple(trajectory))
     raise InconclusiveCohomology(
         "dimensions did not stabilize up to cutoff %d; raise RSPIN_HOM_NMAX" % nmax)
+
+
+def identity_hom(w, y):
+    """Hom(I_W, Y) for a factorization Y of W(x') - W(x) over (x | x').
+
+    I_W is the Koszul factorization of the regular sequence x'_i - x_i, so
+    Hom(I_W, Y) is the cohomology of Y restricted to the diagonal x' = x,
+    with the parity shifted by n = len(w.vars) (Dyckerhoff, arXiv:0904.4713).
+    The restricted differential squares to W(x) - W(x) = 0: a rank-2^n
+    complex over n variables, whose cohomology hom_cohomology computes from
+    the rank-(1|0) zero factorization.  The dimensions, the trajectory and
+    the representatives are those of Hom(I_W, Y); the representatives are
+    cocycles of the restricted complex (columns), not morphisms I_W -> Y.
+    """
+    variables = w.vars
+    primed = tuple(prime(v) for v in variables)
+    if sorted(y.source_vars) != sorted(variables) or y.source_potential != w or \
+            sorted(y.target_vars) != sorted(primed) or \
+            y.target_potential != w.rename(dict(zip(variables, primed))):
+        raise MFError("Y must be a factorization of W(x') - W(x) over (x | x')")
+    diagonal = dict(zip(primed, variables))
+    d = [[entry.rename(diagonal) if entry else entry for entry in row] for row in y.d]
+    zero = Poly.zero()
+    restricted = MatrixFactorization(variables, (), y.middle_vars, zero, zero, y.parities, d)
+    point = MatrixFactorization(variables, (), y.middle_vars, zero, zero, (0,), [[zero]])
+    h = hom_cohomology(point, restricted)
+    if len(variables) % 2 == 0:
+        return h
+    return HomCohomology(h.odd_dim, h.even_dim, h.odd_reps, h.even_reps, h.stabilized_at,
+                         tuple((odd, even) for even, odd in h.trajectory))
 
 
 def _vec_to_matrix(vec, domain, ny, nx, variables):

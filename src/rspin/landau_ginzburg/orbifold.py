@@ -277,8 +277,9 @@ def orbifold_algebra(w, action):
         scale = Cyc.one()
     algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit.scale(scale))
 
-    # det(g)^{-1}: the product of the twists of g on every variable
-    det_inverse = [math.prod(action.root(v, -g) for v in variables) for g in range(r)]
+    # det(g)^{-1}: the product of the twists of g on every variable (1 for W = 0)
+    det_inverse = [math.prod([action.root(v, -g) for v in variables] or [Cyc.one()])
+                   for g in range(r)]
     gamma = AlgebraAutomorphism(SuperMap(space, space, 0, entries=[
         {k: det_inverse[g]} for k, (g, _) in enumerate(labels)]))
 

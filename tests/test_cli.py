@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from rspin.cli import main
 from rspin.constructors import builtin, graded_center
 from rspin.scalars import format_scalar
+from rspin.superlinalg import SparseEchelon
 from rspin.surface_eval import RSpinTorus, evaluate_torus
 
 
@@ -113,6 +114,38 @@ def test_lg_hom_command(runner):
     assert json.loads(twisted.output)["results"] == {
         "even_dim": 0, "odd_dim": 1,
         "stabilized_at": json.loads(twisted.output)["results"]["stabilized_at"]}
+
+
+@pytest.mark.parametrize("potential", ["x^2+y^2+z^3", "x^2*y+y^3", "x^3+y^4", "x^3+x*y^3"],
+                         ids=["A_2_three_variables", "D_4", "E_6", "E_7"])
+def test_lg_hom_end_identity_is_milnor_number(runner, potential):
+    jac = runner.invoke(main, ["lg-jacobi", potential, "--json"])
+    hom = runner.invoke(main, ["lg-hom", potential, "--json"])
+    assert jac.exit_code == 0 and hom.exit_code == 0, (jac.output, hom.output)
+    mu = json.loads(jac.output)["results"]["dim"]
+    results = json.loads(hom.output)["results"]
+    assert (results["even_dim"], results["odd_dim"]) == (mu, 0)
+
+
+def test_lg_hom_three_variables_within_a_work_bound(runner, monkeypatch):
+    """End(I_W) of x^2+y^2+z^3 on the restricted complex: 8 slots over (x, y, z)
+    feed 550 echelon rows.  The echelon over (x, y, z, x', y', z') on 64 slots
+    feeds 31,618 and stabilizes at the same cutoff 2, so the row count, not
+    stabilized_at, is what tells the two routes apart."""
+    rows = []
+    add = SparseEchelon.add
+
+    def counted_add(self, row):
+        rows.append(None)
+        return add(self, row)
+
+    monkeypatch.setattr(SparseEchelon, "add", counted_add)
+    result = runner.invoke(main, ["lg-hom", "x^2+y^2+z^3", "--json"])
+    assert result.exit_code == 0, result.output
+    results = json.loads(result.output)["results"]
+    assert (results["even_dim"], results["odd_dim"]) == (2, 0)
+    assert results["stabilized_at"] <= 3
+    assert len(rows) <= 1000
 
 
 def test_lg_orbifold_command(runner):
@@ -246,6 +279,18 @@ def test_aliasing_file_keys_exit_2_with_one_error_line(runner, tmp_path, corrupt
     assert "Traceback" not in result.output
     assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
         ["Error: " + message], result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["lg-orbifold", "0", "--group", "Z2"],
+    ["lg-orbifold", "0", "--group", "Z3", "--json"],
+    ["lg-circle-spaces", "0", "--group", "Z2"],
+    ["lg-hom", "0", "--group", "Z2", "--g", "1"],
+])
+def test_potential_without_variables_exits_without_traceback(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("args", [

@@ -6,13 +6,14 @@ from rspin.landau_ginzburg.mf import (
     MFError,
     difference_quotient,
     hom_cohomology,
+    identity_hom,
     identity_mf,
     koszul_factorization,
     mf_tensor,
     twisted_identity,
 )
 from rspin.landau_ginzburg.groebner import jacobi
-from rspin.landau_ginzburg.poly import Poly, parse_poly
+from rspin.landau_ginzburg.poly import Poly, format_poly, parse_poly
 from rspin.scalars import Cyc
 
 
@@ -236,13 +237,13 @@ def test_end_identity_is_milnor_number(potential):
     assert hom_cohomology(one, one.shift()).dims == (0, mu)
 
 
-@pytest.mark.slow
 def test_end_identity_is_milnor_number_three_variables():
-    """End(I_W) = (mu | 0) for x^2 + y^2 + z^2 (mu = 1); the shift is left out."""
+    """End(I_W) = (mu | 0) for x^2 + y^2 + z^2 (mu = 1), and (0 | mu) into I_W[1]."""
     w = parse_poly("x^2 + y^2 + z^2")
     one = identity_mf(w)
     assert jacobi(w).dimension == 1
-    assert hom_cohomology(one, one).dims == (1, 0)
+    assert identity_hom(w, one).dims == (1, 0)
+    assert identity_hom(w, one.shift()).dims == (0, 1)
 
 
 def test_trajectory_x4():
@@ -250,3 +251,103 @@ def test_trajectory_x4():
     h = hom_cohomology(mf, mf)
     assert h.trajectory == ((2, 0), (3, 0), (3, 0))
     assert len(h.trajectory) == h.stabilized_at
+
+
+# -- Hom out of I_W on the diagonal ---------------------------------------------
+
+def one_variable_cases():
+    """(w, action, g) for x^d under every weight of Z_d and every g."""
+    for d in range(2, 7):
+        for weight in range(d):
+            for g in range(d):
+                yield p("x^%d" % d), GroupAction(d, (("x", weight),)), g
+
+
+def sector_cases(potential, r, weights):
+    w = p(potential)
+    action = GroupAction(r, tuple(zip(w.vars, weights)))
+    return [(w, action, g) for g in range(r)]
+
+
+TWO_VARIABLE_SECTORS = sector_cases("x^3 + y^3", 3, (1, 1)) + sector_cases("x^2 + y^4", 4, (2, 1))
+D_E_SECTORS = (sector_cases("x^2*y + y^3", 3, (1, 1)) + sector_cases("x^3 + y^4", 12, (4, 3))
+               + sector_cases("x^3 + x*y^3", 9, (3, 2)))
+
+
+def case_id(case):
+    w, action, g = case
+    return "%s-w%s-g%d" % (format_poly(w).replace(" ", ""), ",".join(str(wt) for _, wt in action.weights), g)
+
+
+@pytest.mark.parametrize("shift", [False, True])
+def test_identity_hom_matches_echelon_one_variable(shift):
+    for w, action, g in one_variable_cases():
+        y = twisted_identity(w, action, g)
+        y = y.shift() if shift else y
+        assert identity_hom(w, y).dims == hom_cohomology(identity_mf(w), y).dims, \
+            case_id((w, action, g))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", TWO_VARIABLE_SECTORS, ids=case_id)
+def test_identity_hom_matches_echelon_two_variable_sectors(case):
+    """The echelon over (x, x') takes about a second per twisted sector here."""
+    w, action, g = case
+    y = twisted_identity(w, action, g)
+    assert identity_hom(w, y).dims == hom_cohomology(identity_mf(w), y).dims
+
+
+def fixed_locus_dims(w, action, g):
+    """(even, odd) dims of Hom(I_W, _g I_W) from the fixed locus of g:
+    dim Jac(W restricted to Fix g) in the parity of codim Fix g
+    (Polishchuk-Vaintrob, arXiv:1002.2116).  W restricted to Fix g keeps the
+    terms free of the moved variables; with no fixed variable it is the
+    constant 0 in no variables, whose Jacobi algebra is the line k."""
+    moved = [k for k, v in enumerate(w.vars) if action.weight(v) * g % action.r]
+    fixed = tuple(v for k, v in enumerate(w.vars) if k not in moved)
+    terms = {tuple(e for k, e in enumerate(exp) if k not in moved): c
+             for exp, c in w.terms.items() if not any(exp[k] for k in moved)}
+    mu = jacobi(Poly(fixed, terms)).dimension
+    return (0, mu) if len(moved) % 2 else (mu, 0)
+
+
+@pytest.mark.parametrize("case", list(one_variable_cases()) + TWO_VARIABLE_SECTORS + D_E_SECTORS,
+                         ids=case_id)
+def test_identity_hom_matches_fixed_locus_closed_form(case):
+    w, action, g = case
+    action.check_invariance(w)
+    y = twisted_identity(w, action, g)
+    even, odd = fixed_locus_dims(w, action, g)
+    assert identity_hom(w, y).dims == (even, odd)
+    assert identity_hom(w, y.shift()).dims == (odd, even)
+
+
+def test_identity_hom_trajectory_and_representatives():
+    # one variable: the parity of the restricted complex is swapped throughout
+    w = p("x^4")
+    h = identity_hom(w, identity_mf(w))
+    assert h.dims == (3, 0) and h.trajectory[-1] == (3, 0)
+    assert len(h.trajectory) == h.stabilized_at
+    assert (len(h.even_reps), len(h.odd_reps)) == h.dims
+    # each representative is a cocycle of the rank-(1|1) restricted complex
+    assert all(len(rep) == 2 and len(rep[0]) == 1 for rep in h.even_reps)
+
+
+def test_identity_hom_keeps_the_middle_variables_of_y():
+    # x^2 -> y^2 -> x'^2 composed over y: the middle variable stays a free
+    # coefficient of the restricted complex, as it does in the echelon
+    a = koszul_factorization([p("y + x")], [p("y - x")], ("x",), ("y",), (), p("x^2"), p("y^2"))
+    b = koszul_factorization([p("x' + y")], [p("x' - y")], ("y",), ("x'",), (),
+                             p("y^2"), p("x'^2"))
+    composite = mf_tensor(b, a)
+    assert composite.middle_vars == ("y~",)
+    w = p("x^2")
+    assert identity_hom(w, composite).dims == hom_cohomology(identity_mf(w), composite).dims \
+        == (1, 0)
+
+
+def test_identity_hom_rejects_a_factorization_not_over_the_diagonal():
+    with pytest.raises(MFError):
+        identity_hom(p("x^3"), identity_mf(p("y^3")))
+    with pytest.raises(MFError):
+        identity_hom(p("x^3"), identity_mf(p("x^4")))
