@@ -5,9 +5,9 @@ multiplication mu_{a,b}: C_a o C_b -> C_{a+b-1}, unit eta: 1 -> C_1,
 comultiplication Delta_{a,b}: C_{a+b+1} -> C_a o C_b and counit
 eps: C_{-1} -> 1, together with the Nakayama automorphisms N_a built from
 the pairing/copairing zig-zag.  validate() checks every defining relation
-family exactly over all index tuples: the r^3 families (co)associativity
-and Frobenius from tables of the structure constants of mu and Delta, the
-smaller ones as identities of composed maps.
+family exactly over all index tuples, each as a contraction of structure
+constants read once per map as a table; only twist_power and deck compare
+composed maps, the literal powers of N_a.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .scalars import format_scalar, parse_scalar
+from .scalars import Cyc, format_scalar, parse_scalar
 from .superlinalg import (
     SuperMap,
     SuperSpace,
-    UNIT_SPACE,
     braiding,
     compose,
     graded_tuples,
@@ -29,6 +28,8 @@ from .superlinalg import (
     tensor_space,
     whisker,
 )
+
+_ONE = Cyc.one()
 
 
 class LambdaFrobeniusError(ValueError):
@@ -63,31 +64,24 @@ class LambdaFrobenius:
         for a in range(r):
             if a not in self.spaces:
                 raise LambdaFrobeniusError("missing circle space C_%d" % a)
-        for a in range(r):
-            for b in range(r):
-                if (a, b) not in self.mu:
-                    raise LambdaFrobeniusError("missing mu_{%d,%d}" % (a, b))
-                if (a, b) not in self.delta:
-                    raise LambdaFrobeniusError("missing Delta_{%d,%d}" % (a, b))
+        for a, b in itertools.product(range(r), repeat=2):
+            for name, maps in (("mu", self.mu), ("Delta", self.delta)):
+                if (a, b) not in maps:
+                    raise LambdaFrobeniusError("missing %s_{%d,%d}" % (name, a, b))
         self._check_shapes()
 
     def _check_shapes(self):
-        # mu and Delta declare the factors C_a o C_b, so that every check reads
-        # their matrices over the same graded basis of pairs
-        for (a, b), m in self.mu.items():
-            factors = ((self.space(a), self.space(b)), (self.space(a + b - 1),))
+        # every structure map is even and declares its factors, mu and Delta the
+        # pair C_a o C_b and eta and eps no unit factor, so that every check
+        # reads its matrix over the basis tuples of the same factors
+        shapes = [("mu_{%d,%d}" % key, m, key, (sum(key) - 1,)) for key, m in self.mu.items()]
+        shapes += [("Delta_{%d,%d}" % key, m, (sum(key) + 1,), key)
+                   for key, m in self.delta.items()]
+        for name, m, sources, targets in shapes + [("eta", self.eta, (), (1,)),
+                                                   ("eps", self.eps, (-1,), ())]:
+            factors = (tuple(map(self.space, sources)), tuple(map(self.space, targets)))
             if m.parity != 0 or (m.source_factors, m.target_factors) != factors:
-                raise LambdaFrobeniusError("mu_{%d,%d} has wrong factors or parity" % (a, b))
-        for (a, b), m in self.delta.items():
-            factors = ((self.space(a + b + 1),), (self.space(a), self.space(b)))
-            if m.parity != 0 or (m.source_factors, m.target_factors) != factors:
-                raise LambdaFrobeniusError("Delta_{%d,%d} has wrong factors or parity" % (a, b))
-        if self.eta.parity != 0 or self.eta.source != UNIT_SPACE \
-                or self.eta.target != self.space(1):
-            raise LambdaFrobeniusError("eta has wrong shape or parity")
-        if self.eps.parity != 0 or self.eps.source != self.space(-1) \
-                or self.eps.target != UNIT_SPACE:
-            raise LambdaFrobeniusError("eps has wrong shape or parity")
+                raise LambdaFrobeniusError("%s has wrong factors or parity" % name)
 
     # -- accessors -----------------------------------------------------------
 
@@ -178,13 +172,17 @@ class LambdaFrobenius:
                 raise LambdaFrobeniusError("missing circle space C_%d" % (a % r))
             return spaces[a % r]
 
-        mu, delta = {}, {}
+        mu, delta, maps = {}, {}, {}
+
+        def read(rows, name, sources, targets):
+            # equal rows over equal factors are one map, which validate reads once
+            m = read_map(rows, name, order, sources, targets)
+            return maps.setdefault((sources, targets, tuple(map(tuple, rows))), m)
+
         for (a, b), key, rows in read_indexed(data, "mu", "[0-9]+,[0-9]+", r):
-            mu[(a, b)] = read_map(rows, "mu " + key, order, (space(a), space(b)),
-                                  (space(a + b - 1),))
+            mu[(a, b)] = read(rows, "mu " + key, (space(a), space(b)), (space(a + b - 1),))
         for (a, b), key, rows in read_indexed(data, "delta", "[0-9]+,[0-9]+", r):
-            delta[(a, b)] = read_map(rows, "delta " + key, order, (space(a + b + 1),),
-                                     (space(a), space(b)))
+            delta[(a, b)] = read(rows, "delta " + key, (space(a + b + 1),), (space(a), space(b)))
         eta = read_map(data["eta"], "eta", order, (), (space(1),))
         eps = read_map(data["eps"], "eps", order, (space(-1),), ())
         return LambdaFrobenius(r=r, spaces=spaces, mu=mu, delta=delta, eta=eta, eps=eps)
@@ -220,8 +218,10 @@ def read_indexed(data, table, pattern, r):
     """(index, key, value) per key of a table.  A key is ASCII digits matching
     pattern, "[0-9]+" for one index and "[0-9]+,[0-9]+" for a pair, and names
     indices in 0..r-1 that no other key of the table names."""
+    if not isinstance(data[table], dict):
+        raise AlgebraFileError("%s must be a JSON object" % table)
     seen = set()
-    for key, value in read_table(data, table).items():
+    for key, value in data[table].items():
         if re.fullmatch(pattern, key) is None:
             raise AlgebraFileError("%s key %r must match %s" % (table, key, pattern))
         index = tuple(int(x) for x in key.split(","))
@@ -238,12 +238,6 @@ def read_space(dims):
     if not isinstance(dims, list) or len(dims) != 2:
         raise AlgebraFileError("dimensions must be a pair [even, odd], got %r" % (dims,))
     return SuperSpace(*(read_int(d, "a dimension", 0) for d in dims))
-
-
-def read_table(data, key):
-    if not isinstance(data[key], dict):
-        raise AlgebraFileError("%s must be a JSON object" % key)
-    return data[key]
 
 
 def read_map(rows, name, order, sources, targets):
@@ -298,168 +292,137 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _entry(report, family, indices, lhs, rhs):
-    report.append(ReportEntry(family, indices, lhs == rhs))
-
-
-def _mu_table(m, left, right):
-    """{(x, y): [(t, coefficient)]}: the nonzero structure constants of
-    m: left o right -> C, keyed by the basis pair of its source."""
-    pairs = graded_tuples([left, right])
+def _table(m):
+    """{source tuple: [(target tuple, coefficient)]}: the nonzero matrix entries
+    of an even map, keyed by the basis tuple of its declared source factors."""
+    sources, targets = graded_tuples(m.source_factors), graded_tuples(m.target_factors)
     table = {}
-    for t, stored in enumerate(m.entries):
-        for k, value in stored.items():
-            table.setdefault(pairs[k], []).append((t, value))
+    for i, stored in enumerate(m.entries):
+        for j, value in stored.items():
+            table.setdefault(sources[j], []).append((targets[i], value))
     return table
 
 
-def _delta_table(m, left, right):
-    """{s: [((x, y), coefficient)]}: the nonzero structure constants of
-    m: C -> left o right, keyed by the basis vector of its source."""
-    pairs = graded_tuples([left, right])
-    table = {}
-    for k, stored in enumerate(m.entries):
-        for s, value in stored.items():
-            table.setdefault(s, []).append((pairs[k], value))
-    return table
+class _Relations:
+    """The entries of one validation.  A side of a relation is a source (the
+    indices a of its factors C_a) and steps (map handle, position), each applying
+    the map to the factors from that position on: one sparse dict from basis
+    tuples (source, then target) to coefficients.  Every map is even, so no
+    Koszul sign enters.  Each table is read once per map object, and each side
+    formed and each relation checked once per source spaces and maps: the
+    graded centre shares mu and Delta per index class."""
+
+    def __init__(self, alg):
+        self.alg, self.entries = alg, []
+        self.tables, self.sides, self.verdicts = {}, {}, {}
+        first = {}
+        # equal circle spaces share one source key
+        self.space = [first.setdefault(alg.space(a), a) for a in range(alg.r)]
+        self.mu = {key: self.handle(m) for key, m in alg.mu.items()}
+        self.delta = {key: self.handle(m) for key, m in alg.delta.items()}
+        self.eta, self.eps = self.handle(alg.eta), self.handle(alg.eps)
+
+    def handle(self, m):
+        """id(m); the table keeps m, so no other object takes that id in the call."""
+        if id(m) not in self.tables:
+            self.tables[id(m)] = (_table(m), len(m.source_factors), m)
+        return id(m)
+
+    def check(self, family, indices, source, lhs, rhs):
+        key = (tuple([self.space[a] for a in source]), lhs, rhs)
+        passed = self.verdicts.get(key)
+        if passed is None:
+            passed = self.verdicts[key] = self.side(key[0], lhs) == self.side(key[0], rhs)
+        self.entries.append(ReportEntry(family, indices, passed))
+
+    def side(self, source, steps):
+        if (source, steps) in self.sides:
+            return self.sides[source, steps]
+        # the steps apply to the identity of source, the side with no steps
+        out = self.side(source, ()) if steps else {x + x: _ONE for x in itertools.product(
+            *[range(self.alg.space(a).dim) for a in source])}
+        for k, p in steps:
+            table, width, _ = self.tables[k]
+            p += len(source)
+            state, out = out, {}
+            for basis, c in state.items():
+                head, tail = basis[:p], basis[p + width:]
+                for t, v in table.get(basis[p:p + width], ()):
+                    t, v = head + t + tail, v if c is _ONE else c * v
+                    old = out.pop(t, None)
+                    v = v if old is None else old + v
+                    if old is None or v:  # a sum may cancel; a product of nonzeros never does
+                        out[t] = v
+        self.sides[source, steps] = out
+        return out
 
 
-def _add(out, key, value):
-    """out[key] += value in a sparse dict; a sum may cancel, a product of nonzeros never does."""
-    old = out.get(key)
-    if old is None:
-        out[key] = value
-    else:
-        value = old + value
-        if value:
-            out[key] = value
-        else:
-            del out[key]
-
-
-def frobenius_entries(alg):
-    """The entries of the untwisted families, (co)associativity, (co)unitality
-    and Frobenius, over every index tuple.  At r = 1, where C_{-1} = C_0 = C_1,
-    they are exactly the axioms of a Frobenius algebra.
-
-    The r^3 families read mu and Delta once, as tables of structure
-    constants, and form both sides of each relation as a sparse dict from
-    basis tuples (source indices, then target indices) to coefficients; no
-    map is built per index tuple.  mu and Delta are even (_check_shapes), so
-    no Koszul sign enters.
-    """
-    r = alg.r
-    entries = []
-    dims = [alg.space(a).dim for a in range(r)]
-    mu, delta = {}, {}
-    for a in range(r):
-        for b in range(r):
-            mu[a, b] = _mu_table(alg.mu[a, b], alg.space(a), alg.space(b))
-            delta[a, b] = _delta_table(alg.delta[a, b], alg.space(a), alg.space(b))
-
+def frobenius_entries(alg, relations=None):
+    """The entries of the untwisted families, (co)associativity, (co)unitality and
+    Frobenius, over every index tuple, added to relations (default: a fresh one).
+    At r = 1, where C_{-1} = C_0 = C_1, they are the Frobenius algebra axioms."""
+    rel = _Relations(alg) if relations is None else relations
+    r, mu, delta, eta, eps = alg.r, rel.mu, rel.delta, rel.eta, rel.eps
     for a, b, c in itertools.product(range(r), repeat=3):
-        # on x o y o z: mu_{a+b-1,c} o (mu_{a,b} o id) and mu_{a,b+c-1} o (id o mu_{b,c})
-        outer, lhs = mu[(a + b - 1) % r, c], {}
-        for (x, y), images in mu[a, b].items():
-            for u, s in images:
-                for z in range(dims[c]):
-                    for t, v in outer.get((u, z), ()):
-                        _add(lhs, (x, y, z, t), s * v)
-        outer, rhs = mu[a, (b + c - 1) % r], {}
-        for (y, z), images in mu[b, c].items():
-            for u, s in images:
-                for x in range(dims[a]):
-                    for t, v in outer.get((x, u), ()):
-                        _add(rhs, (x, y, z, t), s * v)
-        entries.append(ReportEntry("associativity", (a, b, c), lhs == rhs))
-        # on k: (Delta_{a,b} o id) o Delta_{a+b+1,c} and (id o Delta_{b,c}) o Delta_{a,b+c+1}
-        inner, lhs = delta[a, b], {}
-        for k, images in delta[(a + b + 1) % r, c].items():
-            for (u, z), s in images:
-                for (x, y), v in inner.get(u, ()):
-                    _add(lhs, (k, x, y, z), s * v)
-        inner, rhs = delta[b, c], {}
-        for k, images in delta[a, (b + c + 1) % r].items():
-            for (x, u), s in images:
-                for (y, z), v in inner.get(u, ()):
-                    _add(rhs, (k, x, y, z), s * v)
-        entries.append(ReportEntry("coassociativity", (a, b, c), lhs == rhs))
-
-    ids = {a: identity(alg.space(a)) for a in range(r)}
-    # the factor list of C_a, for the identity whiskers around a structure map
-    side = {a: (alg.space(a),) for a in range(r)}
+        ab, bc = (a + b - 1) % r, (b + c - 1) % r
+        rel.check("associativity", (a, b, c), (a, b, c),
+                  ((mu[a, b], 0), (mu[ab, c], 0)), ((mu[b, c], 1), (mu[a, bc], 0)))
+        ab, bc = (a + b + 1) % r, (b + c + 1) % r
+        rel.check("coassociativity", (a, b, c), ((ab + c + 1) % r,),
+                  ((delta[ab, c], 0), (delta[a, b], 0)), ((delta[a, bc], 0), (delta[b, c], 1)))
     for a in range(r):
-        left = whisker(alg.mu_map(1, a), (), alg.eta, side[a])
-        right = whisker(alg.mu_map(a, 1), side[a], alg.eta, ())
-        _entry(entries, "unitality", (a, "left"), left, ids[a])
-        _entry(entries, "unitality", (a, "right"), right, ids[a])
-        left = whisker(alg.delta_map(-1, a), (), alg.eps, side[a], g_first=True)
-        right = whisker(alg.delta_map(a, -1), side[a], alg.eps, (), g_first=True)
-        _entry(entries, "counitality", (a, "left"), left, ids[a])
-        _entry(entries, "counitality", (a, "right"), right, ids[a])
-
+        rel.check("unitality", (a, "left"), (a,), ((eta, 0), (mu[1 % r, a], 0)), ())
+        rel.check("unitality", (a, "right"), (a,), ((eta, 1), (mu[a, 1 % r], 0)), ())
+        rel.check("counitality", (a, "left"), (a,), ((delta[r - 1, a], 0), (eps, 0)), ())
+        rel.check("counitality", (a, "right"), (a,), ((delta[a, r - 1], 0), (eps, 1)), ())
     for a, b, c in itertools.product(range(r), repeat=3):
-        # on x o y: Delta_{c,d} o mu_{a,b}, (id o mu_{a-c-1,b}) o (Delta_{c,a-c-1} o id)
-        # and (mu_{a,c-a+1} o id) o (id o Delta_{c-a+1,d}), with d = a + b - c - 2
+        # on C_a o C_b: (id o mu_{e,b}) o (Delta_{c,e} o id) and (mu_{a,f} o id) o
+        # (id o Delta_{f,d}) against Delta_{c,d} o mu_{a,b}, with d = a + b - c - 2
         d, e, f = (a + b - c - 2) % r, (a - c - 1) % r, (c - a + 1) % r
-        split, middle = delta[c, d], {}
-        for (x, y), images in mu[a, b].items():
-            for t, s in images:
-                for (u, w), v in split.get(t, ()):
-                    _add(middle, (x, y, u, w), s * v)
-        outer, lhs = mu[e, b], {}
-        for x, images in delta[c, e].items():
-            for (u, t), s in images:
-                for y in range(dims[b]):
-                    for w, v in outer.get((t, y), ()):
-                        _add(lhs, (x, y, u, w), s * v)
-        outer, rhs = mu[a, f], {}
-        for y, images in delta[f, d].items():
-            for (t, w), s in images:
-                for x in range(dims[a]):
-                    for u, v in outer.get((x, t), ()):
-                        _add(rhs, (x, y, u, w), s * v)
-        entries.append(ReportEntry("frobenius", (a, b, c, "left"), lhs == middle))
-        entries.append(ReportEntry("frobenius", (a, b, c, "right"), rhs == middle))
-    return entries
+        middle = ((mu[a, b], 0), (delta[c, d], 0))
+        rel.check("frobenius", (a, b, c, "left"), (a, b),
+                  ((delta[c, e], 0), (mu[e, b], 1)), middle)
+        rel.check("frobenius", (a, b, c, "right"), (a, b),
+                  ((delta[f, d], 1), (mu[a, f], 0)), middle)
+    return rel.entries
 
 
 def validate(alg):
-    """Check all six relation families of the structure, exactly.
-
-    Families: (co)associativity, (co)unitality, Frobenius, twisted
-    commutativity, twist relations, and the deck transformation relation
-    N_a^r = 1.  Iteration order is fixed, so the report is deterministic.
-    """
+    """Check all six relation families of the structure, exactly, in a fixed order:
+    (co)associativity, (co)unitality, Frobenius, twisted commutativity, the twist
+    relations and the deck transformation relation N_a^r = 1.  All but twist_power
+    and deck, literal powers of N_a against the identity, are contractions."""
     r = alg.r
-    entries = frobenius_entries(alg)
-    ids = {a: identity(alg.space(a)) for a in range(r)}
-    side = {a: (alg.space(a),) for a in range(r)}
+    rel = _Relations(alg)
+    entries = frobenius_entries(alg, rel)
+    mu, delta, eta, classes = rel.mu, rel.delta, rel.eta, set(rel.space)
+    braid = {(a, b): rel.handle(braiding(alg.space(a), alg.space(b)))
+             for a in classes for b in classes}
 
-    for a in range(r):
-        for b in range(r):
-            braided = compose(alg.mu_map(a, b), braiding(alg.space(b), alg.space(a)))
-            lhs = whisker(alg.mu_map(b, a), (), alg.nakayama_power(b, 1 - a), side[a])
-            rhs = whisker(alg.mu_map(b, a), side[b], alg.nakayama_power(a, b - 1), ())
-            _entry(entries, "commutativity", (a, b, "left"), lhs, braided)
-            _entry(entries, "commutativity", (a, b, "right"), rhs, braided)
+    def nak(a, k):
+        return rel.handle(alg.nakayama_power(a, k))
 
+    for a, b in itertools.product(range(r), repeat=2):
+        # on C_b o C_a: mu_{b,a} o (N_b^{1-a} o id) and mu_{b,a} o (id o N_a^{b-1})
+        # against mu_{a,b} o braiding
+        braided = ((braid[rel.space[b], rel.space[a]], 0), (mu[a, b], 0))
+        rel.check("commutativity", (a, b, "left"), (b, a),
+                  ((nak(b, 1 - a), 0), (mu[b, a], 0)), braided)
+        rel.check("commutativity", (a, b, "right"), (b, a),
+                  ((nak(a, b - 1), 1), (mu[b, a], 0)), braided)
+    # N_a^0 = id, and N_a^a is literal (a < r): reducing mod r would presuppose deck
     for a in range(r):
-        # a < r, so this power is literal: reducing mod r would presuppose deck
-        _entry(entries, "twist_power", (a,), alg.nakayama_power(a, a), ids[a])
-    # the zig-zag mu_{a,-a} o (N_a^b o id) o c_a is K_{1,a,1-b} o eta; the
-    # relation equates the zig-zags at (a, b) and (a + b - 1, b)
-    zigzags = {(a, b): compose(alg.handle_operator(1, a, 1 - b), alg.eta)
-               for a in range(r) for b in range(r)}
-    for a in range(r):
-        for b in range(r):
-            _entry(entries, "twist_pairing", (a, b), zigzags[(a, b)],
-                   zigzags[((a + b - 1) % r, b)])
+        entries.append(ReportEntry("twist_power", (a,),
+                                   alg.nakayama_power(a, a) == alg.nakayama_power(a, 0)))
 
+    def zigzag(a, b):
+        # mu_{a,-a} o (N_a^b o id) o Delta_{a,-a} o eta: 1 -> C_{-1}
+        return ((eta, 0), (delta[a, -a % r], 0), (nak(a, b), 0), (mu[a, -a % r], 0))
+
+    for a, b in itertools.product(range(r), repeat=2):
+        rel.check("twist_pairing", (a, b), (), zigzag(a, b), zigzag((a + b - 1) % r, b))
     for a in range(r):
         # the literal r-th power, never read as N_a^(r mod r) = id
         deck = compose(alg.nakayama(a), alg.nakayama_power(a, r - 1))
-        _entry(entries, "deck", (a,), deck, ids[a])
-
+        entries.append(ReportEntry("deck", (a,), deck == alg.nakayama_power(a, 0)))
     return ValidationReport(entries)
-

@@ -20,7 +20,9 @@ elimination engine of the package.  Hom out of I_W (identity_hom, what lg-hom
 computes) takes the restricted route: I_W is the Koszul factorization of the
 regular sequence x'_i - x_i, so Hom(I_W, Y) is the cohomology of Y with x' set
 to x, a rank-2^n complex over the n variables of W, with the parity shifted by
-n; hom_cohomology runs on it in place of the 4^n slots over (x, x').
+n; hom_cohomology runs on it in place of the 4^n slots over (x, x'), out of a
+rank-one zero factorization of parity n mod 2, which applies the shift.  If it
+does not stabilize and W has a non-isolated singularity, the error says so.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 
 from ..scalars import Cyc
 from ..superlinalg import SparseEchelon
-from .poly import Poly
+from .groebner import InfiniteQuotientError, jacobi
+from .poly import Poly, format_poly
 
 
 class MFError(ValueError):
@@ -38,7 +41,9 @@ class MFError(ValueError):
 
 
 class InconclusiveCohomology(MFError):
-    pass
+    def __init__(self, cutoff, advice="raise RSPIN_HOM_NMAX"):
+        self.cutoff = cutoff
+        super().__init__("dimensions did not stabilize up to cutoff %d; %s" % (cutoff, advice))
 
 
 DEFAULT_NMAX = 24
@@ -383,8 +388,7 @@ def hom_cohomology(x, y):
                     check_closed(x.d, y.d, mat, parity)
             return HomCohomology(len(even_reps), len(odd_reps), even_reps, odd_reps,
                                  cutoff, tuple(trajectory))
-    raise InconclusiveCohomology(
-        "dimensions did not stabilize up to cutoff %d; raise RSPIN_HOM_NMAX" % nmax)
+    raise InconclusiveCohomology(nmax)
 
 
 def identity_hom(w, y):
@@ -395,9 +399,11 @@ def identity_hom(w, y):
     with the parity shifted by n = len(w.vars) (Dyckerhoff, arXiv:0904.4713).
     The restricted differential squares to W(x) - W(x) = 0: a rank-2^n
     complex over n variables, whose cohomology hom_cohomology computes from
-    the rank-(1|0) zero factorization.  The dimensions, the trajectory and
-    the representatives are those of Hom(I_W, Y); the representatives are
-    cocycles of the restricted complex (columns), not morphisms I_W -> Y.
+    the zero factorization of rank (1|0) for even n and (0|1) for odd n, which
+    applies the shift.  The dimensions, the trajectory and the representatives
+    are those of Hom(I_W, Y); the representatives are cocycles of the
+    restricted complex (columns), not morphisms I_W -> Y.  When the cohomology
+    does not stabilize and W has no isolated singularity, the error says so.
     """
     variables = w.vars
     primed = tuple(prime(v) for v in variables)
@@ -409,12 +415,19 @@ def identity_hom(w, y):
     d = [[entry.rename(diagonal) if entry else entry for entry in row] for row in y.d]
     zero = Poly.zero()
     restricted = MatrixFactorization(variables, (), y.middle_vars, zero, zero, y.parities, d)
-    point = MatrixFactorization(variables, (), y.middle_vars, zero, zero, (0,), [[zero]])
-    h = hom_cohomology(point, restricted)
-    if len(variables) % 2 == 0:
-        return h
-    return HomCohomology(h.odd_dim, h.even_dim, h.odd_reps, h.even_reps, h.stabilized_at,
-                         tuple((odd, even) for even, odd in h.trajectory))
+    point = MatrixFactorization(variables, (), y.middle_vars, zero, zero,
+                                (len(variables) % 2,), [[zero]])
+    try:
+        return hom_cohomology(point, restricted)
+    except InconclusiveCohomology as exc:
+        try:
+            jacobi(w)
+        except InfiniteQuotientError as singular:
+            raise InconclusiveCohomology(exc.cutoff, (
+                "W = %s has a non-isolated singularity (no pure power of %r leads its "
+                "Jacobian ideal), so Hom(I_W, Y) can be infinite-dimensional, and then "
+                "no RSPIN_HOM_NMAX helps") % (format_poly(w), singular.variable)) from exc
+        raise
 
 
 def _vec_to_matrix(vec, domain, ny, nx, variables):

@@ -148,6 +148,23 @@ def test_lg_hom_three_variables_within_a_work_bound(runner, monkeypatch):
     assert len(rows) <= 1000
 
 
+def test_lg_hom_names_a_non_isolated_singularity(runner):
+    """x^2*y^2 has no isolated singularity, so End(I_W) is infinite-dimensional
+    and a higher cutoff cannot help: the error says why instead.  An isolated
+    singularity cut off too early keeps the advice to raise the cutoff."""
+    result = runner.invoke(main, ["lg-hom", "x^2*y^2"])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == [
+        "Error: dimensions did not stabilize up to cutoff 24; W = x^2*y^2 has a non-isolated "
+        "singularity (no pure power of 'x' leads its Jacobian ideal), so Hom(I_W, Y) can be "
+        "infinite-dimensional, and then no RSPIN_HOM_NMAX helps"]
+    early = runner.invoke(main, ["lg-hom", "x^4"], env={"RSPIN_HOM_NMAX": "1"})
+    assert early.exit_code == 2, (early.output, early.exception)
+    assert [l for l in early.output.splitlines() if l.startswith("Error:")] == [
+        "Error: dimensions did not stabilize up to cutoff 1; raise RSPIN_HOM_NMAX"]
+
+
 def test_lg_orbifold_command(runner):
     result = runner.invoke(main, ["lg-orbifold", "x^3", "--group", "Z3", "--json"])
     assert result.exit_code == 0

@@ -378,3 +378,78 @@ def test_validate_matches_the_tensor_reference_entry_for_entry(name, params, r):
         # at r = 1, C_0 is the whole algebra, and the empty algebra satisfies every relation
         intact = label == "intact" or (label == "empty C_0" and r == 1)
         assert all(passed for _, _, passed in got) == intact, label
+
+
+# -- what validate shares within one call, and nothing beyond it ----------------
+
+def with_distinct_maps(alg):
+    """alg with every mu_{a,b} and Delta_{a,b} its own object, equal to the original."""
+    def copy(m):
+        return SuperMap(m.source, m.target, m.parity, None, m.source_factors, m.target_factors,
+                        entries=[dict(stored) for stored in m.entries])
+
+    return LambdaFrobenius(r=alg.r, spaces=alg.spaces,
+                           mu={key: copy(m) for key, m in alg.mu.items()},
+                           delta={key: copy(m) for key, m in alg.delta.items()},
+                           eta=alg.eta, eps=alg.eps)
+
+
+def report(alg):
+    return [(e.family, e.indices, e.passed) for e in validate(alg).entries]
+
+
+@pytest.mark.parametrize("name, params, r", [("clifford1", {}, 4), ("group_algebra_Zn", {"n": 3}, 3),
+                                             ("matrix_algebra_n", {"n": 2}, 2)])
+def test_distinct_but_equal_maps_give_the_shared_report(name, params, r):
+    # the graded centre shares one mu and Delta per index class; the copy shares none
+    alg = graded_center(builtin(name, **params), r)
+    assert len({id(m) for m in alg.mu.values()}) < r * r
+    cases = [(alg, with_distinct_maps(alg))]
+    bad = corrupted(alg, mu={(1 % r, r - 1): bumped(alg.mu_map(1, -1))})
+    cases.append((bad, with_distinct_maps(bad)))
+    for shared, distinct in cases:
+        assert len({id(m) for m in distinct.mu.values()}) == r * r
+        assert report(distinct) == report(shared)
+    assert not all(passed for _, _, passed in report(bad))
+
+
+def test_nothing_is_shared_between_calls():
+    # the corrupted algebra shares every map but one with its parent, so a
+    # verdict kept from the parent's call would pass its failing checks
+    alg = graded_center(builtin("clifford1"), 4)
+    bad = corrupted(alg, mu={(1, 3): bumped(alg.mu_map(1, -1))},
+                    delta={(0, 1): alg.delta_map(0, 1).scale(2)})
+    expected = reference_validate(bad)
+    assert not all(passed for _, _, passed in expected)
+    for _ in range(2):
+        assert validate(alg).ok
+        assert report(bad) == expected
+
+
+def test_validate_builds_no_map_per_index_tuple(monkeypatch):
+    """Every family but twist_power and deck reads tables of structure
+    constants, so validate builds the Nakayama powers, one braiding per pair of
+    distinct circle spaces and the deck composites: 140 maps at r = 8, where
+    composing maps per index tuple built 632."""
+    alg = graded_center(builtin("clifford1"), 8)
+    built = []
+    init = SuperMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SuperMap, "__init__", counted)
+    assert validate(alg).ok
+    assert len(built) <= 150
+
+
+def test_file_reader_shares_equal_maps():
+    # a saved graded centre repeats each restricted mu and Delta per index
+    # class; the reader makes each one map again, so validate reads it once
+    alg = graded_center(builtin("clifford1"), 8)
+    again = LambdaFrobenius.from_dict(alg.to_dict())
+    for table in ("mu", "delta"):
+        assert len({id(m) for m in getattr(again, table).values()}) == \
+            len({id(m) for m in getattr(alg, table).values()}) == 4
+    assert report(again) == report(alg)

@@ -8,6 +8,7 @@ from rspin.landau_ginzburg.mf import (
     MFError,
     check_closed,
     hom_cohomology,
+    identity_hom,
     identity_mf,
     twisted_identity,
 )
@@ -166,6 +167,25 @@ def test_sector_basis_matches_hom_cohomology(r):
         parities = [SectorModel.parity(lab) for lab in model.basis(g)]
         counts = (parities.count(0), parities.count(1))
         assert hom_cohomology(one, twisted_identity(w, action, g)).dims == counts, g
+
+
+# (d, r, weight) of every one-variable model that the lg-orbifold and
+# lg-circle-spaces benchmark potentials build
+WORKLOAD_MODELS = [(2, 2, 1), (3, 3, 1), (4, 4, 1), (5, 5, 1), (2, 4, 2), (4, 2, 1), (3, 3, 2),
+                   (2, 2, 0), (3, 2, 0)]
+
+
+@pytest.mark.parametrize("d, r, weight", WORKLOAD_MODELS,
+                         ids=["%d-%d-%d" % case for case in WORKLOAD_MODELS])
+def test_sector_basis_matches_the_restricted_hom(d, r, weight):
+    # the hard-coded sector bases against Hom(I_W, _g(I_W)) on the diagonal
+    w = parse_poly("x^%d" % d)
+    action = GroupAction(r, (("x", weight),))
+    model = SectorModel("x", d, r, weight)
+    for g in range(r):
+        parities = [SectorModel.parity(lab) for lab in model.basis(g)]
+        counts = (parities.count(0), parities.count(1))
+        assert identity_hom(w, twisted_identity(w, action, g)).dims == counts, g
 
 
 SECTOR_CASES = [(2, 2, 1), (3, 3, 1), (3, 3, 2), (4, 4, 1), (4, 2, 1), (5, 5, 1), (4, 4, 2)]
