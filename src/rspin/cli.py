@@ -166,7 +166,7 @@ def _action_from_options(w, group, weights):
         raise click.UsageError("--group must look like Z5")
     r = int(match.group(1))
     names = tuple(sorted(w.vars))
-    if weights:
+    if weights is not None:
         parts = [_ascii_int(x.strip()) for x in weights.split(",")]
         if None in parts:
             raise click.UsageError("weights must be comma-separated integers, got %r"

@@ -24,7 +24,6 @@ from .superlinalg import (
     compose,
     graded_tuples,
     identity,
-    tensor,
     tensor_space,
     whisker,
 )
@@ -140,8 +139,8 @@ class LambdaFrobenius:
             other = (c - a - 1) % r
             n = self.nakayama_power(a, 1 - b)
             k = self._handle_operators[key] = compose(
-                whisker(self.mu_map(a, other), (), n, (self.space(other),)),
-                self.delta_map(a, other))
+                self.mu_map(a, other),
+                whisker(self.delta_map(a, other), (), n, (self.space(other),)))
         return k
 
     # -- serialization -------------------------------------------------------
@@ -190,9 +189,10 @@ class LambdaFrobenius:
 
 def nakayama_zigzag(pairing, copairing, left, right):
     """(p o id) . (id o b.c) on left, with b braiding the legs of c: 1 -> left o right;
-    N_a for (C_a, C_{-a}) and gamma_A^{-1} for (A, A)."""
+    N_a for (C_a, C_{-a}) and gamma_A^{-1} for (A, A).  Both steps are whiskers,
+    the first onto id_left, so no tensor of maps is built."""
     crossed = compose(braiding(left, right), copairing)
-    return whisker(tensor(identity(left), crossed), (), pairing, (left,), g_first=True)
+    return whisker(whisker(identity(left), (left,), crossed, ()), (), pairing, (left,))
 
 
 # -- algebra files: one reader and one writer for lambda_frobenius and frobenius_algebra

@@ -219,14 +219,6 @@ class SuperMap:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __pow__(self, k):
-        if self.source.dim != self.target.dim:
-            raise SuperLinAlgError("powers require an endomorphism")
-        result = identity(self.source)
-        for _ in range(k):
-            result = compose(self, result)
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, SuperMap):
             return NotImplemented
@@ -287,8 +279,10 @@ def tensor(*maps):
     Every map's matrix is indexed by the graded-tuple basis over its
     declared factor list, and the result is indexed over the concatenation
     of those lists; composites therefore never need associators.  It is
-    (f1 x 1 x ... x 1) o ... o (1 x ... x 1 x fn), whiskered in from the
-    right, and whisker's sign (-1)^(|f_m||l|) is the Koszul sign.
+    (f1 x 1 x ... x 1) o ... o (1 x ... x 1 x fn) o id, each map whiskered
+    onto the identity from the right, and whisker's sign (-1)^(|f_m||l|) is
+    the Koszul sign.  An id x f or f x id alone is one whisker of an existing
+    map, whisker(h, left, f, right), with no identity built here.
     """
     if not maps:
         return identity(UNIT_SPACE)
@@ -300,7 +294,7 @@ def tensor(*maps):
     left, right = len(src), ()
     for m in reversed(maps):
         left -= len(m.source_factors)
-        result = whisker(result, src[:left], m, right, g_first=True)
+        result = whisker(result, src[:left], m, right)
         right = m.target_factors + right
     return result
 
@@ -328,61 +322,32 @@ def _whisker_plan(left, source, target, right):
             tensor_space(*left, *source, *right), tensor_space(*left, *target, *right))
 
 
-def whisker(g, left, f, right, *, g_first=False):
-    """g o W, or W o g with g_first, for the whiskered map W = id_left o f o id_right.
+def whisker(g, left, f, right):
+    """W o g for the whiskered map W = id_left o f o id_right.
 
     left and right are factor lists, and W(l o v o w) = (-1)^(|f||l|) l o f(v) o w
-    over the flat lists left + f's factors + right; tensor is built from it.  W
-    itself is never built: every entry of the composite is a sum over the
-    stored entries of f and g, placed through the graded positions of
-    left + f.source_factors + right and left + f.target_factors + right.
+    over the flat lists left + f's factors + right; g lands in
+    left + f.source_factors + right.  W itself is never built: every entry of
+    the composite is a sum over the stored entries of f and g.  Whiskering the
+    identity gives id_left o f o id_right; tensor is built from it.
     """
     left, right = tuple(left), tuple(right)
     src_flat, tgt_split, odd_left, n_right, src_space, tgt_space = _whisker_plan(
         left, f.source_factors, f.target_factors, right)
-    src_factors = left + f.source_factors + right
-    tgt_factors = left + f.target_factors + right
-    n_src, f_entries, odd_f = f.source.dim, f.entries, f.parity
+    if g.target != src_space:
+        raise SuperLinAlgError("composition shape mismatch: whiskered %r after %r" % (f, g))
+    n_src, f_entries, odd_f, g_entries = f.source.dim, f.entries, f.parity, g.entries
     entries = []
-    if g_first:
-        if g.target != src_space:
-            raise SuperLinAlgError("composition shape mismatch: whiskered %r after %r" % (f, g))
-        g_entries = g.entries
-        # row (l, i, w) of W o g is the sum over j of +-f[i][j] times row (l, j, w) of g
-        for l, i, w in tgt_split:
-            out = {}
-            negate = odd_f and odd_left[l]
-            base = l * n_src
-            for j, fv in f_entries[i].items():
-                if negate:
-                    fv = -fv
-                for s, gv in g_entries[src_flat[(base + j) * n_right + w]].items():
-                    value = gv if fv is _ONE else fv if gv is _ONE else fv * gv
-                    old = out.get(s)
-                    if old is None:
-                        out[s] = value
-                    else:
-                        value = old + value
-                        if value:
-                            out[s] = value
-                        else:
-                            del out[s]
-            entries.append(out)
-        return SuperMap(g.source, tgt_space, f.parity + g.parity, None,
-                        g.source_factors, tgt_factors, entries=entries)
-    if g.source != tgt_space:
-        raise SuperLinAlgError("composition shape mismatch: %r after whiskered %r" % (g, f))
-    # column t = (l, i, w) of g meets row i of f at the columns (l, j, w) of g o W
-    for g_row in g.entries:
+    # row (l, i, w) of W o g is the sum over j of +-f[i][j] times row (l, j, w) of g
+    for l, i, w in tgt_split:
         out = {}
-        for t, gv in g_row.items():
-            l, i, w = tgt_split[t]
-            if odd_f and odd_left[l]:
-                gv = -gv
-            base = l * n_src
-            for j, fv in f_entries[i].items():
-                s = src_flat[(base + j) * n_right + w]
-                value = fv if gv is _ONE else gv if fv is _ONE else gv * fv
+        negate = odd_f and odd_left[l]
+        base = l * n_src
+        for j, fv in f_entries[i].items():
+            if negate:
+                fv = -fv
+            for s, gv in g_entries[src_flat[(base + j) * n_right + w]].items():
+                value = gv if fv is _ONE else fv if gv is _ONE else fv * gv
                 old = out.get(s)
                 if old is None:
                     out[s] = value
@@ -393,8 +358,8 @@ def whisker(g, left, f, right, *, g_first=False):
                     else:
                         del out[s]
         entries.append(out)
-    return SuperMap(src_space, g.target, f.parity + g.parity, None,
-                    src_factors, g.target_factors, entries=entries)
+    return SuperMap(g.source, tgt_space, f.parity + g.parity, None,
+                    g.source_factors, left + f.target_factors + right, entries=entries)
 
 
 def braiding(v, w):

@@ -362,6 +362,16 @@ def test_hom_nmax_must_be_a_positive_ascii_integer(runner, value):
         ["Error: RSPIN_HOM_NMAX must be a positive integer, got %r" % value]
 
 
+@pytest.mark.parametrize("command", ["lg-orbifold", "lg-circle-spaces", "lg-hom"])
+@pytest.mark.parametrize("potential", ["x^2", "0"])
+def test_empty_weights_exit_2_not_every_weight_1(runner, command, potential):
+    result = runner.invoke(main, [command, potential, "--group", "Z2", "--weights="])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
+        ["Error: weights must be comma-separated integers, got ''"], result.output
+
+
 @pytest.mark.parametrize("args,message", [
     (["lg-hom", "x^3", "--group", "banana", "--weights", "7,7,7"], "--group must look like Z5"),
     (["lg-hom", "x^3", "--group", "Z3", "--weights", "7,7,7"],

@@ -22,7 +22,9 @@ from rspin.landau_ginzburg.orbifold import (
 )
 from rspin.landau_ginzburg.poly import Poly, parse_poly
 from rspin.scalars import Cyc
-from rspin.superlinalg import SuperSpace, graded_tuples, identity
+from rspin.superlinalg import SuperMap, SuperSpace, graded_tuples, identity
+
+from reference import power
 
 
 def act1(r):
@@ -63,7 +65,7 @@ def test_orbifold_dims_and_gamma(r):
     # pairing zig-zag inside orbifold_algebra; check the weights here
     for k, (g, _) in enumerate(orb.basis_labels):
         assert orb.gamma.map.rows[k][k] == Cyc.zeta(r, (-g) % r)
-    assert orb.gamma.map ** r == identity(orb.algebra.space)
+    assert power(orb.gamma.map, r) == identity(orb.algebra.space)
     # gamma is the algebra's Nakayama automorphism
     assert nakayama_gamma(orb.algebra).map == orb.gamma.map
 
@@ -71,7 +73,7 @@ def test_orbifold_dims_and_gamma(r):
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_gamma_order(r):
     orb = orbifold_algebra(parse_poly("x^%d" % r), act1(r))
-    assert orb.gamma.map ** r == identity(orb.algebra.space)
+    assert power(orb.gamma.map, r) == identity(orb.algebra.space)
 
 
 def test_delta_separability_honest():
@@ -268,6 +270,24 @@ def test_nothing_cached_between_calls(monkeypatch):
         orbifold_algebra(parse_poly("x^4"), act1(4))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_orbifold_algebra_builds_no_identity_for_a_whisker(monkeypatch):
+    """assemble's comultiplication, the copairing check and the Nakayama
+    zig-zag whisker maps already built: the x^3+y^3 orbifold under Z3 builds
+    37 maps; building each id o f through tensor, with its materialised
+    identity, builds 45."""
+    w, action = parse_poly("x^3+y^3"), GroupAction(3, (("x", 1), ("y", 1)))
+    built = []
+    init = SuperMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SuperMap, "__init__", counted)
+    orbifold_algebra(w, action)
+    assert len(built) <= 37
 
 
 @pytest.mark.parametrize("r, potential, weights, scale, separable", [

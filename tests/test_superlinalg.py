@@ -462,7 +462,8 @@ def test_cancelled_entries_are_not_stored():
 # -- whiskered composition against compose o the literal enumeration ----------
 #
 # tensor is built from whisker, so W = id_left o f o id_right comes from
-# reference_tensor here, which shares no code with either.
+# reference_tensor here, which shares no code with either.  whisker computes
+# W o g only; every caller reads its chain of maps bottom-up.
 
 def reference_whiskered(left, f, right):
     """W = id_left o f o id_right over left + f's factors + right, entry by entry."""
@@ -487,29 +488,23 @@ def factored_maps(draw, source_factors, target_factors):
 
 @st.composite
 def whiskerings(draw):
-    """(g, left, f, right, g_first) with g composable with id_left o f o id_right."""
+    """(g, left, f, right) with g landing in the source of id_left o f o id_right."""
     left, right = tuple(draw(FACTORS)), tuple(draw(FACTORS))
     f_source, f_target = tuple(draw(FACTORS)), tuple(draw(FACTORS))
     w_source, w_target = left + f_source + right, left + f_target + right
     assume(tensor_space(*w_source).dim <= 24 and tensor_space(*w_target).dim <= 24)
     f = draw(factored_maps(f_source, f_target))
     other = tuple(draw(FACTORS.filter(lambda fs: tensor_space(*fs).dim <= 6)))
-    g_first = draw(st.booleans())
-    if g_first:
-        g = draw(factored_maps(other, w_source))
-    else:
-        g = draw(factored_maps(w_target, other))
-    return g, left, f, right, g_first
+    return draw(factored_maps(other, w_source)), left, f, right
 
 
 @settings(max_examples=200, deadline=None)
 @given(whiskerings())
-@example((full_map((V11,), (V11, V11), 0), (V11,), full_map((V11,), (V11,), 1), (), True))
+@example((full_map((V11,), (V11, V11), 0), (V11,), full_map((V11,), (V11,), 1), ()))
 def test_whisker_matches_compose_of_reference_tensor(case):
-    g, left, f, right, g_first = case
-    w = reference_whiskered(left, f, right)
-    expected = compose(w, g) if g_first else compose(g, w)
-    result = whisker(g, left, f, right, g_first=g_first)
+    g, left, f, right = case
+    expected = compose(reference_whiskered(left, f, right), g)
+    result = whisker(g, left, f, right)
     assert_sparse(result)
     assert result == expected
     assert result.parity == (f.parity + g.parity) % 2
@@ -520,18 +515,35 @@ def test_whisker_matches_compose_of_reference_tensor(case):
 def test_whisker_signs_on_odd_left_factors():
     rng = random.Random(5)
     v, w = SuperSpace(1, 1), SuperSpace(2, 1)
-    for pf, pg, g_first in itertools.product((0, 1), (0, 1), (False, True)):
+    for pf, pg in itertools.product((0, 1), (0, 1)):
         f = random_homogeneous(rng, v, w, pf)
-        before, after = tensor_space(v, v, w), tensor_space(v, w, w)
-        if g_first:
-            g = random_homogeneous(rng, w, before, pg)
-            g = SuperMap(g.source, g.target, pg, g.rows, None, (v, v, w))
-            expected = compose(reference_whiskered((v,), f, (w,)), g)
-        else:
-            g = random_homogeneous(rng, after, w, pg)
-            g = SuperMap(g.source, g.target, pg, g.rows, (v, w, w), None)
-            expected = compose(g, reference_whiskered((v,), f, (w,)))
-        assert whisker(g, (v,), f, (w,), g_first=g_first) == expected, (pf, pg, g_first)
+        g = random_homogeneous(rng, w, tensor_space(v, v, w), pg)
+        g = SuperMap(g.source, g.target, pg, g.rows, None, (v, v, w))
+        expected = compose(reference_whiskered((v,), f, (w,)), g)
+        assert whisker(g, (v,), f, (w,)) == expected, (pf, pg)
+
+
+@st.composite
+def whiskered_identities(draw):
+    """(V, c) with c: 1 -> its factors, of either parity."""
+    return draw(SPACES), draw(factored_maps((), tuple(draw(FACTORS))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(whiskered_identities())
+@example((V11, full_map((), (V11, V11), 0)))
+@example((V11, full_map((), (V11, V11), 1)))
+def test_whiskered_identity_is_the_tensor_with_the_identity(case):
+    """id_V o c and c o id_V are one whisker of 1_V each, with no tensor built."""
+    v, c = case
+    one = identity(v)
+    for bare, maps in ((whisker(one, (v,), c, ()), [one, c]),
+                       (whisker(one, (), c, (v,)), [c, one])):
+        product = tensor(*maps)
+        assert bare == product
+        assert bare.rows == reference_tensor(maps)
+        assert bare.source_factors == product.source_factors == (v,)
+        assert bare.target_factors == product.target_factors
 
 
 def test_whisker_shape_mismatch():
@@ -540,7 +552,7 @@ def test_whisker_shape_mismatch():
     with pytest.raises(SuperLinAlgError):
         whisker(identity(tensor_space(v, v)), (w,), f, ())
     with pytest.raises(SuperLinAlgError):
-        whisker(identity(tensor_space(v, v)), (), f, (w,), g_first=True)
+        whisker(identity(tensor_space(v, v)), (), f, (w,))
 
 
 # -- the elimination engine against sympy -------------------------------------

@@ -26,6 +26,8 @@ from rspin.surface_eval import (
     torus_normal_form,
 )
 
+from reference import power
+
 
 def torus_oracle(alg, a, b):
     """Independent zig-zag evaluation via direct structure-constant loops."""
@@ -33,7 +35,7 @@ def torus_oracle(alg, a, b):
     ma = (-a) % r
     p = alg.pairing(ma)
     c = alg.copairing(ma)
-    n = alg.nakayama(ma) ** ((1 - b) % r)
+    n = power(alg.nakayama(ma), (1 - b) % r)
     left, right = alg.space(ma), alg.space(a)
     pos = {t: k for k, t in enumerate(graded_tuples([left, right]))}
     total = Cyc.zero()
@@ -189,7 +191,7 @@ def surface_oracle(alg, handles):
             for j in range(dmap.source.dim):
                 total = total + dmap.rows[k][j] * state[j]
             pair_state[k] = total
-        n = alg.nakayama(a) ** ((1 - b) % r)
+        n = power(alg.nakayama(a), (1 - b) % r)
         twisted = [Cyc.zero()] * len(pair_state)
         for i in range(left.dim):
             for j in range(right.dim):
@@ -294,7 +296,7 @@ def shifted_surface_oracle(alg, s):
     current, c = alg.eta, 1
     for a, b in s.handles:
         other = (c - a - 1) % r
-        insertion = tensor(identity(alg.space(other)), alg.nakayama(a) ** ((1 - b) % r))
+        insertion = tensor(identity(alg.space(other)), power(alg.nakayama(a), (1 - b) % r))
         handle = compose(alg.mu_map(other, a), compose(insertion, alg.delta_map(other, a)))
         current = compose(handle, current)
         c = (c - 2) % r
