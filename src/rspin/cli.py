@@ -326,6 +326,7 @@ def lg_hom(potential, group, weights, g_twist, shift, as_json):
     action = None
     if group is not None or weights is not None or g_twist is not None:
         action = _action_from_options(w, group, weights)
+        action.check_invariance(w)
     target = identity_mf(w) if g_twist is None else twisted_identity(w, action, g_twist)
     if shift:
         target = target.shift()

@@ -27,13 +27,14 @@ does not stabilize and W has a non-isolated singularity, the error says so.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 
 from ..scalars import Cyc
 from ..superlinalg import SparseEchelon
 from .groebner import InfiniteQuotientError, jacobi
-from .poly import Poly, format_poly
+from .poly import Poly, format_monomial, format_poly
 
 
 class MFError(ValueError):
@@ -71,9 +72,18 @@ class GroupAction:
         return Cyc.zeta(self.r, (self.weight(var) * k) % self.r)
 
     def check_invariance(self, w):
-        mapping = {v: (self.root(v, 1), v) for v, _ in self.weights}
-        if w.substitute(mapping) != w:
-            raise MFError("potential is not invariant under the group action")
+        """Raise MFError unless every monomial of w has weight sum_i w_i e_i = 0
+        mod r; a variable without a declared weight has weight 0.  Integer
+        arithmetic only, so a huge r costs nothing."""
+        declared = {v for v, _ in self.weights}
+        weights = [self.weight(v) if v in declared else 0 for v in w.vars]
+        for exp in w.terms:
+            total = sum(map(operator.mul, weights, exp))
+            if total % self.r:
+                raise MFError("potential %s is not invariant under Z%d: its monomial %s has "
+                              "weight %d, not 0 mod %d" % (format_poly(w), self.r,
+                                                           format_monomial(w.vars, exp),
+                                                           total, self.r))
 
 
 def prime(name):

@@ -1,13 +1,16 @@
 """Orbifold algebras of Fermat potentials under diagonal cyclic actions.
 
 The algebra A = (+)_g Hom(1_W, _g(1_W)) is computed with explicit cocycle
-representatives.  Products are formed by lifting both factors into the
-composite factorization over a middle variable, then contracting with the
-exact retraction that eliminates the middle variable of a composition of
-graph-type Koszul factorizations:
+representatives.  The product of two cocycles is their composite over a
+middle variable y, contracted with the exact retraction that eliminates y
+from a composition of graph-type Koszul factorizations:
 
     pi(A + B th1 + C th2 + F th1 th2) = A|_{y -> root_g x'} + C|...| . theta
     iota(s) = s + q . s . th1 th2,   q = (u(y,x) - u(x',x)) / (y - x')
+
+The substitution y -> root_g x' is a ring homomorphism, so it is applied to
+the factors before they are multiplied: the left row, the right cocycle and
+q0 are each brought to (x, x') once, and every product is bivariate.
 
 Class reduction re-expresses the raw product, checked closed by
 mf.check_closed, in the canonical cocycle basis through functionals that
@@ -18,11 +21,11 @@ the one-variable data with the usual Koszul signs.
 
 Each orbifold_algebra call builds one SectorModel per distinct (exponent,
 weight); variables that agree in both share it.  A model computes its
-sector data (v_g, u_g, q0 and the canonical cocycles) when it is built and
-memoises its own products.  Its sector differentials are
-mf.twisted_identity's, built from GroupAction.root, mf.prime and
-mf.difference_quotient without the d^2 check.  Nothing is kept from one
-call to the next.
+sector data (v_g, u_g, q0 and the canonical cocycles) when it is built, and
+memoises the factors over (x, x') and its own products.  Its sector
+differentials are mf.twisted_identity's, built from GroupAction.root,
+mf.prime and mf.difference_quotient without the d^2 check.  Nothing is kept
+from one call to the next.
 """
 
 from __future__ import annotations
@@ -75,15 +78,15 @@ class SectorModel:
     """One Fermat variable x^d with the weight-w action of Z_r.
 
     The constructor computes the sector data once: v_g and u_g for every g,
-    q0, and the canonical cocycle of every basis label.  product memoises
-    its own results, so a model shared by the variables of one (d, weight)
-    computes each product once.
+    q0, and the canonical cocycle of every basis label.  The factors of the
+    products with a left factor in sector g are brought to (x, x') on first
+    use, and product memoises its own results, so a model shared by the
+    variables of one (d, weight) computes each of them once.
     """
 
     def __init__(self, var, d, r, weight):
         self.var = var
         self.prime = prime(var)
-        self.mid = var + "~"
         self.d = d
         self.r = r
         self.weight = weight % r
@@ -96,8 +99,9 @@ class SectorModel:
         self.u = [num.divide_exact(v_g) for v_g in self.v]
         # d_g = [[0, v_g], [u_g, 0]] is twisted_identity(x^d, action, g).d
         self.differentials = [[[zero, v_g], [u_g, zero]] for v_g, u_g in zip(self.v, self.u)]
-        # q0 = (u_0(y, x) - u_0(x', x)) / (y - x') with y the middle variable
-        self.q0 = difference_quotient(self.u[0], self.prime).rename({prime(self.prime): self.mid})
+        # q0 = (u_0(y, x) - u_0(x', x)) / (y - x'), with the middle variable y
+        # named x''
+        self.q0 = difference_quotient(self.u[0], self.prime)
         # canonical cocycle representatives as 2x2 matrices over (var', var)
         self.cocycles = {}
         for g in range(r):
@@ -108,6 +112,7 @@ class SectorModel:
                 else:
                     mat = [[zero, Poly.const(1)], [-self.u[0].divide_exact(self.v[g]), zero]]
                 self.cocycles[(g, label)] = mat
+        self.factors = {}
         self.products = {}
 
     def untwisted(self, g):
@@ -124,26 +129,51 @@ class SectorModel:
 
     # -- composition over the middle variable --------------------------------
 
+    def _factors(self, g):
+        """The factors of every product with a left factor in sector g, over
+        (x, x') with y -> roots[g] x' applied: the first rows of the left
+        cocycles (x renamed to y), every right cocycle (x' renamed to y) and
+        q0.  Only the first row of the left factor enters (see composite)."""
+        if g not in self.factors:
+            pair, twist = (self.var, self.prime), (self.roots[g], self.prime)
+
+            def lift(e, y):
+                return e.substitute({y: twist}).align(pair)
+
+            left = {lab: [lift(e, self.var) for e in self.cocycles[(g, lab)][0]]
+                    for lab in self.basis(g)}
+            right = {key: [[lift(e, self.prime) for e in row] for row in mat]
+                     for key, mat in self.cocycles.items()}
+            self.factors[g] = left, right, lift(self.q0, prime(self.prime))
+        return self.factors[g]
+
+    def composite(self, g, lab1, h, lab2):
+        """The raw product of the cocycles (g, lab1) and (h, lab2) over (x, x').
+
+        The left factor lives on (x', y), the right one on (y, x).  Their
+        composite is applied to the lifts 1 + q0 th1 th2 and th1 + th2 of the
+        two basis vectors, and pi keeps the 1 and th2 components at
+        y = roots[g] x', so only the first row of the left factor enters.
+        """
+        g, h = g % self.r, h % self.r
+        left, right, q0 = self._factors(g)
+        P, Q = left[lab1]
+        (P2, Q2), (S2, T2) = right[(h, lab2)]
+        Qq = Q * q0
+        return [[P * P2 - Qq * Q2, P * Q2 + Q * P2],
+                [P * S2 + Qq * T2, P * T2 - Q * S2]]
+
     def product(self, g, lab1, h, lab2):
         """Class of the composite cocycle in sector g + h, as basis coefficients.
 
-        The left factor lives on (var', mid), the right one on (mid, var).
-        Their composite is applied to the lifts 1 + q0 th1 th2 and th1 + th2
-        of the two basis vectors, and pi keeps the 1 and th2 components, so
-        only the first row of the left factor enters.  The result is kept and
-        returned again; callers must not mutate it.
+        The raw composite is checked closed and reduced to the canonical basis.
+        The result is kept and returned again; callers must not mutate it.
         """
         g, h = g % self.r, h % self.r
         key = (g, lab1, h, lab2)
         if key in self.products:
             return self.products[key]
-        P, Q = [e.rename({self.var: self.mid}) for e in self.cocycles[(g, lab1)][0]]
-        (P2, Q2), (S2, T2) = [[e.rename({self.prime: self.mid}) for e in row]
-                              for row in self.cocycles[(h, lab2)]]
-        composite = [[P * P2 - Q * Q2 * self.q0, P * Q2 + Q * P2],
-                     [P * S2 + Q * T2 * self.q0, P * T2 - Q * S2]]
-        sub = {self.mid: (self.roots[g], self.prime)}
-        raw = [[e.substitute(sub) for e in row] for row in composite]
+        raw = self.composite(g, lab1, h, lab2)
         s = (g + h) % self.r
         parity = (SectorModel.parity(lab1) + SectorModel.parity(lab2)) % 2
         check_closed(self.differentials[0], self.differentials[s], raw, parity)

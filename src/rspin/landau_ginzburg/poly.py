@@ -4,9 +4,16 @@ Variables are kept in a canonical sorted order; operations align variable
 sets automatically.  Division by a single polynomial is the plain long
 division in graded-reverse-lexicographic order, used where exactness is
 guaranteed (difference quotients, twisted-identity entries).
+
+Poly(vars, terms) coerces every coefficient and drops the zero ones.  The
+arithmetic builds its results through Poly._trusted, which does neither: its
+coefficients are sums and products of canonical nonzero values, with every
+sum that cancels already removed.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from ..scalars import Cyc, as_cyc, format_scalar, parse_expression
 
@@ -32,11 +39,20 @@ class Poly:
             if coeff:
                 self.terms[tuple(exp)] = coeff
 
+    @staticmethod
+    def _trusted(variables, terms):
+        """A Poly over the tuple `variables` that takes `terms` as they are:
+        tuple exponents and canonical nonzero coefficients."""
+        p = object.__new__(Poly)
+        p.vars = variables
+        p.terms = terms
+        return p
+
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def zero(variables=()):
-        return Poly(variables, {})
+        return Poly._trusted(tuple(variables), {})
 
     @staticmethod
     def const(value, variables=()):
@@ -45,7 +61,7 @@ class Poly:
 
     @staticmethod
     def variable(name):
-        return Poly((name,), {(1,): Cyc.one()})
+        return Poly._trusted((name,), {(1,): Cyc.one()})
 
     def align(self, variables):
         variables = tuple(variables)
@@ -61,7 +77,7 @@ class Poly:
             for v, e in zip(self.vars, exp):
                 new[index[v]] = e
             terms[tuple(new)] = coeff
-        return Poly(variables, terms)
+        return Poly._trusted(variables, terms)
 
     @staticmethod
     def _aligned(a, b):
@@ -105,12 +121,12 @@ class Poly:
                 terms[exp] = total
             elif acc is not None:
                 del terms[exp]
-        return Poly(variables, terms)
+        return Poly._trusted(variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -124,15 +140,18 @@ class Poly:
         terms = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 prod = c1 * c2
                 acc = terms.get(exp)
-                total = prod if acc is None else acc + prod
-                if total:
-                    terms[exp] = total
-                elif acc is not None:
-                    del terms[exp]
-        return Poly(variables, terms)
+                if acc is None:
+                    terms[exp] = prod
+                else:
+                    total = acc + prod
+                    if total:
+                        terms[exp] = total
+                    else:
+                        del terms[exp]
+        return Poly._trusted(variables, terms)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -141,7 +160,9 @@ class Poly:
         if value == 1:
             return self
         value = as_cyc(value)
-        return Poly(self.vars, {e: value * c for e, c in self.terms.items()})
+        if not value:
+            return Poly.zero(self.vars)
+        return Poly._trusted(self.vars, {e: value * c for e, c in self.terms.items()})
 
     def __truediv__(self, other):
         """Division by a constant; divide_exact divides by a polynomial."""
@@ -210,7 +231,7 @@ class Poly:
                 terms[key] = total
             elif acc is not None:
                 del terms[key]
-        return Poly(variables, terms)
+        return Poly._trusted(variables, terms)
 
     def rename(self, mapping):
         return self.substitute({old: (1, new) for old, new in mapping.items()})
@@ -222,19 +243,30 @@ class Poly:
         a, b, variables = Poly._aligned(self, divisor)
         if b.is_zero():
             raise PolyError("division by the zero polynomial")
-        quot = Poly.zero(variables)
-        rem = a
-        lead_b = leading_term(b)
-        while rem.terms:
-            lead_r = leading_term(rem)
-            exp = tuple(x - y for x, y in zip(lead_r[0], lead_b[0]))
+        lead_exp, lead_coeff = leading_term(b)
+        lead_inverse = lead_coeff.inverse()
+        # the leading exponent of the remainder falls at every step, so each
+        # quotient exponent is new
+        quot, rem = {}, dict(a.terms)
+        while rem:
+            top = max(rem, key=grevlex_key)
+            exp = tuple(map(sub, top, lead_exp))
             if any(e < 0 for e in exp):
                 raise PolyError("inexact polynomial division")
-            coeff = lead_r[1] / lead_b[1]
-            mono = Poly(variables, {exp: coeff})
-            quot = quot + mono
-            rem = rem - mono * b
-        return quot
+            coeff = quot[exp] = rem[top] * lead_inverse
+            for e2, c2 in b.terms.items():
+                key = tuple(map(add, exp, e2))
+                prod = coeff * c2
+                acc = rem.get(key)
+                if acc is None:
+                    rem[key] = -prod
+                else:
+                    total = acc - prod
+                    if total:
+                        rem[key] = total
+                    else:
+                        del rem[key]
+        return Poly._trusted(variables, quot)
 
     # -- printing -------------------------------------------------------------------
 

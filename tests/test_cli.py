@@ -386,6 +386,40 @@ def test_lg_hom_checks_group_and_weights_without_g(runner, args, message):
         ["Error: " + message], result.output
 
 
+HUGE = "Z99999999999"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["lg-orbifold", "x^2", "--group", HUGE],
+     "potential x^2 is not invariant under %s: its monomial x^2 has weight 2, not 0 mod %s"
+     % (HUGE, HUGE[1:])),
+    (["lg-circle-spaces", "x^2", "--group", HUGE],
+     "potential x^2 is not invariant under %s: its monomial x^2 has weight 2, not 0 mod %s"
+     % (HUGE, HUGE[1:])),
+    (["lg-hom", "x^2", "--group", HUGE, "--g", "1"],
+     "potential x^2 is not invariant under %s: its monomial x^2 has weight 2, not 0 mod %s"
+     % (HUGE, HUGE[1:])),
+    (["lg-hom", "x^3", "--group", "Z2", "--g", "1"],
+     "potential x^3 is not invariant under Z2: its monomial x^3 has weight 3, not 0 mod 2"),
+    (["lg-hom", "x^3", "--group", "Z2"],
+     "potential x^3 is not invariant under Z2: its monomial x^3 has weight 3, not 0 mod 2"),
+    (["lg-orbifold", "x^3+y^3", "--group", "Z3", "--weights", "1,2"], None),
+    (["lg-orbifold", "x^2+y^3", "--group", "Z3", "--weights", "1,0"],
+     "potential y^3 + x^2 is not invariant under Z3: its monomial x^2 has weight 2, not 0 mod 3"),
+])
+def test_invariance_is_checked_on_integer_exponents(runner, args, message):
+    """The weights of every monomial must sum to 0 mod r: no field of order r
+    is built, so a huge r exits at once, and lg-hom names the potential."""
+    result = runner.invoke(main, args)
+    if message is None:
+        assert result.exit_code == 0, result.output
+        return
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
+        ["Error: " + message], result.output
+
+
 @pytest.mark.parametrize("args,message", [
     (["check", "--builtin", "clifford1", "R=4"], "unknown key 'R'; check takes r"),
     (["check", "--builtin", "trivial", "r=1", "r=2"], "key 'r' is given more than once"),

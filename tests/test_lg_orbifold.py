@@ -24,7 +24,7 @@ from rspin.landau_ginzburg.poly import Poly, parse_poly
 from rspin.scalars import Cyc
 from rspin.superlinalg import SuperMap, SuperSpace, graded_tuples, identity
 
-from reference import power
+from reference import power, three_variable_composite
 
 
 def act1(r):
@@ -179,6 +179,19 @@ WORKLOAD_MODELS = [(2, 2, 1), (3, 3, 1), (4, 4, 1), (5, 5, 1), (2, 4, 2), (4, 2,
 
 @pytest.mark.parametrize("d, r, weight", WORKLOAD_MODELS,
                          ids=["%d-%d-%d" % case for case in WORKLOAD_MODELS])
+def test_composite_over_the_pair_matches_the_three_variable_route(d, r, weight):
+    # y -> roots[g] x' before the products, against the substitution after them
+    model = SectorModel("x", d, r, weight)
+    for g, h in itertools.product(range(r), repeat=2):
+        for lab1, lab2 in itertools.product(model.basis(g), model.basis(h)):
+            got = model.composite(g, lab1, h, lab2)
+            want = three_variable_composite(model, g, lab1, h, lab2)
+            for i, j in itertools.product(range(2), repeat=2):
+                assert got[i][j] == want[i][j], (g, lab1, h, lab2, i, j)
+
+
+@pytest.mark.parametrize("d, r, weight", WORKLOAD_MODELS,
+                         ids=["%d-%d-%d" % case for case in WORKLOAD_MODELS])
 def test_sector_basis_matches_the_restricted_hom(d, r, weight):
     # the hard-coded sector bases against Hom(I_W, _g(I_W)) on the diagonal
     w = parse_poly("x^%d" % d)
@@ -270,6 +283,27 @@ def test_nothing_cached_between_calls(monkeypatch):
         orbifold_algebra(parse_poly("x^4"), act1(4))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("potential, r, weights, bound", [
+    ("x^5", 5, (1,), 210),
+    ("x^2+y^4", 4, (2, 1), 220),
+], ids=["x5-Z5", "x2+y4-Z4"])
+def test_orbifold_algebra_substitution_count(monkeypatch, potential, r, weights, bound):
+    """Each factor is brought to (x, x') once per left sector, not each
+    product's three-variable composite: 203 and 212 substitutions, against
+    664 and 547 when every composite was substituted."""
+    calls = []
+    substitute = Poly.substitute
+
+    def counted(self, mapping):
+        calls.append(None)
+        return substitute(self, mapping)
+
+    monkeypatch.setattr(Poly, "substitute", counted)
+    w = parse_poly(potential)
+    orbifold_algebra(w, GroupAction(r, tuple(zip(w.vars, weights))))
+    assert 0 < len(calls) <= bound
 
 
 def test_orbifold_algebra_builds_no_identity_for_a_whisker(monkeypatch):

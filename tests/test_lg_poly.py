@@ -1,7 +1,9 @@
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rspin.landau_ginzburg.groebner import (
     InfiniteQuotientError,
@@ -143,6 +145,115 @@ def test_divide_exact():
     assert a.divide_exact(b) == p("x + y")
     with pytest.raises(PolyError):
         p("x^2 + 1").divide_exact(p("x"))
+
+
+# -- the arithmetic against literal dict references ----------------------------
+#
+# A reference polynomial is a dict from monomials, written as sorted
+# ((variable, exponent), ...) pairs with positive exponents, to nonzero
+# coefficients; it has no variable list to align.
+
+VARIABLES = ("x", "x'", "y")
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def scalars(order):
+    """Values in Q (order 1) or in Q(zeta_5), zero included."""
+    if order == 1:
+        return small_rationals.map(Cyc.rational)
+    return st.lists(small_rationals, min_size=4, max_size=4).map(
+        lambda coeffs: Cyc.from_coeffs(5, coeffs))
+
+
+@st.composite
+def sparse_polys(draw, order):
+    variables = tuple(sorted(draw(st.sets(st.sampled_from(VARIABLES)))))
+    exponents = st.tuples(*[st.integers(0, 2)] * len(variables))
+    return Poly(variables, draw(st.dictionaries(exponents, scalars(order), max_size=5)))
+
+
+def as_reference(poly):
+    return {tuple((v, e) for v, e in zip(poly.vars, exp) if e): c
+            for exp, c in poly.terms.items()}
+
+
+def reference_add(a, b):
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out[mono] + c if mono in out else c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def reference_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(sorted((Counter(dict(m1)) + Counter(dict(m2))).items()))
+            out[mono] = out[mono] + c1 * c2 if mono in out else c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def reference_substitute(a, mapping):
+    out = {}
+    for mono, c in a.items():
+        powers = Counter()
+        for v, e in mono:
+            coef, name = mapping.get(v, (Cyc.one(), v))
+            c = c * coef ** e
+            powers[name] += e
+        mono = tuple(sorted(powers.items()))
+        out[mono] = out[mono] + c if mono in out else c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def assert_matches(poly, variables, reference):
+    assert poly.vars == tuple(variables)
+    assert all(len(exp) == len(poly.vars) for exp in poly.terms)
+    assert all(poly.terms.values()), "a zero coefficient is stored"
+    assert as_reference(poly) == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), order=st.sampled_from([1, 5]))
+def test_add_and_mul_match_the_dict_reference(data, order):
+    a, b = data.draw(sparse_polys(order)), data.draw(sparse_polys(order))
+    union = sorted(set(a.vars) | set(b.vars))
+    assert_matches(a + b, union, reference_add(as_reference(a), as_reference(b)))
+    assert_matches(a * b, union, reference_mul(as_reference(a), as_reference(b)))
+    assert_matches(-a, a.vars, {mono: -c for mono, c in as_reference(a).items()})
+    # in (a + b)(a - b) the cross terms cancel inside one product
+    s, d = a + b, a - b
+    assert_matches(s * d, union, reference_mul(as_reference(s), as_reference(d)))
+    # cancellation and scaling by zero leave nothing stored
+    assert (a - a).is_zero() and (a + (-a)).is_zero() and (a * b - b * a).is_zero()
+    assert a.scale(0).is_zero() and a.scale(Cyc.zero()).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), order=st.sampled_from([1, 5]))
+def test_substitute_matches_the_dict_reference(data, order):
+    a = data.draw(sparse_polys(order))
+    mapping = data.draw(st.dictionaries(st.sampled_from(a.vars) if a.vars else st.nothing(),
+                                        st.tuples(scalars(order), st.sampled_from(VARIABLES))))
+    got = a.substitute(mapping)
+    names = {mapping[v][1] if v in mapping else v for v in a.vars}
+    assert_matches(got, sorted(names), reference_substitute(as_reference(a), mapping))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), order=st.sampled_from([1, 5]))
+def test_divide_exact_inverts_the_product(data, order):
+    a, b = data.draw(sparse_polys(order)), data.draw(sparse_polys(order))
+    if b.is_zero():
+        with pytest.raises(PolyError):
+            a.divide_exact(b)
+        return
+    quotient = (a * b).divide_exact(b)
+    assert_matches(quotient, sorted(set(a.vars) | set(b.vars)), as_reference(a))
+    if b.degree() > 0:
+        # b divides a * b, so it would divide the constant 1 as well
+        with pytest.raises(PolyError, match="inexact"):
+            (a * b + 1).divide_exact(b)
 
 
 def test_groebner_single_monomial():
