@@ -133,11 +133,15 @@ class SectorModel:
         """The factors of every product with a left factor in sector g, over
         (x, x') with y -> roots[g] x' applied: the first rows of the left
         cocycles (x renamed to y), every right cocycle (x' renamed to y) and
-        q0.  Only the first row of the left factor enters (see composite)."""
+        q0.  Only the first row of the left factor enters (see composite).
+        In an untwisted sector y -> x' leaves the right cocycles as they are,
+        so they are only aligned."""
         if g not in self.factors:
             pair, twist = (self.var, self.prime), (self.roots[g], self.prime)
 
             def lift(e, y):
+                if y == self.prime and self.untwisted(g):
+                    return e.align(pair)
                 return e.substitute({y: twist}).align(pair)
 
             left = {lab: [lift(e, self.var) for e in self.cocycles[(g, lab)][0]]

@@ -131,7 +131,17 @@ class Poly:
     def __sub__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other, self.vars)
-        return self + (-other)
+        a, b, variables = Poly._aligned(self, other)
+        terms = dict(a.terms)
+        for exp, coeff in b.terms.items():
+            # Cyc.__sub__ adds the negative anyway, so add it here directly
+            acc, coeff = terms.get(exp), -coeff
+            total = coeff if acc is None else acc + coeff
+            if total:
+                terms[exp] = total
+            elif acc is not None:
+                del terms[exp]
+        return Poly._trusted(variables, terms)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):

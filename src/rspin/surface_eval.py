@@ -6,6 +6,8 @@ handle, threading the intermediate grading c = 1 - 2k mod r; the torus
 T(a,b) is the genus-1 surface with the one handle (-a, b).  An algebra has at
 most r^3 distinct handle operators K_{c,a,b}; LambdaFrobenius.handle_operator
 builds each once and keeps it with the algebra, as it does the powers of N_a.
+The evaluation itself builds no map: it threads the one column of eta, as a
+sparse vector, through the handle operators and pairs the result with eps.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .scalars import divisors
-from .superlinalg import compose
+from .scalars import Cyc, divisors
+from .superlinalg import SuperLinAlgError
+
+_ZERO = Cyc.zero()
+_ONE = Cyc.one()
 
 
 class SurfaceError(ValueError):
@@ -65,18 +70,45 @@ def evaluate_torus(alg, t):
     return evaluate_surface(alg, RSpinClosedSurface(t.r, 1, ((-t.a, t.b),)))
 
 
+def _apply(k, space, vector):
+    """k(v) for a vector v = {index: nonzero Cyc} of the space `space`: one
+    pass over the stored rows of k, with compose's shape check and its
+    shortcut for the shared one."""
+    if k.source != space:
+        raise SuperLinAlgError("composition shape mismatch: %r after a vector in %r"
+                               % (k, space))
+    out = {}
+    for i, row in enumerate(k.entries):
+        total = None
+        for j, kv in row.items():
+            x = vector.get(j)
+            if x is not None:
+                value = x if kv is _ONE else kv if x is _ONE else kv * x
+                total = value if total is None else total + value
+        if total:
+            out[i] = total
+    return out
+
+
 def evaluate_surface(alg, s):
-    """eps o K_{a_g,b_g} o ... o K_{a_1,b_1} o eta, checked for admissibility."""
+    """eps o K_{a_g,b_g} o ... o K_{a_1,b_1} o eta, checked for admissibility.
+
+    The column of eta is carried through each cached handle operator as a
+    sparse vector and paired with the row of eps; no map is built per call."""
     if alg.r != s.r:
         raise SurfaceError("algebra has r=%d but surface has r=%d" % (alg.r, s.r))
     if not s.admissible():
         raise SurfaceError(
             "no r-spin structure: r=%d does not divide 2g-2=%d" % (s.r, 2 * s.genus - 2))
     # after g handles the thread sits at C_{1-2g}, which is C_{-1} since r | 2g - 2
-    current = alg.eta
+    eta = alg.eta
+    space = eta.target
+    vector = {i: row[0] for i, row in enumerate(eta.entries) if row}
     for k, (a, b) in enumerate(s.handles):
-        current = compose(alg.handle_operator(1 - 2 * k, a, b), current)
-    return compose(alg.eps, current).scalar
+        handle = alg.handle_operator(1 - 2 * k, a, b)
+        vector = _apply(handle, space, vector)
+        space = handle.target
+    return _apply(alg.eps, space, vector).get(0, _ZERO)
 
 
 def all_torus_invariants(alg):

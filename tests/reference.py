@@ -13,6 +13,15 @@ def power(f, k):
     return result
 
 
+def surface_by_compose(alg, surface):
+    """evaluate_surface as the map eps o K_{a_g,b_g} o ... o K_{a_1,b_1} o eta,
+    composed one handle operator at a time and read off as its 1x1 scalar."""
+    current = alg.eta
+    for k, (a, b) in enumerate(surface.handles):
+        current = compose(alg.handle_operator(1 - 2 * k, a, b), current)
+    return compose(alg.eps, current).scalar
+
+
 def three_variable_composite(model, g, lab1, h, lab2):
     """SectorModel.composite over a middle variable y: the left row renamed
     to (x', y), the right cocycle to (y, x) and q0 to (x', y, x), multiplied

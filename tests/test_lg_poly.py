@@ -221,12 +221,30 @@ def test_add_and_mul_match_the_dict_reference(data, order):
     assert_matches(a + b, union, reference_add(as_reference(a), as_reference(b)))
     assert_matches(a * b, union, reference_mul(as_reference(a), as_reference(b)))
     assert_matches(-a, a.vars, {mono: -c for mono, c in as_reference(a).items()})
+    assert_matches(a - b, union, reference_add(as_reference(a), as_reference(-b)))
     # in (a + b)(a - b) the cross terms cancel inside one product
     s, d = a + b, a - b
     assert_matches(s * d, union, reference_mul(as_reference(s), as_reference(d)))
     # cancellation and scaling by zero leave nothing stored
     assert (a - a).is_zero() and (a + (-a)).is_zero() and (a * b - b * a).is_zero()
     assert a.scale(0).is_zero() and a.scale(Cyc.zero()).is_zero()
+
+
+def test_subtraction_negates_no_polynomial(monkeypatch):
+    """a - b is one pass over b's terms, not a + (-b) with a negated copy."""
+    a, b = p("x^2 + 2*x*y - 1"), p("x^2 - y + 3")
+    negated = []
+    plain = Poly.__neg__
+
+    def counted(self):
+        negated.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(Poly, "__neg__", counted)
+    differences = [a - b, b - a, a - 1, a - a]
+    monkeypatch.undo()
+    assert negated == []
+    assert differences == [p("2*x*y + y - 4"), p("-2*x*y - y + 4"), p("x^2 + 2*x*y - 2"), 0]
 
 
 @settings(max_examples=100, deadline=None)

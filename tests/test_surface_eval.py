@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from rspin.constructors import builtin, graded_center
 from rspin.lambda_frobenius import LambdaFrobenius, validate
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
+    SuperLinAlgError,
     SuperMap,
+    SuperSpace,
     compose,
     graded_tuples,
     identity,
@@ -26,7 +29,13 @@ from rspin.surface_eval import (
     torus_normal_form,
 )
 
-from reference import power
+from reference import power, surface_by_compose
+
+
+def structures(r, genus):
+    """Every r-spin structure (tuple of holonomy pairs) on the genus-g surface."""
+    return [tuple(zip(hol[::2], hol[1::2]))
+            for hol in itertools.product(range(r), repeat=2 * genus)]
 
 
 def torus_oracle(alg, a, b):
@@ -230,11 +239,10 @@ def test_cached_handle_operators_match_fresh_copy_and_oracle(name, params):
     value equals that of a fresh copy, swept in order, and the oracle's."""
     alg = graded_center(builtin(name, **params), 4)
     fresh = LambdaFrobenius.from_dict(alg.to_dict())
-    structures = [tuple(zip(hol[::2], hol[1::2]))
-                  for hol in itertools.product(range(4), repeat=6)][::7]
-    expected = {h: evaluate_surface(fresh, RSpinClosedSurface(4, 3, h)) for h in structures}
-    random.Random(7).shuffle(structures)
-    for handles in structures:
+    sample = structures(4, 3)[::7]
+    expected = {h: evaluate_surface(fresh, RSpinClosedSurface(4, 3, h)) for h in sample}
+    random.Random(7).shuffle(sample)
+    for handles in sample:
         z = evaluate_surface(alg, RSpinClosedSurface(4, 3, handles))
         assert z == expected[handles] == surface_oracle(alg, handles), handles
     assert len(alg._handle_operators) <= 4 ** 3
@@ -258,10 +266,9 @@ def test_isomorphic_copy_has_the_same_surface_values():
     copy = rescaled(alg, lambda a: Fraction(a % 4 + 1))
     assert validate(copy).ok
     assert alg.handle_operator(1, 2, 1) == alg.handle_operator(3, 2, 1)
-    structures = [tuple(zip(hol[::2], hol[1::2]))
-                  for hol in itertools.product(range(4), repeat=6)][::7]
-    random.Random(3).shuffle(structures)
-    for handles in structures:
+    sample = structures(4, 3)[::7]
+    random.Random(3).shuffle(sample)
+    for handles in sample:
         surface = RSpinClosedSurface(4, 3, handles)
         assert evaluate_surface(copy, surface) == evaluate_surface(alg, surface), handles
     assert copy.handle_operator(1, 2, 1) == alg.handle_operator(1, 2, 1).scale(2)
@@ -310,3 +317,67 @@ def test_split_shift_independence():
         for hol in itertools.product(range(r), repeat=2 * genus):
             surf = RSpinClosedSurface(r, genus, tuple(zip(hol[::2], hol[1::2])))
             assert evaluate_surface(alg, surf) == shifted_surface_oracle(alg, surf)
+
+
+@pytest.mark.parametrize("name, n, r", [
+    ("clifford1", 2, 4), ("group_algebra_Zn", 3, 4), ("matrix_algebra_n", 2, 4),
+    ("group_algebra_Zn", 3, 2), ("matrix_algebra_n", 2, 2), ("trivial", 1, 4),
+    ("trivial", 1, 2),
+])
+def test_surface_equals_compose_reference(name, n, r):
+    """The threaded vector gives exactly the scalar of the composed map on every
+    admissible structure of genus <= 3 (every 7th one for group_algebra_Z3 at
+    r = 4), and evaluate_torus that of its genus-1 surface."""
+    alg = graded_center(builtin(name, n=n), r)
+    for genus in range(4):
+        if (2 * genus - 2) % r:
+            continue
+        stride = 7 if (name, r, genus) == ("group_algebra_Zn", 4, 3) else 1
+        for handles in structures(r, genus)[::stride]:
+            surface = RSpinClosedSurface(r, genus, handles)
+            assert evaluate_surface(alg, surface) == surface_by_compose(alg, surface), handles
+    for a, b in itertools.product(range(r), repeat=2):
+        surface = RSpinClosedSurface(r, 1, ((-a, b),))
+        assert evaluate_torus(alg, RSpinTorus(r, a, b)) == surface_by_compose(alg, surface)
+
+
+def test_warm_surface_sweep_builds_no_map(monkeypatch):
+    """Once its handle operators are built, sweeping all 4096 genus-3 4-spin
+    structures of clifford1 builds no SuperMap and composes nothing; composing
+    eps o K o K o K o eta builds four maps per call."""
+    alg = graded_center(builtin("clifford1"), 4)
+    surfaces = [RSpinClosedSurface(4, 3, handles) for handles in structures(4, 3)]
+    warm = [evaluate_surface(alg, surface) for surface in surfaces]
+    built, composed = [], []
+    init = SuperMap.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    def counted_compose(g, f):
+        composed.append(None)
+        return compose(g, f)
+
+    monkeypatch.setattr(SuperMap, "__init__", counted_init)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("rspin")
+                and getattr(module, "compose", None) is compose):
+            monkeypatch.setattr(module, "compose", counted_compose)
+    assert [evaluate_surface(alg, surface) for surface in surfaces] == warm
+    assert (len(built), len(composed)) == (0, 0)
+
+
+def test_handle_operator_on_the_wrong_space_is_rejected():
+    """Each handle operator must start on the space the vector lives in: one of
+    the same dimension but another parity split is rejected as well."""
+    alg = graded_center(builtin("clifford1"), 4)
+    surface = RSpinClosedSurface(4, 1, ((0, 0),))
+    wrong = alg.handle_operator(0, 0, 0)
+    assert (alg.space(1), wrong.source) == (SuperSpace(1, 0), SuperSpace(0, 1))
+    alg._handle_operators[(1, 0, 0)] = wrong
+    with pytest.raises(SuperLinAlgError, match="composition shape mismatch"):
+        evaluate_surface(alg, surface)
+    alg._handle_operators[(1, 0, 0)] = identity(SuperSpace(2, 0))
+    with pytest.raises(SuperLinAlgError, match="composition shape mismatch"):
+        evaluate_surface(alg, surface)
