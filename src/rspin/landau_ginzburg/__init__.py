@@ -13,7 +13,6 @@ from .groebner import (
 from .mf import (
     GroupAction,
     HomCohomology,
-    InconclusiveCohomology,
     MatrixFactorization,
     MFError,
     difference_quotient,
@@ -41,7 +40,7 @@ __all__ = [
     "MatrixFactorization", "MFError", "GroupAction",
     "difference_quotient",
     "identity_mf", "twisted_identity", "koszul_factorization",
-    "mf_tensor", "hom_cohomology", "HomCohomology", "InconclusiveCohomology", "identity_hom",
+    "mf_tensor", "hom_cohomology", "HomCohomology", "identity_hom",
     "orbifold_algebra", "OrbifoldAlgebra", "OrbifoldError",
     "circle_spaces", "lg_circle_spaces", "lg_torus_invariants", "CircleSpaces",
 ]

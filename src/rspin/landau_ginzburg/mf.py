@@ -8,28 +8,26 @@ as I_W is the tensor product of its rank-one factors, so for two or more
 variables its basis is in pair order (the exterior-algebra monomials permuted
 within each parity block, no sign change).  The orbifold reads its
 twists (GroupAction.root), primes, difference quotients and its one
-closedness test, d_Y f = (-1)^|f| f d_X (check_closed), from here.  Hom
-cohomology is computed incrementally on the degree filtration of the
-morphism complex: kernels are exact over the untruncated ring, boundaries
-are saturated degree by degree, and both echelons are carried from one
-cutoff to the next.  The quotient is taken against the boundaries and the
-representatives already accepted together, in one echelon, so the count does
-not depend on the kernel basis.  The dimensions are accepted once stable for
-two consecutive cutoffs.  The echelons are superlinalg.SparseEchelon, the one
-elimination engine of the package.  Hom out of I_W (identity_hom, what lg-hom
-computes) takes the restricted route: I_W is the Koszul factorization of the
-regular sequence x'_i - x_i, so Hom(I_W, Y) is the cohomology of Y with x' set
-to x, a rank-2^n complex over the n variables of W, with the parity shifted by
-n; hom_cohomology runs on it in place of the 4^n slots over (x, x'), out of a
-rank-one zero factorization of parity n mod 2, which applies the shift.  If it
-does not stabilize and W has a non-isolated singularity, the error says so.
+closedness test, d_Y f = (-1)^|f| f d_X (check_closed), from here.
+
+Hom out of I_W (identity_hom, what lg-hom computes) is exact, with no
+cutoff.  I_W is the Koszul factorization of the regular sequence
+x'_i - x_i, so Hom(I_W, Y) is the cohomology of Y with x' set to x, a
+square-zero complex of rank 2^n over the n variables of W, with the parity
+shifted by n.  W must be quasi-homogeneous with an isolated singularity
+(anything else is refused with MFError); its weights grade that complex so
+that it splits into finite pieces by weighted degree, and hom_cohomology
+takes each piece in the window [-h, h], h = sum_i (D - 2 w_i), which holds
+every class, with one SparseEchelon per piece (superlinalg.SparseEchelon is
+the one elimination engine of the package).
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from ..scalars import Cyc
 from ..superlinalg import SparseEchelon
@@ -39,15 +37,6 @@ from .poly import Poly, format_monomial, format_poly
 
 class MFError(ValueError):
     pass
-
-
-class InconclusiveCohomology(MFError):
-    def __init__(self, cutoff, advice="raise RSPIN_HOM_NMAX"):
-        self.cutoff = cutoff
-        super().__init__("dimensions did not stabilize up to cutoff %d; %s" % (cutoff, advice))
-
-
-DEFAULT_NMAX = 24
 
 
 @dataclass(frozen=True)
@@ -263,7 +252,7 @@ def mf_tensor(y, x):
                                x.source_potential, y.target_potential, parities, d)
 
 
-# -- Hom cohomology on the degree filtration ----------------------------------
+# -- Hom out of I_W, one weighted degree at a time -------------------------------
 
 @dataclass
 class HomCohomology:
@@ -271,149 +260,159 @@ class HomCohomology:
     odd_dim: int
     even_reps: list
     odd_reps: list
-    stabilized_at: int
-    trajectory: tuple  # (even, odd) dimensions at each cutoff 1..stabilized_at
+    stabilized_at: int  # the top h of the degree window, a figure of work
 
     @property
     def dims(self):
         return (self.even_dim, self.odd_dim)
 
 
-def _monomials_of_degree(nvars, degree):
-    """Exponent tuples of total degree `degree` in `nvars` variables."""
-    if nvars == 0:
-        if degree == 0:
+def _weights(w):
+    """(integer weights of w.vars, degree D) with sum_i w_i e_i = D on every
+    monomial of w: the rational q with sum_i q_i e_i = 1 on every monomial,
+    scaled by its least common denominator.  A weight that the monomials
+    leave free (as x*y leaves it) is 1/2.  MFError unless every q_i > 0."""
+    echelon = SparseEchelon()
+    for exp in w.terms:
+        # key k + 1 stands for q_k, key 0 for the constant 1
+        row = {k + 1: Cyc.rational(e) for k, e in enumerate(exp) if e}
+        row[0] = Cyc.rational(-1)
+        if echelon.add(row)[0] == 0:
+            raise MFError("W = %s is not quasi-homogeneous: no weights give all its "
+                          "monomials one degree" % format_poly(w))
+    q = [Fraction(1)]
+    for k in range(1, len(w.vars) + 1):
+        # a pivot row reads -q_k + sum_j row_j q_j = 0 over keys j < k
+        pivot = echelon.pivots.get(k)
+        q.append(Fraction(1, 2) if pivot is None else
+                 sum(c.as_fraction() * q[j] for j, c in pivot.items() if j != k))
+    if any(qk <= 0 for qk in q):
+        raise MFError("W = %s is not quasi-homogeneous with positive weights" % format_poly(w))
+    degree = lcm(*(qk.denominator for qk in q))
+    return tuple(int(qk * degree) for qk in q[1:]), degree
+
+
+def _window(weights, degree):
+    """(-h, h) with h = sum_i (D - 2 w_i): the doubled degrees that can carry
+    Hom(I_W, _g I_W) (identity_hom says why)."""
+    top = sum(degree - 2 * weight for weight in weights)
+    return -top, top
+
+
+def _monomials(weights, total):
+    """Exponent tuples e with sum_i weights[i] e_i = total, weights positive."""
+    if not weights:
+        if total == 0:
             yield ()
         return
-    for e in range(degree, -1, -1):
-        for rest in _monomials_of_degree(nvars - 1, degree - e):
+    for e in range(total // weights[0], -1, -1):
+        for rest in _monomials(weights[1:], total - e * weights[0]):
             yield (e,) + rest
 
 
-def hom_cohomology(x, y):
-    """Cohomology of delta(zeta) = d_Y zeta - (-1)^{|zeta|} zeta d_X.
+def hom_cohomology(y, weights, degree):
+    """Cohomology of a square-zero factorization y over its source variables,
+    quasi-homogeneous of degree D for their positive integer weights.
 
-    Kernel elements are polynomial matrices of entry degree <= D that are
-    exactly delta-closed over the full ring; boundaries are computed from
-    preimages of degree <= D + margin.  Both echelons are carried from one
-    cutoff to the next and fed only the monomials of the new degree.  At
-    each cutoff the kernel vectors are reduced against one echelon holding
-    the boundaries and the representatives accepted so far, so the count
-    is dim K_D / (K_D meet B_D) whatever basis the kernel came out in.
-    Dimensions are accepted once two consecutive cutoffs agree, else
-    InconclusiveCohomology is raised.
+    The basis is graded in doubled units: slot 0 at 0 and, across every
+    nonzero entry, deg_i - deg_j = D - 2 wdeg(d[i][j]); a monomial m in slot
+    i sits at deg_i + 2 wdeg(m).  d raises that degree by D, so each piece
+    C_{t,q} of degree t and parity q is finite, and
+    dim H_{t,q} = dim C_{t,q} - rank d|C_{t,q} - rank d|C_{t-D,1-q}: one
+    echelon per piece, whose kernel vectors are reduced against the image of
+    C_{t-D,1-q} and the representatives accepted so far together.  Only t in
+    _window(weights, D) is taken, and stabilized_at is its top.  MFError if an
+    entry is not homogeneous or the entries fix no grading of every slot.
     """
-    if sorted(x.source_vars) != sorted(y.source_vars) or \
-            x.source_potential != y.source_potential:
-        raise MFError("source potentials differ")
-    if sorted(x.target_vars) != sorted(y.target_vars) or \
-            x.target_potential != y.target_potential:
-        raise MFError("target potentials differ")
-    nmax = os.environ.get("RSPIN_HOM_NMAX", str(DEFAULT_NMAX))
-    if not (nmax.isascii() and nmax.isdigit()) or int(nmax) < 1:
-        raise MFError("RSPIN_HOM_NMAX must be a positive integer, got %r" % nmax)
-    nmax = int(nmax)
-    variables = tuple(sorted(set(x.ring_vars) | set(y.ring_vars)))
-    nx, ny = len(x.parities), len(y.parities)
-    maxdeg = max([e.degree() for row in x.d for e in row if e] +
-                 [e.degree() for row in y.d for e in row if e] + [1])
-    margin = maxdeg + 1
-
-    # delta of the monomial in slot (i, j): the terms of each differential
-    # entry it meets, shifted by the monomial's exponent
-    slots = ([], [])
-    shifts = {}
-    for i in range(ny):
-        for j in range(nx):
-            parity = (y.parities[i] + x.parities[j]) % 2
-            slots[parity].append((i, j))
-            terms = []
-            for i2 in range(ny):
-                for exp, c in y.d[i2][i].align(variables).terms.items():
-                    terms.append(((i2, j), exp, c))
-            for j2 in range(nx):
-                for exp, c in x.d[j][j2].align(variables).terms.items():
-                    terms.append(((i, j2), exp, c if parity else -c))
-            shifts[(i, j)] = terms
+    variables, n = y.source_vars, len(y.parities)
+    terms = [[] for _ in range(n)]   # (i, exponent, coefficient) of column j
+    steps = [[] for _ in range(n)]   # (i, deg_i - deg_j) across each entry
+    for i, row in enumerate(y.d):
+        for j, entry in enumerate(row):
+            if not entry:
+                continue
+            entry = entry.align(variables)
+            wdegs = {sum(map(operator.mul, weights, exp)) for exp in entry.terms}
+            if len(wdegs) != 1:
+                raise MFError("the entry %s is not quasi-homogeneous" % format_poly(entry))
+            step = degree - 2 * wdegs.pop()
+            steps[j].append((i, step))
+            steps[i].append((j, -step))
+            terms[j].extend((i, exp, c) for exp, c in entry.terms.items())
+    slot_degree = [0] + [None] * (n - 1)
+    queue = [0]
+    for j in queue:
+        for i, step in steps[j]:
+            if slot_degree[i] is None:
+                slot_degree[i] = slot_degree[j] + step
+                queue.append(i)
+            elif slot_degree[i] != slot_degree[j] + step:
+                raise MFError("the differential fixes no grading of its slots")
+    if None in slot_degree:
+        raise MFError("the differential does not link every slot to slot 0")
 
     columns = {}  # (slot, exponent) -> column index, numbered on first sight
+    pieces = {}
 
     def column(key):
-        col = columns.get(key)
-        if col is None:
-            col = columns[key] = len(columns)
-        return col
+        return columns.setdefault(key, len(columns))
 
-    def delta(slot, mono):
-        vec = {}
-        for target, exp, c in shifts[slot]:
-            col = column((target, tuple(a + b for a, b in zip(exp, mono))))
-            acc = vec.get(col)
-            vec[col] = c if acc is None else acc + c
-        return {k: v for k, v in vec.items() if v}
+    def piece(t, q):
+        """(domain, echelon, kernel) of d on C_{t,q}; domain index s rides
+        along as tracking coordinate -1 - s."""
+        if (t, q) not in pieces:
+            domain, echelon, kernel = [], SparseEchelon(), []
+            for j in range(n):
+                if y.parities[j] != q or (t - slot_degree[j]) % 2:
+                    continue
+                for mono in _monomials(weights, (t - slot_degree[j]) // 2):
+                    row = {column((i, tuple(map(operator.add, exp, mono)))): c
+                           for i, exp, c in terms[j]}
+                    row[-1 - len(domain)] = Cyc.one()
+                    domain.append((j, mono))
+                    key, reduced = echelon.add(row)
+                    if key is None:
+                        kernel.append(reduced)
+            pieces[(t, q)] = domain, echelon, kernel
+        return pieces[(t, q)]
 
-    domain = ([], [])     # (slot, monomial) of each tracking index, per parity
-    kernel = ([], [])     # kernel vectors in tracking coordinates -1 - index
-    tracked = (SparseEchelon(), SparseEchelon())
-    bound = (SparseEchelon(), SparseEchelon())
-    kernel_degree = bound_degree = 0   # next degree to feed
-    trajectory = []
-    for cutoff in range(1, nmax + 1):
-        for parity in (0, 1):
-            for degree in range(kernel_degree, cutoff + 1):
-                for mono in _monomials_of_degree(len(variables), degree):
-                    for slot in slots[parity]:
-                        row = delta(slot, mono)
-                        row[-1 - len(domain[parity])] = Cyc.one()
-                        domain[parity].append((slot, mono))
-                        key, reduced = tracked[parity].add(row)
-                        if key is None:
-                            kernel[parity].append(reduced)
-            # the image of the other parity spans this parity's boundaries
-            for degree in range(bound_degree, cutoff + margin + 1):
-                for mono in _monomials_of_degree(len(variables), degree):
-                    for slot in slots[1 - parity]:
-                        bound[parity].add(delta(slot, mono))
-        kernel_degree, bound_degree = cutoff + 1, cutoff + margin + 1
-        reps_pair = []
-        for parity in (0, 1):
-            # one echelon for the boundaries and the representatives so far
-            quotient = SparseEchelon(bound[parity].pivots)
-            reps = []
-            for vec in kernel[parity]:
-                key, _ = quotient.add({column(domain[parity][-1 - t]): c
-                                       for t, c in vec.items()})
-                if key is not None:
-                    reps.append(vec)
-            reps_pair.append(reps)
-        trajectory.append(tuple(len(reps) for reps in reps_pair))
-        # stability below the entry degree of the differentials can be a
-        # plateau before the first representatives appear; wait it out
-        if len(trajectory) > 1 and trajectory[-2] == trajectory[-1] and cutoff >= maxdeg:
-            even_reps, odd_reps = (
-                [_vec_to_matrix(vec, domain[parity], ny, nx, variables) for vec in reps]
-                for parity, reps in enumerate(reps_pair))
-            for parity, reps in enumerate((even_reps, odd_reps)):
-                for mat in reps:
-                    check_closed(x.d, y.d, mat, parity)
-            return HomCohomology(len(even_reps), len(odd_reps), even_reps, odd_reps,
-                                 cutoff, tuple(trajectory))
-    raise InconclusiveCohomology(nmax)
+    low, high = _window(weights, degree)
+    reps = ([], [])
+    for t in range(low, high + 1):
+        for q in (0, 1):
+            domain, _, kernel = piece(t, q)
+            quotient = SparseEchelon(piece(t - degree, 1 - q)[1].pivots)
+            for vec in kernel:
+                cells = [domain[-1 - s] + (c,) for s, c in vec.items()]
+                if quotient.add({column((j, mono)): c for j, mono, c in cells})[0] is None:
+                    continue
+                mat = [[Poly(variables, {mono: c for j, mono, c in cells if j == i})]
+                       for i in range(n)]
+                check_closed([[Poly.zero()]], y.d, mat, q)
+                reps[q].append(mat)
+    return HomCohomology(len(reps[0]), len(reps[1]), reps[0], reps[1], high)
 
 
 def identity_hom(w, y):
-    """Hom(I_W, Y) for a factorization Y of W(x') - W(x) over (x | x').
+    """Hom(I_W, Y) for a factorization Y of W(x') - W(x) over (x | x'), exactly.
 
     I_W is the Koszul factorization of the regular sequence x'_i - x_i, so
     Hom(I_W, Y) is the cohomology of Y restricted to the diagonal x' = x,
-    with the parity shifted by n = len(w.vars) (Dyckerhoff, arXiv:0904.4713).
-    The restricted differential squares to W(x) - W(x) = 0: a rank-2^n
-    complex over n variables, whose cohomology hom_cohomology computes from
-    the zero factorization of rank (1|0) for even n and (0|1) for odd n, which
-    applies the shift.  The dimensions, the trajectory and the representatives
-    are those of Hom(I_W, Y); the representatives are cocycles of the
-    restricted complex (columns), not morphisms I_W -> Y.  When the cohomology
-    does not stabilize and W has no isolated singularity, the error says so.
+    with the parity shifted by n = len(w.vars) (Dyckerhoff, arXiv:0904.4713):
+    a rank-2^n square-zero complex over n variables, whose slot parities are
+    shifted here before hom_cohomology runs on it.  Checked first, in this
+    order, each refused with an MFError that names it: Y lives over (x | x')
+    alone (no middle variables, whose weights would have to be guessed); W
+    has an isolated singularity (jacobi); W is quasi-homogeneous, of degree D
+    for integer weights w_i (_weights).  Then every entry of the restricted
+    differential is homogeneous, and the complex splits into finite pieces
+    by weighted degree.  Why the window [-h, h], h = sum_i (D - 2 w_i), holds
+    every class: graded Serre duality makes Hom(I_W, _g I_W) symmetric under
+    t -> -t; untwisted it is Jac(W), from 1 at -h to the Hessian at h, and a
+    twisted sector is the Jacobi algebra of W on the fixed locus of g
+    (Polishchuk-Vaintrob, arXiv:1002.2116), whose Hessian has the smaller
+    degree sum_{i fixed} (D - 2 w_i).  The representatives are cocycles of the restricted complex (columns), not
+    morphisms I_W -> Y; stabilized_at is h.
     """
     variables = w.vars
     primed = tuple(prime(v) for v in variables)
@@ -421,30 +420,19 @@ def identity_hom(w, y):
             sorted(y.target_vars) != sorted(primed) or \
             y.target_potential != w.rename(dict(zip(variables, primed))):
         raise MFError("Y must be a factorization of W(x') - W(x) over (x | x')")
+    if y.middle_vars:
+        raise MFError("Y has middle variables %s; Hom(I_W, Y) takes Y over (x | x') alone"
+                      % ", ".join(y.middle_vars))
+    try:
+        jacobi(w)
+    except InfiniteQuotientError as singular:
+        raise MFError("W = %s has a non-isolated singularity (no pure power of %r leads its "
+                      "Jacobian ideal), so Hom(I_W, Y) can be infinite-dimensional"
+                      % (format_poly(w), singular.variable)) from singular
+    weights, degree = _weights(w)
     diagonal = dict(zip(primed, variables))
     d = [[entry.rename(diagonal) if entry else entry for entry in row] for row in y.d]
     zero = Poly.zero()
-    restricted = MatrixFactorization(variables, (), y.middle_vars, zero, zero, y.parities, d)
-    point = MatrixFactorization(variables, (), y.middle_vars, zero, zero,
-                                (len(variables) % 2,), [[zero]])
-    try:
-        return hom_cohomology(point, restricted)
-    except InconclusiveCohomology as exc:
-        try:
-            jacobi(w)
-        except InfiniteQuotientError as singular:
-            raise InconclusiveCohomology(exc.cutoff, (
-                "W = %s has a non-isolated singularity (no pure power of %r leads its "
-                "Jacobian ideal), so Hom(I_W, Y) can be infinite-dimensional, and then "
-                "no RSPIN_HOM_NMAX helps") % (format_poly(w), singular.variable)) from exc
-        raise
-
-
-def _vec_to_matrix(vec, domain, ny, nx, variables):
-    # each tracking index is a distinct (slot, monomial), so no terms collide
-    terms = {}
-    for t, coeff in vec.items():
-        slot, mono = domain[-1 - t]
-        terms.setdefault(slot, {})[mono] = coeff
-    return [[Poly(variables, terms.get((i, j), {})) for j in range(nx)] for i in range(ny)]
-
+    parities = tuple((p + len(variables)) % 2 for p in y.parities)
+    restricted = MatrixFactorization(variables, (), (), zero, zero, parities, d)
+    return hom_cohomology(restricted, weights, degree)

@@ -244,6 +244,8 @@ class Poly:
         return Poly._trusted(variables, terms)
 
     def rename(self, mapping):
+        if not mapping:
+            return self
         return self.substitute({old: (1, new) for old, new in mapping.items()})
 
     # -- division -----------------------------------------------------------------

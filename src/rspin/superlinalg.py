@@ -228,12 +228,6 @@ class SuperMap:
     def is_zero(self):
         return not any(self.entries)
 
-    @property
-    def scalar(self):
-        if self.source.dim != 1 or self.target.dim != 1:
-            raise SuperLinAlgError("not a 1x1 map")
-        return self.entries[0].get(0, _ZERO)
-
     def column(self, j):
         return [stored.get(j, _ZERO) for stored in self.entries]
 

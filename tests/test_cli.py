@@ -128,10 +128,10 @@ def test_lg_hom_end_identity_is_milnor_number(runner, potential):
 
 
 def test_lg_hom_three_variables_within_a_work_bound(runner, monkeypatch):
-    """End(I_W) of x^2+y^2+z^3 on the restricted complex: 8 slots over (x, y, z)
-    feed 550 echelon rows.  The echelon over (x, y, z, x', y', z') on 64 slots
-    feeds 31,618 and stabilizes at the same cutoff 2, so the row count, not
-    stabilized_at, is what tells the two routes apart."""
+    """End(I_W) of x^2+y^2+z^3 on the restricted complex: 8 slots over (x, y, z),
+    one echelon per weighted degree in the window [-2, 2] (weights 3, 3, 2,
+    degree 6).  The echelon over (x, y, z, x', y', z') on 64 slots fed 31,618
+    rows; the window top is stabilized_at."""
     rows = []
     add = SparseEchelon.add
 
@@ -144,25 +144,30 @@ def test_lg_hom_three_variables_within_a_work_bound(runner, monkeypatch):
     assert result.exit_code == 0, result.output
     results = json.loads(result.output)["results"]
     assert (results["even_dim"], results["odd_dim"]) == (2, 0)
-    assert results["stabilized_at"] <= 3
+    assert results["stabilized_at"] == 2
     assert len(rows) <= 1000
 
 
-def test_lg_hom_names_a_non_isolated_singularity(runner):
-    """x^2*y^2 has no isolated singularity, so End(I_W) is infinite-dimensional
-    and a higher cutoff cannot help: the error says why instead.  An isolated
-    singularity cut off too early keeps the advice to raise the cutoff."""
-    result = runner.invoke(main, ["lg-hom", "x^2*y^2"])
+def error_lines(result):
     assert result.exit_code == 2, (result.output, result.exception)
     assert "Traceback" not in result.output
-    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == [
-        "Error: dimensions did not stabilize up to cutoff 24; W = x^2*y^2 has a non-isolated "
-        "singularity (no pure power of 'x' leads its Jacobian ideal), so Hom(I_W, Y) can be "
-        "infinite-dimensional, and then no RSPIN_HOM_NMAX helps"]
-    early = runner.invoke(main, ["lg-hom", "x^4"], env={"RSPIN_HOM_NMAX": "1"})
-    assert early.exit_code == 2, (early.output, early.exception)
-    assert [l for l in early.output.splitlines() if l.startswith("Error:")] == [
-        "Error: dimensions did not stabilize up to cutoff 1; raise RSPIN_HOM_NMAX"]
+    return [l for l in result.output.splitlines() if l.startswith("Error:")]
+
+
+def test_lg_hom_names_a_non_isolated_singularity(runner):
+    """x^2*y^2 has no isolated singularity, so End(I_W) is infinite-dimensional:
+    the Jacobi algebra is computed before any Hom work, and the error says why."""
+    assert error_lines(runner.invoke(main, ["lg-hom", "x^2*y^2"])) == [
+        "Error: W = x^2*y^2 has a non-isolated singularity (no pure power of 'x' leads its "
+        "Jacobian ideal), so Hom(I_W, Y) can be infinite-dimensional"]
+
+
+def test_lg_hom_refuses_a_potential_that_is_not_quasi_homogeneous(runner):
+    """x^3+x^2 has isolated critical points, but no weights make it homogeneous,
+    so no degree window holds its Hom: one error line, exit 2."""
+    assert error_lines(runner.invoke(main, ["lg-hom", "x^3+x^2"])) == [
+        "Error: W = x^3 + x^2 is not quasi-homogeneous: no weights give all its monomials "
+        "one degree"]
 
 
 def test_lg_orbifold_command(runner):
@@ -351,15 +356,6 @@ def test_malformed_or_non_ascii_numbers_exit_2_without_traceback(runner, args, m
     assert result.exit_code == 2, (result.output, result.exception)
     assert "Traceback" not in result.output
     assert message in result.output
-
-
-@pytest.mark.parametrize("value", ["\u0661\u0662", "1_2", " 12 ", "abc", "-3", "0", ""])
-def test_hom_nmax_must_be_a_positive_ascii_integer(runner, value):
-    result = runner.invoke(main, ["lg-hom", "x^3"], env={"RSPIN_HOM_NMAX": value})
-    assert result.exit_code == 2, (result.output, result.exception)
-    assert "Traceback" not in result.output
-    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
-        ["Error: RSPIN_HOM_NMAX must be a positive integer, got %r" % value]
 
 
 @pytest.mark.parametrize("command", ["lg-orbifold", "lg-circle-spaces", "lg-hom"])

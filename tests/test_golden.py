@@ -2,8 +2,9 @@
 
 perfbench/golden.json maps each job, written as its `rspin` arguments, to
 the stdout its `--json` form printed on the reference tree.  The file is
-only read here.  `results.stabilized_at` is the Hom echelon's cutoff, a
-figure of work rather than an answer, so it is not compared.
+only read here.  `results.stabilized_at` is a figure of work rather than an
+answer (the Hom echelon's cutoff when the file was recorded, the top of the
+weighted-degree window now), so it is not compared.
 """
 
 import json

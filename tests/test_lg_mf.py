@@ -1,20 +1,26 @@
+import operator
+
 import pytest
 
 from rspin.landau_ginzburg.mf import (
     GroupAction,
-    InconclusiveCohomology,
     MFError,
+    _weights,
+    _window,
+    check_closed,
     difference_quotient,
-    hom_cohomology,
     identity_hom,
     identity_mf,
     koszul_factorization,
     mf_tensor,
+    prime,
     twisted_identity,
 )
 from rspin.landau_ginzburg.groebner import jacobi
 from rspin.landau_ginzburg.poly import Poly, format_poly, parse_poly
 from rspin.scalars import Cyc
+
+from reference import hom_cohomology as reference_hom
 
 
 def p(text):
@@ -115,9 +121,9 @@ def test_shift_interplay_dimension_tables():
     y = identity_mf(p("y^2"))
     # shifting either argument swaps the parities of Hom(X, X): (mu, 0) -> (0, mu)
     for mf, mu in ((x, 2), (identity_mf(p("x^4")), 3), (y, 1)):
-        assert hom_cohomology(mf, mf).dims == (mu, 0)
-        assert hom_cohomology(mf, mf.shift()).dims == (0, mu)
-        assert hom_cohomology(mf.shift(), mf).dims == (0, mu)
+        assert reference_hom(mf, mf).dims == (mu, 0)
+        assert reference_hom(mf, mf.shift()).dims == (0, mu)
+        assert reference_hom(mf.shift(), mf).dims == (0, mu)
 
 
 def test_mf_tensor_disjoint_fermat():
@@ -158,21 +164,21 @@ def test_mf_tensor_middle_mismatch():
 
 def test_end_identity_x2():
     mf = identity_mf(p("x^2"))
-    h = hom_cohomology(mf, mf)
+    h = reference_hom(mf, mf)
     assert h.dims == (1, 0)
 
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_end_identity_xr(r):
     mf = identity_mf(parse_poly("x^%d" % r))
-    h = hom_cohomology(mf, mf)
+    h = reference_hom(mf, mf)
     assert h.dims == (r - 1, 0)
 
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_shifted_hom_is_purely_odd(r):
     mf = identity_mf(parse_poly("x^%d" % r))
-    h = hom_cohomology(mf, mf.shift())
+    h = reference_hom(mf, mf.shift())
     assert h.dims == (0, r - 1)
 
 
@@ -180,7 +186,7 @@ def test_shifted_hom_is_purely_odd(r):
 def test_twisted_hom_is_odd_line(r, g):
     w = parse_poly("x^%d" % r)
     act = GroupAction(r, (("x", 1),))
-    h = hom_cohomology(identity_mf(w), twisted_identity(w, act, g))
+    h = reference_hom(identity_mf(w), twisted_identity(w, act, g))
     assert h.dims == (0, 1)
 
 
@@ -199,28 +205,12 @@ def test_tensor_with_identity_preserves_hom_dims():
     test_obj = koszul_factorization([parse_poly("y' + x")], [parse_poly("y' - x")],
                                     ("x",), ("y'",), (), p("x^2"),
                                     parse_poly("y'^2"))
-    base = hom_cohomology(test_obj, test_obj)
+    base = reference_hom(test_obj, test_obj)
     assert base.dims == (1, 0)
-    into = hom_cohomology(test_obj, composite)
+    into = reference_hom(test_obj, composite)
     assert into.dims == base.dims
-    out_of = hom_cohomology(composite, test_obj)
+    out_of = reference_hom(composite, test_obj)
     assert out_of.dims == (base.dims[1], base.dims[0])
-
-
-def test_inconclusive_raises(monkeypatch):
-    monkeypatch.setenv("RSPIN_HOM_NMAX", "1")
-    mf = identity_mf(p("x^4"))
-    with pytest.raises(InconclusiveCohomology):
-        hom_cohomology(mf, mf)
-
-
-def test_nmax_environment_ceiling(monkeypatch):
-    monkeypatch.setenv("RSPIN_HOM_NMAX", "1")
-    mf = identity_mf(p("x^4"))
-    with pytest.raises(InconclusiveCohomology):
-        hom_cohomology(mf, mf)
-    monkeypatch.setenv("RSPIN_HOM_NMAX", "12")
-    assert hom_cohomology(mf, mf).dims == (3, 0)
 
 
 @pytest.mark.parametrize("potential", ["x^2 + y^2", "x^2 + y^3", "x^3 + y^3"])
@@ -228,13 +218,13 @@ def test_end_identity_is_milnor_number(potential):
     """End(I_W) is the Jacobi algebra: (mu | 0), and (0 | mu) into I_W[1].
 
     mu comes from the Groebner staircase of the Jacobian ideal, a route
-    that shares nothing with the Hom echelon.
+    that shares nothing with either Hom engine.
     """
     w = parse_poly(potential)
     mu = jacobi(w).dimension
     one = identity_mf(w)
-    assert hom_cohomology(one, one).dims == (mu, 0)
-    assert hom_cohomology(one, one.shift()).dims == (0, mu)
+    assert reference_hom(one, one).dims == identity_hom(w, one).dims == (mu, 0)
+    assert reference_hom(one, one.shift()).dims == identity_hom(w, one.shift()).dims == (0, mu)
 
 
 def test_end_identity_is_milnor_number_three_variables():
@@ -244,13 +234,6 @@ def test_end_identity_is_milnor_number_three_variables():
     assert jacobi(w).dimension == 1
     assert identity_hom(w, one).dims == (1, 0)
     assert identity_hom(w, one.shift()).dims == (0, 1)
-
-
-def test_trajectory_x4():
-    mf = identity_mf(p("x^4"))
-    h = hom_cohomology(mf, mf)
-    assert h.trajectory == ((2, 0), (3, 0), (3, 0))
-    assert len(h.trajectory) == h.stabilized_at
 
 
 # -- Hom out of I_W on the diagonal ---------------------------------------------
@@ -284,7 +267,7 @@ def test_identity_hom_matches_echelon_one_variable(shift):
     for w, action, g in one_variable_cases():
         y = twisted_identity(w, action, g)
         y = y.shift() if shift else y
-        assert identity_hom(w, y).dims == hom_cohomology(identity_mf(w), y).dims, \
+        assert identity_hom(w, y).dims == reference_hom(identity_mf(w), y).dims, \
             case_id((w, action, g))
 
 
@@ -294,7 +277,7 @@ def test_identity_hom_matches_echelon_two_variable_sectors(case):
     """The echelon over (x, x') takes about a second per twisted sector here."""
     w, action, g = case
     y = twisted_identity(w, action, g)
-    assert identity_hom(w, y).dims == hom_cohomology(identity_mf(w), y).dims
+    assert identity_hom(w, y).dims == reference_hom(identity_mf(w), y).dims
 
 
 def fixed_locus_dims(w, action, g):
@@ -311,6 +294,20 @@ def fixed_locus_dims(w, action, g):
     return (0, mu) if len(moved) % 2 else (mu, 0)
 
 
+def closed_representatives(w, y):
+    """identity_hom's dims, after checking that it returns one representative
+    per dimension and that each is a cocycle of Y on the diagonal x' = x."""
+    h = identity_hom(w, y)
+    assert (len(h.even_reps), len(h.odd_reps)) == h.dims
+    diagonal = {prime(v): v for v in w.vars}
+    d = [[entry.rename(diagonal) for entry in row] for row in y.d]
+    for parity, reps in enumerate((h.even_reps, h.odd_reps)):
+        for rep in reps:
+            assert len(rep) == len(d) and all(len(row) == 1 for row in rep)
+            check_closed([[Poly.zero()]], d, rep, parity)
+    return h.dims
+
+
 @pytest.mark.parametrize("case", list(one_variable_cases()) + TWO_VARIABLE_SECTORS + D_E_SECTORS,
                          ids=case_id)
 def test_identity_hom_matches_fixed_locus_closed_form(case):
@@ -318,32 +315,69 @@ def test_identity_hom_matches_fixed_locus_closed_form(case):
     action.check_invariance(w)
     y = twisted_identity(w, action, g)
     even, odd = fixed_locus_dims(w, action, g)
-    assert identity_hom(w, y).dims == (even, odd)
-    assert identity_hom(w, y.shift()).dims == (odd, even)
+    assert closed_representatives(w, y) == (even, odd)
+    assert closed_representatives(w, y.shift()) == (odd, even)
 
 
-def test_identity_hom_trajectory_and_representatives():
-    # one variable: the parity of the restricted complex is swapped throughout
+@pytest.mark.parametrize("narrow", [(0, -1), (1, 0)], ids=["top", "bottom"])
+def test_the_window_is_tight_at_both_ends(monkeypatch, narrow):
+    """End(I_{x^4}) = Jac = <1, x, x^2> sits at the doubled degrees -2, 0, 2,
+    both ends of the window [-2, 2]: one degree less at either end loses a class."""
     w = p("x^4")
-    h = identity_hom(w, identity_mf(w))
-    assert h.dims == (3, 0) and h.trajectory[-1] == (3, 0)
-    assert len(h.trajectory) == h.stabilized_at
-    assert (len(h.even_reps), len(h.odd_reps)) == h.dims
-    # each representative is a cocycle of the rank-(1|1) restricted complex
-    assert all(len(rep) == 2 and len(rep[0]) == 1 for rep in h.even_reps)
+    assert identity_hom(w, identity_mf(w)).dims == (3, 0)
+    monkeypatch.setattr("rspin.landau_ginzburg.mf._window", lambda weights, degree: tuple(
+        map(operator.add, _window(weights, degree), narrow)))
+    assert identity_hom(w, identity_mf(w)).dims == (2, 0)
 
 
-def test_identity_hom_keeps_the_middle_variables_of_y():
-    # x^2 -> y^2 -> x'^2 composed over y: the middle variable stays a free
-    # coefficient of the restricted complex, as it does in the echelon
+def test_a_wider_window_finds_no_more_classes(monkeypatch):
+    """The window is not a cutoff that happens to suffice: widened by D at
+    both ends, every sector case of the closed form reads the same dims."""
+    cases = list(one_variable_cases()) + TWO_VARIABLE_SECTORS + D_E_SECTORS
+    dims = [identity_hom(w, twisted_identity(w, action, g)).dims for w, action, g in cases]
+    monkeypatch.setattr("rspin.landau_ginzburg.mf._window", lambda weights, degree: tuple(
+        map(operator.add, _window(weights, degree), (-degree, degree))))
+    assert [identity_hom(w, twisted_identity(w, action, g)).dims
+            for w, action, g in cases] == dims
+
+
+@pytest.mark.parametrize("potential, weights", [
+    ("x^4", ((1,), 4)), ("x^2 + y^3", ((3, 2), 6)), ("x^2*y + y^3", ((1, 1), 3)),
+    ("x^3 + x*y^3", ((3, 2), 9)), ("x*y", ((1, 1), 2)), ("x*y + z^3", ((3, 3, 2), 6)),
+    ("0", ((), 1))])
+def test_weights(potential, weights):
+    """Integer weights and the least degree D; a weight that x*y leaves free is 1/2."""
+    assert _weights(p(potential)) == weights
+
+
+@pytest.mark.parametrize("potential, message", [
+    ("x^3 + x^2", "W = x^3 + x^2 is not quasi-homogeneous: no weights give all its monomials "
+                  "one degree"),
+    ("x^2 + 1", "W = x^2 + 1 is not quasi-homogeneous: no weights give all its monomials "
+                "one degree"),
+    ("x^2*y^2", "W = x^2*y^2 has a non-isolated singularity (no pure power of 'x' leads its "
+                "Jacobian ideal), so Hom(I_W, Y) can be infinite-dimensional"),
+])
+def test_identity_hom_refuses_what_has_no_window(potential, message):
+    w = p(potential)
+    with pytest.raises(MFError) as refused:
+        identity_hom(w, identity_mf(w))
+    assert str(refused.value) == message
+
+
+def test_identity_hom_refuses_the_middle_variables_of_y():
+    # x^2 -> y^2 -> x'^2 composed over y: the middle variable would need a
+    # weight of its own, so identity_hom refuses; the reference over all the
+    # variables keeps it as a free coefficient
     a = koszul_factorization([p("y + x")], [p("y - x")], ("x",), ("y",), (), p("x^2"), p("y^2"))
     b = koszul_factorization([p("x' + y")], [p("x' - y")], ("y",), ("x'",), (),
                              p("y^2"), p("x'^2"))
     composite = mf_tensor(b, a)
     assert composite.middle_vars == ("y~",)
     w = p("x^2")
-    assert identity_hom(w, composite).dims == hom_cohomology(identity_mf(w), composite).dims \
-        == (1, 0)
+    with pytest.raises(MFError, match="middle variables y~"):
+        identity_hom(w, composite)
+    assert reference_hom(identity_mf(w), composite).dims == (1, 0)
 
 
 def test_identity_hom_rejects_a_factorization_not_over_the_diagonal():

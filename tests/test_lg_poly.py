@@ -120,6 +120,13 @@ def test_rename_and_scale_by_one_make_no_products(monkeypatch):
         p("x^3 - y^4/3") + p("2*x*y^2").scale(Cyc.zeta(3))
 
 
+def test_empty_rename_is_the_polynomial_itself():
+    """difference_quotient renames its last variable's low term with {}: that
+    costs nothing, not a substitution."""
+    w = p("x^3 + 2*x*y^2 - y^4/3")
+    assert w.rename({}) is w
+
+
 def test_derivative():
     assert p("x^3").derivative("x") == p("3*x^2")
     assert p("x^2 + y^2").derivative("y") == p("2*y")

@@ -29,7 +29,7 @@ from rspin.surface_eval import (
     torus_normal_form,
 )
 
-from reference import power, surface_by_compose
+from reference import power, scalar, surface_by_compose
 
 
 def structures(r, genus):
@@ -307,7 +307,7 @@ def shifted_surface_oracle(alg, s):
         handle = compose(alg.mu_map(other, a), compose(insertion, alg.delta_map(other, a)))
         current = compose(handle, current)
         c = (c - 2) % r
-    return compose(alg.eps, current).scalar
+    return scalar(compose(alg.eps, current))
 
 
 def test_split_shift_independence():
