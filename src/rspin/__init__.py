@@ -37,7 +37,6 @@ from .landau_ginzburg import (
     GroupAction,
     MatrixFactorization,
     Poly,
-    hom_cohomology,
     identity_hom,
     identity_mf,
     jacobi,

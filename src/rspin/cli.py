@@ -25,7 +25,7 @@ from .constructors import (
 )
 from .lambda_frobenius import LambdaFrobenius, validate
 from .landau_ginzburg.groebner import jacobi
-from .landau_ginzburg.mf import GroupAction, identity_hom, identity_mf, twisted_identity
+from .landau_ginzburg.mf import GroupAction, identity_hom
 from .landau_ginzburg.orbifold import lg_circle_spaces, orbifold_algebra
 from .landau_ginzburg.poly import format_monomial, format_poly, parse_poly
 from .scalars import format_scalar
@@ -327,10 +327,7 @@ def lg_hom(potential, group, weights, g_twist, shift, as_json):
     if group is not None or weights is not None or g_twist is not None:
         action = _action_from_options(w, group, weights)
         action.check_invariance(w)
-    target = identity_mf(w) if g_twist is None else twisted_identity(w, action, g_twist)
-    if shift:
-        target = target.shift()
-    h = identity_hom(w, target)
+    h = identity_hom(w, action, g_twist, shift)
     emit("lg-hom", {"potential": format_poly(w), "g": g_twist, "shift": shift},
          {"even_dim": h.even_dim, "odd_dim": h.odd_dim, "stabilized_at": h.stabilized_at},
          as_json)

@@ -16,7 +16,6 @@ from .mf import (
     MatrixFactorization,
     MFError,
     difference_quotient,
-    hom_cohomology,
     identity_hom,
     identity_mf,
     koszul_factorization,
@@ -40,7 +39,7 @@ __all__ = [
     "MatrixFactorization", "MFError", "GroupAction",
     "difference_quotient",
     "identity_mf", "twisted_identity", "koszul_factorization",
-    "mf_tensor", "hom_cohomology", "HomCohomology", "identity_hom",
+    "mf_tensor", "HomCohomology", "identity_hom",
     "orbifold_algebra", "OrbifoldAlgebra", "OrbifoldError",
     "circle_spaces", "lg_circle_spaces", "lg_torus_invariants", "CircleSpaces",
 ]

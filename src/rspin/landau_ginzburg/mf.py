@@ -271,9 +271,10 @@ def _weights(w):
     """(integer weights of w.vars, degree D) with sum_i w_i e_i = D on every
     monomial of w: the rational q with sum_i q_i e_i = 1 on every monomial,
     scaled by its least common denominator.  A weight that the monomials
-    leave free (as x*y leaves it) is 1/2.  MFError unless every q_i > 0."""
+    leave free (as x*y leaves it) is 1/2.  A constant term is skipped: it
+    cancels in W(x') - W(x).  MFError unless every q_i > 0."""
     echelon = SparseEchelon()
-    for exp in w.terms:
+    for exp in filter(any, w.terms):
         # key k + 1 stands for q_k, key 0 for the constant 1
         row = {k + 1: Cyc.rational(e) for k, e in enumerate(exp) if e}
         row[0] = Cyc.rational(-1)
@@ -321,8 +322,11 @@ def hom_cohomology(y, weights, degree):
     dim H_{t,q} = dim C_{t,q} - rank d|C_{t,q} - rank d|C_{t-D,1-q}: one
     echelon per piece, whose kernel vectors are reduced against the image of
     C_{t-D,1-q} and the representatives accepted so far together.  Only t in
-    _window(weights, D) is taken, and stabilized_at is its top.  MFError if an
-    entry is not homogeneous or the entries fix no grading of every slot.
+    _window(weights, D) is taken, and stabilized_at is its top.  That window
+    holds every class only when slot 0 of y is the Koszul unit of a
+    (twisted, shifted) identity on the diagonal, as identity_hom builds it;
+    on any other y classes can fall outside it.  MFError if an entry is not
+    homogeneous or the entries fix no grading of every slot.
     """
     variables, n = y.source_vars, len(y.parities)
     terms = [[] for _ in range(n)]   # (i, exponent, coefficient) of column j
@@ -393,36 +397,33 @@ def hom_cohomology(y, weights, degree):
     return HomCohomology(len(reps[0]), len(reps[1]), reps[0], reps[1], high)
 
 
-def identity_hom(w, y):
-    """Hom(I_W, Y) for a factorization Y of W(x') - W(x) over (x | x'), exactly.
+def identity_hom(w, action=None, g=None, shift=False):
+    """Hom(I_W, Y) exactly, for Y = I_W, or _g I_W under action when g is
+    given, shifted by [1] when shift is set: the sector spaces of the paper.
 
     I_W is the Koszul factorization of the regular sequence x'_i - x_i, so
     Hom(I_W, Y) is the cohomology of Y restricted to the diagonal x' = x,
     with the parity shifted by n = len(w.vars) (Dyckerhoff, arXiv:0904.4713):
     a rank-2^n square-zero complex over n variables, whose slot parities are
     shifted here before hom_cohomology runs on it.  Checked first, in this
-    order, each refused with an MFError that names it: Y lives over (x | x')
-    alone (no middle variables, whose weights would have to be guessed); W
-    has an isolated singularity (jacobi); W is quasi-homogeneous, of degree D
-    for integer weights w_i (_weights).  Then every entry of the restricted
-    differential is homogeneous, and the complex splits into finite pieces
-    by weighted degree.  Why the window [-h, h], h = sum_i (D - 2 w_i), holds
-    every class: graded Serre duality makes Hom(I_W, _g I_W) symmetric under
-    t -> -t; untwisted it is Jac(W), from 1 at -h to the Hessian at h, and a
-    twisted sector is the Jacobi algebra of W on the fixed locus of g
-    (Polishchuk-Vaintrob, arXiv:1002.2116), whose Hessian has the smaller
-    degree sum_{i fixed} (D - 2 w_i).  The representatives are cocycles of the restricted complex (columns), not
-    morphisms I_W -> Y; stabilized_at is h.
+    order, each refused with an MFError that names it: W has an isolated
+    singularity (jacobi); W is quasi-homogeneous, of degree D for integer
+    weights w_i (_weights).  Then every entry of the restricted differential
+    is homogeneous, and the complex splits into finite pieces by weighted
+    degree.  Y is built here, never taken from the caller, because the
+    window is proven only for these Y: slot 0 of each is the Koszul unit,
+    which hom_cohomology puts at degree 0.  Why the window [-h, h],
+    h = sum_i (D - 2 w_i), then holds every class: graded Serre duality
+    makes Hom(I_W, _g I_W) symmetric under t -> -t; untwisted it is Jac(W),
+    from 1 at -h to the Hessian at h, and a twisted sector is the Jacobi
+    algebra of W on the fixed locus of g (Polishchuk-Vaintrob,
+    arXiv:1002.2116), whose Hessian has the smaller degree
+    sum_{i fixed} (D - 2 w_i).  The representatives are cocycles of the
+    restricted complex (columns), not morphisms I_W -> Y; stabilized_at is h.
     """
-    variables = w.vars
-    primed = tuple(prime(v) for v in variables)
-    if sorted(y.source_vars) != sorted(variables) or y.source_potential != w or \
-            sorted(y.target_vars) != sorted(primed) or \
-            y.target_potential != w.rename(dict(zip(variables, primed))):
-        raise MFError("Y must be a factorization of W(x') - W(x) over (x | x')")
-    if y.middle_vars:
-        raise MFError("Y has middle variables %s; Hom(I_W, Y) takes Y over (x | x') alone"
-                      % ", ".join(y.middle_vars))
+    y = identity_mf(w) if g is None else twisted_identity(w, action, g)
+    if shift:
+        y = y.shift()
     try:
         jacobi(w)
     except InfiniteQuotientError as singular:
@@ -430,7 +431,8 @@ def identity_hom(w, y):
                       "Jacobian ideal), so Hom(I_W, Y) can be infinite-dimensional"
                       % (format_poly(w), singular.variable)) from singular
     weights, degree = _weights(w)
-    diagonal = dict(zip(primed, variables))
+    variables = w.vars
+    diagonal = {prime(v): v for v in variables}
     d = [[entry.rename(diagonal) if entry else entry for entry in row] for row in y.d]
     zero = Poly.zero()
     parities = tuple((p + len(variables)) % 2 for p in y.parities)

@@ -13,7 +13,7 @@ import pytest
 
 from rspin.constructors import builtin, graded_center_data
 from rspin.lambda_frobenius import LambdaFrobenius, validate
-from rspin.landau_ginzburg.mf import GroupAction, identity_hom, identity_mf, twisted_identity
+from rspin.landau_ginzburg.mf import GroupAction, identity_hom
 from rspin.landau_ginzburg.orbifold import lg_circle_spaces, lg_torus_invariants
 from rspin.landau_ginzburg.poly import parse_poly
 from rspin.superlinalg import SuperMap, SuperSpace, identity, quantum_dimension
@@ -138,13 +138,11 @@ def test_acceptance_5_lg_hom_dimensions():
     started = time.time()
     for r in (3, 4, 5):
         w = parse_poly("x^%d" % r)
-        one = identity_mf(w)
-        assert identity_hom(w, one).dims == (r - 1, 0), r
-        assert identity_hom(w, one.shift()).dims == (0, r - 1), r
+        assert identity_hom(w).dims == (r - 1, 0), r
+        assert identity_hom(w, shift=True).dims == (0, r - 1), r
         action = GroupAction(r, (("x", 1),))
         for g in range(1, r):
-            twisted = twisted_identity(w, action, g)
-            assert identity_hom(w, twisted).dims == (0, 1), (r, g)
+            assert identity_hom(w, action, g).dims == (0, 1), (r, g)
     _announce(5, "End(1_W) and twisted Hom dimensions, r=3,4,5", started)
 
 

@@ -223,17 +223,16 @@ def test_end_identity_is_milnor_number(potential):
     w = parse_poly(potential)
     mu = jacobi(w).dimension
     one = identity_mf(w)
-    assert reference_hom(one, one).dims == identity_hom(w, one).dims == (mu, 0)
-    assert reference_hom(one, one.shift()).dims == identity_hom(w, one.shift()).dims == (0, mu)
+    assert reference_hom(one, one).dims == identity_hom(w).dims == (mu, 0)
+    assert reference_hom(one, one.shift()).dims == identity_hom(w, shift=True).dims == (0, mu)
 
 
 def test_end_identity_is_milnor_number_three_variables():
     """End(I_W) = (mu | 0) for x^2 + y^2 + z^2 (mu = 1), and (0 | mu) into I_W[1]."""
     w = parse_poly("x^2 + y^2 + z^2")
-    one = identity_mf(w)
     assert jacobi(w).dimension == 1
-    assert identity_hom(w, one).dims == (1, 0)
-    assert identity_hom(w, one.shift()).dims == (0, 1)
+    assert identity_hom(w).dims == (1, 0)
+    assert identity_hom(w, shift=True).dims == (0, 1)
 
 
 # -- Hom out of I_W on the diagonal ---------------------------------------------
@@ -267,7 +266,7 @@ def test_identity_hom_matches_echelon_one_variable(shift):
     for w, action, g in one_variable_cases():
         y = twisted_identity(w, action, g)
         y = y.shift() if shift else y
-        assert identity_hom(w, y).dims == reference_hom(identity_mf(w), y).dims, \
+        assert identity_hom(w, action, g, shift).dims == reference_hom(identity_mf(w), y).dims, \
             case_id((w, action, g))
 
 
@@ -277,7 +276,7 @@ def test_identity_hom_matches_echelon_two_variable_sectors(case):
     """The echelon over (x, x') takes about a second per twisted sector here."""
     w, action, g = case
     y = twisted_identity(w, action, g)
-    assert identity_hom(w, y).dims == reference_hom(identity_mf(w), y).dims
+    assert identity_hom(w, action, g).dims == reference_hom(identity_mf(w), y).dims
 
 
 def fixed_locus_dims(w, action, g):
@@ -294,10 +293,13 @@ def fixed_locus_dims(w, action, g):
     return (0, mu) if len(moved) % 2 else (mu, 0)
 
 
-def closed_representatives(w, y):
+def closed_representatives(w, action, g, shift):
     """identity_hom's dims, after checking that it returns one representative
-    per dimension and that each is a cocycle of Y on the diagonal x' = x."""
-    h = identity_hom(w, y)
+    per dimension and that each is a cocycle of Y = _g I_W[shift] on the
+    diagonal x' = x."""
+    h = identity_hom(w, action, g, shift)
+    y = twisted_identity(w, action, g)
+    y = y.shift() if shift else y
     assert (len(h.even_reps), len(h.odd_reps)) == h.dims
     diagonal = {prime(v): v for v in w.vars}
     d = [[entry.rename(diagonal) for entry in row] for row in y.d]
@@ -313,10 +315,9 @@ def closed_representatives(w, y):
 def test_identity_hom_matches_fixed_locus_closed_form(case):
     w, action, g = case
     action.check_invariance(w)
-    y = twisted_identity(w, action, g)
     even, odd = fixed_locus_dims(w, action, g)
-    assert closed_representatives(w, y) == (even, odd)
-    assert closed_representatives(w, y.shift()) == (odd, even)
+    assert closed_representatives(w, action, g, False) == (even, odd)
+    assert closed_representatives(w, action, g, True) == (odd, even)
 
 
 @pytest.mark.parametrize("narrow", [(0, -1), (1, 0)], ids=["top", "bottom"])
@@ -324,64 +325,64 @@ def test_the_window_is_tight_at_both_ends(monkeypatch, narrow):
     """End(I_{x^4}) = Jac = <1, x, x^2> sits at the doubled degrees -2, 0, 2,
     both ends of the window [-2, 2]: one degree less at either end loses a class."""
     w = p("x^4")
-    assert identity_hom(w, identity_mf(w)).dims == (3, 0)
+    assert identity_hom(w).dims == (3, 0)
     monkeypatch.setattr("rspin.landau_ginzburg.mf._window", lambda weights, degree: tuple(
         map(operator.add, _window(weights, degree), narrow)))
-    assert identity_hom(w, identity_mf(w)).dims == (2, 0)
+    assert identity_hom(w).dims == (2, 0)
 
 
-def test_a_wider_window_finds_no_more_classes(monkeypatch):
-    """The window is not a cutoff that happens to suffice: widened by D at
-    both ends, every sector case of the closed form reads the same dims."""
-    cases = list(one_variable_cases()) + TWO_VARIABLE_SECTORS + D_E_SECTORS
-    dims = [identity_hom(w, twisted_identity(w, action, g)).dims for w, action, g in cases]
-    monkeypatch.setattr("rspin.landau_ginzburg.mf._window", lambda weights, degree: tuple(
-        map(operator.add, _window(weights, degree), (-degree, degree))))
-    assert [identity_hom(w, twisted_identity(w, action, g)).dims
-            for w, action, g in cases] == dims
+def test_the_shifted_identity_is_the_swapped_koszul_factorization():
+    # I_{x^4}[1] is, up to isomorphism, the Koszul factorization with u and v
+    # swapped, whose slot 0 is not the Koszul unit; the reference over (x, x')
+    # reads (0, 3) on it, as identity_hom does on the shift it builds itself
+    w = p("x^4")
+    swapped = koszul_factorization([p("x' - x")], [difference_quotient(w, "x")], ("x",),
+                                   ("x'",), (), w, w.rename({"x": "x'"}))
+    assert reference_hom(identity_mf(w), swapped).dims == identity_hom(w, shift=True).dims \
+        == (0, 3)
 
 
 @pytest.mark.parametrize("potential, weights", [
     ("x^4", ((1,), 4)), ("x^2 + y^3", ((3, 2), 6)), ("x^2*y + y^3", ((1, 1), 3)),
     ("x^3 + x*y^3", ((3, 2), 9)), ("x*y", ((1, 1), 2)), ("x*y + z^3", ((3, 3, 2), 6)),
-    ("0", ((), 1))])
+    ("x^2 + 1", ((1,), 2)), ("0", ((), 1))])
 def test_weights(potential, weights):
-    """Integer weights and the least degree D; a weight that x*y leaves free is 1/2."""
+    """Integer weights and the least degree D; a weight that x*y leaves free
+    is 1/2, and a constant term is skipped."""
     assert _weights(p(potential)) == weights
 
 
 @pytest.mark.parametrize("potential, message", [
     ("x^3 + x^2", "W = x^3 + x^2 is not quasi-homogeneous: no weights give all its monomials "
                   "one degree"),
-    ("x^2 + 1", "W = x^2 + 1 is not quasi-homogeneous: no weights give all its monomials "
-                "one degree"),
     ("x^2*y^2", "W = x^2*y^2 has a non-isolated singularity (no pure power of 'x' leads its "
                 "Jacobian ideal), so Hom(I_W, Y) can be infinite-dimensional"),
 ])
 def test_identity_hom_refuses_what_has_no_window(potential, message):
     w = p(potential)
     with pytest.raises(MFError) as refused:
-        identity_hom(w, identity_mf(w))
+        identity_hom(w)
     assert str(refused.value) == message
 
 
-def test_identity_hom_refuses_the_middle_variables_of_y():
-    # x^2 -> y^2 -> x'^2 composed over y: the middle variable would need a
-    # weight of its own, so identity_hom refuses; the reference over all the
-    # variables keeps it as a free coefficient
+def test_a_constant_term_leaves_the_hom_of_the_rest():
+    # the constant cancels in W(x') - W(x) and in every difference quotient
+    assert identity_hom(p("x^2 + 1")).dims == identity_hom(p("x^2")).dims == (1, 0)
+
+
+def test_reference_keeps_the_middle_variables_of_y():
+    # x^2 -> y^2 -> x'^2 composed over y: the reference over all the
+    # variables keeps the middle variable as a free coefficient
     a = koszul_factorization([p("y + x")], [p("y - x")], ("x",), ("y",), (), p("x^2"), p("y^2"))
     b = koszul_factorization([p("x' + y")], [p("x' - y")], ("y",), ("x'",), (),
                              p("y^2"), p("x'^2"))
     composite = mf_tensor(b, a)
     assert composite.middle_vars == ("y~",)
-    w = p("x^2")
-    with pytest.raises(MFError, match="middle variables y~"):
-        identity_hom(w, composite)
-    assert reference_hom(identity_mf(w), composite).dims == (1, 0)
+    assert reference_hom(identity_mf(p("x^2")), composite).dims == (1, 0)
 
 
-def test_identity_hom_rejects_a_factorization_not_over_the_diagonal():
-    with pytest.raises(MFError):
-        identity_hom(p("x^3"), identity_mf(p("y^3")))
-    with pytest.raises(MFError):
-        identity_hom(p("x^3"), identity_mf(p("x^4")))
+def test_identity_hom_refuses_a_twist_that_moves_w():
+    # x -> -x' does not fix x^3, so the twisted identity is no factorization
+    # of W(x') - W(x)
+    with pytest.raises(MFError, match=r"d\^2 != \(V - W\)"):
+        identity_hom(p("x^3"), GroupAction(2, (("x", 1),)), 1)
