@@ -23,7 +23,7 @@ from .constructors import (
     graded_center_data,
     nakayama_gamma,
 )
-from .lambda_frobenius import LambdaFrobenius, validate
+from .lambda_frobenius import LambdaFrobenius, validate, write_map
 from .landau_ginzburg.groebner import jacobi
 from .landau_ginzburg.mf import GroupAction, identity_hom
 from .landau_ginzburg.orbifold import lg_circle_spaces, orbifold_algebra
@@ -251,8 +251,7 @@ def check(builtin_name, file_path, n, as_json, options):
 def nakayama(builtin_name, file_path, n, as_json, options):
     """Print the Nakayama automorphisms N_a of the algebra."""
     alg, inputs = _algebra(builtin_name, file_path, n, options)
-    tables = {str(a): [[format_scalar(x) for x in row] for row in alg.nakayama(a).rows]
-              for a in range(alg.r)}
+    tables = {str(a): write_map(alg.nakayama(a)) for a in range(alg.r)}
     emit("nakayama", inputs, {"nakayama": tables}, as_json)
 
 

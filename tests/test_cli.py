@@ -438,6 +438,58 @@ def test_unknown_or_repeated_key_exits_2_with_one_error_line(runner, args, messa
         ["Error: " + message], result.output
 
 
+def _algebra_file(tmp_path, data):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("data,args,message", [
+    (lambda: graded_center(builtin("clifford1"), 2).to_dict(), ["check", "r=3"],
+     "file has r=2, got r=3"),
+    (lambda: builtin("clifford1").to_config(), ["check"],
+     "a Frobenius algebra file needs r=<order>"),
+    (lambda: {"format": "tensor_category"}, ["check", "r=2"], "unrecognised input file format"),
+    (None, ["surface", "--builtin", "clifford1", "r=2"], "missing option 'genus'"),
+    (None, ["surface", "--builtin", "clifford1", "r=2", "genus=1", "holonomies=[(0,1)"],
+     "holonomies must look like [(0,1),(1,1)]"),
+    (None, ["check", "--builtin", "trivial", "r2"], "expected key=value, got 'r2'"),
+], ids=["file_r_differs", "frobenius_file_without_r", "unknown_format", "no_genus",
+        "unclosed_holonomies", "bare_argument"])
+def test_input_errors_exit_2_with_one_error_line(runner, tmp_path, data, args, message):
+    if data is not None:
+        args = args[:1] + ["--file", _algebra_file(tmp_path, data())] + args[1:]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Traceback" not in result.output
+    assert [l for l in result.output.splitlines() if l.startswith("Error:")] == \
+        ["Error: " + message], result.output
+
+
+def test_frobenius_file_answers_as_its_builtin(runner, tmp_path):
+    path = _algebra_file(tmp_path, builtin("clifford1").to_config())
+    result = runner.invoke(main, ["check", "--file", path, "r=2", "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)["results"]
+    assert (payload["ok"], payload["checks"]) == (True, 56)
+    tables = []
+    for source in (["--file", path], ["--builtin", "clifford1"]):
+        result = runner.invoke(main, ["torus", *source, "--all-divisors", "r=4", "--json"])
+        assert result.exit_code == 0, result.output
+        tables.append(json.loads(result.output)["results"]["divisor_table"])
+    assert tables == [{"1": "1", "2": "-1", "4": "-1"}] * 2
+
+
+@pytest.mark.parametrize("args,value", [
+    (["--builtin", "trivial", "r=2", "genus=0", "holonomies=[]"], "1"),
+    (["--builtin", "clifford1", "r=2", "genus=0"], "2"),
+])
+def test_sphere_value(runner, args, value):
+    result = runner.invoke(main, ["surface", "--json"] + args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["results"]["value"] == value
+
+
 def test_in_process_command_releases_its_redirected_stdout():
     # click.echo's default stdout is cached per stream and never released
     out = io.StringIO()

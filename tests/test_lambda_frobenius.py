@@ -3,7 +3,15 @@ import re
 
 import pytest
 
-from rspin.constructors import builtin, graded_center, graded_center_data
+from rspin import lambda_frobenius
+from rspin.constructors import (
+    FrobeniusAlgebraData,
+    builtin,
+    graded_center,
+    graded_center_data,
+    nakayama_gamma,
+    structure_maps,
+)
 from rspin.lambda_frobenius import LambdaFrobenius, LambdaFrobeniusError, validate
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
@@ -429,10 +437,9 @@ def test_nothing_is_shared_between_calls():
 
 
 def test_validate_builds_no_map_per_index_tuple(monkeypatch):
-    """Every family but twist_power and deck reads tables of structure
-    constants, so validate builds the Nakayama powers, one braiding per pair of
-    distinct circle spaces and the deck composites: 140 maps at r = 8, where
-    composing maps per index tuple built 632."""
+    """Every family reads tables of structure constants, so validate builds only
+    the Nakayama powers and one braiding per pair of distinct circle spaces: 116
+    maps at r = 8, where composing maps per index tuple built 632."""
     alg = graded_center(builtin("clifford1"), 8)
     built = []
     init = SuperMap.__init__
@@ -443,15 +450,65 @@ def test_validate_builds_no_map_per_index_tuple(monkeypatch):
 
     monkeypatch.setattr(SuperMap, "__init__", counted)
     assert validate(alg).ok
-    assert len(built) <= 150
+    assert len(built) <= 116
 
 
-def test_file_reader_shares_equal_maps():
-    # a saved graded centre repeats each restricted mu and Delta per index
-    # class; the reader makes each one map again, so validate reads it once
+def test_equal_maps_read_one_table_however_they_are_held(monkeypatch):
+    # the graded centre shares each restricted mu and Delta per index class; its
+    # distinct-object copy and its file repeat them as equal maps, which validate
+    # reads once per value all the same: 17 tables at r = 8
     alg = graded_center(builtin("clifford1"), 8)
-    again = LambdaFrobenius.from_dict(alg.to_dict())
-    for table in ("mu", "delta"):
-        assert len({id(m) for m in getattr(again, table).values()}) == \
-            len({id(m) for m in getattr(alg, table).values()}) == 4
-    assert report(again) == report(alg)
+    cases = [alg, with_distinct_maps(alg), LambdaFrobenius.from_dict(alg.to_dict())]
+    expected = report(alg)
+    read = []
+    table = lambda_frobenius._table
+
+    def counted(m):
+        read.append(None)
+        return table(m)
+
+    monkeypatch.setattr(lambda_frobenius, "_table", counted)
+    counts = []
+    for case in cases:
+        read.clear()
+        assert report(case) == expected
+        counts.append(len(read))
+    assert counts == [counts[0]] * 3, counts
+
+
+# -- a Nakayama automorphism of order r ----------------------------------------
+
+def twisted_matrix_algebra(r):
+    """M_2 with eps = tr(D .), D = c diag(1, zeta_r) and c = 1 + zeta_r^-1: tr(D^-1) = 1,
+    so it is Delta-separable, and gamma has order r (every built-in has order <= 2)."""
+    z = Cyc.zeta(r)
+    c = 1 + z.inverse()
+    space = SuperSpace(4, 0)
+    # E_ij is the basis vector 2 i + j, and E_ij E_jl = E_il
+    products = {(2 * i + j, 2 * j + l): {2 * i + l: 1}
+                for i in range(2) for j in range(2) for l in range(2)}
+    return FrobeniusAlgebraData.assemble(
+        space, *structure_maps(space, products, {0: 1, 3: 1}, {0: c, 3: c * z}))
+
+
+# at r = 3 and 5 the centre fails counitality, commutativity, twist_power and deck:
+# the graded centre's Nakayama direction shows only when gamma^-1 != gamma
+TWISTED_ORDERS = [pytest.param(r, marks=pytest.mark.xfail(
+    strict=True, reason="graded centre fails validate when gamma has order >= 3"))
+    for r in (3, 5)] + [4]
+
+
+@pytest.mark.parametrize("r", TWISTED_ORDERS)
+def test_twisted_matrix_algebra_centre_validates(r):
+    result = validate(graded_center(twisted_matrix_algebra(r), r))
+    assert result.ok, result.summary()
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_validate_matches_the_tensor_reference_on_twisted_matrix_algebras(r):
+    algebra = twisted_matrix_algebra(r)
+    assert algebra.delta_separable
+    assert len(nakayama_gamma(algebra).powers(24)) == r
+    alg = graded_center(algebra, r)
+    for case in (alg, with_distinct_maps(alg)):
+        assert report(case) == reference_validate(case)
