@@ -14,12 +14,13 @@ Hom out of I_W (identity_hom, what lg-hom computes) is exact, with no
 cutoff.  I_W is the Koszul factorization of the regular sequence
 x'_i - x_i, so Hom(I_W, Y) is the cohomology of Y with x' set to x, a
 square-zero complex of rank 2^n over the n variables of W, with the parity
-shifted by n.  W must be quasi-homogeneous with an isolated singularity
-(anything else is refused with MFError); its weights grade that complex so
-that it splits into finite pieces by weighted degree, and hom_cohomology
-takes each piece in the window [-h, h], h = sum_i (D - 2 w_i), which holds
-every class, with one SparseEchelon per piece (superlinalg.SparseEchelon is
-the one elimination engine of the package).
+shifted by n; hom_cohomology sets x' to x in each entry of Y as it reads it.
+W must be quasi-homogeneous with an isolated singularity (anything else is
+refused with MFError); its weights grade that complex so that it splits
+into finite pieces by weighted degree, and hom_cohomology takes each piece
+in the window [-h, h], h = sum_i (D - 2 w_i), which holds every class, with
+one SparseEchelon per piece (superlinalg.SparseEchelon is the one
+elimination engine of the package).
 """
 
 from __future__ import annotations
@@ -312,8 +313,8 @@ def _monomials(weights, total):
 
 
 def hom_cohomology(y, weights, degree):
-    """Cohomology of a square-zero factorization y over its source variables,
-    quasi-homogeneous of degree D for their positive integer weights.
+    """Hom(I_W, y) for y over (x | x'): the cohomology of y at x' = x, slot
+    parities shifted by len(x), for the weights of x that give W degree D.
 
     The basis is graded in doubled units: slot 0 at 0 and, across every
     nonzero entry, deg_i - deg_j = D - 2 wdeg(d[i][j]); a monomial m in slot
@@ -324,18 +325,23 @@ def hom_cohomology(y, weights, degree):
     C_{t-D,1-q} and the representatives accepted so far together.  Only t in
     _window(weights, D) is taken, and stabilized_at is its top.  That window
     holds every class only when slot 0 of y is the Koszul unit of a
-    (twisted, shifted) identity on the diagonal, as identity_hom builds it;
-    on any other y classes can fall outside it.  MFError if an entry is not
-    homogeneous or the entries fix no grading of every slot.
+    (twisted, shifted) identity, as identity_hom builds it; on any other y
+    classes can fall outside it.  MFError if y is not over (x | x') alone, if
+    an entry is not homogeneous, or if the entries fix no grading of every slot.
     """
     variables, n = y.source_vars, len(y.parities)
+    if y.middle_vars or y.target_vars != tuple(map(prime, variables)):
+        raise MFError("hom_cohomology needs y over (x | x'), got %r | %r with middle %r"
+                      % (variables, y.target_vars, y.middle_vars))
+    diagonal = dict(zip(y.target_vars, variables))
+    d = [[e.rename(diagonal).align(variables) if e else e for e in row] for row in y.d]
+    parities = [(p + len(variables)) % 2 for p in y.parities]
     terms = [[] for _ in range(n)]   # (i, exponent, coefficient) of column j
     steps = [[] for _ in range(n)]   # (i, deg_i - deg_j) across each entry
-    for i, row in enumerate(y.d):
+    for i, row in enumerate(d):
         for j, entry in enumerate(row):
             if not entry:
                 continue
-            entry = entry.align(variables)
             wdegs = {sum(map(operator.mul, weights, exp)) for exp in entry.terms}
             if len(wdegs) != 1:
                 raise MFError("the entry %s is not quasi-homogeneous" % format_poly(entry))
@@ -367,7 +373,7 @@ def hom_cohomology(y, weights, degree):
         if (t, q) not in pieces:
             domain, echelon, kernel = [], SparseEchelon(), []
             for j in range(n):
-                if y.parities[j] != q or (t - slot_degree[j]) % 2:
+                if parities[j] != q or (t - slot_degree[j]) % 2:
                     continue
                 for mono in _monomials(weights, (t - slot_degree[j]) // 2):
                     row = {column((i, tuple(map(operator.add, exp, mono)))): c
@@ -392,7 +398,7 @@ def hom_cohomology(y, weights, degree):
                     continue
                 mat = [[Poly(variables, {mono: c for j, mono, c in cells if j == i})]
                        for i in range(n)]
-                check_closed([[Poly.zero()]], y.d, mat, q)
+                check_closed([[Poly.zero()]], d, mat, q)
                 reps[q].append(mat)
     return HomCohomology(len(reps[0]), len(reps[1]), reps[0], reps[1], high)
 
@@ -404,26 +410,24 @@ def identity_hom(w, action=None, g=None, shift=False):
     I_W is the Koszul factorization of the regular sequence x'_i - x_i, so
     Hom(I_W, Y) is the cohomology of Y restricted to the diagonal x' = x,
     with the parity shifted by n = len(w.vars) (Dyckerhoff, arXiv:0904.4713):
-    a rank-2^n square-zero complex over n variables, whose slot parities are
-    shifted here before hom_cohomology runs on it.  Checked first, in this
-    order, each refused with an MFError that names it: W has an isolated
-    singularity (jacobi); W is quasi-homogeneous, of degree D for integer
-    weights w_i (_weights).  Then every entry of the restricted differential
-    is homogeneous, and the complex splits into finite pieces by weighted
-    degree.  Y is built here, never taken from the caller, because the
-    window is proven only for these Y: slot 0 of each is the Koszul unit,
-    which hom_cohomology puts at degree 0.  Why the window [-h, h],
-    h = sum_i (D - 2 w_i), then holds every class: graded Serre duality
-    makes Hom(I_W, _g I_W) symmetric under t -> -t; untwisted it is Jac(W),
-    from 1 at -h to the Hessian at h, and a twisted sector is the Jacobi
-    algebra of W on the fixed locus of g (Polishchuk-Vaintrob,
+    a rank-2^n complex over n variables that hom_cohomology reads off Y; its
+    d^2 = 0 is the image of d_Y^2 = (W(x') - W(x)) . id.  Refused first, in
+    this order, each with an MFError that names it: an action that moves W,
+    when g is given (check_invariance); a non-isolated singularity (jacobi);
+    a W that is not quasi-homogeneous (_weights, which finds its degree D and
+    integer weights w_i).  Y is built here, never taken from the caller,
+    because the window is proven only for these Y: slot 0 of each is the
+    Koszul unit, which hom_cohomology puts at degree 0.  Why the window
+    [-h, h], h = sum_i (D - 2 w_i), then holds every class: graded Serre
+    duality makes Hom(I_W, _g I_W) symmetric under t -> -t; untwisted it is
+    Jac(W), from 1 at -h to the Hessian at h, and a twisted sector is the
+    Jacobi algebra of W on the fixed locus of g (Polishchuk-Vaintrob,
     arXiv:1002.2116), whose Hessian has the smaller degree
     sum_{i fixed} (D - 2 w_i).  The representatives are cocycles of the
     restricted complex (columns), not morphisms I_W -> Y; stabilized_at is h.
     """
-    y = identity_mf(w) if g is None else twisted_identity(w, action, g)
-    if shift:
-        y = y.shift()
+    if g is not None:
+        action.check_invariance(w)
     try:
         jacobi(w)
     except InfiniteQuotientError as singular:
@@ -431,10 +435,5 @@ def identity_hom(w, action=None, g=None, shift=False):
                       "Jacobian ideal), so Hom(I_W, Y) can be infinite-dimensional"
                       % (format_poly(w), singular.variable)) from singular
     weights, degree = _weights(w)
-    variables = w.vars
-    diagonal = {prime(v): v for v in variables}
-    d = [[entry.rename(diagonal) if entry else entry for entry in row] for row in y.d]
-    zero = Poly.zero()
-    parities = tuple((p + len(variables)) % 2 for p in y.parities)
-    restricted = MatrixFactorization(variables, (), (), zero, zero, parities, d)
-    return hom_cohomology(restricted, weights, degree)
+    y = identity_mf(w) if g is None else twisted_identity(w, action, g)
+    return hom_cohomology(y.shift() if shift else y, weights, degree)

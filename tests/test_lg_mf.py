@@ -4,11 +4,13 @@ import pytest
 
 from rspin.landau_ginzburg.mf import (
     GroupAction,
+    MatrixFactorization,
     MFError,
     _weights,
     _window,
     check_closed,
     difference_quotient,
+    hom_cohomology,
     identity_hom,
     identity_mf,
     koszul_factorization,
@@ -213,12 +215,13 @@ def test_tensor_with_identity_preserves_hom_dims():
     assert out_of.dims == (base.dims[1], base.dims[0])
 
 
-@pytest.mark.parametrize("potential", ["x^2 + y^2", "x^2 + y^3", "x^3 + y^3"])
+@pytest.mark.parametrize("potential", ["x", "x^2 + y^2", "x^2 + y^3", "x^3 + y^3"])
 def test_end_identity_is_milnor_number(potential):
     """End(I_W) is the Jacobi algebra: (mu | 0), and (0 | mu) into I_W[1].
 
     mu comes from the Groebner staircase of the Jacobian ideal, a route
-    that shares nothing with either Hom engine.
+    that shares nothing with either Hom engine.  W = x has no critical
+    point: mu = 0, and the window [1, -1] of identity_hom is empty.
     """
     w = parse_poly(potential)
     mu = jacobi(w).dimension
@@ -370,19 +373,76 @@ def test_a_constant_term_leaves_the_hom_of_the_rest():
     assert identity_hom(p("x^2 + 1")).dims == identity_hom(p("x^2")).dims == (1, 0)
 
 
-def test_reference_keeps_the_middle_variables_of_y():
-    # x^2 -> y^2 -> x'^2 composed over y: the reference over all the
-    # variables keeps the middle variable as a free coefficient
+def through_a_middle_variable():
+    """x^2 -> y^2 -> x'^2 composed over y: over (x | x'), through y~."""
     a = koszul_factorization([p("y + x")], [p("y - x")], ("x",), ("y",), (), p("x^2"), p("y^2"))
     b = koszul_factorization([p("x' + y")], [p("x' - y")], ("y",), ("x'",), (),
                              p("y^2"), p("x'^2"))
-    composite = mf_tensor(b, a)
+    return mf_tensor(b, a)
+
+
+def test_reference_keeps_the_middle_variables_of_y():
+    # the reference over all the variables keeps the middle variable as a
+    # free coefficient
+    composite = through_a_middle_variable()
     assert composite.middle_vars == ("y~",)
     assert reference_hom(identity_mf(p("x^2")), composite).dims == (1, 0)
 
 
-def test_identity_hom_refuses_a_twist_that_moves_w():
-    # x -> -x' does not fix x^3, so the twisted identity is no factorization
-    # of W(x') - W(x)
-    with pytest.raises(MFError, match=r"d\^2 != \(V - W\)"):
-        identity_hom(p("x^3"), GroupAction(2, (("x", 1),)), 1)
+@pytest.mark.parametrize("r", [2, 4])
+def test_identity_hom_refuses_a_twist_that_moves_w(r):
+    # x -> xi^{-1} x' does not fix x^3 unless 3 = 0 mod r: the invariance
+    # check refuses it before any twisted identity is built
+    with pytest.raises(MFError) as refused:
+        identity_hom(p("x^3"), GroupAction(r, (("x", 1),)), 1)
+    assert str(refused.value) == ("potential x^3 is not invariant under Z%d: its monomial x^3 "
+                                  "has weight 3, not 0 mod %d" % (r, r))
+
+
+@pytest.mark.parametrize("g, shift, built", [(None, False, 1), (None, True, 2), (1, False, 1),
+                                             (1, True, 2)])
+def test_identity_hom_builds_y_and_nothing_else(monkeypatch, g, shift, built):
+    """One factorization, Y, and its shift when asked: the restriction to
+    x' = x is read off Y, with no second factorization and no second d^2 check."""
+    seen = []
+    check = MatrixFactorization.__post_init__
+    monkeypatch.setattr(MatrixFactorization, "__post_init__",
+                        lambda self: seen.append(check(self)))
+    w = p("x^2 + y^2 + z^3")
+    action = GroupAction(2, (("x", 1), ("y", 1), ("z", 0)))
+    identity_hom(w, action, g, shift)
+    assert len(seen) == built
+
+
+def one_sided():
+    return koszul_factorization([p("x^2")], [p("x")], ("x",), (), (), -p("x^3"), Poly.zero())
+
+
+def two_gradings():
+    # no (twisted) Koszul identity does this: it is a tensor product of
+    # rank-(1|1) factors, each with one entry left at x' = x, so its slot
+    # degrees add up.  Here slots 0 and 1 both map to 2 and 3 under W = 0, by
+    # x, x, x and x^2, which puts slot 3 both at D - 2 and at D - 4
+    x, zero = p("x"), Poly.zero()
+    d = [[zero] * 4, [zero] * 4, [x, x, zero, zero], [x, p("x^2"), zero, zero]]
+    return MatrixFactorization(("x",), ("x'",), (), zero, zero, (0, 0, 1, 1), d)
+
+
+def unlinked_slot():
+    zero = Poly.zero()
+    return MatrixFactorization(("x",), ("x'",), (), zero, zero, (0, 1), [[zero] * 2] * 2)
+
+
+@pytest.mark.parametrize("make_y, degree, message", [
+    (one_sided, 3, "hom_cohomology needs y over (x | x'), got ('x',) | () with middle ()"),
+    (through_a_middle_variable, 2,
+     "hom_cohomology needs y over (x | x'), got ('x',) | (\"x'\",) with middle ('y~',)"),
+    # at x' = x the difference quotient of x^3 + x^2 is 3x^2 + 2x
+    (lambda: identity_mf(p("x^3 + x^2")), 3, "the entry 3*x^2 + 2*x is not quasi-homogeneous"),
+    (two_gradings, 3, "the differential fixes no grading of its slots"),
+    (unlinked_slot, 2, "the differential does not link every slot to slot 0"),
+], ids=["one_sided", "middle_variable", "mixed_degree", "two_gradings", "unlinked_slot"])
+def test_hom_cohomology_refusals(make_y, degree, message):
+    with pytest.raises(MFError) as refused:
+        hom_cohomology(make_y(), (1,), degree)
+    assert str(refused.value) == message

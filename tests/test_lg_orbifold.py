@@ -204,7 +204,8 @@ def test_sector_basis_matches_the_restricted_hom(d, r, weight):
         assert identity_hom(w, action, g).dims == counts, g
 
 
-SECTOR_CASES = [(2, 2, 1), (3, 3, 1), (3, 3, 2), (4, 4, 1), (4, 2, 1), (5, 5, 1), (4, 4, 2)]
+# every workload model, and x^4 under Z4 with weight 2, which no workload builds
+SECTOR_CASES = WORKLOAD_MODELS + [(4, 4, 2)]
 
 
 @pytest.mark.parametrize("d, r, weight", SECTOR_CASES,
