@@ -2,16 +2,17 @@
 
 Reduced Groebner bases in graded-reverse-lexicographic order, with the
 coprime-leading-term criterion; deterministic given the canonical variable
-order.  JacobiAlgebra carries the staircase monomial basis and reduces
-polynomials to normal form.
+order.  Every reduction, of an S-polynomial, of a basis element on the
+others or to a normal form, is poly.divide.  JacobiAlgebra carries the
+staircase monomial basis and reduces polynomials to normal form.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add
 
-from ..scalars import Cyc
-from .poly import Poly, grevlex_key, leading_term
+from .poly import Poly, divide, grevlex_key, leading_term
 
 
 class GroebnerError(ValueError):
@@ -34,88 +35,49 @@ def _divides(e1, e2):
     return all(a <= b for a, b in zip(e1, e2))
 
 
+def _shift(g, lcm, lead):
+    """g times the monomial lcm / lead."""
+    shift = tuple(a - b for a, b in zip(lcm, lead))
+    return Poly._trusted(g.vars, {tuple(map(add, e, shift)): c for e, c in g.terms.items()})
+
+
 def normal_form(p, basis):
     """Multivariate division remainder of p against the list of polynomials."""
-    if not basis:
-        return p
-    variables = basis[0].vars
-    p = p.align(variables)
-    leads = [leading_term(g) for g in basis]
-    remainder = Poly.zero(variables)
-    while p.terms:
-        exp, coeff = leading_term(p)
-        for (lexp, lcoeff), g in zip(leads, basis):
-            if _divides(lexp, exp):
-                factor = Poly(variables,
-                              {tuple(a - b for a, b in zip(exp, lexp)): coeff / lcoeff})
-                p = p - factor * g
-                break
-        else:
-            mono = Poly(variables, {exp: coeff})
-            remainder = remainder + mono
-            p = p - mono
-    return remainder
-
-
-def _s_poly(f, g):
-    (ef, cf) = leading_term(f)
-    (eg, cg) = leading_term(g)
-    lcm = _lcm_exp(ef, eg)
-    mf = Poly(f.vars, {tuple(a - b for a, b in zip(lcm, ef)): Cyc.one() / cf})
-    mg = Poly(g.vars, {tuple(a - b for a, b in zip(lcm, eg)): Cyc.one() / cg})
-    return mf * f - mg * g
+    return divide(p, basis)[1]
 
 
 def groebner(generators):
     """Reduced monic Groebner basis in grevlex order (Buchberger)."""
-    variables = ()
+    variables = tuple(sorted(set().union(*(g.vars for g in generators))))
+    basis, leads = [], []  # the monic basis and its leading exponents
+
+    def push(g):
+        lead, coeff = leading_term(g)
+        basis.append(g.scale(coeff.inverse()))
+        leads.append(lead)
+
     for g in generators:
-        variables = tuple(sorted(set(variables) | set(g.vars)))
-    basis = []
-    for g in generators:
-        g = g.align(variables)
         if g.terms:
-            _, lc = leading_term(g)
-            basis.append(g.scale(lc.inverse()))
+            push(g.align(variables))
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         # deterministic selection: smallest lcm degree first
-        pairs.sort(key=lambda ij: sum(_lcm_exp(leading_term(basis[ij[0]])[0],
-                                                leading_term(basis[ij[1]])[0])),
-                   reverse=True)
+        pairs.sort(key=lambda ij: sum(_lcm_exp(leads[ij[0]], leads[ij[1]])), reverse=True)
         i, j = pairs.pop()
-        ei = leading_term(basis[i])[0]
-        ej = leading_term(basis[j])[0]
+        ei, ej = leads[i], leads[j]
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue  # first Buchberger criterion: coprime leading terms
-        s = normal_form(_s_poly(basis[i], basis[j]), basis)
+        lcm = _lcm_exp(ei, ej)
+        s = divide(_shift(basis[i], lcm, ei) - _shift(basis[j], lcm, ej), basis)[1]
         if s.terms:
-            _, lc = leading_term(s)
-            basis.append(s.scale(lc.inverse()))
+            push(s)
             pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-    return _reduce_basis(basis)
-
-
-def _reduce_basis(basis):
-    # drop redundant leading terms, then tail-reduce; sort for determinism
-    basis = list(basis)
-    kept = []
-    for i, g in enumerate(basis):
-        ei = leading_term(g)[0]
-        others = [leading_term(h)[0] for j, h in enumerate(basis) if j != i]
-        if any(_divides(e, ei) for e in others if e != ei) or \
-                any(e == ei for e in (leading_term(h)[0] for h in kept)):
-            continue
-        kept.append(g)
-    reduced = []
-    for i, g in enumerate(kept):
-        rest = kept[:i] + kept[i + 1:]
-        r = normal_form(g, rest) if rest else g
-        if r.terms:
-            _, lc = leading_term(r)
-            reduced.append(r.scale(lc.inverse()))
-    reduced.sort(key=lambda g: grevlex_key(leading_term(g)[0]))
-    return reduced
+    # keep the minimal leading terms, the first of equal ones; reduce each kept
+    # element on the others, which keeps its monic leading term; sort
+    kept = [k for k, e in enumerate(leads)
+            if not any(_divides(f, e) and (f != e or j < k) for j, f in enumerate(leads))]
+    reduced = [divide(basis[k], [basis[j] for j in kept if j != k])[1] for k in kept]
+    return sorted(reduced, key=lambda g: grevlex_key(leading_term(g)[0]))
 
 
 def staircase(basis, variables):

@@ -189,37 +189,35 @@ class SectorModel:
 
         Coboundary entries in the twisted sectors lie in (v_s, v_0) = (x, x'),
         so evaluation at the origin is class-invariant; in untwisted sectors
-        the diagonal restriction modulo x^{d-1} plays the same role.
+        the diagonal restriction modulo x^{d-1} plays the same role.  Only
+        the twisted sectors hold odd labels, and the untwisted ones,
+        {g : w g = 0 mod r}, form a subgroup: so an odd product, which has
+        exactly one twisted factor, lands in a twisted sector.
         """
-        if parity == 0 and not (mat[0][1].is_zero() and mat[1][0].is_zero()):
-            raise OrbifoldError("even product has odd entries; convention bug")
-        if parity == 1 and not (mat[0][0].is_zero() and mat[1][1].is_zero()):
-            raise OrbifoldError("odd product has even entries; convention bug")
-        coeffs = {}
-        if self.untwisted(s):
-            if parity == 0:
-                if mat[0][0] != mat[1][1]:
-                    raise OrbifoldError("closed even matrix must be scalar-diagonal")
-                reduced = mat[0][0].substitute({self.prime: (1, self.var)})
-                for exp, coeff in reduced.terms.items():
-                    j = exp[reduced.vars.index(self.var)] if reduced.vars else 0
-                    if j >= self.d - 1:
-                        continue  # x^{d-1} and above vanish in the Jacobi quotient
-                    key = ("even", j)
-                    coeffs[key] = coeffs.get(key, Cyc.zero()) + coeff
-                return coeffs
-            # the odd cohomology of an untwisted sector vanishes; the entries
-            # must be syzygy multiples, which exact division certifies
-            mat[0][1].divide_exact(self.v[0])
-            return {}
         if parity == 1:
+            if not (mat[0][0].is_zero() and mat[1][1].is_zero()):
+                raise OrbifoldError("odd product has even entries; convention bug")
+            if self.untwisted(s):
+                raise OrbifoldError("odd product in an untwisted sector; convention bug")
             value = mat[0][1].constant_term()
-            if value:
-                coeffs[("odd", 0)] = value
-            return coeffs
-        # the even cohomology of a twisted sector vanishes
-        mat[0][0].divide_exact(self.v[s])
-        return {}
+            return {("odd", 0): value} if value else {}
+        if not (mat[0][1].is_zero() and mat[1][0].is_zero()):
+            raise OrbifoldError("even product has odd entries; convention bug")
+        if not self.untwisted(s):
+            # the even cohomology of a twisted sector vanishes
+            mat[0][0].divide_exact(self.v[s])
+            return {}
+        if mat[0][0] != mat[1][1]:
+            raise OrbifoldError("closed even matrix must be scalar-diagonal")
+        coeffs = {}
+        reduced = mat[0][0].substitute({self.prime: (1, self.var)})
+        for exp, coeff in reduced.terms.items():
+            j = exp[reduced.vars.index(self.var)] if reduced.vars else 0
+            if j >= self.d - 1:
+                continue  # x^{d-1} and above vanish in the Jacobi quotient
+            key = ("even", j)
+            coeffs[key] = coeffs.get(key, Cyc.zero()) + coeff
+        return coeffs
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Multivariate polynomials with exact cyclotomic coefficients.
 
 Variables are kept in a canonical sorted order; operations align variable
-sets automatically.  Division by a single polynomial is the plain long
-division in graded-reverse-lexicographic order, used where exactness is
-guaranteed (difference quotients, twisted-identity entries).
+sets automatically.  One routine, divide, does multivariate division in
+graded-reverse-lexicographic order: Poly.divide_exact divides by one
+polynomial where exactness is guaranteed (difference quotients,
+twisted-identity entries), and the Groebner module takes normal forms
+with it.
 
 Poly(vars, terms) coerces every coefficient and drops the zero ones.  The
 arithmetic builds its results through Poly._trusted, which does neither: its
@@ -252,33 +254,12 @@ class Poly:
 
     def divide_exact(self, divisor):
         """Quotient self/divisor; raises PolyError when the division is inexact."""
-        a, b, variables = Poly._aligned(self, divisor)
-        if b.is_zero():
+        if divisor.is_zero():
             raise PolyError("division by the zero polynomial")
-        lead_exp, lead_coeff = leading_term(b)
-        lead_inverse = lead_coeff.inverse()
-        # the leading exponent of the remainder falls at every step, so each
-        # quotient exponent is new
-        quot, rem = {}, dict(a.terms)
-        while rem:
-            top = max(rem, key=grevlex_key)
-            exp = tuple(map(sub, top, lead_exp))
-            if any(e < 0 for e in exp):
-                raise PolyError("inexact polynomial division")
-            coeff = quot[exp] = rem[top] * lead_inverse
-            for e2, c2 in b.terms.items():
-                key = tuple(map(add, exp, e2))
-                prod = coeff * c2
-                acc = rem.get(key)
-                if acc is None:
-                    rem[key] = -prod
-                else:
-                    total = acc - prod
-                    if total:
-                        rem[key] = total
-                    else:
-                        del rem[key]
-        return Poly._trusted(variables, quot)
+        (quotient,), remainder = divide(self, [divisor])
+        if remainder:
+            raise PolyError("inexact polynomial division")
+        return quotient
 
     # -- printing -------------------------------------------------------------------
 
@@ -294,6 +275,49 @@ def grevlex_key(exp):
 def leading_term(p):
     exp = max(p.terms, key=grevlex_key)
     return exp, p.terms[exp]
+
+
+def divide(p, divisors):
+    """Division of p by the list divisors in grevlex order, over the union of
+    the variables: (quotients, remainder) with p = sum of q_i d_i + remainder.
+
+    Each step cancels the leading term of what is left of p with the first
+    divisor whose leading term divides it, or else moves that term to the
+    remainder.  So no term of the remainder is divisible by a leading term,
+    and no q_i d_i leads above p.  A zero divisor divides nothing.
+    """
+    variables = p.vars
+    for d in divisors:
+        variables = _merge_vars(variables, d.vars)
+    steps = []  # (index, leading exponent, 1/leading coefficient or None, -tail)
+    for i, d in enumerate(divisors):
+        if d.terms:
+            d = d.align(variables)
+            lead, coeff = leading_term(d)
+            inverse = coeff.inverse()
+            steps.append((i, lead, None if inverse == 1 else inverse,
+                          [(e, -c) for e, c in d.terms.items() if e != lead]))
+    # what is left leads lower at every step, so each quotient exponent is new
+    quotients, remainder = [{} for _ in divisors], {}
+    left = dict(p.align(variables).terms)
+    while left:
+        top = max(left, key=grevlex_key)
+        coeff = left.pop(top)
+        for i, lead, inverse, tail in steps:
+            exp = tuple(map(sub, top, lead))
+            if min(exp, default=0) >= 0:
+                break
+        else:
+            remainder[top] = coeff
+            continue
+        quotients[i][exp] = coeff = coeff if inverse is None else coeff * inverse
+        for e, c in tail:  # the leading term cancels the popped one
+            key = tuple(map(add, exp, e))
+            acc, prod = left.pop(key, None), coeff * c
+            total = prod if acc is None else acc + prod
+            if total:  # a product of nonzeros never cancels; a sum may
+                left[key] = total
+    return [Poly._trusted(variables, q) for q in quotients], Poly._trusted(variables, remainder)
 
 
 def format_monomial(variables, exp):

@@ -233,6 +233,19 @@ def test_canonical_cocycles_are_closed(d, r, weight):
                      SectorModel.parity(label))
 
 
+@pytest.mark.parametrize("d, r, weight", SECTOR_CASES,
+                         ids=["%d-%d-%d" % case for case in SECTOR_CASES])
+def test_odd_products_land_in_twisted_sectors(d, r, weight):
+    # only twisted sectors hold odd labels, and the untwisted sectors form a
+    # subgroup, so a product with one odd factor is read in a twisted sector
+    model = SectorModel("x", d, r, weight)
+    for g, h in itertools.product(range(r), repeat=2):
+        for lab1, lab2 in itertools.product(model.basis(g), model.basis(h)):
+            if (SectorModel.parity(lab1) + SectorModel.parity(lab2)) % 2:
+                assert not model.untwisted(g + h), (g, lab1, h, lab2)
+                assert set(model.product(g, lab1, h, lab2)) <= {("odd", 0)}
+
+
 def test_check_closed_rejects_a_non_closed_matrix():
     # the even identity does not commute with the twisted differential of x^3
     d1 = twisted_identity(parse_poly("x^3"), act1(3), 1).d

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rspin.landau_ginzburg.groebner import (
     InfiniteQuotientError,
@@ -11,7 +11,15 @@ from rspin.landau_ginzburg.groebner import (
     jacobi,
     staircase,
 )
-from rspin.landau_ginzburg.poly import Poly, PolyError, format_poly, parse_poly
+from rspin.landau_ginzburg.poly import (
+    Poly,
+    PolyError,
+    divide,
+    format_poly,
+    grevlex_key,
+    leading_term,
+    parse_poly,
+)
 from rspin.landau_ginzburg.mf import difference_quotient
 from rspin.scalars import Cyc
 
@@ -281,6 +289,36 @@ def test_divide_exact_inverts_the_product(data, order):
             (a * b + 1).divide_exact(b)
 
 
+def divides(e1, e2):
+    return all(a <= b for a, b in zip(e1, e2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), order=st.sampled_from([1, 5]))
+def test_divide_is_a_division_with_remainder(data, order):
+    """p = sum q_i d_i + r exactly, no term of r is divisible by a leading term,
+    and no q_i d_i leads above p; a zero divisor gets a zero quotient."""
+    p = data.draw(sparse_polys(order))
+    divisors = data.draw(st.lists(sparse_polys(order), max_size=3))
+    union = tuple(sorted(set(p.vars).union(*(d.vars for d in divisors))))
+    quotients, remainder = divide(p, divisors)
+    assert len(quotients) == len(divisors)
+    assert all(q.vars == union for q in quotients) and remainder.vars == union
+    total = remainder
+    for q, d in zip(quotients, divisors):
+        assert all(q.terms.values()), "a zero coefficient is stored"
+        total = total + q * d
+        if d.is_zero():
+            assert q.is_zero()
+        elif q:
+            lead = leading_term((q * d).align(union))[0]
+            assert grevlex_key(lead) <= grevlex_key(leading_term(p.align(union))[0])
+    assert total == p
+    assert all(remainder.terms.values()), "a zero coefficient is stored"
+    leads = [leading_term(d.align(union))[0] for d in divisors if d]
+    assert not any(divides(lead, e) for lead in leads for e in remainder.terms)
+
+
 def test_groebner_single_monomial():
     basis = groebner([p("x^2")])
     assert len(basis) == 1
@@ -313,6 +351,48 @@ def test_groebner_matches_sympy(potential):
             for g in ours} == \
         {frozenset((exp, Fraction(int(c.p), int(c.q))) for exp, c in g.terms())
          for g in theirs.polys}
+
+
+def sympy_basis(sympy, generators, variables):
+    """sympy's reduced grevlex basis over QQ, monic, as frozensets of terms."""
+    symbols = sympy.symbols(" ".join(variables))
+
+    def term(exp, c):
+        return sympy.Rational(c.as_fraction()) * sympy.Mul(*[s ** e for s, e in zip(symbols, exp)])
+
+    exprs = [sympy.Add(*[term(exp, c) for exp, c in g.align(variables).terms.items()])
+             for g in generators]
+    theirs = sympy.groebner(exprs, *symbols, order="grevlex", domain="QQ")
+    return {frozenset((exp, Fraction(int(c.p), int(c.q))) for exp, c in g.terms())
+            for g in theirs.polys if not g.is_zero}
+
+
+@st.composite
+def rational_generators(draw):
+    """Two or three rational polynomials in x, y, z of degree at most 2 in each."""
+    exponents = st.tuples(*[st.integers(0, 2)] * 3)
+    terms = st.dictionaries(exponents, small_rationals.map(Cyc.rational), max_size=4)
+    return [Poly(("x", "y", "z"), t) for t in draw(st.lists(terms, min_size=2, max_size=3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(generators=rational_generators())
+@example(generators=[p("x^2*y"), p("x*y^2")])  # not an isolated singularity
+@example(generators=[p("x^2 - y/3"), p("x*y - 2/5"), p("3/2*z^2 + x")])
+def test_groebner_matches_sympy_on_drawn_generators(generators):
+    sympy = pytest.importorskip("sympy")
+    variables = ("x", "y", "z")
+    ours = groebner(generators)
+    union = tuple(sorted(set().union(*(g.vars for g in generators))))
+    assert all(g.vars == union for g in ours)
+    assert {frozenset((exp, c.as_fraction()) for exp, c in g.align(variables).terms.items())
+            for g in ours} == sympy_basis(sympy, generators, variables)
+    # monic, reduced and sorted: increasing leading terms, none dividing another term
+    assert all(leading_term(g)[1] == 1 for g in ours)
+    leads = [leading_term(g)[0] for g in ours]
+    assert leads == sorted(leads, key=grevlex_key) and len(set(leads)) == len(leads)
+    assert not any(divides(lead, e) for k, lead in enumerate(leads)
+                   for j, g in enumerate(ours) if j != k for e in g.terms)
 
 
 def test_jacobi_x3_plus_y3():
