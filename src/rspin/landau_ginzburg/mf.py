@@ -7,19 +7,20 @@ Koszul-signed entry: mf_tensor runs it once, and a Koszul factorization such
 as I_W is the tensor product of its rank-one factors, so for two or more
 variables its basis is in pair order (the exterior-algebra monomials permuted
 within each parity block, no sign change).  The orbifold reads its
-twists (GroupAction.root), primes, difference quotients and its one
+twists (GroupAction.root), primes, Koszul pairs (koszul_pairs, also behind
+the identities and identity_hom), difference quotients and its one
 closedness test, d_Y f = (-1)^|f| f d_X (check_closed), from here.
 
 Hom out of I_W (identity_hom, what lg-hom computes) is exact, with no
 cutoff.  I_W is the Koszul factorization of the regular sequence
 x'_i - x_i, so Hom(I_W, Y) is the cohomology of Y with x' set to x, a
 square-zero complex of rank 2^n over the n variables of W, with the parity
-shifted by n; hom_cohomology sets x' to x in each entry of Y as it reads it.
-W must be quasi-homogeneous with an isolated singularity (anything else is
-refused with MFError); its weights grade that complex so that it splits
-into finite pieces by weighted degree, and hom_cohomology takes each piece
-in the window [-h, h], h = sum_i (D - 2 w_i), which holds every class, with
-one SparseEchelon per piece (superlinalg.SparseEchelon is the one
+shifted by n, folded from the Koszul pairs at x' = x (Y itself is never
+built).  W must be quasi-homogeneous with an isolated singularity (anything
+else is refused with MFError); its weights grade that complex so that it
+splits into finite pieces by weighted degree, and hom_cohomology takes each
+piece in the window [-h, h], h = sum_i (D - 2 w_i), which holds every class,
+with one SparseEchelon per piece (superlinalg.SparseEchelon is the one
 elimination engine of the package).
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from ..scalars import Cyc
 from ..superlinalg import SparseEchelon
@@ -52,10 +53,11 @@ class GroupAction:
             raise MFError("the group order must be a positive integer, got %d" % self.r)
 
     def weight(self, var):
+        """The declared weight of var mod r; a variable without one has weight 0."""
         for v, w in self.weights:
             if v == var:
                 return w % self.r
-        raise MFError("no weight declared for variable %r" % var)
+        return 0
 
     def root(self, var, k):
         """xi^{w_var * k} as an exact cyclotomic scalar."""
@@ -63,10 +65,8 @@ class GroupAction:
 
     def check_invariance(self, w):
         """Raise MFError unless every monomial of w has weight sum_i w_i e_i = 0
-        mod r; a variable without a declared weight has weight 0.  Integer
-        arithmetic only, so a huge r costs nothing."""
-        declared = {v for v, _ in self.weights}
-        weights = [self.weight(v) if v in declared else 0 for v in w.vars]
+        mod r.  Integer arithmetic only, so a huge r costs nothing."""
+        weights = [self.weight(v) for v in w.vars]
         for exp in w.terms:
             total = sum(map(operator.mul, weights, exp))
             if total % self.r:
@@ -169,9 +169,9 @@ def check_closed(dx, dy, mat, parity):
 
 
 def _tensor_differential(yd, y_parities, xd, x_parities):
-    """(parities, d) of d_Y o 1 + (-1)^{|q|} 1 o d_X on the pairs (q, p), evens
-    first, each parity block in pair order (the sort is stable).  Both
-    differentials are odd, so no two terms land in the same entry."""
+    """(parities, d, pairs) of d_Y o 1 + (-1)^{|q|} 1 o d_X on the slots (q, p)
+    listed in pairs: evens first, each parity block in pair order (the sort
+    is stable).  Both differentials are odd, so no two terms share an entry."""
     pairs = [(q, p) for q in range(len(y_parities)) for p in range(len(x_parities))]
     pairs.sort(key=lambda pair: (y_parities[pair[0]] + x_parities[pair[1]]) % 2)
     pos = {pair: k for k, pair in enumerate(pairs)}
@@ -183,42 +183,58 @@ def _tensor_differential(yd, y_parities, xd, x_parities):
         for p2, row in enumerate(xd):
             if row[p]:
                 d[pos[(q, p2)]][col] = -row[p] if y_parities[q] else row[p]
-    return tuple((y_parities[q] + x_parities[p]) % 2 for q, p in pairs), d
+    return tuple((y_parities[q] + x_parities[p]) % 2 for q, p in pairs), d, pairs
+
+
+def _koszul_fold(us, vs):
+    """(parities, d, states) of sum_i (u_i theta_i + v_i theta_i*): the tensor
+    product of the rank-(1|1) factors [[0, v_i], [u_i, 0]] in the order given,
+    from the rank-(1|0) zero; states[k] holds each factor's state (1 odd) in slot k."""
+    parities, d, states = (0,), [[Poly.zero()]], [()]
+    for u, v in zip(us, vs):
+        parities, d, pairs = _tensor_differential(d, parities, [[Poly.zero(), v], [u, Poly.zero()]],
+                                                  (0, 1))
+        states = [states[q] + (p,) for q, p in pairs]
+    return parities, d, states
 
 
 def koszul_factorization(us, vs, source_vars, target_vars, middle_vars,
                          source_potential, target_potential):
-    """The Koszul factorization sum_i (u_i theta_i + v_i theta_i*): the tensor
-    product of the rank-(1|1) factors [[0, v_i], [u_i, 0]] in the order given,
-    starting from the rank-(1|0) zero differential."""
-    parities, d = (0,), [[Poly.zero()]]
-    for u, v in zip(us, vs):
-        parities, d = _tensor_differential(d, parities, [[Poly.zero(), v], [u, Poly.zero()]],
-                                           (0, 1))
+    """The Koszul factorization sum_i (u_i theta_i + v_i theta_i*) (_koszul_fold)."""
     return MatrixFactorization(tuple(source_vars), tuple(target_vars), tuple(middle_vars),
-                               source_potential, target_potential, parities, d)
+                               source_potential, target_potential, *_koszul_fold(us, vs)[:2])
 
 
 def identity_mf(w):
     """The unit 1-morphism I_W: d = sum_i (u_i theta_i + (x'_i - x_i) theta_i*)."""
-    return _koszul_identity(w, {v: Cyc.one() for v in w.vars})
+    return twisted_identity(w, None, None)
 
 
 def twisted_identity(w, action, g):
-    """The g-twisted identity: substitute x'_i -> xi^{-w_i g} x'_i in I_W."""
-    return _koszul_identity(w, {v: action.root(v, -g) for v in w.vars})
+    """The g-twisted identity, x'_i -> xi^{-w_i g} x'_i in I_W (I_W if g is None)."""
+    primed = tuple(map(prime, w.vars))
+    return koszul_factorization(*koszul_pairs(w, action, g), w.vars, primed, (),
+                                w, w.rename(dict(zip(w.vars, primed))))
 
 
-def _koszul_identity(w, lam):
-    """I_W with x'_i -> lam_i x'_i substituted; lam_i = 1 for every i gives I_W itself."""
-    variables = w.vars
-    primed = tuple(prime(v) for v in variables)
-    scaled = {p: (lam[v], p) for v, p in zip(variables, primed) if lam[v] != 1}
-    us = [difference_quotient(w, v).substitute(scaled) for v in variables]
-    vs = [Poly.variable(p).substitute(scaled) - Poly.variable(v)
-          for v, p in zip(variables, primed)]
-    return koszul_factorization(us, vs, variables, primed, (),
-                                w, w.rename(dict(zip(variables, primed))))
+def koszul_pairs(w, action=None, g=None):
+    """The pairs (u_i, v_i) over (x, x') of twisted_identity(w, action, g): with
+    lam_i = xi^{-w_i g} (1 if g is None), v_i = lam_i x'_i - x_i and u_i is
+    difference_quotient(w, x_i) at x' -> lam x' in closed form, where c x^e gives
+    c prod_{j<i} x_j^e_j sum_{k<e_i} (lam_i x'_i)^k x_i^(e_i-1-k) prod_{j>i} (lam_j x'_j)^e_j."""
+    n = len(w.vars)
+    roots = [Cyc.one() if g is None else action.root(v, -g) for v in w.vars]
+    us = []
+    for i in range(n):
+        terms = {}
+        for exp, c in w.terms.items():
+            c = prod((roots[j] ** exp[j] for j in range(i + 1, n)), start=c)
+            for k in range(exp[i]):
+                key = exp[:i] + (exp[i] - 1 - k,) + (0,) * (n - 1) + (k,) + exp[i + 1:]
+                terms[key] = terms.get(key, Cyc.zero()) + c * roots[i] ** k
+        us.append(Poly(w.vars + tuple(map(prime, w.vars)), terms))
+    vs = [Poly.variable(prime(v)).scale(root) - Poly.variable(v) for v, root in zip(w.vars, roots)]
+    return us, vs
 
 
 def mf_tensor(y, x):
@@ -247,7 +263,7 @@ def mf_tensor(y, x):
         taken.add(base)
     xd = [[entry.rename(fresh) if entry else entry for entry in row] for row in x.d]
     yd = [[entry.rename(fresh) if entry else entry for entry in row] for row in y.d]
-    parities, d = _tensor_differential(yd, y.parities, xd, x.parities)
+    parities, d, _ = _tensor_differential(yd, y.parities, xd, x.parities)
     middles = tuple(sorted(set(x.middle_vars) | set(y.middle_vars) | set(fresh.values())))
     return MatrixFactorization(x.source_vars, y.target_vars, middles,
                                x.source_potential, y.target_potential, parities, d)
@@ -312,54 +328,24 @@ def _monomials(weights, total):
             yield (e,) + rest
 
 
-def hom_cohomology(y, weights, degree):
-    """Hom(I_W, y) for y over (x | x'): the cohomology of y at x' = x, slot
-    parities shifted by len(x), for the weights of x that give W degree D.
+def hom_cohomology(variables, d, parities, slot_degrees, weights, degree):
+    """The cohomology of the square-zero complex d over the polynomial ring
+    in variables, with slot j of parity parities[j] at the doubled degree
+    slot_degrees[j], for the weights of variables that give W degree D.
 
-    The basis is graded in doubled units: slot 0 at 0 and, across every
-    nonzero entry, deg_i - deg_j = D - 2 wdeg(d[i][j]); a monomial m in slot
-    i sits at deg_i + 2 wdeg(m).  d raises that degree by D, so each piece
-    C_{t,q} of degree t and parity q is finite, and
+    The grading is the caller's: across every nonzero entry
+    deg_i - deg_j = D - 2 wdeg(d[i][j]), and a monomial m in slot i sits at
+    deg_i + 2 wdeg(m).  d raises that degree by D, so each piece C_{t,q} of
+    degree t and parity q is finite, and
     dim H_{t,q} = dim C_{t,q} - rank d|C_{t,q} - rank d|C_{t-D,1-q}: one
     echelon per piece, whose kernel vectors are reduced against the image of
     C_{t-D,1-q} and the representatives accepted so far together.  Only t in
-    _window(weights, D) is taken, and stabilized_at is its top.  That window
-    holds every class only when slot 0 of y is the Koszul unit of a
-    (twisted, shifted) identity, as identity_hom builds it; on any other y
-    classes can fall outside it.  MFError if y is not over (x | x') alone, if
-    an entry is not homogeneous, or if the entries fix no grading of every slot.
+    _window(weights, D) is taken, and stabilized_at is its top; the window
+    is proven to hold every class only for the complexes identity_hom builds.
     """
-    variables, n = y.source_vars, len(y.parities)
-    if y.middle_vars or y.target_vars != tuple(map(prime, variables)):
-        raise MFError("hom_cohomology needs y over (x | x'), got %r | %r with middle %r"
-                      % (variables, y.target_vars, y.middle_vars))
-    diagonal = dict(zip(y.target_vars, variables))
-    d = [[e.rename(diagonal).align(variables) if e else e for e in row] for row in y.d]
-    parities = [(p + len(variables)) % 2 for p in y.parities]
-    terms = [[] for _ in range(n)]   # (i, exponent, coefficient) of column j
-    steps = [[] for _ in range(n)]   # (i, deg_i - deg_j) across each entry
-    for i, row in enumerate(d):
-        for j, entry in enumerate(row):
-            if not entry:
-                continue
-            wdegs = {sum(map(operator.mul, weights, exp)) for exp in entry.terms}
-            if len(wdegs) != 1:
-                raise MFError("the entry %s is not quasi-homogeneous" % format_poly(entry))
-            step = degree - 2 * wdegs.pop()
-            steps[j].append((i, step))
-            steps[i].append((j, -step))
-            terms[j].extend((i, exp, c) for exp, c in entry.terms.items())
-    slot_degree = [0] + [None] * (n - 1)
-    queue = [0]
-    for j in queue:
-        for i, step in steps[j]:
-            if slot_degree[i] is None:
-                slot_degree[i] = slot_degree[j] + step
-                queue.append(i)
-            elif slot_degree[i] != slot_degree[j] + step:
-                raise MFError("the differential fixes no grading of its slots")
-    if None in slot_degree:
-        raise MFError("the differential does not link every slot to slot 0")
+    n = len(parities)
+    terms = [[(i, exp, c) for i, row in enumerate(d) for exp, c in row[j].terms.items()]
+             for j in range(n)]  # (i, exponent, coefficient) of column j
 
     columns = {}  # (slot, exponent) -> column index, numbered on first sight
     pieces = {}
@@ -373,9 +359,9 @@ def hom_cohomology(y, weights, degree):
         if (t, q) not in pieces:
             domain, echelon, kernel = [], SparseEchelon(), []
             for j in range(n):
-                if parities[j] != q or (t - slot_degree[j]) % 2:
+                if parities[j] != q or (t - slot_degrees[j]) % 2:
                     continue
-                for mono in _monomials(weights, (t - slot_degree[j]) // 2):
+                for mono in _monomials(weights, (t - slot_degrees[j]) // 2):
                     row = {column((i, tuple(map(operator.add, exp, mono)))): c
                            for i, exp, c in terms[j]}
                     row[-1 - len(domain)] = Cyc.one()
@@ -410,21 +396,22 @@ def identity_hom(w, action=None, g=None, shift=False):
     I_W is the Koszul factorization of the regular sequence x'_i - x_i, so
     Hom(I_W, Y) is the cohomology of Y restricted to the diagonal x' = x,
     with the parity shifted by n = len(w.vars) (Dyckerhoff, arXiv:0904.4713):
-    a rank-2^n complex over n variables that hom_cohomology reads off Y; its
-    d^2 = 0 is the image of d_Y^2 = (W(x') - W(x)) . id.  Refused first, in
-    this order, each with an MFError that names it: an action that moves W,
-    when g is given (check_invariance); a non-isolated singularity (jacobi);
-    a W that is not quasi-homogeneous (_weights, which finds its degree D and
-    integer weights w_i).  Y is built here, never taken from the caller,
-    because the window is proven only for these Y: slot 0 of each is the
-    Koszul unit, which hom_cohomology puts at degree 0.  Why the window
-    [-h, h], h = sum_i (D - 2 w_i), then holds every class: graded Serre
-    duality makes Hom(I_W, _g I_W) symmetric under t -> -t; untwisted it is
-    Jac(W), from 1 at -h to the Hessian at h, and a twisted sector is the
-    Jacobi algebra of W on the fixed locus of g (Polishchuk-Vaintrob,
-    arXiv:1002.2116), whose Hessian has the smaller degree
-    sum_{i fixed} (D - 2 w_i).  The representatives are cocycles of the
-    restricted complex (columns), not morphisms I_W -> Y; stabilized_at is h.
+    the n Koszul pairs of Y set to x' = x, folded into a rank-2^n complex
+    over n variables (negated for the shift), whose d^2 is sum_i u_i v_i . id
+    (MFError unless 0).  Refused first, in this order, each with an MFError
+    that names it: an action that moves W, when g is given
+    (check_invariance); a non-isolated singularity (jacobi); a W that is not
+    quasi-homogeneous (_weights, which finds its degree D and integer
+    weights w_i).  u_i and v_i have weighted degrees D - w_i and w_i, so a
+    slot sits at the sum of 2 w_i - D over the factors it takes odd: slot 0,
+    the Koszul unit, at 0.  Why the window [-h, h], h = sum_i (D - 2 w_i),
+    then holds every class: graded Serre duality makes Hom(I_W, _g I_W)
+    symmetric under t -> -t; untwisted it is Jac(W), from 1 at -h to the
+    Hessian at h, and a twisted sector is the Jacobi algebra of W on the
+    fixed locus of g (Polishchuk-Vaintrob, arXiv:1002.2116), whose Hessian
+    has the smaller degree sum_{i fixed} (D - 2 w_i).  The representatives
+    are cocycles of the restricted complex (columns), not morphisms
+    I_W -> Y; stabilized_at is h.
     """
     if g is not None:
         action.check_invariance(w)
@@ -435,5 +422,16 @@ def identity_hom(w, action=None, g=None, shift=False):
                       "Jacobian ideal), so Hom(I_W, Y) can be infinite-dimensional"
                       % (format_poly(w), singular.variable)) from singular
     weights, degree = _weights(w)
-    y = identity_mf(w) if g is None else twisted_identity(w, action, g)
-    return hom_cohomology(y.shift() if shift else y, weights, degree)
+    diagonal = {prime(v): v for v in w.vars}
+    us, vs = ([e.rename(diagonal).align(w.vars) for e in side]
+              for side in koszul_pairs(w, action, g))
+    square = sum((u * v for u, v in zip(us, vs)), Poly.zero())
+    if square:
+        raise MFError("the Koszul pairs give d^2 = (%s) . id on the diagonal x' = x, not 0"
+                      % format_poly(square))
+    parities, d, states = _koszul_fold(us, vs)
+    slot_degrees = [sum(2 * weight - degree for weight, odd in zip(weights, state) if odd)
+                    for state in states]
+    return hom_cohomology(w.vars, [[-e if shift else e for e in row] for row in d],
+                          [(p + len(us) + shift) % 2 for p in parities], slot_degrees,
+                          weights, degree)

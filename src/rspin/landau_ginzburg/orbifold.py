@@ -23,9 +23,9 @@ Each orbifold_algebra call builds one SectorModel per distinct (exponent,
 weight); variables that agree in both share it.  A model computes its
 sector data (v_g, u_g, q0 and the canonical cocycles) when it is built, and
 memoises the factors over (x, x') and its own products.  Its sector
-differentials are mf.twisted_identity's, built from GroupAction.root,
-mf.prime and mf.difference_quotient without the d^2 check.  Nothing is kept
-from one call to the next.
+differentials are mf.twisted_identity's: their Koszul pairs come from
+mf.koszul_pairs, their twists from GroupAction.root, and no factorization is
+built, so no d^2 check runs.  Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from ..constructors import (
     structure_maps,
 )
 from .poly import Poly
-from .mf import GroupAction, check_closed, difference_quotient, prime
+from .mf import GroupAction, check_closed, difference_quotient, koszul_pairs, prime
 
 
 class OrbifoldError(ValueError):
@@ -90,14 +90,14 @@ class SectorModel:
         self.d = d
         self.r = r
         self.weight = weight % r
-        x, xp, zero = Poly.variable(var), Poly.variable(self.prime), Poly.zero()
-        # sector g twists x' -> roots[g] x' in the identity I_W
+        x, zero = Poly.variable(var), Poly.zero()
+        # sector g twists x' -> roots[g] x' in the identity I_W: d_g =
+        # [[0, v_g], [u_g, 0]] is twisted_identity(x^d, action, g).d, and
+        # roots[g]^d = 1 (the action fixes x^d), so u_g = (x'^d - x^d) / v_g
         action = GroupAction(r, ((var, weight),))
         self.roots = [action.root(var, -g) for g in range(r)]
-        self.v = [xp.scale(root) - x for root in self.roots]
-        num = xp ** d - x ** d
-        self.u = [num.divide_exact(v_g) for v_g in self.v]
-        # d_g = [[0, v_g], [u_g, 0]] is twisted_identity(x^d, action, g).d
+        pairs = [koszul_pairs(x ** d, action, g) for g in range(r)]
+        self.u, self.v = [u_g for (u_g,), _ in pairs], [v_g for _, (v_g,) in pairs]
         self.differentials = [[[zero, v_g], [u_g, zero]] for v_g, u_g in zip(self.v, self.u)]
         # q0 = (u_0(y, x) - u_0(x', x)) / (y - x'), with the middle variable y
         # named x''

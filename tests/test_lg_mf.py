@@ -14,6 +14,7 @@ from rspin.landau_ginzburg.mf import (
     identity_hom,
     identity_mf,
     koszul_factorization,
+    koszul_pairs,
     mf_tensor,
     prime,
     twisted_identity,
@@ -313,14 +314,43 @@ def closed_representatives(w, action, g, shift):
     return h.dims
 
 
+def restricted_complexes(monkeypatch):
+    """The arguments of every hom_cohomology call, as identity_hom passes them."""
+    seen = []
+
+    def recorded(*args):
+        seen.append(args)
+        return hom_cohomology(*args)
+
+    monkeypatch.setattr("rspin.landau_ginzburg.mf.hom_cohomology", recorded)
+    return seen
+
+
+def assert_graded(variables, d, parities, slot_degrees, weights, degree):
+    """Every nonzero entry is homogeneous, odd, and steps the slot degrees by
+    D - 2 wdeg: the grading identity_hom fixes by construction."""
+    assert slot_degrees[0] == 0
+    for i, row in enumerate(d):
+        for j, entry in enumerate(row):
+            if entry:
+                assert entry.vars == variables and parities[i] != parities[j]
+                wdegs = {sum(map(operator.mul, weights, exp)) for exp in entry.terms}
+                assert len(wdegs) == 1, (i, j, format_poly(entry))
+                assert slot_degrees[i] - slot_degrees[j] == degree - 2 * wdegs.pop(), (i, j)
+
+
 @pytest.mark.parametrize("case", list(one_variable_cases()) + TWO_VARIABLE_SECTORS + D_E_SECTORS,
                          ids=case_id)
-def test_identity_hom_matches_fixed_locus_closed_form(case):
+def test_identity_hom_matches_fixed_locus_closed_form(monkeypatch, case):
     w, action, g = case
     action.check_invariance(w)
     even, odd = fixed_locus_dims(w, action, g)
+    seen = restricted_complexes(monkeypatch)
     assert closed_representatives(w, action, g, False) == (even, odd)
     assert closed_representatives(w, action, g, True) == (odd, even)
+    assert len(seen) == 2
+    for args in seen:
+        assert_graded(*args)
 
 
 @pytest.mark.parametrize("narrow", [(0, -1), (1, 0)], ids=["top", "bottom"])
@@ -399,50 +429,51 @@ def test_identity_hom_refuses_a_twist_that_moves_w(r):
                                   "has weight 3, not 0 mod %d" % (r, r))
 
 
-@pytest.mark.parametrize("g, shift, built", [(None, False, 1), (None, True, 2), (1, False, 1),
-                                             (1, True, 2)])
-def test_identity_hom_builds_y_and_nothing_else(monkeypatch, g, shift, built):
-    """One factorization, Y, and its shift when asked: the restriction to
-    x' = x is read off Y, with no second factorization and no second d^2 check."""
+@pytest.mark.parametrize("g, shift", [(None, False), (None, True), (1, False), (1, True)])
+def test_identity_hom_builds_no_factorization(monkeypatch, g, shift):
+    """The restricted complex is folded from the Koszul pairs on the diagonal:
+    no factorization over (x | x'), so no d^2 check over 2n variables."""
     seen = []
-    check = MatrixFactorization.__post_init__
-    monkeypatch.setattr(MatrixFactorization, "__post_init__",
-                        lambda self: seen.append(check(self)))
+    monkeypatch.setattr(MatrixFactorization, "__post_init__", lambda self: seen.append(self))
     w = p("x^2 + y^2 + z^3")
     action = GroupAction(2, (("x", 1), ("y", 1), ("z", 0)))
     identity_hom(w, action, g, shift)
-    assert len(seen) == built
+    assert seen == []
 
 
-def one_sided():
-    return koszul_factorization([p("x^2")], [p("x")], ("x",), (), (), -p("x^3"), Poly.zero())
+def test_identity_hom_refuses_pairs_that_do_not_square_to_zero(monkeypatch):
+    # d^2 of the restricted complex is sum_i u_i v_i . id: spoil u_0 of the
+    # twisted x^2 + y^2, whose v_0 = -2x is not zero on the diagonal
+    pairs = koszul_pairs
 
+    def spoiled(*args):
+        us, vs = pairs(*args)
+        return [us[0] + p("x'")] + us[1:], vs
 
-def two_gradings():
-    # no (twisted) Koszul identity does this: it is a tensor product of
-    # rank-(1|1) factors, each with one entry left at x' = x, so its slot
-    # degrees add up.  Here slots 0 and 1 both map to 2 and 3 under W = 0, by
-    # x, x, x and x^2, which puts slot 3 both at D - 2 and at D - 4
-    x, zero = p("x"), Poly.zero()
-    d = [[zero] * 4, [zero] * 4, [x, x, zero, zero], [x, p("x^2"), zero, zero]]
-    return MatrixFactorization(("x",), ("x'",), (), zero, zero, (0, 0, 1, 1), d)
-
-
-def unlinked_slot():
-    zero = Poly.zero()
-    return MatrixFactorization(("x",), ("x'",), (), zero, zero, (0, 1), [[zero] * 2] * 2)
-
-
-@pytest.mark.parametrize("make_y, degree, message", [
-    (one_sided, 3, "hom_cohomology needs y over (x | x'), got ('x',) | () with middle ()"),
-    (through_a_middle_variable, 2,
-     "hom_cohomology needs y over (x | x'), got ('x',) | (\"x'\",) with middle ('y~',)"),
-    # at x' = x the difference quotient of x^3 + x^2 is 3x^2 + 2x
-    (lambda: identity_mf(p("x^3 + x^2")), 3, "the entry 3*x^2 + 2*x is not quasi-homogeneous"),
-    (two_gradings, 3, "the differential fixes no grading of its slots"),
-    (unlinked_slot, 2, "the differential does not link every slot to slot 0"),
-], ids=["one_sided", "middle_variable", "mixed_degree", "two_gradings", "unlinked_slot"])
-def test_hom_cohomology_refusals(make_y, degree, message):
+    monkeypatch.setattr("rspin.landau_ginzburg.mf.koszul_pairs", spoiled)
     with pytest.raises(MFError) as refused:
-        hom_cohomology(make_y(), (1,), degree)
-    assert str(refused.value) == message
+        identity_hom(p("x^2 + y^2"), GroupAction(2, (("x", 1), ("y", 1))), 1)
+    assert str(refused.value) == ("the Koszul pairs give d^2 = (-2*x^2) . id on the diagonal "
+                                  "x' = x, not 0")
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_koszul_pairs_are_those_of_the_twisted_identity(g):
+    # the closed form against exact division: u_i is difference_quotient(w, x_i)
+    # with x'_j -> lam_j x'_j, and v_i = lam_i x'_i - x_i; the action need not fix W
+    w = p("x^3*y + y^4 + x*z^2 + 5")
+    action = GroupAction(4, (("x", 1), ("y", 3), ("z", 2)))
+    lam = {v: action.root(v, -g) for v in w.vars}
+    scaled = {prime(v): (lam[v], prime(v)) for v in w.vars}
+    us, vs = koszul_pairs(w, action, g)
+    assert us == [difference_quotient(w, v).substitute(scaled) for v in w.vars]
+    assert vs == [p(prime(v)).scale(lam[v]) - p(v) for v in w.vars]
+
+
+def test_an_undeclared_variable_has_weight_zero():
+    # x^2 + y^2 under Z2 moving x alone: the invariance check and the twist
+    # agree that y has weight 0, so sector 1 is Jac(y^2) in odd parity
+    w, action = p("x^2 + y^2"), GroupAction(2, (("x", 1),))
+    assert action.weight("y") == 0
+    assert identity_hom(w, action, 1).dims == identity_hom(
+        w, GroupAction(2, (("x", 1), ("y", 0))), 1).dims == (0, 1)

@@ -135,6 +135,18 @@ def test_multivariable_fermat():
     assert cs.crosscheck.startswith("MISMATCH") or cs.crosscheck == "ok"
 
 
+def test_an_undeclared_variable_has_weight_zero():
+    # y carries no declared weight: the invariance check and the sector
+    # models both read it as weight 0, as if ("y", 0) were declared
+    w = parse_poly("x^2 + y^2")
+    undeclared = orbifold_algebra(w, GroupAction(2, (("x", 1),)))
+    declared = orbifold_algebra(w, GroupAction(2, (("x", 1), ("y", 0))))
+    assert undeclared.sector_dims() == declared.sector_dims() == {0: 1, 1: 1}
+    assert undeclared.algebra.space == declared.algebra.space == SuperSpace(1, 1)
+    assert undeclared.algebra.mult.entries == declared.algebra.mult.entries
+    assert undeclared.gamma.map == declared.gamma.map
+
+
 def test_exposed_higher_example_builds():
     # potentials like x1^r + x2^{2r} are exposed for experimentation, but
     # nothing is asserted about which r-spin classes they distinguish
