@@ -2,13 +2,14 @@
 
 A factorization is a free Z2-graded module over the polynomial ring on all
 involved variables, with an odd differential squaring to the potential
-difference (checked symbolically on construction).  One helper places every
-Koszul-signed entry: mf_tensor runs it once, and a Koszul factorization such
-as I_W is the tensor product of its rank-one factors, so for two or more
-variables its basis is in pair order (the exterior-algebra monomials permuted
-within each parity block, no sign change).  The orbifold reads its
-twists (GroupAction.root), primes, Koszul pairs (koszul_pairs, also behind
-the identities and identity_hom), difference quotients and its one
+difference (checked symbolically on construction).  One helper,
+tensor_differential, places every Koszul-signed entry: mf_tensor runs it
+once, and a Koszul factorization such as I_W is the tensor product of its
+rank-one factors, so for two or more variables its basis is in pair order
+(the exterior-algebra monomials permuted within each parity block, no sign
+change).  The orbifold reads its twists (GroupAction.root), primes, Koszul
+pairs (koszul_pairs, also behind the identities and identity_hom),
+difference quotients, the tensor differential of its composites and its one
 closedness test, d_Y f = (-1)^|f| f d_X (check_closed), from here.
 
 Hom out of I_W (identity_hom, what lg-hom computes) is exact, with no
@@ -168,7 +169,7 @@ def check_closed(dx, dy, mat, parity):
                 raise MFError("d_Y . f != (-1)^|f| f . d_X at entry (%d, %d)" % (i, j))
 
 
-def _tensor_differential(yd, y_parities, xd, x_parities):
+def tensor_differential(yd, y_parities, xd, x_parities):
     """(parities, d, pairs) of d_Y o 1 + (-1)^{|q|} 1 o d_X on the slots (q, p)
     listed in pairs: evens first, each parity block in pair order (the sort
     is stable).  Both differentials are odd, so no two terms share an entry."""
@@ -192,7 +193,7 @@ def _koszul_fold(us, vs):
     from the rank-(1|0) zero; states[k] holds each factor's state (1 odd) in slot k."""
     parities, d, states = (0,), [[Poly.zero()]], [()]
     for u, v in zip(us, vs):
-        parities, d, pairs = _tensor_differential(d, parities, [[Poly.zero(), v], [u, Poly.zero()]],
+        parities, d, pairs = tensor_differential(d, parities, [[Poly.zero(), v], [u, Poly.zero()]],
                                                   (0, 1))
         states = [states[q] + (p,) for q, p in pairs]
     return parities, d, states
@@ -263,7 +264,7 @@ def mf_tensor(y, x):
         taken.add(base)
     xd = [[entry.rename(fresh) if entry else entry for entry in row] for row in x.d]
     yd = [[entry.rename(fresh) if entry else entry for entry in row] for row in y.d]
-    parities, d, _ = _tensor_differential(yd, y.parities, xd, x.parities)
+    parities, d, _ = tensor_differential(yd, y.parities, xd, x.parities)
     middles = tuple(sorted(set(x.middle_vars) | set(y.middle_vars) | set(fresh.values())))
     return MatrixFactorization(x.source_vars, y.target_vars, middles,
                                x.source_potential, y.target_potential, parities, d)

@@ -1,31 +1,56 @@
 """Orbifold algebras of Fermat potentials under diagonal cyclic actions.
 
 The algebra A = (+)_g Hom(1_W, _g(1_W)) is computed with explicit cocycle
-representatives.  The product of two cocycles is their composite over a
-middle variable y, contracted with the exact retraction that eliminates y
-from a composition of graph-type Koszul factorizations:
+representatives.  The product of a cocycle L in sector g and R in sector h
+is pi o (L (x) R) o iota, their composite over a middle variable y followed
+by the exact retraction that eliminates y from a composition of graph-type
+Koszul factorizations (th1 and th2 are the odd generators of the left and
+the right factor):
 
-    pi(A + B th1 + C th2 + F th1 th2) = A|_{y -> root_g x'} + C|...| . theta
-    iota(s) = s + q . s . th1 th2,   q = (u(y,x) - u(x',x)) / (y - x')
+    iota: I_0 -> I_0(y|x') (x) I_0(x|y),  iota(s) = s + q . s . th1 th2
+    pi: I_g(y|x') (x) I_h(x|y) -> I_{g+h},
+        pi(A + B th1 + C th2 + F th1 th2) = A|_{y -> root_g x'} + C|...| . theta
+    q = (u_0(x|y) - u_0(x|x')) / (y - x')   (q0, with y named x'')
 
 The substitution y -> root_g x' is a ring homomorphism, so it is applied to
 the factors before they are multiplied: the left row, the right cocycle and
 q0 are each brought to (x, x') once, and every product is bivariate.
 
-Class reduction re-expresses the raw product, checked closed by
-mf.check_closed, in the canonical cocycle basis through functionals that
-provably kill coboundaries: evaluation at the origin for the twisted
-sectors, and restriction to the diagonal modulo the Jacobi ideal for
-untwisted ones.  Multi-variable Fermat sums are graded tensor products of
-the one-variable data with the usual Koszul signs.
+Why every product is closed (Carqueville-Runkel, arXiv:1210.6363;
+Dyckerhoff-Murfet, arXiv:1004.0687).  L and R are closed, so L (x) R, with
+Koszul signs, is a closed map I_0 (x) I_0 -> I_g (x) I_h; if iota and pi are
+chain maps, their composite with it is closed.  iota is a chain map when
+D iota = iota d_0 for the tensor differential D over (x, y, x'): one 4x2
+identity.  pi is semilinear over y -> root_g x', so pi D = d_{g+h} pi on the
+four basis vectors proves it.  On I_g (x) I_0 that says the left v_g
+vanishes at y = root_g x' and the right d_0(x, y) lands on d_g(x, x'): r
+identities.  They cover every h: the one at h gives d_h(x, y) =
+d_0(x, root_h y), so at y = root_g x' the right d_h is d_0 at
+root_h root_g = root_{g+h} (the twists xi^{-wg} are a character of Z_r),
+which the one at g + h gives as d_{g+h}.
+
+So SectorModel.verify checks, once per model when it is built, that every
+canonical cocycle is closed, that iota is a chain map and that pi is one in
+every sector g, all through mf.check_closed, with D placed by
+mf.tensor_differential, mf_tensor's Koszul sign helper; a failure raises
+OrbifoldError.  The products themselves are not checked (the test suite
+runs check_closed on every one).  Class reduction re-expresses each raw
+product in the canonical cocycle basis through functionals that provably
+kill coboundaries: evaluation at the origin for the twisted sectors, and
+restriction to the diagonal modulo the Jacobi ideal for untwisted ones;
+it still refuses a product of the wrong parity, an even untwisted one that
+is not scalar-diagonal and an even twisted one that v_s does not divide.
+Multi-variable Fermat sums are graded tensor products of the one-variable
+data with the usual Koszul signs.
 
 Each orbifold_algebra call builds one SectorModel per distinct (exponent,
 weight); variables that agree in both share it.  A model computes its
-sector data (v_g, u_g, q0 and the canonical cocycles) when it is built, and
-memoises the factors over (x, x') and its own products.  Its sector
-differentials are mf.twisted_identity's: their Koszul pairs come from
-mf.koszul_pairs, their twists from GroupAction.root, and no factorization is
-built, so no d^2 check runs.  Nothing is kept from one call to the next.
+sector data (v_g, u_g, q0 and the canonical cocycles) and verifies it when
+it is built, and memoises the factors over (x, x') and its own products.
+Its sector differentials are mf.twisted_identity's: their Koszul pairs come
+from mf.koszul_pairs, their twists from GroupAction.root, and no
+factorization is built, so no d^2 check runs.  Nothing is kept from one
+call to the next.
 """
 
 from __future__ import annotations
@@ -47,7 +72,15 @@ from ..constructors import (
     structure_maps,
 )
 from .poly import Poly
-from .mf import GroupAction, check_closed, difference_quotient, koszul_pairs, prime
+from .mf import (
+    GroupAction,
+    MFError,
+    check_closed,
+    difference_quotient,
+    koszul_pairs,
+    prime,
+    tensor_differential,
+)
 
 
 class OrbifoldError(ValueError):
@@ -74,19 +107,26 @@ def _fermat_exponents(w):
     return exponents
 
 
+def _entrywise(mat, f):
+    """f applied to every nonzero entry of a polynomial matrix."""
+    return [[f(e) if e else e for e in row] for row in mat]
+
+
 class SectorModel:
     """One Fermat variable x^d with the weight-w action of Z_r.
 
     The constructor computes the sector data once: v_g and u_g for every g,
-    q0, and the canonical cocycle of every basis label.  The factors of the
-    products with a left factor in sector g are brought to (x, x') on first
-    use, and product memoises its own results, so a model shared by the
-    variables of one (d, weight) computes each of them once.
+    q0, and the canonical cocycle of every basis label; then verify checks
+    what makes every product closed.  The factors of the products with a
+    left factor in sector g are brought to (x, x') on first use, and product
+    memoises its own results, so a model shared by the variables of one
+    (d, weight) computes each of them once.
     """
 
     def __init__(self, var, d, r, weight):
         self.var = var
         self.prime = prime(var)
+        self.pair = (var, self.prime)
         self.d = d
         self.r = r
         self.weight = weight % r
@@ -99,8 +139,8 @@ class SectorModel:
         pairs = [koszul_pairs(x ** d, action, g) for g in range(r)]
         self.u, self.v = [u_g for (u_g,), _ in pairs], [v_g for _, (v_g,) in pairs]
         self.differentials = [[[zero, v_g], [u_g, zero]] for v_g, u_g in zip(self.v, self.u)]
-        # q0 = (u_0(y, x) - u_0(x', x)) / (y - x'), with the middle variable y
-        # named x''
+        # q0 = (u_0(x|y) - u_0(x|x')) / (y - x'), u_0 over (source|target),
+        # with the middle variable y named x''
         self.q0 = difference_quotient(self.u[0], self.prime)
         # canonical cocycle representatives as 2x2 matrices over (var', var)
         self.cocycles = {}
@@ -114,6 +154,7 @@ class SectorModel:
                 self.cocycles[(g, label)] = mat
         self.factors = {}
         self.products = {}
+        self.verify()
 
     def untwisted(self, g):
         return self.roots[g % self.r] == 1
@@ -127,51 +168,90 @@ class SectorModel:
     def parity(label):
         return 0 if label[0] == "even" else 1
 
+    def verify(self):
+        """Check, once, what makes every product closed (module docstring):
+        each canonical cocycle is closed, iota is a chain map, and pi is one
+        from I_g (x) I_0 to I_g in every sector g.  Raises OrbifoldError."""
+        d0 = self.differentials[0]
+        mid = prime(self.prime)
+        try:
+            for (g, label), mat in self.cocycles.items():
+                check_closed(d0, self.differentials[g], mat, SectorModel.parity(label))
+            # I_0(y|x') (x) I_0(x|y) with y named x'': the left factor is I_0
+            # with x renamed to y, the right one I_0 with x' renamed to y
+            left = _entrywise(d0, lambda e: e.rename({self.var: mid}))
+            right = _entrywise(d0, lambda e: e.rename({self.prime: mid}))
+            _, d, pairs = tensor_differential(left, (0, 1), right, (0, 1))
+            # slot (left state, right state); th1 th2 is the slot (1, 1).  The
+            # entries 0 and 1 of iota and pi are integers, which a Poly scales by
+            pos = {pair: k for k, pair in enumerate(pairs)}
+            iota = [[0, 0] for _ in pairs]
+            iota[pos[(0, 0)]][0], iota[pos[(1, 1)]][0] = 1, self.q0
+            iota[pos[(1, 0)]][1] = iota[pos[(0, 1)]][1] = 1
+            check_closed(d0, d, iota, 0)
+            # pi keeps the slots (0, p) at y = roots[g] x'
+            pi = [[int(k == pos[(0, p)]) for k in range(len(pairs))] for p in range(2)]
+            for g in range(self.r):
+                left = _entrywise(self.differentials[g], lambda e: self._lift(e, g, self.var))
+                right = _entrywise(d0, lambda e: self._lift(e, g, self.prime))
+                check_closed(tensor_differential(left, (0, 1), right, (0, 1))[1],
+                             self.differentials[g], pi, 0)
+        except MFError as exc:
+            raise OrbifoldError("sector model of %s^%d under Z%d with weight %d: %s"
+                                % (self.var, self.d, self.r, self.weight, exc)) from exc
+
     # -- composition over the middle variable --------------------------------
+
+    def _lift(self, e, g, y):
+        """The entry e, with y the variable that plays the middle one, at
+        y -> roots[g] x' and aligned to (x, x').  An entry without y, or one
+        whose y is x' in an untwisted sector (y -> 1 x' fixes it), is only
+        aligned."""
+        if y not in e.vars or (y == self.prime and self.untwisted(g)):
+            return e.align(self.pair)
+        return e.substitute({y: (self.roots[g], self.prime)}).align(self.pair)
 
     def _factors(self, g):
         """The factors of every product with a left factor in sector g, over
         (x, x') with y -> roots[g] x' applied: the first rows of the left
         cocycles (x renamed to y), every right cocycle (x' renamed to y) and
-        q0.  Only the first row of the left factor enters (see composite).
-        In an untwisted sector y -> x' leaves the right cocycles as they are,
-        so they are only aligned."""
+        q0.  Only the first row of the left factor enters (see composite)."""
         if g not in self.factors:
-            pair, twist = (self.var, self.prime), (self.roots[g], self.prime)
-
-            def lift(e, y):
-                if y == self.prime and self.untwisted(g):
-                    return e.align(pair)
-                return e.substitute({y: twist}).align(pair)
-
-            left = {lab: [lift(e, self.var) for e in self.cocycles[(g, lab)][0]]
+            left = {lab: [self._lift(e, g, self.var) for e in self.cocycles[(g, lab)][0]]
                     for lab in self.basis(g)}
-            right = {key: [[lift(e, self.prime) for e in row] for row in mat]
+            right = {key: [[self._lift(e, g, self.prime) for e in row] for row in mat]
                      for key, mat in self.cocycles.items()}
-            self.factors[g] = left, right, lift(self.q0, prime(self.prime))
+            self.factors[g] = left, right, self._lift(self.q0, g, prime(self.prime))
         return self.factors[g]
 
     def composite(self, g, lab1, h, lab2):
-        """The raw product of the cocycles (g, lab1) and (h, lab2) over (x, x').
+        """The raw product pi o (L (x) R) o iota of the cocycles L = (g, lab1)
+        and R = (h, lab2), over (x, x').
 
-        The left factor lives on (x', y), the right one on (y, x).  Their
-        composite is applied to the lifts 1 + q0 th1 th2 and th1 + th2 of the
-        two basis vectors, and pi keeps the 1 and th2 components at
-        y = roots[g] x', so only the first row of the left factor enters.
+        L lives on (x', y), R on (y, x).  iota lifts the two basis vectors to
+        1 + q0 th1 th2 and th1 + th2, L (x) R carries the Koszul sign
+        s = (-1)^|R| past th1, and pi keeps the 1 and th2 components at
+        y = roots[g] x'.  So only the first row (P, Q) of L enters, and the
+        columns are P R_0 + s Q q0 R_1 and s Q R_0 + P R_1.  An even L has
+        Q = 0 and an odd one P = 0, so each column keeps one of its terms.
         """
         g, h = g % self.r, h % self.r
         left, right, q0 = self._factors(g)
         P, Q = left[lab1]
-        (P2, Q2), (S2, T2) = right[(h, lab2)]
+        R = right[(h, lab2)]
+        if not SectorModel.parity(lab1):
+            return _entrywise(R, lambda e: P * e)
+        if SectorModel.parity(lab2):
+            Q = -Q
         Qq = Q * q0
-        return [[P * P2 - Qq * Q2, P * Q2 + Q * P2],
-                [P * S2 + Qq * T2, P * T2 - Q * S2]]
+        return [[Qq * R1 if R1 else R1, Q * R0 if R0 else R0] for R0, R1 in R]
 
     def product(self, g, lab1, h, lab2):
         """Class of the composite cocycle in sector g + h, as basis coefficients.
 
-        The raw composite is checked closed and reduced to the canonical basis.
-        The result is kept and returned again; callers must not mutate it.
+        The raw composite is closed by what verify checked (module
+        docstring), so it goes straight to the class reduction.  The result is
+        kept and returned again; callers must not mutate it.
         """
         g, h = g % self.r, h % self.r
         key = (g, lab1, h, lab2)
@@ -180,7 +260,6 @@ class SectorModel:
         raw = self.composite(g, lab1, h, lab2)
         s = (g + h) % self.r
         parity = (SectorModel.parity(lab1) + SectorModel.parity(lab2)) % 2
-        check_closed(self.differentials[0], self.differentials[s], raw, parity)
         self.products[key] = self._extract_class(raw, s, parity)
         return self.products[key]
 

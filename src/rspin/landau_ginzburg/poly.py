@@ -224,6 +224,9 @@ class Poly:
         """
         variables = tuple(sorted({mapping[v][1] if v in mapping else v for v in self.vars}))
         index = {v: k for k, v in enumerate(variables)}
+        # coef^0, coef^1, ... of each scaled variable, extended as its
+        # exponents are met, so a term costs one product per scaled variable
+        powers = {}
         terms = {}
         for exp, coeff in self.terms.items():
             new_exp = [0] * len(variables)
@@ -232,9 +235,15 @@ class Poly:
                 if e == 0:
                     continue
                 if v in mapping:
-                    coef, v = mapping[v]
+                    coef, target = mapping[v]
                     if coef != 1:
-                        value = value * as_cyc(coef) ** e
+                        power = powers.get(v)
+                        if power is None:
+                            power = powers[v] = [Cyc.one(), as_cyc(coef)]
+                        while len(power) <= e:
+                            power.append(power[-1] * power[1])
+                        value = value * power[e]
+                    v = target
                 new_exp[index[v]] += e
             key = tuple(new_exp)
             acc = terms.get(key)

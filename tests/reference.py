@@ -1,16 +1,22 @@
-"""Reference operators that the tests check the library against; the library
-itself never calls them."""
+"""Reference operators, and inputs, that the tests check the library against;
+the library itself never calls them."""
 
+import itertools
+
+from rspin.constructors import FrobeniusAlgebraData, structure_maps
 from rspin.landau_ginzburg.mf import (
+    GroupAction,
     HomCohomology,
     MFError,
     check_closed,
     difference_quotient,
+    mf_tensor,
     prime,
+    twisted_identity,
 )
 from rspin.landau_ginzburg.poly import Poly
 from rspin.scalars import Cyc
-from rspin.superlinalg import SparseEchelon, SuperLinAlgError, compose, identity
+from rspin.superlinalg import SparseEchelon, SuperLinAlgError, SuperSpace, compose, identity
 
 
 def scalar(f):
@@ -50,6 +56,89 @@ def three_variable_composite(model, g, lab1, h, lab2):
                  [P * S2 + Q * T2 * q0, P * T2 - Q * S2]]
     sub = {y: (model.roots[g], model.prime)}
     return [[e.substitute(sub) for e in row] for row in composite]
+
+
+def _matmul(a, b):
+    """a . b for matrices of Poly (or scalar) entries, every product formed."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Poly.zero())
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+# the slots (left state, right state) of a tensor of two rank-(1|1)
+# factorizations, in mf_tensor's order: evens first, each in pair order
+TENSOR_SLOTS = sorted(itertools.product(range(2), repeat=2), key=lambda s: sum(s) % 2)
+
+
+def sector_composition(model, g, h):
+    """The literal data behind SectorModel.composite(g, ., h, .): the tensor
+    I_g(x'|x'') o I_h(x|x') that mf_tensor builds (its middle x' renamed to
+    a fresh y), the inclusion iota: I_0(x|x'') -> I_0 o I_0 as a 4x2 matrix,
+    the retraction pi: I_g o I_h -> I_{g+h} as a 2x4 matrix, and the
+    substitution y -> root_g x'' that makes pi semilinear.  Returns
+    (tensor, iota, pi, substitution)."""
+    x, x1 = model.var, model.prime
+    x2 = prime(x1)
+    w = Poly.variable(x) ** model.d
+    right = twisted_identity(w, GroupAction(model.r, ((x, model.weight),)), h)
+    left = twisted_identity(w.rename({x: x1}), GroupAction(model.r, ((x1, model.weight),)), g)
+    tensor = mf_tensor(left, right)
+    (y,) = tensor.middle_vars
+    # q = (u_0(x, y) - u_0(x, x'')) / (y - x''), u_0(a, b) = (b^d - a^d) / (b - a)
+    X, Y, X2 = Poly.variable(x), Poly.variable(y), Poly.variable(x2)
+    u_y = (Y ** model.d - w).divide_exact(Y - X)
+    u_x2 = (X2 ** model.d - w).divide_exact(X2 - X)
+    q = (u_y - u_x2).divide_exact(Y - X2)
+    one, zero = Poly.const(1), Poly.zero()
+    slot = {s: k for k, s in enumerate(TENSOR_SLOTS)}
+    iota = [[zero, zero] for _ in TENSOR_SLOTS]
+    iota[slot[(0, 0)]][0], iota[slot[(1, 1)]][0] = one, q
+    iota[slot[(1, 0)]][1] = iota[slot[(0, 1)]][1] = one
+    pi = [[one if s == (0, p) else zero for s in TENSOR_SLOTS] for p in range(2)]
+    root = GroupAction(model.r, ((x, model.weight),)).root(x, -g)
+    return tensor, iota, pi, {y: (root, x2)}
+
+
+def literal_composite(model, g, lab1, h, lab2):
+    """SectorModel.composite as pi o (L (x) R) o iota over (x | y | x''):
+    the left cocycle moved to (y, x''), the right one to (x, y), their tensor
+    placed entry by entry with the Koszul sign (-1)^{|R| q} on the left state
+    q, then y -> root_g x'' and x'' renamed back to x'."""
+    x, x1 = model.var, model.prime
+    x2 = prime(x1)
+    tensor, iota, pi, substitution = sector_composition(model, g, h)
+    (y,) = tensor.middle_vars
+    left = [[e.rename({x: y, x1: x2}) for e in row] for row in model.cocycles[(g, lab1)]]
+    right = [[e.rename({x1: y}) for e in row] for row in model.cocycles[(h, lab2)]]
+    odd = model.parity(lab2)
+    both = [[(-1 if odd and q else 1) * left[q2][q] * right[p2][p]
+             for (q, p) in TENSOR_SLOTS] for (q2, p2) in TENSOR_SLOTS]
+    raw = _matmul(_matmul(pi, both), iota)
+    return [[e.substitute(substitution).rename({x2: x1}) for e in row] for row in raw]
+
+
+def check_every_product_closed(model):
+    """The closedness check that SectorModel.product ran on each raw composite
+    before SectorModel.verify replaced it: d_{g+h} c = (-1)^|c| c d_0 for the
+    composite c of every pair of canonical cocycles.  Raises MFError."""
+    for g, h in itertools.product(range(model.r), repeat=2):
+        s = (g + h) % model.r
+        for lab1, lab2 in itertools.product(model.basis(g), model.basis(h)):
+            parity = (model.parity(lab1) + model.parity(lab2)) % 2
+            check_closed(model.differentials[0], model.differentials[s],
+                         model.composite(g, lab1, h, lab2), parity)
+
+
+def twisted_matrix_algebra(r):
+    """M_2 with eps = tr(D .), D = c diag(1, zeta_r) and c = 1 + zeta_r^-1: tr(D^-1) = 1,
+    so it is Delta-separable, and gamma has order r (every built-in has order <= 2)."""
+    z = Cyc.zeta(r)
+    c = 1 + z.inverse()
+    space = SuperSpace(4, 0)
+    # E_ij is the basis vector 2 i + j, and E_ij E_jl = E_il
+    products = {(2 * i + j, 2 * j + l): {2 * i + l: 1}
+                for i in range(2) for j in range(2) for l in range(2)}
+    return FrobeniusAlgebraData.assemble(
+        space, *structure_maps(space, products, {0: 1, 3: 1}, {0: c, 3: c * z}))
 
 
 def _monomials_of_degree(nvars, degree):

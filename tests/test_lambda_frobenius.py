@@ -4,14 +4,7 @@ import re
 import pytest
 
 from rspin import lambda_frobenius
-from rspin.constructors import (
-    FrobeniusAlgebraData,
-    builtin,
-    graded_center,
-    graded_center_data,
-    nakayama_gamma,
-    structure_maps,
-)
+from rspin.constructors import builtin, graded_center, graded_center_data, nakayama_gamma
 from rspin.lambda_frobenius import LambdaFrobenius, LambdaFrobeniusError, validate
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
@@ -27,7 +20,7 @@ from rspin.superlinalg import (
 )
 from rspin.surface_eval import RSpinClosedSurface, evaluate_surface
 
-from reference import power
+from reference import power, twisted_matrix_algebra
 
 
 def trivial_lambda(r=1):
@@ -477,19 +470,6 @@ def test_equal_maps_read_one_table_however_they_are_held(monkeypatch):
 
 
 # -- a Nakayama automorphism of order r ----------------------------------------
-
-def twisted_matrix_algebra(r):
-    """M_2 with eps = tr(D .), D = c diag(1, zeta_r) and c = 1 + zeta_r^-1: tr(D^-1) = 1,
-    so it is Delta-separable, and gamma has order r (every built-in has order <= 2)."""
-    z = Cyc.zeta(r)
-    c = 1 + z.inverse()
-    space = SuperSpace(4, 0)
-    # E_ij is the basis vector 2 i + j, and E_ij E_jl = E_il
-    products = {(2 * i + j, 2 * j + l): {2 * i + l: 1}
-                for i in range(2) for j in range(2) for l in range(2)}
-    return FrobeniusAlgebraData.assemble(
-        space, *structure_maps(space, products, {0: 1, 3: 1}, {0: c, 3: c * z}))
-
 
 # at r = 3 and 5 the centre fails counitality, commutativity, twist_power and deck:
 # the graded centre's Nakayama direction shows only when gamma^-1 != gamma

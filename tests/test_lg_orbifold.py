@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rspin.constructors import FrobeniusAlgebraData, nakayama_gamma
 from rspin.landau_ginzburg.mf import (
@@ -11,6 +12,7 @@ from rspin.landau_ginzburg.mf import (
     identity_mf,
     twisted_identity,
 )
+from rspin.landau_ginzburg import orbifold
 from rspin.landau_ginzburg.orbifold import (
     OrbifoldError,
     SectorModel,
@@ -24,7 +26,13 @@ from rspin.scalars import Cyc
 from rspin.superlinalg import SuperMap, SuperSpace, graded_tuples, identity
 
 from reference import hom_cohomology as reference_hom
-from reference import power, three_variable_composite
+from reference import (
+    check_every_product_closed,
+    literal_composite,
+    power,
+    sector_composition,
+    three_variable_composite,
+)
 
 
 def act1(r):
@@ -258,6 +266,102 @@ def test_odd_products_land_in_twisted_sectors(d, r, weight):
                 assert set(model.product(g, lab1, h, lab2)) <= {("odd", 0)}
 
 
+@pytest.mark.parametrize("d, r, weight", SECTOR_CASES,
+                         ids=["%d-%d-%d" % case for case in SECTOR_CASES])
+def test_every_product_is_closed(d, r, weight):
+    # SectorModel.verify proves this once per model; here every product is
+    # checked on its own, as product did before
+    check_every_product_closed(SectorModel("x", d, r, weight))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_product_of_a_drawn_model_is_closed(data):
+    d = data.draw(st.integers(2, 6), label="d")
+    r = data.draw(st.integers(1, 8), label="r")
+    weight = data.draw(st.sampled_from([w for w in range(r) if d * w % r == 0]), label="weight")
+    model = SectorModel("x", d, r, weight)
+    check_every_product_closed(model)
+    for g, h in itertools.product(range(r), repeat=2):
+        for lab1, lab2 in itertools.product(model.basis(g), model.basis(h)):
+            model.product(g, lab1, h, lab2)  # the class reduction accepts it
+
+
+@pytest.mark.parametrize("d, r, weight", SECTOR_CASES,
+                         ids=["%d-%d-%d" % case for case in SECTOR_CASES])
+def test_composite_is_pi_after_the_tensor_after_iota(d, r, weight):
+    # the literal route: I_g o I_h from mf_tensor, explicit iota and pi
+    # matrices, and the Koszul-signed tensor of the two cocycles
+    model = SectorModel("x", d, r, weight)
+    for g, h in itertools.product(range(r), repeat=2):
+        for lab1, lab2 in itertools.product(model.basis(g), model.basis(h)):
+            got = model.composite(g, lab1, h, lab2)
+            want = literal_composite(model, g, lab1, h, lab2)
+            for i, j in itertools.product(range(2), repeat=2):
+                assert got[i][j] == want[i][j], (g, lab1, h, lab2, i, j)
+
+
+@pytest.mark.parametrize("d, r, weight", SECTOR_CASES,
+                         ids=["%d-%d-%d" % case for case in SECTOR_CASES])
+def test_iota_and_pi_are_chain_maps_for_every_pair_of_sectors(d, r, weight):
+    # the hypotheses of the closedness argument on mf_tensor's differential,
+    # for all r^2 pairs (g, h), where verify checks r identities
+    model = SectorModel("x", d, r, weight)
+    w, action = parse_poly("x^%d" % d), GroupAction(r, (("x", weight),))
+    target = {"x'": "x''"}
+
+    def over_x2(g):
+        return [[e.rename(target) for e in row] for row in twisted_identity(w, action, g).d]
+
+    tensor, iota, _, _ = sector_composition(model, 0, 0)
+    check_closed(over_x2(0), tensor.d, iota, 0)
+    for g, h in itertools.product(range(r), repeat=2):
+        tensor, _, pi, substitution = sector_composition(model, g, h)
+        lifted = [[e.substitute(substitution) for e in row] for row in tensor.d]
+        check_closed(lifted, over_x2((g + h) % r), pi, 0)
+
+
+def test_a_sign_flip_in_composite_fails_the_product_check(monkeypatch):
+    composite = SectorModel.composite
+
+    def flipped(self, g, lab1, h, lab2):
+        mat = composite(self, g, lab1, h, lab2)
+        return [[mat[0][0], -mat[0][1]], mat[1]]
+
+    monkeypatch.setattr(SectorModel, "composite", flipped)
+    with pytest.raises(MFError):
+        check_every_product_closed(SectorModel("x", 3, 3, 1))
+
+
+def test_a_sign_flip_in_iota_fails_both_checks(monkeypatch):
+    # composite reads q0, iota's th1 th2 coefficient, from the model; with
+    # its sign flipped iota is no chain map, and the products are not closed
+    quotient = orbifold.difference_quotient
+    monkeypatch.setattr(orbifold, "difference_quotient", lambda w, var: -quotient(w, var))
+    with pytest.raises(OrbifoldError, match="x\\^3 under Z3"):
+        SectorModel("x", 3, 3, 1)
+    monkeypatch.setattr(SectorModel, "verify", lambda self: None)
+    with pytest.raises(MFError):
+        check_every_product_closed(SectorModel("x", 3, 3, 1))
+
+
+@pytest.mark.parametrize("key, i, j", [((1, ("odd", 0)), 1, 0), ((0, ("even", 1)), 1, 1)],
+                         ids=["odd", "even"])
+def test_a_corrupted_cocycle_fails_the_model_check(key, i, j):
+    model = SectorModel("x", 3, 3, 1)
+    model.cocycles[key][i][j] = -model.cocycles[key][i][j]
+    with pytest.raises(OrbifoldError):
+        model.verify()
+
+
+def test_a_wrong_root_in_pi_fails_the_model_check(monkeypatch):
+    # pi substitutes y -> root_g x'; substituting the inverse root instead
+    lift = SectorModel._lift
+    monkeypatch.setattr(SectorModel, "_lift", lambda self, e, g, y: lift(self, e, -g % self.r, y))
+    with pytest.raises(OrbifoldError):
+        SectorModel("x", 3, 3, 1)
+
+
 def test_check_closed_rejects_a_non_closed_matrix():
     # the even identity does not commute with the twisted differential of x^3
     d1 = twisted_identity(parse_poly("x^3"), act1(3), 1).d
@@ -296,32 +400,65 @@ def test_product_table_matches_fresh_models(dx, dy, r, wx, wy, shared):
 
 
 def test_nothing_cached_between_calls(monkeypatch):
-    calls = []
-    divide_exact = Poly.divide_exact
+    calls, verified = [], []
+    divide_exact, verify = Poly.divide_exact, SectorModel.verify
 
     def counted(self, divisor):
         calls.append(None)
         return divide_exact(self, divisor)
 
+    def counted_verify(self):
+        verified.append(None)
+        verify(self)
+
     monkeypatch.setattr(Poly, "divide_exact", counted)
+    monkeypatch.setattr(SectorModel, "verify", counted_verify)
     counts = []
     for _ in range(2):
         calls.clear()
+        verified.clear()
         orbifold_algebra(parse_poly("x^4"), act1(4))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append((len(calls), len(verified)))
+    # the second call divides and verifies its one model again
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0 and counts[0][1] == 1
+
+
+@pytest.mark.parametrize("potential, r, weights, checks", [
+    ("x^5", 5, (1,), 14),
+    ("x^2+y^4", 4, (2, 1), 20),
+    ("x^3+y^3", 3, (1, 1), 8),
+], ids=["x5-Z5", "x2+y4-Z4", "x3+y3-Z3"])
+def test_orbifold_algebra_check_closed_count(monkeypatch, potential, r, weights, checks):
+    """check_closed runs once per canonical cocycle, once for iota and once
+    per sector for pi in each model, not once per product: 14 = 8 + 1 + 5 for
+    x^5 under Z5, 20 = (4 + 1 + 4) + (6 + 1 + 4) for x^2+y^4 and 8 = 4 + 1 + 3
+    for x^3+y^3, whose variables share one model; 64, 52 and 16 when every
+    product was checked."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return check_closed(*args)
+
+    monkeypatch.setattr(orbifold, "check_closed", counted)
+    w = parse_poly(potential)
+    orbifold_algebra(w, GroupAction(r, tuple(zip(w.vars, weights))))
+    assert len(calls) == checks
 
 
 @pytest.mark.parametrize("potential, r, weights, bound", [
-    ("x^5", 5, (1,), 171),
-    ("x^2+y^4", 4, (2, 1), 156),
+    ("x^5", 5, (1,), 68),
+    ("x^2+y^4", 4, (2, 1), 82),
 ], ids=["x5-Z5", "x2+y4-Z4"])
 def test_orbifold_algebra_substitution_count(monkeypatch, potential, r, weights, bound):
     """Each factor is brought to (x, x') once per left sector, not each
-    product's three-variable composite, and the right cocycles of an untwisted
-    left sector are only aligned: 171 and 156 substitutions, against 203 and
-    212 when those were substituted by y -> 1 x', and 664 and 547 when every
-    composite was substituted."""
+    product's three-variable composite; an entry without the middle variable,
+    and the right cocycles of an untwisted left sector, are only aligned:
+    68 and 82 substitutions, verify's renames and lifts included, against 170
+    and 154 when every entry of a twisted sector was substituted, 203 and 212
+    when the untwisted right cocycles were substituted by y -> 1 x' too, and
+    664 and 547 when every composite was substituted."""
     calls = []
     substitute = Poly.substitute
 

@@ -29,7 +29,7 @@ from rspin.surface_eval import (
     torus_normal_form,
 )
 
-from reference import power, scalar, surface_by_compose
+from reference import power, scalar, surface_by_compose, twisted_matrix_algebra
 
 
 def structures(r, genus):
@@ -99,22 +99,40 @@ ALGEBRAS = None
 def algebras_for(r):
     algs = [("trivial", graded_center(builtin("trivial"), r)),
             ("kz2", graded_center(builtin("group_algebra_Zn", n=2), r)),
-            ("kz3", graded_center(builtin("group_algebra_Zn", n=3), r))]
+            ("kz3", graded_center(builtin("group_algebra_Zn", n=3), r)),
+            ("m2", graded_center(builtin("matrix_algebra_n", n=2), r))]
     if r % 2 == 0:
         algs.append(("clifford", graded_center(builtin("clifford1"), r)))
     return algs
 
 
-def test_normal_form_invariance_small_r():
-    for r in (1, 2, 3, 4):
-        for name, alg in algebras_for(r):
-            for a in range(r):
-                for b in range(r):
-                    d = torus_normal_form(RSpinTorus(r, a, b))
-                    lhs = evaluate_torus(alg, RSpinTorus(r, a, b))
-                    rhs = evaluate_torus(alg, RSpinTorus(r, d, 0))
-                    assert lhs == rhs, (name, r, a, b)
-                    assert lhs == torus_oracle(alg, a, b), (name, r, a, b)
+def assert_one_value_per_torus_class(name, alg):
+    """Diffeomorphic r-spin tori, T(a, b) with one gcd(a, b, r), get one value,
+    that of T(gcd, 0); each value also meets the zig-zag oracle."""
+    r = alg.r
+    for a in range(r):
+        for b in range(r):
+            d = torus_normal_form(RSpinTorus(r, a, b))
+            lhs = evaluate_torus(alg, RSpinTorus(r, a, b))
+            rhs = evaluate_torus(alg, RSpinTorus(r, d, 0))
+            assert lhs == rhs, (name, r, a, b)
+            assert lhs == torus_oracle(alg, a, b), (name, r, a, b)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_normal_form_invariance_small_r(r):
+    for name, alg in algebras_for(r):
+        assert_one_value_per_torus_class(name, alg)
+
+
+# the Nakayama-direction defect: the graded centre twists its projector P_a
+# by gamma^(1-a) where gamma^(a-1) is due, which shows only when gamma^-1 !=
+# gamma; at r = 3 the eight tori with gcd(a, b, 3) = 1 take three values
+@pytest.mark.parametrize("r", [pytest.param(r, marks=pytest.mark.xfail(
+    strict=True, reason="Nakayama-direction defect: the graded centre twists P_a by "
+    "gamma^(1-a), so diffeomorphic tori take different values")) for r in (3, 5)] + [4])
+def test_normal_form_invariance_on_the_twisted_matrix_algebra(r):
+    assert_one_value_per_torus_class("twisted m2", graded_center(twisted_matrix_algebra(r), r))
 
 
 def test_torus_matches_oracle_on_a_corrupted_centre():
