@@ -15,15 +15,19 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .scalars import Cyc, format_scalar, parse_scalar
 from .superlinalg import (
+    SuperLinAlgError,
     SuperMap,
     SuperSpace,
+    apply,
     braiding,
     compose,
     graded_tuples,
     identity,
+    pullback,
     tensor_space,
     whisker,
 )
@@ -33,6 +37,13 @@ _ONE = Cyc.one()
 
 class LambdaFrobeniusError(ValueError):
     pass
+
+
+class Cap(NamedTuple):
+    """A covector on `source` as a one-row matrix: entries = [{index: nonzero}].
+    It has the source and entries that superlinalg.apply reads, and no SuperMap."""
+    source: SuperSpace
+    entries: list
 
 
 @dataclass
@@ -46,11 +57,14 @@ class LambdaFrobenius:
     delta: dict
     eta: SuperMap
     eps: SuperMap
-    # derived structure, filled on first use: the literal powers of each N_a and
-    # each handle operator K_{c,a,b}.  Not part of the value, and never
-    # reassigned after construction.
+    # derived structure, filled on first use: the literal powers of each N_a,
+    # each handle operator K_{c,a,b}, each state K_{1,a,b}(eta) (at most r^2)
+    # and each cap eps o K_{c,a,b} (at most r^3).  Not part of the value, and
+    # never reassigned after construction.
     _nakayama_powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _handle_operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _handle_states: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _handle_caps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         r = self.r
@@ -142,6 +156,30 @@ class LambdaFrobenius:
                 self.mu_map(a, other),
                 whisker(self.delta_map(a, other), (), n, (self.space(other),)))
         return k
+
+    def handle_state(self, a, b):
+        """(C_{-1}, K_{1,a,b}(eta)): the first handle applied to the column of eta,
+        a sparse vector {index: nonzero}, built once per (a, b) mod r."""
+        key = (a % self.r, b % self.r)
+        state = self._handle_states.get(key)
+        if state is None:
+            k, eta = self.handle_operator(1, a, b), self.eta
+            column = {i: row[0] for i, row in enumerate(eta.entries) if row}
+            state = self._handle_states[key] = (k.target, apply(k, eta.target, column))
+        return state
+
+    def handle_cap(self, c, a, b):
+        """eps o K_{c,a,b} as a Cap on C_c: the row of eps times the stored
+        entries of the last handle, built once per (c, a, b) mod r."""
+        r = self.r
+        key = (c % r, a % r, b % r)
+        cap = self._handle_caps.get(key)
+        if cap is None:
+            k, eps = self.handle_operator(c, a, b), self.eps
+            if k.target != eps.source:
+                raise SuperLinAlgError("composition shape mismatch: %r after %r" % (eps, k))
+            cap = self._handle_caps[key] = Cap(k.source, [pullback(eps.entries[0], k.entries)])
+        return cap
 
     # -- serialization -------------------------------------------------------
 

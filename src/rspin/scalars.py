@@ -254,12 +254,20 @@ class Cyc:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = _ONE
+        if not k:
+            return _ONE
+        # square-and-multiply from the base: bit_length(k) - 1 squarings and
+        # popcount(k) - 1 products, none with the shared one
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
         return result
 

@@ -243,25 +243,49 @@ def compose(g, f):
     if f.target.dim != g.source.dim:
         raise SuperLinAlgError("composition shape mismatch: %r after %r" % (g, f))
     f_entries = f.entries
-    entries = []
-    for g_row in g.entries:
-        out = {}
-        for t, gv in g_row.items():
-            for j, fv in f_entries[t].items():
-                value = fv if gv is _ONE else gv if fv is _ONE else gv * fv
-                old = out.get(j)
-                if old is None:
+    return SuperMap(f.source, g.target, (f.parity + g.parity) % 2, None,
+                    f.source_factors, g.target_factors,
+                    entries=[pullback(g_row, f_entries) for g_row in g.entries])
+
+
+def pullback(row, f_entries):
+    """The row vector row . f = {j: nonzero} for a row {t: nonzero} on f's
+    target and f's stored entries: one row of a composite, with no map built."""
+    out = {}
+    for t, gv in row.items():
+        for j, fv in f_entries[t].items():
+            value = fv if gv is _ONE else gv if fv is _ONE else gv * fv
+            old = out.get(j)
+            if old is None:
+                out[j] = value
+            else:
+                # a sum may cancel; products of nonzeros never do
+                value = old + value
+                if value:
                     out[j] = value
                 else:
-                    # a sum may cancel; products of nonzeros never do
-                    value = old + value
-                    if value:
-                        out[j] = value
-                    else:
-                        del out[j]
-        entries.append(out)
-    return SuperMap(f.source, g.target, (f.parity + g.parity) % 2, None,
-                    f.source_factors, g.target_factors, entries=entries)
+                    del out[j]
+    return out
+
+
+def apply(f, space, vector):
+    """f(v) = {index: nonzero} for a vector v = {index: nonzero} of the space
+    `space`: one pass over the stored rows of f, which must start on that space.
+    f is a SuperMap, or any object with a source and entries of that layout."""
+    if f.source is not space and f.source != space:
+        raise SuperLinAlgError("composition shape mismatch: %r after a vector in %r"
+                               % (f, space))
+    out = {}
+    for i, row in enumerate(f.entries):
+        total = None
+        for j, fv in row.items():
+            x = vector.get(j)
+            if x is not None:
+                value = x if fv is _ONE else fv if x is _ONE else fv * x
+                total = value if total is None else total + value
+        if total:
+            out[i] = total
+    return out
 
 
 def tensor(*maps):

@@ -6,8 +6,11 @@ handle, threading the intermediate grading c = 1 - 2k mod r; the torus
 T(a,b) is the genus-1 surface with the one handle (-a, b).  An algebra has at
 most r^3 distinct handle operators K_{c,a,b}; LambdaFrobenius.handle_operator
 builds each once and keeps it with the algebra, as it does the powers of N_a.
-The evaluation itself builds no map: it threads the one column of eta, as a
-sparse vector, through the handle operators and pairs the result with eps.
+The end handles are kept with eta and eps folded in, also without a map: the
+state K_{1,a,b}(eta), a sparse vector on C_{-1}, and the cap eps o K_{c,a,b},
+a sparse row on C_c.  The evaluation itself builds no map: it carries the
+state of the first handle through the middle handle operators and pairs it
+with the cap of the last one, g - 2 vector steps and one pairing at genus g.
 """
 
 from __future__ import annotations
@@ -16,14 +19,18 @@ from dataclasses import dataclass
 from math import gcd
 
 from .scalars import Cyc, divisors
-from .superlinalg import SuperLinAlgError
+from .superlinalg import apply
 
 _ZERO = Cyc.zero()
-_ONE = Cyc.one()
 
 
 class SurfaceError(ValueError):
     pass
+
+
+def _check_order(r):
+    if r < 1:
+        raise SurfaceError("r must be a positive integer, got %d" % r)
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,7 @@ class RSpinTorus:
     b: int
 
     def __post_init__(self):
+        _check_order(self.r)
         object.__setattr__(self, "a", self.a % self.r)
         object.__setattr__(self, "b", self.b % self.r)
 
@@ -44,6 +52,7 @@ class RSpinClosedSurface:
     handles: tuple
 
     def __post_init__(self):
+        _check_order(self.r)
         if self.genus < 0:
             raise SurfaceError("genus must be non-negative")
         handles = tuple((a % self.r, b % self.r) for a, b in self.handles)
@@ -70,45 +79,33 @@ def evaluate_torus(alg, t):
     return evaluate_surface(alg, RSpinClosedSurface(t.r, 1, ((-t.a, t.b),)))
 
 
-def _apply(k, space, vector):
-    """k(v) for a vector v = {index: nonzero Cyc} of the space `space`: one
-    pass over the stored rows of k, with compose's shape check and its
-    shortcut for the shared one."""
-    if k.source != space:
-        raise SuperLinAlgError("composition shape mismatch: %r after a vector in %r"
-                               % (k, space))
-    out = {}
-    for i, row in enumerate(k.entries):
-        total = None
-        for j, kv in row.items():
-            x = vector.get(j)
-            if x is not None:
-                value = x if kv is _ONE else kv if x is _ONE else kv * x
-                total = value if total is None else total + value
-        if total:
-            out[i] = total
-    return out
-
-
 def evaluate_surface(alg, s):
     """eps o K_{a_g,b_g} o ... o K_{a_1,b_1} o eta, checked for admissibility.
 
-    The column of eta is carried through each cached handle operator as a
-    sparse vector and paired with the row of eps; no map is built per call."""
+    Genus 0 pairs the column of eta with eps, genus 1 the state
+    K_{a_1,b_1}(eta) with eps; from genus 2 on the state is carried through
+    the middle handle operators as a sparse vector and paired with the cap
+    eps o K_{a_g,b_g}.  No map is built per call."""
     if alg.r != s.r:
         raise SurfaceError("algebra has r=%d but surface has r=%d" % (alg.r, s.r))
     if not s.admissible():
         raise SurfaceError(
             "no r-spin structure: r=%d does not divide 2g-2=%d" % (s.r, 2 * s.genus - 2))
-    # after g handles the thread sits at C_{1-2g}, which is C_{-1} since r | 2g - 2
-    eta = alg.eta
-    space = eta.target
-    vector = {i: row[0] for i, row in enumerate(eta.entries) if row}
-    for k, (a, b) in enumerate(s.handles):
-        handle = alg.handle_operator(1 - 2 * k, a, b)
-        vector = _apply(handle, space, vector)
+    handles = s.handles
+    if not handles:
+        eta = alg.eta
+        column = {i: row[0] for i, row in enumerate(eta.entries) if row}
+        return apply(alg.eps, eta.target, column).get(0, _ZERO)
+    space, vector = alg.handle_state(*handles[0])
+    if len(handles) == 1:
+        return apply(alg.eps, space, vector).get(0, _ZERO)
+    # handle k maps C_{1-2k} to C_{-1-2k}; the last one, k = g - 1, starts on C_{3-2g}
+    for k in range(1, len(handles) - 1):
+        handle = alg.handle_operator(1 - 2 * k, *handles[k])
+        vector = apply(handle, space, vector)
         space = handle.target
-    return _apply(alg.eps, space, vector).get(0, _ZERO)
+    cap = alg.handle_cap(3 - 2 * len(handles), *handles[-1])
+    return apply(cap, space, vector).get(0, _ZERO)
 
 
 def all_torus_invariants(alg):

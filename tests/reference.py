@@ -4,6 +4,7 @@ the library itself never calls them."""
 import itertools
 
 from rspin.constructors import FrobeniusAlgebraData, structure_maps
+from rspin.lambda_frobenius import LambdaFrobenius
 from rspin.landau_ginzburg.mf import (
     GroupAction,
     HomCohomology,
@@ -32,6 +33,22 @@ def power(f, k):
     for _ in range(k):
         result = compose(f, result)
     return result
+
+
+def structures(r, genus):
+    """Every r-spin structure (tuple of holonomy pairs) on the genus-g surface."""
+    return [tuple(zip(hol[::2], hol[1::2]))
+            for hol in itertools.product(range(r), repeat=2 * genus)]
+
+
+def rescaled(alg, scale):
+    """The copy of alg transported along x -> scale(a) x on every C_a."""
+    mu = {(a, b): m.scale(scale(a + b - 1) / (scale(a) * scale(b)))
+          for (a, b), m in alg.mu.items()}
+    delta = {(a, b): d.scale(scale(a) * scale(b) / scale(a + b + 1))
+             for (a, b), d in alg.delta.items()}
+    return LambdaFrobenius(alg.r, alg.spaces, mu, delta,
+                           alg.eta.scale(scale(1)), alg.eps.scale(1 / scale(-1)))
 
 
 def surface_by_compose(alg, surface):

@@ -191,6 +191,9 @@ def test_nakayama_command(runner):
 @pytest.mark.parametrize("args", [
     ["check", "--builtin", "trivial", "r=0"],
     ["check", "--builtin", "trivial", "r=-3"],
+    ["torus", "--builtin", "trivial", "r=0", "a=1", "b=1"],
+    ["torus", "--builtin", "trivial", "r=-3", "a=1", "b=1"],
+    ["surface", "--builtin", "trivial", "r=0", "genus=1", "holonomies=[(0,0)]"],
     ["lg-hom", "x^3", "--group", "Z0", "--g", "1"],
 ])
 def test_bad_order_exit_2_without_traceback(runner, args):

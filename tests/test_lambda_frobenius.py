@@ -80,17 +80,18 @@ def test_structure_maps_must_declare_their_factors():
 
 
 def test_nakayama_cache_is_not_part_of_the_value():
-    """Neither the Nakayama powers nor the handle operators are part of the value."""
+    """No derived table is part of the value: the Nakayama powers, the handle
+    operators, and the states and caps of the end handles."""
     alg = graded_center(builtin("clifford1"), 2)
     copy = LambdaFrobenius.from_dict(alg.to_dict())
     assert alg == copy
     alg.nakayama(0)
     assert alg == copy and copy == alg
     evaluate_surface(alg, RSpinClosedSurface(2, 2, ((0, 1), (1, 1))))
-    assert alg._handle_operators
+    assert alg._handle_operators and alg._handle_states and alg._handle_caps
     assert alg == copy and copy == alg
     assert alg == LambdaFrobenius.from_dict(alg.to_dict())
-    for cache in ("_nakayama_powers", "_handle_operators"):
+    for cache in ("_nakayama_powers", "_handle_operators", "_handle_states", "_handle_caps"):
         with pytest.raises(TypeError):
             LambdaFrobenius(r=alg.r, spaces=alg.spaces, mu=alg.mu, delta=alg.delta,
                             eta=alg.eta, eps=alg.eps, **{cache: {}})

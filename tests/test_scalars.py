@@ -92,6 +92,39 @@ def test_inverse_examples():
             zero.inverse()
 
 
+def count_products(monkeypatch):
+    """The list that gets one entry per Cyc multiplication from now on."""
+    made, mul = [], Cyc.__mul__
+
+    def counted(a, b):
+        made.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    return made
+
+
+def test_power_makes_the_fewest_products(monkeypatch):
+    """x ** k squares bit_length(k) - 1 times and multiplies popcount(k) - 1
+    times, never by the shared one, and equals the k-fold product."""
+    made = count_products(monkeypatch)
+    counts = []
+    for k in (1, 2, 3, 4, 8):
+        made.clear()
+        Cyc.zeta(5) ** k
+        counts.append(len(made))
+    assert counts == [0, 1, 2, 2, 3]
+    for order in (1, 3, 4, 5, 8):
+        x = Cyc.from_coeffs(order, [Fraction(-3, 2), 2, Fraction(1, 3)])
+        expected = Cyc.one()
+        for k in range(21):
+            made.clear()
+            assert x ** k == expected, (order, k)
+            assert len(made) == max(k.bit_length() + bin(k).count("1") - 2, 0), (order, k)
+            expected = expected * x
+    assert Cyc.zeta(8) ** -3 == Cyc.zeta(8, 5)
+
+
 def test_order_mismatch():
     with pytest.raises(ScalarError):
         Cyc.zeta(4) * Cyc.zeta(3)

@@ -29,13 +29,14 @@ from rspin.surface_eval import (
     torus_normal_form,
 )
 
-from reference import power, scalar, surface_by_compose, twisted_matrix_algebra
-
-
-def structures(r, genus):
-    """Every r-spin structure (tuple of holonomy pairs) on the genus-g surface."""
-    return [tuple(zip(hol[::2], hol[1::2]))
-            for hol in itertools.product(range(r), repeat=2 * genus)]
+from reference import (
+    power,
+    rescaled,
+    scalar,
+    structures,
+    surface_by_compose,
+    twisted_matrix_algebra,
+)
 
 
 def torus_oracle(alg, a, b):
@@ -264,16 +265,6 @@ def test_cached_handle_operators_match_fresh_copy_and_oracle(name, params):
         z = evaluate_surface(alg, RSpinClosedSurface(4, 3, handles))
         assert z == expected[handles] == surface_oracle(alg, handles), handles
     assert len(alg._handle_operators) <= 4 ** 3
-
-
-def rescaled(alg, scale):
-    """The copy of alg transported along x -> scale(a) x on every C_a."""
-    mu = {(a, b): m.scale(scale(a + b - 1) / (scale(a) * scale(b)))
-          for (a, b), m in alg.mu.items()}
-    delta = {(a, b): d.scale(scale(a) * scale(b) / scale(a + b + 1))
-             for (a, b), d in alg.delta.items()}
-    return LambdaFrobenius(alg.r, alg.spaces, mu, delta,
-                           alg.eta.scale(scale(1)), alg.eps.scale(1 / scale(-1)))
 
 
 def test_isomorphic_copy_has_the_same_surface_values():
