@@ -94,6 +94,15 @@ def test_torus_r_mismatch():
         evaluate_torus(alg, RSpinTorus(3, 0, 0))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RSpinTorus(0, 1, 1), lambda: RSpinTorus(-3, 1, 1),
+    lambda: RSpinClosedSurface(0, 0, ()), lambda: RSpinClosedSurface(-2, 1, ((1, 1),)),
+])
+def test_a_spin_order_below_one_is_refused(make):
+    with pytest.raises(SurfaceError, match="r must be a positive integer"):
+        make()
+
+
 ALGEBRAS = None
 
 

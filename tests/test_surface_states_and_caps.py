@@ -13,7 +13,7 @@ from rspin.constructors import builtin, graded_center
 from rspin.lambda_frobenius import LambdaFrobenius
 from rspin.scalars import Cyc
 from rspin.superlinalg import SuperMap
-from rspin.surface_eval import RSpinClosedSurface, RSpinTorus, SurfaceError, evaluate_surface
+from rspin.surface_eval import RSpinClosedSurface, evaluate_surface
 
 from reference import rescaled, structures, surface_by_compose
 
@@ -185,12 +185,3 @@ def test_a_cold_command_does_no_more_work(monkeypatch, args, maps, products):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     assert len(built) <= maps and len(made) <= products, (len(built), len(made))
-
-
-@pytest.mark.parametrize("make", [
-    lambda: RSpinTorus(0, 1, 1), lambda: RSpinTorus(-3, 1, 1),
-    lambda: RSpinClosedSurface(0, 0, ()), lambda: RSpinClosedSurface(-2, 1, ((1, 1),)),
-])
-def test_a_spin_order_below_one_is_refused(make):
-    with pytest.raises(SurfaceError, match="r must be a positive integer"):
-        make()
