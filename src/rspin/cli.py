@@ -341,8 +341,8 @@ def lg_orbifold(potential, group, weights, as_json):
     # gamma is diagonal: entry k of row k is the weight of basis vector k
     gamma_diag = [format_scalar(row[k]) for k, row in enumerate(orb.gamma.map.entries)]
     emit("lg-orbifold", _lg_inputs(w, action), {
-        "even_dim": orb.algebra.space.even,
-        "odd_dim": orb.algebra.space.odd,
+        "even_dim": orb.algebra.space(0).even,
+        "odd_dim": orb.algebra.space(0).odd,
         "sector_dims": {str(g): d for g, d in orb.sector_dims().items()},
         "gamma_diagonal": gamma_diag,
         "delta_separable": orb.delta_separable,

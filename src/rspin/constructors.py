@@ -1,11 +1,11 @@
 """Delta-separable Frobenius algebras and the graded-centre construction.
 
-A FrobeniusAlgebraData is a finite-dimensional algebra in super vector
-spaces with a counit whose induced pairing is nondegenerate; the
-comultiplication is derived from the pairing and stored.  graded_center
-builds a closed Lambda_r-Frobenius algebra from the images of the twisted
-averaging projectors P_a(x) = sum_i ebar_i . x . gamma^(1-a)(e_i), where
-Delta(1) = sum_i ebar_i o e_i.
+A Frobenius algebra A is the closed Lambda_1-Frobenius algebra on A, with
+the comultiplication derived from the pairing, read through the
+LambdaFrobenius accessors; its Nakayama automorphism gamma_A is N_0^{-1}.
+graded_center builds a closed Lambda_r-Frobenius algebra from the images of
+the twisted averaging projectors P_a(x) = sum_i ebar_i . x . gamma^(1-a)(e_i),
+where Delta(1) = sum_i ebar_i o e_i.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .lambda_frobenius import (
     LambdaFrobenius,
     frobenius_entries,
     infer_scalar_order,
-    nakayama_zigzag,
     read_int,
     read_keys,
     read_map,
@@ -50,49 +49,38 @@ class DegeneratePairingError(FrobeniusError):
     pass
 
 
-@dataclass
-class FrobeniusAlgebraData:
-    space: SuperSpace
-    mult: SuperMap
-    unit: SuperMap
-    counit: SuperMap
-    comult: SuperMap
-    pairing: SuperMap
-    copairing: SuperMap
-    delta_separable: bool
+class FrobeniusAlgebraData(LambdaFrobenius):
+    """A Frobenius algebra A as the closed Lambda_1-Frobenius algebra with
+    C_{-1} = C_0 = C_1 = A.  It passes frobenius_entries, which assemble runs,
+    but need not pass validate, whose commutativity and deck families hold only
+    for a commutative symmetric algebra (clifford1 fails both, M_2 the first)."""
 
     @staticmethod
     def assemble(space, mult, unit, counit):
-        """Derive the comultiplication from the pairing, check the Frobenius
-        axioms and record whether mu o Delta = id."""
+        """The algebra with the comultiplication derived from the pairing, once
+        the maps are even and the Frobenius axioms hold."""
         if mult.parity or unit.parity or counit.parity:
             raise FrobeniusError("structure maps must be even")
-        one = identity(space)
-        pairing = compose(counit, mult)
-        copairing = copairing_from(pairing, space)
-        comult = whisker(whisker(one, (space,), copairing, ()), (), mult, (space,))
-        axioms = LambdaFrobenius(1, {0: space}, {(0, 0): mult}, {(0, 0): comult}, unit, counit)
-        for entry in frobenius_entries(axioms):
+        copairing = copairing_from(compose(counit, mult), space)
+        comult = whisker(whisker(identity(space), (space,), copairing, ()), (), mult, (space,))
+        algebra = FrobeniusAlgebraData(1, {0: space}, {(0, 0): mult}, {(0, 0): comult},
+                                       unit, counit)
+        for entry in frobenius_entries(algebra):
             if not entry.passed:
                 raise FrobeniusError("the %s axiom fails" % entry.family)
-        return FrobeniusAlgebraData(space, mult, unit, counit, comult,
-                                    pairing, copairing, compose(mult, comult) == one)
-
-    @property
-    def dim(self):
-        return self.space.dim
+        return algebra
 
     # -- config schema ---------------------------------------------------------
 
     def to_config(self):
         return {
             "format": "frobenius_algebra",
-            "scalar_order": infer_scalar_order([self.mult, self.unit, self.counit]),
-            "even_dim": self.space.even,
-            "odd_dim": self.space.odd,
-            "mult": write_map(self.mult),
-            "unit": write_map(self.unit),
-            "counit": write_map(self.counit),
+            "scalar_order": infer_scalar_order([self.mu_map(0, 0), self.eta, self.eps]),
+            "even_dim": self.space(0).even,
+            "odd_dim": self.space(0).odd,
+            "mult": write_map(self.mu_map(0, 0)),
+            "unit": write_map(self.eta),
+            "counit": write_map(self.eps),
         }
 
     @staticmethod
@@ -104,9 +92,15 @@ class FrobeniusAlgebraData:
         unit = read_map(data["unit"], "unit", order, (), (space,))
         counit = read_map(data["counit"], "counit", order, (space,), ())
         algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit)
-        if not algebra.delta_separable:
+        if not delta_separable(algebra):
             raise FrobeniusError("algebra is not Delta-separable (mu o Delta != id)")
         return algebra
+
+
+def delta_separable(algebra):
+    """Whether mu o Delta = id on A: Delta(x) = sum_i x ebar_i o e_i, so mu o Delta
+    multiplies by the handle element z = mu(copairing), and is id iff z = 1."""
+    return compose(algebra.mu_map(0, 0), algebra.copairing(0)) == algebra.eta
 
 
 def copairing_from(pairing, space):
@@ -156,31 +150,30 @@ class AlgebraAutomorphism:
 
 
 def nakayama_gamma(algebra):
-    """The Nakayama automorphism gamma_A from the pairing zig-zag.
+    """The Nakayama automorphism gamma_A: the inverse of N_0.
 
-    The zig-zag with one braided copairing computes gamma_A^{-1} under the
-    right-duals-from-braiding convention; gamma_A itself is its matrix
-    inverse.  gamma_A = id iff the algebra is symmetric.
+    N_0, the pairing zig-zag with one braided copairing, computes
+    gamma_A^{-1} under the right-duals-from-braiding convention.
+    gamma_A = id iff the algebra is symmetric.
     """
-    space = algebra.space
-    zig = nakayama_zigzag(algebra.pairing, algebra.copairing, space, space)
-    gamma = SuperMap(space, space, 0, None,
-                     entries=solve_exact(zig.entries, identity(space).entries, space.dim))
+    space = algebra.space(0)
+    gamma = SuperMap(space, space, 0, None, entries=solve_exact(
+        algebra.nakayama(0).entries, algebra.nakayama_power(0, 0).entries, space.dim))
     _check_algebra_automorphism(algebra, gamma)
     return AlgebraAutomorphism(gamma)
 
 
 def _check_algebra_automorphism(algebra, phi):
-    side = (algebra.space,)
-    if compose(phi, algebra.mult) != compose(algebra.mult, tensor(phi, phi)):
+    side = (algebra.space(0),)
+    mult, comult = algebra.mu_map(0, 0), algebra.delta_map(0, 0)
+    if compose(phi, mult) != compose(mult, tensor(phi, phi)):
         raise FrobeniusError("map does not respect multiplication")
-    if compose(phi, algebra.unit) != algebra.unit:
+    if compose(phi, algebra.eta) != algebra.eta:
         raise FrobeniusError("map does not fix the unit")
-    if compose(algebra.counit, phi) != algebra.counit:
+    if compose(algebra.eps, phi) != algebra.eps:
         raise FrobeniusError("map does not preserve the counit")
     # phi o phi = (phi o id).(id o phi), with no Koszul sign
-    if compose(algebra.comult, phi) != whisker(
-            whisker(algebra.comult, side, phi, ()), (), phi, side):
+    if compose(comult, phi) != whisker(whisker(comult, side, phi, ()), (), phi, side):
         raise FrobeniusError("map does not respect comultiplication")
 
 
@@ -190,12 +183,12 @@ class GammaOrderError(FrobeniusError):
 
 def averaging_projector(algebra, gpow):
     """P_a(x) = sum_i ebar_i . x . gpow(e_i) for gpow = gamma^(1-a), Koszul signs included."""
-    space = algebra.space
+    space, mult = algebra.space(0), algebra.mu_map(0, 0)
     side = (space,)
-    step = whisker(identity(space), (), algebra.copairing, side)   # x -> (ebar, e, x)
-    step = whisker(step, side, braiding(space, space), ())         # -> (ebar, x, e)
-    step = whisker(step, side + side, gpow, ())                    # -> (ebar, x, gamma(e))
-    return compose(algebra.mult, whisker(step, (), algebra.mult, side))
+    step = whisker(identity(space), (), algebra.copairing(0), side)  # x -> (ebar, e, x)
+    step = whisker(step, side, braiding(space, space), ())          # -> (ebar, x, e)
+    step = whisker(step, side + side, gpow, ())                     # -> (ebar, x, gamma(e))
+    return compose(mult, whisker(step, (), mult, side))
 
 
 @dataclass
@@ -203,7 +196,6 @@ class GradedCenter:
     """A graded centre together with its embedding data."""
 
     algebra: LambdaFrobenius
-    source: FrobeniusAlgebraData
     gamma: AlgebraAutomorphism
     inclusions: dict
     projections: dict
@@ -223,7 +215,7 @@ def graded_center_data(algebra, r):
     """
     if r < 1:
         raise FrobeniusError("the spin order r must be a positive integer, got %d" % r)
-    if not algebra.delta_separable:
+    if not delta_separable(algebra):
         raise FrobeniusError(
             "graded_center requires a Delta-separable algebra (mu o Delta = id)")
     gamma = nakayama_gamma(algebra)
@@ -234,25 +226,26 @@ def graded_center_data(algebra, r):
     # split_idempotent checks p o p = p exactly
     incl, proj, images = zip(*(split_idempotent(averaging_projector(algebra, powers[(1 - a) % m]))
                                for a in range(m)))
-    # index pairs congruent mod m share one restricted mu and Delta;
+    # index pairs congruent mod m share one restricted mu and Delta, and the mu
+    # with one target C_c share proj_c o mu;
     # Delta's proj_a o proj_b = (proj_a o id).(id o proj_b), with no Koszul sign
-    side = (algebra.space,)
-    mu_m = {(a, b): compose(proj[(a + b - 1) % m],
-                            compose(algebra.mult, tensor(incl[a], incl[b])))
+    side, mult, unit = (algebra.space(0),), algebra.mu_map(0, 0), algebra.eta
+    proj_mult = [compose(proj[c], mult) for c in range(m)]
+    mu_m = {(a, b): compose(proj_mult[(a + b - 1) % m], tensor(incl[a], incl[b]))
             for a in range(m) for b in range(m)}
-    comult_incl = [compose(algebra.comult, incl[c]) for c in range(m)]
+    comult_incl = [compose(algebra.delta_map(0, 0), incl[c]) for c in range(m)]
     delta_m = {(a, b): whisker(whisker(comult_incl[(a + b + 1) % m], side, proj[b], ()),
                                (), proj[a], proj[b].target_factors)
                for a in range(m) for b in range(m)}
     mu = {(a, b): mu_m[(a % m, b % m)] for a in range(r) for b in range(r)}
     delta = {(a, b): delta_m[(a % m, b % m)] for a in range(r) for b in range(r)}
-    eta = compose(proj[1 % m], algebra.unit)
-    if compose(incl[1 % m], eta) != algebra.unit:
+    eta = compose(proj[1 % m], unit)
+    if compose(incl[1 % m], eta) != unit:
         raise FrobeniusError("unit does not lie in C_1; convention bug")
-    eps = compose(algebra.counit, incl[-1])
+    eps = compose(algebra.eps, incl[-1])
     spaces = {a: images[a % m] for a in range(r)}
     result = LambdaFrobenius(r=r, spaces=spaces, mu=mu, delta=delta, eta=eta, eps=eps)
-    return GradedCenter(result, algebra, gamma,
+    return GradedCenter(result, gamma,
                         {a: incl[a % m] for a in range(r)},
                         {a: proj[a % m] for a in range(r)})
 
@@ -325,10 +318,10 @@ BUILTIN_NAMES = ("trivial", "group_algebra_Zn", "clifford1", "matrix_algebra_n")
 
 def center_basis(algebra):
     """Brute-force centre: solve x e_i = e_i x for all i (oracle helper)."""
-    space = algebra.space
+    space = algebra.space(0)
     dim = space.dim
     pairs = pair_index(space)
-    mult, zero = algebra.mult.entries, Cyc.zero()
+    mult, zero = algebra.mu_map(0, 0).entries, Cyc.zero()
     rows = []
     # unknown x = sum_j x_j e_j; for each basis e_i and output slot k one equation
     for i in range(dim):

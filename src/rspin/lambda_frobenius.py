@@ -57,10 +57,11 @@ class LambdaFrobenius:
     delta: dict
     eta: SuperMap
     eps: SuperMap
-    # derived structure, filled on first use: the literal powers of each N_a,
-    # each handle operator K_{c,a,b}, each state K_{1,a,b}(eta) (at most r^2)
-    # and each cap eps o K_{c,a,b} (at most r^3).  Not part of the value, and
-    # never reassigned after construction.
+    # derived structure, filled on first use: each copairing c_a, the literal
+    # powers of each N_a, each handle operator K_{c,a,b}, each state
+    # K_{1,a,b}(eta) (at most r^2) and each cap eps o K_{c,a,b} (at most r^3).
+    # Not part of the value, and never reassigned after construction.
+    _copairings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _nakayama_powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _handle_operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _handle_states: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -114,8 +115,12 @@ class LambdaFrobenius:
         return compose(self.eps, self.mu_map(a, -a))
 
     def copairing(self, a):
-        """c_a = Delta_{a,-a} o eta : 1 -> C_a o C_{-a}."""
-        return compose(self.delta_map(a, -a), self.eta)
+        """c_a = Delta_{a,-a} o eta : 1 -> C_a o C_{-a}, built once per a mod r."""
+        a %= self.r
+        c = self._copairings.get(a)
+        if c is None:
+            c = self._copairings[a] = compose(self.delta_map(a, -a), self.eta)
+        return c
 
     def nakayama(self, a):
         """N_a = (p_a o id) . (id o c'_a) with c'_a the braided copairing.
@@ -123,6 +128,7 @@ class LambdaFrobenius:
         The single strand crossing in the defining zig-zag is realised by
         braiding the copairing legs; the convention is pinned by the twist
         and deck relations plus the graded-centre comparison with gamma_A.
+        On a Frobenius algebra (r = 1), N_0 is gamma_A^{-1}.
         """
         return self._nakayama_list(a, 1)[1]
 
@@ -136,9 +142,12 @@ class LambdaFrobenius:
         a %= self.r
         powers = self._nakayama_powers.get(a)
         if powers is None:
-            ca = self.space(a)
-            zig = nakayama_zigzag(self.pairing(a), self.copairing(a), ca, self.space(-a))
-            powers = self._nakayama_powers[a] = [identity(ca), zig]
+            # both steps of the zig-zag are whiskers, the first onto id_{C_a},
+            # so no tensor of maps is built
+            ca, cb = self.space(a), self.space(-a)
+            one, crossed = identity(ca), compose(braiding(ca, cb), self.copairing(a))
+            zig = whisker(whisker(one, (ca,), crossed, ()), (), self.pairing(a), (ca,))
+            powers = self._nakayama_powers[a] = [one, zig]
         while len(powers) <= k:
             powers.append(compose(powers[1], powers[-1]))
         return powers
@@ -218,14 +227,6 @@ class LambdaFrobenius:
         eta = read_map(data["eta"], "eta", order, (), (space(1),))
         eps = read_map(data["eps"], "eps", order, (space(-1),), ())
         return LambdaFrobenius(r=r, spaces=spaces, mu=mu, delta=delta, eta=eta, eps=eps)
-
-
-def nakayama_zigzag(pairing, copairing, left, right):
-    """(p o id) . (id o b.c) on left, with b braiding the legs of c: 1 -> left o right;
-    N_a for (C_a, C_{-a}) and gamma_A^{-1} for (A, A).  Both steps are whiskers,
-    the first onto id_left, so no tensor of maps is built."""
-    crossed = compose(braiding(left, right), copairing)
-    return whisker(whisker(identity(left), (left,), crossed, ()), (), pairing, (left,))
 
 
 # -- algebra files: one reader and one writer for lambda_frobenius and frobenius_algebra

@@ -67,6 +67,7 @@ from ..constructors import (
     AlgebraAutomorphism,
     FrobeniusAlgebraData,
     copairing_from,
+    delta_separable,
     graded_center,
     nakayama_gamma,
     structure_maps,
@@ -311,7 +312,7 @@ class OrbifoldAlgebra:
 
     @property
     def delta_separable(self):
-        return self.algebra.delta_separable
+        return delta_separable(self.algebra)
 
     def sector_dims(self):
         dims = {}
@@ -325,8 +326,11 @@ def orbifold_algebra(w, action):
 
     Returns the algebra, gamma = sum_g det(g)^{-1} . 1_g (verified against
     the pairing zig-zag), and the recorded counit normalisation.  The
-    Delta-separability flag records the honest outcome of mu o Delta = id;
-    see the package notes for why it fails for r >= 3 twists.
+    Delta-separability flag records the honest outcome of mu o Delta = id.
+    It fails for every exponent d >= 3, whatever r (x^4 under Z2 too): the
+    untwisted x is then central and nilpotent, since x^(d-1) = 0 in the
+    Jacobi algebra and the maximal ideal annihilates the twisted sectors, so
+    it spans a nonzero nilpotent ideal, which a separable algebra never has.
     """
     exponents = _fermat_exponents(w)
     action.check_invariance(w)

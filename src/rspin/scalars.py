@@ -106,8 +106,7 @@ class Cyc:
         if den < 0:
             den, num = -den, [-c for c in num]
         if not any(num[1:]):
-            order, num = 1, num[:1]
-        # gcd(den, 0) = den, so zero comes out as 0/1
+            return _in_q(num[0], den)
         g = gcd(den, *num)
         if g > 1:
             den //= g
@@ -121,10 +120,7 @@ class Cyc:
         else:
             value = Fraction(value)
             n, den = value.numerator, value.denominator
-        if n == 1 and den == 1:  # the shared one, which compose and whisker skip
-            return _ONE
-        # a Fraction is already in lowest terms with a positive denominator
-        return Cyc(1, den, (n,))
+        return _in_q(n, den)
 
     @staticmethod
     def zeta(order, power=1):
@@ -177,10 +173,7 @@ class Cyc:
             return Cyc._make(_common_order(a, b), da * db, num)
         if len(a.num) == 1:
             # Q + Q: one integer sum, one gcd
-            n = a.num[0] * db + b.num[0] * da
-            den = da * db
-            g = gcd(n, den)
-            return Cyc(1, den // g, (n // g,))
+            return _in_q(a.num[0] * db + b.num[0] * da, da * db)
         # a rational summand shifts the constant coefficient
         num = [x * db for x in a.num]
         num[0] += b.num[0] * da
@@ -210,9 +203,7 @@ class Cyc:
         c = bn[0]
         if len(an) == 1:
             # Q x Q: one integer product, one gcd
-            n = an[0] * c
-            g = gcd(n, den)
-            return Cyc(1, den // g, (n // g,))
+            return _in_q(an[0] * c, den)
         # a rational factor scales the numerators: no convolution and no
         # reduction mod Phi_r; a nonzero one leaves the product irrational
         if not c:
@@ -291,6 +282,15 @@ class Cyc:
 
 _ZERO = Cyc(1, 1, (0,))
 _ONE = Cyc(1, 1, (1,))
+
+
+def _in_q(n, den):
+    """n / den in Q for den > 0, in lowest terms; a value of 1 is the shared one,
+    which compose and whisker skip multiplying by."""
+    if n == den:
+        return _ONE
+    g = gcd(n, den)  # gcd(0, den) = den, so zero comes out as 0/1
+    return Cyc(1, den // g, (n // g,))
 
 
 def _common_order(a, b):

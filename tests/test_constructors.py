@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rspin import constructors
@@ -10,12 +12,14 @@ from rspin.constructors import (
     builtin,
     center_basis,
     copairing_from,
+    delta_separable,
     graded_center,
     graded_center_data,
     nakayama_gamma,
     structure_maps,
 )
-from rspin.lambda_frobenius import validate
+from rspin.lambda_frobenius import LambdaFrobenius, validate
+from rspin.landau_ginzburg import GroupAction, orbifold_algebra, parse_poly
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
     SuperLinAlgError,
@@ -27,42 +31,80 @@ from rspin.superlinalg import (
     tensor,
     tensor_space,
 )
+from rspin.surface_eval import RSpinClosedSurface, evaluate_surface
 
 from reference import power
 
 
 def test_builtin_trivial():
     a = builtin("trivial")
-    assert a.space == SuperSpace(1, 0)
-    assert a.delta_separable
-    assert a.mult.rows == [[Cyc.one()]]
+    assert a.space(0) == SuperSpace(1, 0)
+    assert delta_separable(a)
+    assert a.mu_map(0, 0).rows == [[Cyc.one()]]
 
 
 def test_builtin_group_algebra():
     a = builtin("group_algebra_Zn", n=3)
-    assert a.space.dim == 3
-    assert a.delta_separable
+    assert a.space(0).dim == 3
+    assert delta_separable(a)
     gamma = nakayama_gamma(a)
-    assert gamma.map == identity(a.space)
+    assert gamma.map == identity(a.space(0))
 
 
 def test_builtin_clifford():
     a = builtin("clifford1")
-    assert a.space == SuperSpace(1, 1)
-    assert a.delta_separable
+    assert a.space(0) == SuperSpace(1, 1)
+    assert delta_separable(a)
     gamma = nakayama_gamma(a)
     assert gamma.map.rows[0][0] == 1
     assert gamma.map.rows[1][1] == Cyc.rational(-1)
-    assert power(gamma.map, 2) == identity(a.space)
-    assert gamma.map != identity(a.space)
+    assert power(gamma.map, 2) == identity(a.space(0))
+    assert gamma.map != identity(a.space(0))
 
 
 def test_builtin_matrix_algebra():
     a = builtin("matrix_algebra_n", n=2)
-    assert a.space == SuperSpace(4, 0)
-    assert a.delta_separable
+    assert a.space(0) == SuperSpace(4, 0)
+    assert delta_separable(a)
     # trace form is symmetric, so the algebra is symmetric: gamma = id
-    assert nakayama_gamma(a).map == identity(a.space)
+    assert nakayama_gamma(a).map == identity(a.space(0))
+
+
+def test_a_frobenius_algebra_is_a_lambda_1_frobenius_algebra():
+    # one algebra type: FrobeniusAlgebraData adds no field to LambdaFrobenius,
+    # and every route to an input algebra gives one at r = 1
+    assert dataclasses.fields(FrobeniusAlgebraData) == dataclasses.fields(LambdaFrobenius)
+    assert "__annotations__" not in vars(FrobeniusAlgebraData)
+    algebras = [builtin(name, n=2) for name in constructors.BUILTIN_NAMES]
+    algebras.append(FrobeniusAlgebraData.from_config(builtin("clifford1").to_config()))
+    algebras.append(orbifold_algebra(parse_poly("x^3"), GroupAction(3, (("x", 1),))).algebra)
+    for algebra in algebras:
+        assert isinstance(algebra, LambdaFrobenius) and algebra.r == 1
+
+
+@pytest.mark.parametrize("name, n", [("trivial", 1), ("group_algebra_Zn", 2),
+                                     ("group_algebra_Zn", 3)])
+def test_a_commutative_symmetric_algebra_is_its_own_oriented_theory(name, n):
+    """A commutative symmetric Frobenius algebra is a closed Lambda_1-Frobenius
+    algebra as it stands: it validates, and each closed surface takes the same
+    value on it as on its graded centre at r = 1.  With mu o Delta = id that
+    value is eps(1) = n at every genus."""
+    algebra = builtin(name, n=n)
+    assert validate(algebra).ok
+    centre = graded_center(algebra, 1)
+    for genus in range(4):
+        surface = RSpinClosedSurface(1, genus, ((0, 0),) * genus)
+        assert evaluate_surface(algebra, surface) == evaluate_surface(centre, surface) == n
+
+
+@pytest.mark.parametrize("name, families", [("clifford1", {"commutativity", "deck"}),
+                                            ("matrix_algebra_n", {"commutativity"})])
+def test_validate_refuses_a_noncommutative_or_nonsymmetric_input_algebra(name, families):
+    # an input algebra passes frobenius_entries, not validate: clifford1 fails
+    # commutativity, and deck since N_0 = gamma^{-1} has order 2; M_2 is not
+    # commutative, but symmetric
+    report = validate(builtin(name, n=2))
+    assert {e.family for e in report.failures()} == families
 
 
 # the dense matrices of mu, eta and eps of each built-in; mu's columns run
@@ -92,8 +134,8 @@ BUILTIN_MAPS = {
 def test_builtin_maps_are_pinned(name, n):
     a = builtin(name) if n is None else builtin(name, n=n)
     mult, unit, counit = BUILTIN_MAPS[(name, n)]
-    assert (a.mult.rows, a.unit.rows, a.counit.rows) == (mult, unit, counit)
-    assert a.delta_separable
+    assert (a.mu_map(0, 0).rows, a.eta.rows, a.eps.rows) == (mult, unit, counit)
+    assert delta_separable(a)
 
 
 @pytest.mark.parametrize("name, n", list(BUILTIN_MAPS))
@@ -101,7 +143,7 @@ def test_builtin_mu_entries_are_the_shared_one(name, n):
     # every structure constant of the built-ins is 1, so each entry of mu is
     # the object compose and whisker skip multiplying by
     a = builtin(name) if n is None else builtin(name, n=n)
-    entries = [c for row in a.mult.entries for c in row.values()]
+    entries = [c for row in a.mu_map(0, 0).entries for c in row.values()]
     assert entries and all(c is Cyc.one() for c in entries)
 
 
@@ -155,7 +197,7 @@ def test_non_separable_rejected():
     unit = SuperMap(UNIT_SPACE, space, 0, [[1], [0]], (), None)
     socle = SuperMap(space, UNIT_SPACE, 0, [[0, 1]], None, ())
     a = FrobeniusAlgebraData.assemble(space, mult, unit, socle)
-    assert not a.delta_separable
+    assert not delta_separable(a)
     with pytest.raises(FrobeniusError):
         graded_center(a, 1)
 
@@ -210,8 +252,8 @@ def test_config_roundtrip():
     cfg = a.to_config()
     again = FrobeniusAlgebraData.from_config(cfg)
     assert again.to_config() == cfg
-    assert again.mult == a.mult
-    assert again.delta_separable
+    assert again.mu_map(0, 0) == a.mu_map(0, 0)
+    assert delta_separable(again)
 
 
 def test_config_rejects_bad_data():
@@ -309,25 +351,26 @@ def assemble_inputs():
     for name, n in (("trivial", 1), ("group_algebra_Zn", 2), ("group_algebra_Zn", 3),
                     ("clifford1", 1), ("matrix_algebra_n", 2)):
         a = builtin(name, n=n)
-        yield name, a.mult, a.unit, a.counit
-        for i, stored in enumerate(a.mult.entries):
+        mult, unit, counit, space = a.mu_map(0, 0), a.eta, a.eps, a.space(0)
+        yield name, mult, unit, counit
+        for i, stored in enumerate(mult.entries):
             for j in stored:
                 def bump(entries, i=i, j=j):
                     entries[i][j] = entries[i][j] + 1
                     return entries
-                yield name, with_entries(a.mult, bump), a.unit, a.counit
-        for k in range(a.space.even):
-            if a.unit.entries[k] != {0: Cyc.one()}:
-                moved = [{0: Cyc.one()} if i == k else {} for i in range(a.space.dim)]
-                yield name, a.mult, SuperMap(a.unit.source, a.unit.target, 0, None,
-                                             a.unit.source_factors, a.unit.target_factors,
-                                             entries=moved), a.counit
-        for j in a.counit.entries[0]:
+                yield name, with_entries(mult, bump), unit, counit
+        for k in range(space.even):
+            if unit.entries[k] != {0: Cyc.one()}:
+                moved = [{0: Cyc.one()} if i == k else {} for i in range(space.dim)]
+                yield name, mult, SuperMap(unit.source, unit.target, 0, None,
+                                           unit.source_factors, unit.target_factors,
+                                           entries=moved), counit
+        for j in counit.entries[0]:
             def zeroed(entries, j=j):
                 del entries[0][j]
                 return entries
-            yield name, a.mult, a.unit, with_entries(a.counit, zeroed)
-        yield name, a.mult, a.unit, a.counit.scale(3)
+            yield name, mult, unit, with_entries(counit, zeroed)
+        yield name, mult, unit, counit.scale(3)
 
 
 def test_assemble_rejects_exactly_what_the_reference_rejects():

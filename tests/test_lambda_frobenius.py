@@ -4,7 +4,13 @@ import re
 import pytest
 
 from rspin import lambda_frobenius
-from rspin.constructors import builtin, graded_center, graded_center_data, nakayama_gamma
+from rspin.constructors import (
+    builtin,
+    delta_separable,
+    graded_center,
+    graded_center_data,
+    nakayama_gamma,
+)
 from rspin.lambda_frobenius import LambdaFrobenius, LambdaFrobeniusError, validate
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
@@ -71,12 +77,12 @@ def test_structure_maps_must_declare_their_factors():
     def flat(m):
         return SuperMap(m.source, m.target, 0, None, entries=[dict(e) for e in m.entries])
 
-    for mult, comult, name in ((flat(algebra.mult), algebra.comult, "mu_{0,0}"),
-                               (algebra.mult, flat(algebra.comult), "Delta_{0,0}")):
+    mu, delta, space = algebra.mu_map(0, 0), algebra.delta_map(0, 0), algebra.space(0)
+    for mult, comult, name in ((flat(mu), delta, "mu_{0,0}"), (mu, flat(delta), "Delta_{0,0}")):
         with pytest.raises(LambdaFrobeniusError, match=re.escape(name + " has wrong factors")):
-            LambdaFrobenius(r=2, spaces={0: algebra.space, 1: algebra.space},
+            LambdaFrobenius(r=2, spaces={0: space, 1: space},
                             mu={p: mult for p in pairs}, delta={p: comult for p in pairs},
-                            eta=algebra.unit, eps=algebra.counit)
+                            eta=algebra.eta, eps=algebra.eps)
 
 
 def test_nakayama_cache_is_not_part_of_the_value():
@@ -220,10 +226,10 @@ def test_deck_and_twist_powers_are_literal(r):
     # at a = 1, while a deck read as N_a^(r mod r) = id would pass
     algebra = builtin("clifford1")
     pairs = [(a, b) for a in range(r) for b in range(r)]
-    alg = LambdaFrobenius(r=r, spaces={a: algebra.space for a in range(r)},
-                          mu={p: algebra.mult for p in pairs},
-                          delta={p: algebra.comult for p in pairs},
-                          eta=algebra.unit, eps=algebra.counit)
+    alg = LambdaFrobenius(r=r, spaces={a: algebra.space(0) for a in range(r)},
+                          mu={p: algebra.mu_map(0, 0) for p in pairs},
+                          delta={p: algebra.delta_map(0, 0) for p in pairs},
+                          eta=algebra.eta, eps=algebra.eps)
     failed = {(e.family, e.indices) for e in validate(alg).failures()}
     assert {("deck", (a,)) for a in range(r)} <= failed
     twist = {indices for family, indices in failed if family == "twist_power"}
@@ -488,7 +494,7 @@ def test_twisted_matrix_algebra_centre_validates(r):
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_validate_matches_the_tensor_reference_on_twisted_matrix_algebras(r):
     algebra = twisted_matrix_algebra(r)
-    assert algebra.delta_separable
+    assert delta_separable(algebra)
     assert len(nakayama_gamma(algebra).powers(24)) == r
     alg = graded_center(algebra, r)
     for case in (alg, with_distinct_maps(alg)):

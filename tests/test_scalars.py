@@ -150,6 +150,19 @@ def test_rational_one_is_the_shared_one():
     assert Cyc.rational(-1) is not Cyc.one() and Cyc.rational(-1) == -1
 
 
+def test_computed_one_is_the_shared_one():
+    # a sum or product whose value is 1 comes out as the shared one too:
+    # Q x Q, Q + Q, and an irrational result that moves to Q through _make
+    half = Cyc.rational(Fraction(1, 2))
+    assert Cyc.rational(2) * half is Cyc.one()
+    assert half + half is Cyc.one()
+    assert Cyc.rational(3) - 2 is Cyc.one()
+    assert Cyc.zeta(3) ** 3 is Cyc.one()
+    assert Cyc.zeta(5) * Cyc.zeta(5, 4) is Cyc.one()
+    assert (Cyc.zeta(7) + 1) - Cyc.zeta(7) is Cyc.one()
+    assert Cyc.from_coeffs(4, [Fraction(3, 3), 0]) is Cyc.one()
+
+
 small_rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
@@ -165,7 +178,7 @@ def cyc_scalars(draw, order):
     return Cyc.from_coeffs(order, coeffs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data(), order=st.sampled_from([1, 3, 4, 5, 6]))
 def test_field_axioms(data, order):
     a = data.draw(cyc_scalars(order))
@@ -178,7 +191,7 @@ def test_field_axioms(data, order):
         assert a * a.inverse() == 1
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data(), order=st.integers(1, 30))
 def test_inverse_round_trip_matches_sympy(data, order):
     sympy = pytest.importorskip("sympy")
@@ -328,7 +341,7 @@ def ref_operands(draw, rational):
     return order, coeffs, Cyc.from_coeffs(order, coeffs)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(left=st.booleans().flatmap(ref_operands), right=st.booleans().flatmap(ref_operands))
 def test_arithmetic_with_rational_operands_matches_reference(left, right):
     (oa, ca, a), (ob, cb, b) = left, right
@@ -348,7 +361,7 @@ def test_arithmetic_with_rational_operands_matches_reference(left, right):
     assert_canonical(a - a, oa, ref_embed(0, oa))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(operand=st.booleans().flatmap(ref_operands),
        q=st.one_of(st.integers(-5, 5), small_rationals))
 def test_int_and_fraction_operands_match_reference(operand, q):
@@ -384,7 +397,7 @@ def field_operands(draw, order):
         small_rationals))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), order=st.integers(1, 12))
 def test_every_result_has_one_representation(data, order):
     a = as_cyc(data.draw(field_operands(order)))

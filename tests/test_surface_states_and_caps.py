@@ -129,6 +129,24 @@ def count_products(monkeypatch):
     return made
 
 
+def one_dimensional_products(alg, s):
+    """The products a warm evaluation of s makes when every circle space is
+    one-dimensional: the running entry times the one entry of each step (eps at
+    genus 1, each middle handle and the cap from genus 2 on), except where
+    either factor is the shared one, which apply skips."""
+    handles, g, one = s.handles, s.genus, Cyc.one()
+    x = alg.handle_state(*handles[0])[1][0]
+    steps = [alg.eps] if g == 1 else [
+        alg.handle_operator(1 - 2 * k, *handles[k]) for k in range(1, g - 1)] + [
+        alg.handle_cap(3 - 2 * g, *handles[-1])]
+    count = 0
+    for step in steps:
+        y = step.entries[0][0]
+        count += x is not one and y is not one
+        x = y if x is one else x if y is one else x * y
+    return count
+
+
 # (r, genus, products): the pairing with eps alone at genus 1, one product per
 # middle handle and one for the cap from genus 2 on; the composed handles of
 # the parent made genus + 1 (2, 3, 4 and 6)
@@ -136,15 +154,17 @@ def count_products(monkeypatch):
 def test_warm_evaluation_makes_one_product_per_middle_handle_and_cap(
         monkeypatch, r, genus, products):
     """clifford1's circle spaces are one-dimensional, so each handle operator
-    and cap has one entry: a warm call multiplies once per step it takes."""
+    and cap has one entry: a warm call multiplies once per step it takes,
+    and not at all where a factor is the shared one."""
     alg = graded_center(builtin("clifford1"), r)
     sample = [RSpinClosedSurface(r, genus, handles) for handles in drawn(r, genus, 16, genus)]
     values = [evaluate_surface(alg, s) for s in sample]
+    expected = [one_dimensional_products(alg, s) for s in sample]
     made = count_products(monkeypatch)
-    for s, z in zip(sample, values):
+    for s, z, count in zip(sample, values, expected):
         made.clear()
         assert evaluate_surface(alg, s) == z
-        assert len(made) == products, s.handles
+        assert len(made) == count <= products, s.handles
 
 
 def test_an_algebra_keeps_at_most_r2_states_and_r3_caps():
