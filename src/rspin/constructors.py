@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .lambda_frobenius import (
     LambdaFrobenius,
-    frobenius_entries,
+    frobenius_report,
     infer_scalar_order,
     read_int,
     read_keys,
@@ -51,7 +51,7 @@ class DegeneratePairingError(FrobeniusError):
 
 class FrobeniusAlgebraData(LambdaFrobenius):
     """A Frobenius algebra A as the closed Lambda_1-Frobenius algebra with
-    C_{-1} = C_0 = C_1 = A.  It passes frobenius_entries, which assemble runs,
+    C_{-1} = C_0 = C_1 = A.  It passes frobenius_report, which assemble runs,
     but need not pass validate, whose commutativity and deck families hold only
     for a commutative symmetric algebra (clifford1 fails both, M_2 the first)."""
 
@@ -65,9 +65,9 @@ class FrobeniusAlgebraData(LambdaFrobenius):
         comult = whisker(whisker(identity(space), (space,), copairing, ()), (), mult, (space,))
         algebra = FrobeniusAlgebraData(1, {0: space}, {(0, 0): mult}, {(0, 0): comult},
                                        unit, counit)
-        for entry in frobenius_entries(algebra):
-            if not entry.passed:
-                raise FrobeniusError("the %s axiom fails" % entry.family)
+        report = frobenius_report(algebra)
+        if not report.ok:
+            raise FrobeniusError("the %s axiom fails" % report.failures()[0].family)
         return algebra
 
     # -- config schema ---------------------------------------------------------
@@ -181,13 +181,21 @@ class GammaOrderError(FrobeniusError):
     pass
 
 
-def averaging_projector(algebra, gpow):
-    """P_a(x) = sum_i ebar_i . x . gpow(e_i) for gpow = gamma^(1-a), Koszul signs included."""
+def projector_front(algebra):
+    """x -> sum_i ebar_i o x o e_i, Koszul signs included: the part of every
+    averaging projector that gamma does not enter."""
+    space = algebra.space(0)
+    side = (space,)
+    front = whisker(identity(space), (), algebra.copairing(0), side)  # x -> (ebar, e, x)
+    return whisker(front, side, braiding(space, space), ())          # -> (ebar, x, e)
+
+
+def averaging_projector(algebra, front, gpow):
+    """P_a(x) = sum_i ebar_i . x . gpow(e_i) for gpow = gamma^(1-a), from
+    front = projector_front(algebra)."""
     space, mult = algebra.space(0), algebra.mu_map(0, 0)
     side = (space,)
-    step = whisker(identity(space), (), algebra.copairing(0), side)  # x -> (ebar, e, x)
-    step = whisker(step, side, braiding(space, space), ())          # -> (ebar, x, e)
-    step = whisker(step, side + side, gpow, ())                     # -> (ebar, x, gamma(e))
+    step = whisker(front, side + side, gpow, ())  # -> (ebar, x, gamma(e))
     return compose(mult, whisker(step, (), mult, side))
 
 
@@ -222,10 +230,10 @@ def graded_center_data(algebra, r):
     powers = gamma.powers(r)
     if powers is None or r % len(powers):
         raise GammaOrderError("gamma_A^%d != id; the graded centre needs gamma_A^r = 1" % r)
-    m = len(powers)
+    m, front = len(powers), projector_front(algebra)
     # split_idempotent checks p o p = p exactly
-    incl, proj, images = zip(*(split_idempotent(averaging_projector(algebra, powers[(1 - a) % m]))
-                               for a in range(m)))
+    incl, proj, images = zip(*(split_idempotent(
+        averaging_projector(algebra, front, powers[(1 - a) % m])) for a in range(m)))
     # index pairs congruent mod m share one restricted mu and Delta, and the mu
     # with one target C_c share proj_c o mu;
     # Delta's proj_a o proj_b = (proj_a o id).(id o proj_b), with no Koszul sign

@@ -5,9 +5,12 @@ multiplication mu_{a,b}: C_a o C_b -> C_{a+b-1}, unit eta: 1 -> C_1,
 comultiplication Delta_{a,b}: C_{a+b+1} -> C_a o C_b and counit
 eps: C_{-1} -> 1, together with the Nakayama automorphisms N_a built from
 the pairing/copairing zig-zag.  validate() checks every defining relation
-family exactly over all index tuples, each as a contraction of structure
-constants read once per map value as a table, and builds no map per index
-tuple.
+family exactly, each as a contraction of structure constants read once per
+map value as a table, and builds no map per index tuple.  It decides each
+relation once per index class mod the period of the data, the least divisor
+m of r at which every circle space, mu, Delta and power of N_a takes the
+value of its indices mod m, and its report counts every index tuple and
+forms their entries only when they are read.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .scalars import Cyc, format_scalar, parse_scalar
+from .scalars import Cyc, divisors, format_scalar, parse_scalar
 from .superlinalg import (
     SuperLinAlgError,
     SuperMap,
@@ -46,7 +49,7 @@ class Cap(NamedTuple):
     entries: list
 
 
-@dataclass
+@dataclass(eq=False)
 class LambdaFrobenius:
     """The tuple ({C_a}, mu_{a,b}, eta, Delta_{a,b}, eps), keyed by indices in 0..r-1;
     the accessors read any index mod r."""
@@ -83,6 +86,16 @@ class LambdaFrobenius:
                 if (a, b) not in maps:
                     raise LambdaFrobeniusError("missing %s_{%d,%d}" % (name, a, b))
         self._check_shapes()
+
+    def __eq__(self, other):
+        """The six fields, for any two LambdaFrobenius, subclasses included; the
+        type stays unhashable."""
+        if not isinstance(other, LambdaFrobenius):
+            return NotImplemented
+        fields = ("r", "spaces", "mu", "delta", "eta", "eps")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    __hash__ = None
 
     def _check_shapes(self):
         # every structure map is even and declares its factors, mu and Delta the
@@ -303,27 +316,43 @@ class ReportEntry:
     passed: bool
 
 
-@dataclass
 class ValidationReport:
-    entries: list
+    """The verdicts of one validation.  counts holds [checks, failures] per family,
+    and period the m whose index classes were checked.  entries is every check in
+    order, one ReportEntry per index tuple below r; its length costs nothing, and
+    iterating it replays the index tuples against the verdicts of their classes."""
+
+    def __init__(self, relations, families):
+        self.period, self.counts = relations.period, relations.counts
+        self.entries = _Entries(relations, families, sum(n for n, _ in self.counts.values()))
 
     @property
     def ok(self):
-        return all(e.passed for e in self.entries)
+        return not any(bad for _, bad in self.counts.values())
 
     def failures(self):
-        return [e for e in self.entries if not e.passed]
+        return [] if self.ok else [e for e in self.entries if not e.passed]
 
     def summary(self):
-        fams = {}
-        for e in self.entries:
-            done, bad = fams.get(e.family, (0, 0))
-            fams[e.family] = (done + 1, bad + (0 if e.passed else 1))
-        lines = []
-        for fam in sorted(fams):
-            done, bad = fams[fam]
-            lines.append("%-16s %4d checks, %d failures" % (fam, done, bad))
-        return "\n".join(lines)
+        return "\n".join("%-16s %4d checks, %d failures" % (family, *self.counts[family])
+                         for family in sorted(self.counts))
+
+
+class _Entries:
+    """The entries of a report, formed anew by each iteration: the families run over
+    every index tuple below r, and each check reads the verdict its key received."""
+
+    def __init__(self, relations, families, size):
+        self.relations, self.families, self.size = relations, families, size
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        rel = self.relations
+        for checks in self.families:
+            for family, indices, source, lhs, rhs in checks(rel, rel.alg.r):
+                yield ReportEntry(family, indices, rel.decided(source, lhs, rhs))
 
 
 def _table(m):
@@ -338,23 +367,47 @@ def _table(m):
 
 
 class _Relations:
-    """The entries of one validation.  A side of a relation is a source (the
+    """The checks of one validation.  A side of a relation is a source (the
     indices a of its factors C_a) and steps (map handle, position), each applying
     the map to the factors from that position on: one sparse dict from basis
     tuples (source, then target) to coefficients.  Every map is even, so no
     Koszul sign enters.  A handle names a map's value, so each table is read, each
     side formed and each relation checked once per value: the graded centre
-    repeats mu and Delta per index class, as one object or as equal copies."""
+    repeats mu and Delta per index class, as one object or as equal copies.
+
+    The period m is the least divisor of r at which every circle space, mu_{a,b},
+    Delta_{a,b} and power N_a^k (a, b, k < r) has the value it has at its indices
+    mod m; a graded centre's data repeats mod ord(gamma_A).  A check's key, its
+    source classes and its sides as handles, then equals the key at its indices
+    mod m, so the families run over the index tuples below m only, and each check
+    counts once per index tuple of its class: (r/m)^k times for k integer indices."""
 
     def __init__(self, alg):
-        self.alg, self.entries = alg, []
+        self.alg, self.counts = alg, {}
         self.tables, self.values, self.known, self.sides, self.verdicts = [], {}, {}, {}, {}
+        self.braidings = {}
         first = {}
         # equal circle spaces share one source key
         self.space = [first.setdefault(alg.space(a), a) for a in range(alg.r)]
         self.mu = {key: self.handle(m) for key, m in alg.mu.items()}
         self.delta = {key: self.handle(m) for key, m in alg.delta.items()}
         self.eta, self.eps = self.handle(alg.eta), self.handle(alg.eps)
+        self.period = next(m for m in divisors(alg.r) if self.repeats(m))
+
+    def repeats(self, m):
+        """Whether the data at every index below r has the value at the index mod m."""
+        alg, r = self.alg, self.alg.r
+        if m == r:
+            return True
+        if any(self.space[a] != self.space[a % m] for a in range(r)) or any(
+                maps[a, b] != maps[a % m, b % m] for maps in (self.mu, self.delta)
+                for a, b in itertools.product(range(r), repeat=2)):
+            return False
+        # N_a^k = N_{a mod m}^{k mod m} for all a, k < r iff N_a = N_{a mod m} and N_a^m = 1
+        return all(self.handle(alg.nakayama(a)) == self.handle(alg.nakayama(a % m))
+                   for a in range(r)) and all(
+            self.handle(alg.nakayama_power(a, m)) == self.handle(alg.nakayama_power(a, 0))
+            for a in range(m))
 
     def handle(self, m):
         """The index in tables of m's value: its factors, parity and sorted stored
@@ -369,12 +422,44 @@ class _Relations:
             known = self.known[id(m)] = (m, h)
         return known[1]
 
+    def nak(self, a, k):
+        """The handle of N_a^(k mod r), read at a and k mod the period."""
+        m = self.period
+        return self.handle(self.alg.nakayama_power(a % m, k % m))
+
+    def braiding(self, a, b):
+        """The handle of the braiding C_a o C_b -> C_b o C_a, one per pair of classes."""
+        key = (self.space[a], self.space[b])
+        if key not in self.braidings:
+            self.braidings[key] = self.handle(braiding(self.alg.space(a), self.alg.space(b)))
+        return self.braidings[key]
+
     def check(self, family, indices, source, lhs, rhs):
-        key = (tuple([self.space[a] for a in source]), lhs, rhs)
+        """Decide one check of an index class, and count it once per index tuple of
+        the class."""
+        passed = self.verdict(source, lhs, rhs)
+        weight = (self.alg.r // self.period) ** sum(type(i) is int for i in indices)
+        count = self.counts.setdefault(family, [0, 0])
+        count[0] += weight
+        count[1] += 0 if passed else weight
+
+    def key(self, source, lhs, rhs):
+        return tuple([self.space[a] for a in source]), lhs, rhs
+
+    def verdict(self, source, lhs, rhs):
+        """Whether the two sides agree on the source, decided once per key."""
+        key = self.key(source, lhs, rhs)
         passed = self.verdicts.get(key)
         if passed is None:
             passed = self.verdicts[key] = self.side(key[0], lhs) == self.side(key[0], rhs)
-        self.entries.append(ReportEntry(family, indices, passed))
+        return passed
+
+    def decided(self, source, lhs, rhs):
+        """The verdict of a key that the checks of the index classes decided."""
+        passed = self.verdicts.get(self.key(source, lhs, rhs))
+        if passed is None:
+            raise LambdaFrobeniusError("no index class decided the check on %r" % (source,))
+        return passed
 
     def side(self, source, steps):
         if (source, steps) in self.sides:
@@ -398,70 +483,80 @@ class _Relations:
         return out
 
 
-def frobenius_entries(alg, relations=None):
-    """The entries of the untwisted families, (co)associativity, (co)unitality and
-    Frobenius, over every index tuple, added to relations (default: a fresh one).
-    At r = 1, where C_{-1} = C_0 = C_1, they are the Frobenius algebra axioms."""
-    rel = _Relations(alg) if relations is None else relations
-    r, mu, delta, eta, eps = alg.r, rel.mu, rel.delta, rel.eta, rel.eps
-    for a, b, c in itertools.product(range(r), repeat=3):
+def _untwisted(rel, n):
+    """The untwisted families, (co)associativity, (co)unitality and Frobenius, as
+    (family, indices, source, lhs, rhs) over the index tuples below n, their sums
+    read mod r."""
+    r, mu, delta, eta, eps = rel.alg.r, rel.mu, rel.delta, rel.eta, rel.eps
+    for a, b, c in itertools.product(range(n), repeat=3):
         ab, bc = (a + b - 1) % r, (b + c - 1) % r
-        rel.check("associativity", (a, b, c), (a, b, c),
-                  ((mu[a, b], 0), (mu[ab, c], 0)), ((mu[b, c], 1), (mu[a, bc], 0)))
+        yield ("associativity", (a, b, c), (a, b, c),
+               ((mu[a, b], 0), (mu[ab, c], 0)), ((mu[b, c], 1), (mu[a, bc], 0)))
         ab, bc = (a + b + 1) % r, (b + c + 1) % r
-        rel.check("coassociativity", (a, b, c), ((ab + c + 1) % r,),
-                  ((delta[ab, c], 0), (delta[a, b], 0)), ((delta[a, bc], 0), (delta[b, c], 1)))
-    for a in range(r):
-        rel.check("unitality", (a, "left"), (a,), ((eta, 0), (mu[1 % r, a], 0)), ())
-        rel.check("unitality", (a, "right"), (a,), ((eta, 1), (mu[a, 1 % r], 0)), ())
-        rel.check("counitality", (a, "left"), (a,), ((delta[r - 1, a], 0), (eps, 0)), ())
-        rel.check("counitality", (a, "right"), (a,), ((delta[a, r - 1], 0), (eps, 1)), ())
-    for a, b, c in itertools.product(range(r), repeat=3):
+        yield ("coassociativity", (a, b, c), ((ab + c + 1) % r,),
+               ((delta[ab, c], 0), (delta[a, b], 0)), ((delta[a, bc], 0), (delta[b, c], 1)))
+    for a in range(n):
+        yield "unitality", (a, "left"), (a,), ((eta, 0), (mu[1 % r, a], 0)), ()
+        yield "unitality", (a, "right"), (a,), ((eta, 1), (mu[a, 1 % r], 0)), ()
+        yield "counitality", (a, "left"), (a,), ((delta[r - 1, a], 0), (eps, 0)), ()
+        yield "counitality", (a, "right"), (a,), ((delta[a, r - 1], 0), (eps, 1)), ()
+    for a, b, c in itertools.product(range(n), repeat=3):
         # on C_a o C_b: (id o mu_{e,b}) o (Delta_{c,e} o id) and (mu_{a,f} o id) o
         # (id o Delta_{f,d}) against Delta_{c,d} o mu_{a,b}, with d = a + b - c - 2
         d, e, f = (a + b - c - 2) % r, (a - c - 1) % r, (c - a + 1) % r
         middle = ((mu[a, b], 0), (delta[c, d], 0))
-        rel.check("frobenius", (a, b, c, "left"), (a, b),
-                  ((delta[c, e], 0), (mu[e, b], 1)), middle)
-        rel.check("frobenius", (a, b, c, "right"), (a, b),
-                  ((delta[f, d], 1), (mu[a, f], 0)), middle)
-    return rel.entries
+        yield ("frobenius", (a, b, c, "left"), (a, b),
+               ((delta[c, e], 0), (mu[e, b], 1)), middle)
+        yield ("frobenius", (a, b, c, "right"), (a, b),
+               ((delta[f, d], 1), (mu[a, f], 0)), middle)
+
+
+def _twisted(rel, n):
+    """Twisted commutativity, the twist relations and the deck relation N_a^r = 1,
+    as _untwisted writes its families."""
+    r, mu, delta, eta = rel.alg.r, rel.mu, rel.delta, rel.eta
+    for a, b in itertools.product(range(n), repeat=2):
+        # on C_b o C_a: mu_{b,a} o (N_b^{1-a} o id) and mu_{b,a} o (id o N_a^{b-1})
+        # against mu_{a,b} o braiding
+        braided = ((rel.braiding(b, a), 0), (mu[a, b], 0))
+        yield ("commutativity", (a, b, "left"), (b, a),
+               ((rel.nak(b, 1 - a), 0), (mu[b, a], 0)), braided)
+        yield ("commutativity", (a, b, "right"), (b, a),
+               ((rel.nak(a, b - 1), 1), (mu[b, a], 0)), braided)
+    # N_a^a is literal (a < r): reducing mod r would presuppose deck
+    for a in range(n):
+        yield "twist_power", (a,), (a,), ((rel.nak(a, a), 0),), ()
+
+    def zigzag(a, b):
+        # mu_{a,-a} o (N_a^b o id) o Delta_{a,-a} o eta: 1 -> C_{-1}
+        return ((eta, 0), (delta[a, -a % r], 0), (rel.nak(a, b), 0), (mu[a, -a % r], 0))
+
+    for a, b in itertools.product(range(n), repeat=2):
+        yield "twist_pairing", (a, b), (), zigzag(a, b), zigzag((a + b - 1) % r, b)
+    for a in range(n):
+        # the literal r-th power N_a o N_a^(r-1), never read as N_a^(r mod r) = id
+        n_a = rel.handle(rel.alg.nakayama(a % rel.period))
+        yield "deck", (a,), (a,), ((rel.nak(a, r - 1), 0), (n_a, 0)), ()
+
+
+def _report(alg, families):
+    rel = _Relations(alg)
+    for checks in families:
+        for check in checks(rel, rel.period):
+            rel.check(*check)
+    return ValidationReport(rel, families)
+
+
+def frobenius_report(alg):
+    """The report of the untwisted families, (co)associativity, (co)unitality and
+    Frobenius.  At r = 1, where C_{-1} = C_0 = C_1, they are the Frobenius algebra
+    axioms."""
+    return _report(alg, (_untwisted,))
 
 
 def validate(alg):
     """Check all six relation families of the structure, exactly, in a fixed order:
     (co)associativity, (co)unitality, Frobenius, twisted commutativity, the twist
-    relations and the deck transformation relation N_a^r = 1, each as a contraction."""
-    r = alg.r
-    rel = _Relations(alg)
-    frobenius_entries(alg, rel)
-    mu, delta, eta, classes = rel.mu, rel.delta, rel.eta, set(rel.space)
-    braid = {(a, b): rel.handle(braiding(alg.space(a), alg.space(b)))
-             for a in classes for b in classes}
-
-    def nak(a, k):
-        return rel.handle(alg.nakayama_power(a, k))
-
-    for a, b in itertools.product(range(r), repeat=2):
-        # on C_b o C_a: mu_{b,a} o (N_b^{1-a} o id) and mu_{b,a} o (id o N_a^{b-1})
-        # against mu_{a,b} o braiding
-        braided = ((braid[rel.space[b], rel.space[a]], 0), (mu[a, b], 0))
-        rel.check("commutativity", (a, b, "left"), (b, a),
-                  ((nak(b, 1 - a), 0), (mu[b, a], 0)), braided)
-        rel.check("commutativity", (a, b, "right"), (b, a),
-                  ((nak(a, b - 1), 1), (mu[b, a], 0)), braided)
-    # N_a^a is literal (a < r): reducing mod r would presuppose deck
-    for a in range(r):
-        rel.check("twist_power", (a,), (a,), ((nak(a, a), 0),), ())
-
-    def zigzag(a, b):
-        # mu_{a,-a} o (N_a^b o id) o Delta_{a,-a} o eta: 1 -> C_{-1}
-        return ((eta, 0), (delta[a, -a % r], 0), (nak(a, b), 0), (mu[a, -a % r], 0))
-
-    for a, b in itertools.product(range(r), repeat=2):
-        rel.check("twist_pairing", (a, b), (), zigzag(a, b), zigzag((a + b - 1) % r, b))
-    for a in range(r):
-        # the literal r-th power N_a o N_a^(r-1), never read as N_a^(r mod r) = id
-        rel.check("deck", (a,), (a,),
-                  ((nak(a, r - 1), 0), (rel.handle(alg.nakayama(a)), 0)), ())
-    return ValidationReport(rel.entries)
+    relations and the deck transformation relation N_a^r = 1, each as a contraction
+    decided once per index class mod the period of the data."""
+    return _report(alg, (_untwisted, _twisted))

@@ -4,7 +4,7 @@ the library itself never calls them."""
 import itertools
 
 from rspin.constructors import FrobeniusAlgebraData, structure_maps
-from rspin.lambda_frobenius import LambdaFrobenius
+from rspin.lambda_frobenius import LambdaFrobenius, _Relations
 from rspin.landau_ginzburg.mf import (
     GroupAction,
     HomCohomology,
@@ -17,7 +17,14 @@ from rspin.landau_ginzburg.mf import (
 )
 from rspin.landau_ginzburg.poly import Poly
 from rspin.scalars import Cyc
-from rspin.superlinalg import SparseEchelon, SuperLinAlgError, SuperSpace, compose, identity
+from rspin.superlinalg import (
+    SparseEchelon,
+    SuperLinAlgError,
+    SuperSpace,
+    braiding,
+    compose,
+    identity,
+)
 
 
 def scalar(f):
@@ -58,6 +65,62 @@ def surface_by_compose(alg, surface):
     for k, (a, b) in enumerate(surface.handles):
         current = compose(alg.handle_operator(1 - 2 * k, a, b), current)
     return scalar(compose(alg.eps, current))
+
+
+def per_tuple_entries(alg):
+    """validate's entries as (family, indices, passed), every relation decided at
+    every index tuple below r with the literal powers N_a^(k mod r), through the
+    same contraction: the loop that validate ran before it checked index classes."""
+    r = alg.r
+    rel = _Relations(alg)
+    mu, delta, eta, eps, classes = rel.mu, rel.delta, rel.eta, rel.eps, set(rel.space)
+    out = []
+
+    def check(family, indices, source, lhs, rhs):
+        out.append((family, indices, rel.verdict(source, lhs, rhs)))
+
+    for a, b, c in itertools.product(range(r), repeat=3):
+        ab, bc = (a + b - 1) % r, (b + c - 1) % r
+        check("associativity", (a, b, c), (a, b, c),
+              ((mu[a, b], 0), (mu[ab, c], 0)), ((mu[b, c], 1), (mu[a, bc], 0)))
+        ab, bc = (a + b + 1) % r, (b + c + 1) % r
+        check("coassociativity", (a, b, c), ((ab + c + 1) % r,),
+              ((delta[ab, c], 0), (delta[a, b], 0)), ((delta[a, bc], 0), (delta[b, c], 1)))
+    for a in range(r):
+        check("unitality", (a, "left"), (a,), ((eta, 0), (mu[1 % r, a], 0)), ())
+        check("unitality", (a, "right"), (a,), ((eta, 1), (mu[a, 1 % r], 0)), ())
+        check("counitality", (a, "left"), (a,), ((delta[r - 1, a], 0), (eps, 0)), ())
+        check("counitality", (a, "right"), (a,), ((delta[a, r - 1], 0), (eps, 1)), ())
+    for a, b, c in itertools.product(range(r), repeat=3):
+        d, e, f = (a + b - c - 2) % r, (a - c - 1) % r, (c - a + 1) % r
+        middle = ((mu[a, b], 0), (delta[c, d], 0))
+        check("frobenius", (a, b, c, "left"), (a, b),
+              ((delta[c, e], 0), (mu[e, b], 1)), middle)
+        check("frobenius", (a, b, c, "right"), (a, b),
+              ((delta[f, d], 1), (mu[a, f], 0)), middle)
+    braid = {(a, b): rel.handle(braiding(alg.space(a), alg.space(b)))
+             for a in classes for b in classes}
+
+    def nak(a, k):
+        return rel.handle(alg.nakayama_power(a, k))
+
+    for a, b in itertools.product(range(r), repeat=2):
+        braided = ((braid[rel.space[b], rel.space[a]], 0), (mu[a, b], 0))
+        check("commutativity", (a, b, "left"), (b, a),
+              ((nak(b, 1 - a), 0), (mu[b, a], 0)), braided)
+        check("commutativity", (a, b, "right"), (b, a),
+              ((nak(a, b - 1), 1), (mu[b, a], 0)), braided)
+    for a in range(r):
+        check("twist_power", (a,), (a,), ((nak(a, a), 0),), ())
+
+    def zigzag(a, b):
+        return ((eta, 0), (delta[a, -a % r], 0), (nak(a, b), 0), (mu[a, -a % r], 0))
+
+    for a, b in itertools.product(range(r), repeat=2):
+        check("twist_pairing", (a, b), (), zigzag(a, b), zigzag((a + b - 1) % r, b))
+    for a in range(r):
+        check("deck", (a,), (a,), ((nak(a, r - 1), 0), (rel.handle(alg.nakayama(a)), 0)), ())
+    return out
 
 
 def three_variable_composite(model, g, lab1, h, lab2):

@@ -506,7 +506,6 @@ def test_in_process_command_releases_its_redirected_stdout():
     assert released() is None
 
 
-@pytest.mark.slow
 def test_check_clifford1_at_r_48(runner):
     result = runner.invoke(main, ["check", "--builtin", "clifford1", "r=48", "--json"])
     assert result.exit_code == 0, result.output[-300:]

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,7 @@ from rspin.superlinalg import (
 )
 from rspin.surface_eval import RSpinClosedSurface, evaluate_surface
 
-from reference import power, twisted_matrix_algebra
+from reference import per_tuple_entries, power, twisted_matrix_algebra
 
 
 def trivial_lambda(r=1):
@@ -101,6 +102,22 @@ def test_nakayama_cache_is_not_part_of_the_value():
         with pytest.raises(TypeError):
             LambdaFrobenius(r=alg.r, spaces=alg.spaces, mu=alg.mu, delta=alg.delta,
                             eta=alg.eta, eps=alg.eps, **{cache: {}})
+
+
+def test_a_frobenius_algebra_equals_the_lambda_frobenius_with_its_maps():
+    # equality reads the six fields, whichever of the two classes holds them
+    algebra = builtin("trivial")
+    same = LambdaFrobenius(1, algebra.spaces, algebra.mu, algebra.delta, algebra.eta,
+                           algebra.eps)
+    assert algebra == same and same == algebra
+    assert not (algebra != same or same != algebra)
+    other = builtin("group_algebra_Zn", n=2)
+    assert algebra != other and other != LambdaFrobenius(
+        1, other.spaces, other.mu, other.delta, other.eta, other.eps.scale(2))
+    assert algebra != "trivial"
+    for alg in (algebra, same):
+        with pytest.raises(TypeError):
+            hash(alg)
 
 
 def test_graded_center_of_kz2_validates():
@@ -219,18 +236,22 @@ def test_serialization_roundtrip():
             assert again.delta_map(a, b) == alg.delta_map(a, b)
 
 
-@pytest.mark.parametrize("r", [1, 3])
-def test_deck_and_twist_powers_are_literal(r):
-    # every C_a = A for A = clifford1, whose zig-zag N_a = gamma^{-1} has order 2:
-    # N_a^r = N_a for odd r, so deck fails at every a, and N_1^1 != id fails twist_power
-    # at a = 1, while a deck read as N_a^(r mod r) = id would pass
+def constant_clifford(r):
+    """Every C_a = A for A = clifford1, and every mu_{a,b} and Delta_{a,b} A's own."""
     algebra = builtin("clifford1")
     pairs = [(a, b) for a in range(r) for b in range(r)]
-    alg = LambdaFrobenius(r=r, spaces={a: algebra.space(0) for a in range(r)},
-                          mu={p: algebra.mu_map(0, 0) for p in pairs},
-                          delta={p: algebra.delta_map(0, 0) for p in pairs},
-                          eta=algebra.eta, eps=algebra.eps)
-    failed = {(e.family, e.indices) for e in validate(alg).failures()}
+    return LambdaFrobenius(r=r, spaces={a: algebra.space(0) for a in range(r)},
+                           mu={p: algebra.mu_map(0, 0) for p in pairs},
+                           delta={p: algebra.delta_map(0, 0) for p in pairs},
+                           eta=algebra.eta, eps=algebra.eps)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_deck_and_twist_powers_are_literal(r):
+    # A's zig-zag N_a = gamma^{-1} has order 2: N_a^r = N_a for odd r, so deck fails
+    # at every a, and N_1^1 != id fails twist_power at a = 1, while a deck read as
+    # N_a^(r mod r) = id would pass
+    failed = {(e.family, e.indices) for e in validate(constant_clifford(r)).failures()}
     assert {("deck", (a,)) for a in range(r)} <= failed
     twist = {indices for family, indices in failed if family == "twist_power"}
     assert twist == ({(1,)} if r == 3 else set())
@@ -438,8 +459,10 @@ def test_nothing_is_shared_between_calls():
 
 def test_validate_builds_no_map_per_index_tuple(monkeypatch):
     """Every family reads tables of structure constants, so validate builds only
-    the Nakayama powers and one braiding per pair of distinct circle spaces: 116
-    maps at r = 8, where composing maps per index tuple built 632."""
+    the zig-zag N_a of every a < r (to check the period), the powers of N_a per
+    index class and one braiding per pair of circle-space classes: 62 maps at
+    r = 8, where the per-tuple contraction with its r^2 literal powers built 108
+    and composing maps per index tuple 632."""
     alg = graded_center(builtin("clifford1"), 8)
     built = []
     init = SuperMap.__init__
@@ -450,7 +473,7 @@ def test_validate_builds_no_map_per_index_tuple(monkeypatch):
 
     monkeypatch.setattr(SuperMap, "__init__", counted)
     assert validate(alg).ok
-    assert len(built) <= 116
+    assert len(built) <= 62
 
 
 def test_equal_maps_read_one_table_however_they_are_held(monkeypatch):
@@ -499,3 +522,95 @@ def test_validate_matches_the_tensor_reference_on_twisted_matrix_algebras(r):
     alg = graded_center(algebra, r)
     for case in (alg, with_distinct_maps(alg)):
         assert report(case) == reference_validate(case)
+
+
+# -- one decision per index class -------------------------------------------------
+
+# every built-in at every spin order r <= 8 where gamma_A^r = 1, with the period
+# of its graded centre: ord(gamma_A)
+BUILTINS_UP_TO_8 = [(name, params, r, step) for name, params, step in (
+    ("trivial", {}, 1), ("group_algebra_Zn", {"n": 2}, 1), ("group_algebra_Zn", {"n": 3}, 1),
+    ("clifford1", {}, 2), ("matrix_algebra_n", {"n": 2}, 1)) for r in range(step, 9, step)]
+
+
+def equals_the_per_tuple_loop(alg):
+    """validate(alg), once its expanded entries, counts, verdict and failures are
+    shown to be those of the per-tuple loop."""
+    result, expected = validate(alg), per_tuple_entries(alg)
+    assert [(e.family, e.indices, e.passed) for e in result.entries] == expected
+    assert len(result.entries) == len(expected) == 4 * alg.r ** 3 + 3 * alg.r ** 2 + 6 * alg.r
+    counts = {}
+    for family, _, passed in expected:
+        done, bad = counts.get(family, (0, 0))
+        counts[family] = (done + 1, bad + (not passed))
+    assert {family: tuple(count) for family, count in result.counts.items()} == counts
+    assert result.ok == all(passed for _, _, passed in expected)
+    assert [(e.family, e.indices) for e in result.failures()] == \
+        [(family, indices) for family, indices, passed in expected if not passed]
+    return result
+
+
+@pytest.mark.parametrize("name, params, r, order", BUILTINS_UP_TO_8)
+def test_expanded_entries_equal_the_per_tuple_loop(name, params, r, order):
+    alg = graded_center(builtin(name, **params), r)
+    result = equals_the_per_tuple_loop(alg)
+    assert result.ok and result.period == order
+    # one mu, one Delta or one circle space changed at a single index: no proper
+    # divisor of r is a period any more, and every index tuple is its own class
+    cases = {"bumped mu": corrupted(alg, mu={(1 % r, r - 1): bumped(alg.mu_map(1, -1))}),
+             "scaled Delta": corrupted(alg, delta={(0, 1 % r): alg.delta_map(0, 1).scale(2)}),
+             "empty C_0": with_empty_space(alg, 0)}
+    for label, case in cases.items():
+        result = equals_the_per_tuple_loop(case)
+        assert result.period == r, label
+        assert result.ok == (label == "empty C_0" and r == 1), label
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_expanded_entries_equal_the_per_tuple_loop_on_twisted_matrix_algebras(r):
+    # gamma has order r; at r = 3 and 5 no index class holds two index tuples,
+    # while at r = 4 every C_a is one line, on which every mu, Delta and N_a agree
+    result = equals_the_per_tuple_loop(graded_center(twisted_matrix_algebra(r), r))
+    assert (result.period, result.ok) == ((1, True) if r == 4 else (r, False))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
+def test_the_period_holds_the_literal_powers_of_n(r):
+    # mu, Delta and the circle spaces repeat with period 1, but N_a = gamma^{-1} has
+    # order 2: the period is 2 where r is even, r where it is odd
+    result = equals_the_per_tuple_loop(constant_clifford(r))
+    assert result.period == (2 if r % 2 == 0 else r)
+
+
+def test_validate_at_r_48_decides_each_index_class_once(monkeypatch):
+    """clifford1's centre repeats mod 2, so 56 checks decide the 449,568 of r = 48,
+    and the report is counted, not formed."""
+    alg = graded_center(builtin("clifford1"), 48)
+    decided = []
+    check = lambda_frobenius._Relations.check
+
+    def counted(self, *args):
+        decided.append(args[0])
+        return check(self, *args)
+
+    def formed(self):
+        raise AssertionError("the entries were formed")
+
+    monkeypatch.setattr(lambda_frobenius._Relations, "check", counted)
+    monkeypatch.setattr(lambda_frobenius._Entries, "__iter__", formed)
+    result = validate(alg)
+    assert len(decided) <= 64
+    assert result.period == 2 and result.ok and result.failures() == []
+    assert len(result.entries) == 4 * 48 ** 3 + 3 * 48 ** 2 + 6 * 48 == 449568
+    assert result.summary().splitlines()[0] == "associativity    110592 checks, 0 failures"
+
+
+def test_validate_at_r_48_peaks_under_30_mb():
+    tracemalloc.start()
+    try:
+        result = validate(graded_center(builtin("clifford1"), 48))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    assert peak < 30e6, peak
