@@ -18,10 +18,10 @@ import click
 from . import conventions
 from .constructors import (
     BUILTIN_NAMES,
+    AlgebraAutomorphism,
     FrobeniusAlgebraData,
     builtin,
     graded_center_data,
-    nakayama_gamma,
 )
 from .lambda_frobenius import LambdaFrobenius, validate, write_map
 from .landau_ginzburg.groebner import jacobi
@@ -131,8 +131,8 @@ def _algebra(builtin_name, file_path, n, options):
     if builtin_name is not None:
         algebra = builtin(builtin_name, n=n)
         if r is None:
-            # default to the minimal admissible order, the order of gamma_A
-            powers = nakayama_gamma(algebra).powers(24)
+            # default to the minimal admissible order, ord(gamma_A) = ord(N_0)
+            powers = AlgebraAutomorphism(algebra.nakayama(0)).powers(24)
             if powers is None:
                 raise click.UsageError("could not infer r: gamma has order > 24")
             r = len(powers)

@@ -190,10 +190,11 @@ class SectorModel:
             iota[pos[(0, 0)]][0], iota[pos[(1, 1)]][0] = 1, self.q0
             iota[pos[(1, 0)]][1] = iota[pos[(0, 1)]][1] = 1
             check_closed(d0, d, iota, 0)
-            # pi keeps the slots (0, p) at y = roots[g] x'
+            # pi keeps the slots (0, p) at y = roots[g] x': only d_g's first row enters pi D
             pi = [[int(k == pos[(0, p)]) for k in range(len(pairs))] for p in range(2)]
             for g in range(self.r):
-                left = _entrywise(self.differentials[g], lambda e: self._lift(e, g, self.var))
+                left = _entrywise(self.differentials[g][:1],
+                                  lambda e: self._lift(e, g, self.var)) + [[0, 0]]
                 right = _entrywise(d0, lambda e: self._lift(e, g, self.prime))
                 check_closed(tensor_differential(left, (0, 1), right, (0, 1))[1],
                              self.differentials[g], pi, 0)

@@ -9,6 +9,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+from rspin import constructors
 from rspin.cli import main
 from rspin.constructors import builtin, graded_center
 from rspin.scalars import format_scalar
@@ -60,6 +61,25 @@ def test_check_builtin_ok(runner):
                                   "--n", "2", "r=2"])
     assert result.exit_code == 0, result.output
     assert "ok: True" in result.output
+
+
+def test_check_infers_r_with_one_gamma(runner, monkeypatch):
+    """Without r=, r is the order of N_0 = gamma^-1, so gamma is solved for and
+    checked once, by the graded centre: each nakayama_gamma call checks its
+    result with one _check_algebra_automorphism."""
+    checked = []
+    check = constructors._check_algebra_automorphism
+
+    def counted(algebra, phi):
+        checked.append(None)
+        return check(algebra, phi)
+
+    monkeypatch.setattr(constructors, "_check_algebra_automorphism", counted)
+    result = runner.invoke(main, ["check", "--builtin", "clifford1", "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert (payload["inputs"]["r"], payload["results"]["checks"]) == (2, 56)
+    assert len(checked) == 1
 
 
 def test_check_bad_file_exit_1(runner, tmp_path):

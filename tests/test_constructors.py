@@ -185,6 +185,18 @@ def test_degenerate_pairing_rejected():
         FrobeniusAlgebraData.assemble(space, mult, unit, counit)
 
 
+@pytest.mark.parametrize("space, row", [
+    (SuperSpace(2, 0), [1, 1, 1, 1]),  # Gram [[1, 1], [1, 1]]
+    (SuperSpace(1, 1), [1, 0, 0, 0]),  # Gram diag(1, 0): the odd line pairs to 0
+], ids=["even-rank-1", "odd-null"])
+def test_copairing_from_refuses_a_singular_gram_matrix(space, row):
+    # solve_exact finds no C with G C = 1, the one check copairing_from makes
+    sq = tensor_space(space, space)
+    pairing = SuperMap(sq, UNIT_SPACE, 0, [row], (space, space), ())
+    with pytest.raises(DegeneratePairingError):
+        copairing_from(pairing, space)
+
+
 def test_non_separable_rejected():
     # same algebra with the socle counit is Frobenius but not Delta-separable
     space = SuperSpace(2, 0)
@@ -299,9 +311,11 @@ def test_graded_center_splits_one_projector_per_power_of_gamma(monkeypatch):
 def test_graded_center_builds_no_identity_for_a_whisker(monkeypatch):
     """id o f and f o id are whiskers of a map already built: the averaging
     projectors and the Nakayama zig-zag build no identity on A o A o A.  The
-    graded centre of clifford1 at r = 8 builds 74 maps, with one projector front
-    x -> ebar o x o e for both powers of gamma; a front per power built 78, and
-    building each id o f through tensor, with its materialised identity, 84."""
+    graded centre of clifford1 at r = 8 builds 69 maps, with one projector front
+    x -> ebar o x o e for both powers of gamma; with the p o p and incl o proj
+    checks of split_idempotent and gamma's unit check it built 74, with a front
+    per power 78, and building each id o f through tensor, with its
+    materialised identity, 84."""
     algebra = builtin("clifford1")
     built = []
     init = SuperMap.__init__
@@ -312,7 +326,7 @@ def test_graded_center_builds_no_identity_for_a_whisker(monkeypatch):
 
     monkeypatch.setattr(SuperMap, "__init__", counted)
     graded_center_data(algebra, 8)
-    assert len(built) == 74
+    assert len(built) == 69
 
 
 def reference_rejects(space, mult, unit, counit):

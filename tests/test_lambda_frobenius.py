@@ -236,9 +236,9 @@ def test_serialization_roundtrip():
             assert again.delta_map(a, b) == alg.delta_map(a, b)
 
 
-def constant_clifford(r):
-    """Every C_a = A for A = clifford1, and every mu_{a,b} and Delta_{a,b} A's own."""
-    algebra = builtin("clifford1")
+def constant_algebra(algebra, r):
+    """Every C_a = A for the Frobenius algebra A, and every mu_{a,b} and Delta_{a,b}
+    A's own."""
     pairs = [(a, b) for a in range(r) for b in range(r)]
     return LambdaFrobenius(r=r, spaces={a: algebra.space(0) for a in range(r)},
                            mu={p: algebra.mu_map(0, 0) for p in pairs},
@@ -251,7 +251,8 @@ def test_deck_and_twist_powers_are_literal(r):
     # A's zig-zag N_a = gamma^{-1} has order 2: N_a^r = N_a for odd r, so deck fails
     # at every a, and N_1^1 != id fails twist_power at a = 1, while a deck read as
     # N_a^(r mod r) = id would pass
-    failed = {(e.family, e.indices) for e in validate(constant_clifford(r)).failures()}
+    alg = constant_algebra(builtin("clifford1"), r)
+    failed = {(e.family, e.indices) for e in validate(alg).failures()}
     assert {("deck", (a,)) for a in range(r)} <= failed
     twist = {indices for family, indices in failed if family == "twist_power"}
     assert twist == ({(1,)} if r == 3 else set())
@@ -457,13 +458,15 @@ def test_nothing_is_shared_between_calls():
         assert report(bad) == expected
 
 
-def test_validate_builds_no_map_per_index_tuple(monkeypatch):
+@pytest.mark.parametrize("r", [8, 48])
+def test_validate_builds_no_map_per_index_tuple(monkeypatch, r):
     """Every family reads tables of structure constants, so validate builds only
-    the zig-zag N_a of every a < r (to check the period), the powers of N_a per
-    index class and one braiding per pair of circle-space classes: 62 maps at
-    r = 8, where the per-tuple contraction with its r^2 literal powers built 108
-    and composing maps per index tuple 632."""
-    alg = graded_center(builtin("clifford1"), 8)
+    the powers of N_a per index class (N_a^m = 1 checks the period) and one
+    braiding per pair of circle-space classes: 20 maps at r = 8 and at r = 48.
+    Building the zig-zag N_a of every a < r to compare it with N_{a mod m} built
+    62 and 342, the per-tuple contraction with its r^2 literal powers 108 at
+    r = 8 and composing maps per index tuple 632."""
+    alg = graded_center(builtin("clifford1"), r)
     built = []
     init = SuperMap.__init__
 
@@ -473,7 +476,7 @@ def test_validate_builds_no_map_per_index_tuple(monkeypatch):
 
     monkeypatch.setattr(SuperMap, "__init__", counted)
     assert validate(alg).ok
-    assert len(built) <= 62
+    assert len(built) <= 20
 
 
 def test_equal_maps_read_one_table_however_they_are_held(monkeypatch):
@@ -574,12 +577,16 @@ def test_expanded_entries_equal_the_per_tuple_loop_on_twisted_matrix_algebras(r)
     assert (result.period, result.ok) == ((1, True) if r == 4 else (r, False))
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
-def test_the_period_holds_the_literal_powers_of_n(r):
-    # mu, Delta and the circle spaces repeat with period 1, but N_a = gamma^{-1} has
-    # order 2: the period is 2 where r is even, r where it is odd
-    result = equals_the_per_tuple_loop(constant_clifford(r))
-    assert result.period == (2 if r % 2 == 0 else r)
+@pytest.mark.parametrize("order, r, period", [
+    (2, 1, 1), (2, 2, 2), (2, 3, 3), (2, 4, 2), (2, 6, 2), (4, 8, 4), (4, 6, 6)])
+def test_the_period_holds_the_literal_powers_of_n(order, r, period):
+    # mu, Delta and the circle spaces repeat with period 1, but N_a = gamma^{-1}
+    # has the order of gamma: 2 for clifford1 and 4 for the twisted M_2, whose
+    # data at r = 8 also repeats mod 2 with N_a^2 != 1.  The period is the least
+    # divisor of r that the order divides, r where there is none
+    algebra = builtin("clifford1") if order == 2 else twisted_matrix_algebra(order)
+    result = equals_the_per_tuple_loop(constant_algebra(algebra, r))
+    assert result.period == period
 
 
 def test_validate_at_r_48_decides_each_index_class_once(monkeypatch):

@@ -174,8 +174,20 @@ def test_split_idempotent():
     assert image == SuperSpace(1, 0)
     assert compose(proj, incl) == identity(image)
     assert compose(incl, proj) == p
-    with pytest.raises(SuperLinAlgError):
-        split_idempotent(smap(2, 0, 2, 0, 0, [[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("p", [
+    smap(2, 0, 2, 0, 0, [[2, 0], [0, 2]]),
+    smap(2, 0, 2, 0, 0, [[1, 1], [1, 1]]),
+    smap(2, 0, 2, 0, 0, [[0, 1], [0, 0]]),
+    # even, with the odd-to-odd block [[0, 2], [2, 0]], whose square is 4 id
+    smap(1, 2, 1, 2, 0, [[1, 0, 0], [0, 0, 2], [0, 2, 0]]),
+], ids=["twice-id", "all-ones", "nilpotent", "odd-block"])
+def test_split_idempotent_refuses_a_non_idempotent(p):
+    # proj o incl = id is the only check: it fails exactly where p o p != p
+    assert compose(p, p) != p
+    with pytest.raises(SuperLinAlgError, match="not idempotent"):
+        split_idempotent(p)
 
 
 def test_split_idempotent_mixed_parity():
