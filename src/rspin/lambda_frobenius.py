@@ -74,17 +74,21 @@ class LambdaFrobenius:
         r = self.r
         if r < 1:
             raise LambdaFrobeniusError("r must be a positive integer")
+        indices = range(r)
         keys = [(a,) for a in self.spaces] + list(self.mu) + list(self.delta)
-        outside = [key for key in keys if not all(i in range(r) for i in key)]
+        outside = [key for key in keys if not all(i in indices for i in key)]
         if outside:
             raise LambdaFrobeniusError("index %r lies outside 0..%d" % (outside[0], r - 1))
-        for a in range(r):
+        for a in indices:
             if a not in self.spaces:
                 raise LambdaFrobeniusError("missing circle space C_%d" % a)
-        for a, b in itertools.product(range(r), repeat=2):
-            for name, maps in (("mu", self.mu), ("Delta", self.delta)):
-                if (a, b) not in maps:
-                    raise LambdaFrobeniusError("missing %s_{%d,%d}" % (name, a, b))
+        # the first missing map in the order of the index pairs, mu before Delta
+        mu, delta = self.mu, self.delta
+        for key in itertools.product(indices, repeat=2):
+            if key not in mu:
+                raise LambdaFrobeniusError("missing mu_{%d,%d}" % key)
+            if key not in delta:
+                raise LambdaFrobeniusError("missing Delta_{%d,%d}" % key)
         self._check_shapes()
 
     def __eq__(self, other):
@@ -100,13 +104,19 @@ class LambdaFrobenius:
     def _check_shapes(self):
         # every structure map is even and declares its factors, mu and Delta the
         # pair C_a o C_b and eta and eps no unit factor, so that every check
-        # reads its matrix over the basis tuples of the same factors
-        shapes = [("mu_{%d,%d}" % key, m, key, (sum(key) - 1,)) for key, m in self.mu.items()]
-        shapes += [("Delta_{%d,%d}" % key, m, (sum(key) + 1,), key)
-                   for key, m in self.delta.items()]
-        for name, m, sources, targets in shapes + [("eta", self.eta, (), (1,)),
-                                                   ("eps", self.eps, (-1,), ())]:
-            factors = (tuple(map(self.space, sources)), tuple(map(self.space, targets)))
+        # reads its matrix over the basis tuples of the same factors; a map's
+        # name is formatted only when it fails
+        r, spaces = self.r, self.spaces
+        for (a, b), m in self.mu.items():
+            if (m.parity != 0 or m.source_factors != (spaces[a], spaces[b])
+                    or m.target_factors != (spaces[(a + b - 1) % r],)):
+                raise LambdaFrobeniusError("mu_{%d,%d} has wrong factors or parity" % (a, b))
+        for (a, b), m in self.delta.items():
+            if (m.parity != 0 or m.source_factors != (spaces[(a + b + 1) % r],)
+                    or m.target_factors != (spaces[a], spaces[b])):
+                raise LambdaFrobeniusError("Delta_{%d,%d} has wrong factors or parity" % (a, b))
+        for name, m, factors in (("eta", self.eta, ((), (self.space(1),))),
+                                 ("eps", self.eps, ((self.space(-1),), ()))):
             if m.parity != 0 or (m.source_factors, m.target_factors) != factors:
                 raise LambdaFrobeniusError("%s has wrong factors or parity" % name)
 

@@ -272,7 +272,11 @@ class Cyc:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value hashes as the equal int or Fraction; hash(n) is
+        # hash(Fraction(n, 1)), so an integer builds no Fraction
         if len(self.num) == 1:
+            if self.den == 1:
+                return hash(self.num[0])
             return hash(Fraction(self.num[0], self.den))
         return hash((self.order, self.den, self.num))
 

@@ -20,7 +20,7 @@ class SuperLinAlgError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuperSpace:
     even: int
     odd: int
@@ -65,12 +65,17 @@ def _graded_rank(spaces):
 
 
 def graded_tuples(spaces):
-    """Basis tuples of a flat tensor product, evens (lex) then odds (lex)."""
-    rank = _graded_rank(tuple(spaces))
+    """Basis tuples of a flat tensor product, evens (lex) then odds (lex): a new list."""
+    return list(_graded_tuples(tuple(spaces)))
+
+
+@lru_cache(maxsize=256)
+def _graded_tuples(spaces):
+    rank = _graded_rank(spaces)
     out = [None] * len(rank)
     for k, combo in zip(rank, itertools.product(*[range(s.dim) for s in spaces])):
         out[k] = combo
-    return out
+    return tuple(out)
 
 
 def pair_index(space):
@@ -78,14 +83,40 @@ def pair_index(space):
     return {t: k for k, t in enumerate(graded_tuples([space, space]))}
 
 
-def tensor_space(*spaces):
-    """Parity split in closed form: odd = (prod dim - prod (even - odd)) / 2."""
+def _parity_split(spaces):
+    """(dim, odd dim) of the tensor product of spaces in closed form:
+    odd = (prod dim - prod (even - odd)) / 2."""
     total = signed = 1
     for s in spaces:
         total *= s.even + s.odd
         signed *= s.even - s.odd
-    odd = (total - signed) // 2
+    return total, (total - signed) // 2
+
+
+def tensor_space(*spaces):
+    """The tensor product of spaces, its parity split in closed form."""
+    total, odd = _parity_split(spaces)
     return SuperSpace(total - odd, odd)
+
+
+def _declared_factors(factors, space, side):
+    """The declared factor list as a tuple, (space,) if none; refuses a list
+    whose product is not space.  One factor multiplies out to itself, so it is
+    compared with space; a longer list is checked by the closed form of its
+    parity split, with no space built."""
+    if factors is None:
+        return (space,)
+    factors = tuple(factors)
+    if len(factors) == 1:
+        product = factors[0]
+        fits = product is space or product == space
+    else:
+        total, odd = _parity_split(factors)
+        fits = odd == space.odd and total - odd == space.even
+    if not fits:
+        raise SuperLinAlgError("declared %s factors do not multiply out to the %s"
+                               % (side, side))
+    return factors
 
 
 @lru_cache(maxsize=256)
@@ -118,7 +149,10 @@ class SuperMap:
     must hold no zero and become the map's own.  rows is the dense matrix,
     rebuilt from the entries on each access.  Block structure is enforced:
     an entry may be nonzero only if parity(target i) = parity(source j) +
-    parity(map).
+    parity(map).  The declared source and target factor lists must multiply
+    out to the source and target: a one-factor list is compared with its
+    space, and a longer one is checked by the closed form of its parity
+    split, with no space built.
     """
 
     __slots__ = ("source", "target", "parity", "entries", "source_factors", "target_factors")
@@ -159,12 +193,8 @@ class SuperMap:
                     raise SuperLinAlgError("entry (%d,%d) lies outside the matrix" % (i, j))
                 raise SuperLinAlgError(
                     "entry (%d,%d) violates the parity block structure" % (i, j))
-        self.source_factors = tuple(source_factors) if source_factors is not None else (source,)
-        self.target_factors = tuple(target_factors) if target_factors is not None else (target,)
-        if tensor_space(*self.source_factors) != source:
-            raise SuperLinAlgError("declared source factors do not multiply out to the source")
-        if tensor_space(*self.target_factors) != target:
-            raise SuperLinAlgError("declared target factors do not multiply out to the target")
+        self.source_factors = _declared_factors(source_factors, source, "source")
+        self.target_factors = _declared_factors(target_factors, target, "target")
 
     @property
     def rows(self):

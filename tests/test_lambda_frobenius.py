@@ -51,13 +51,33 @@ def test_trivial_algebra_validates():
         assert report.ok, report.summary()
 
 
+def without(maps, *keys):
+    return {key: m for key, m in maps.items() if key not in keys}
+
+
 def test_missing_data_rejected():
     alg = trivial_lambda(2)
-    broken = dict(alg.mu)
-    del broken[(0, 0)]
-    with pytest.raises(LambdaFrobeniusError):
-        LambdaFrobenius(r=2, spaces=alg.spaces, mu=broken, delta=alg.delta,
+    with pytest.raises(LambdaFrobeniusError, match=re.escape("missing mu_{0,0}")):
+        LambdaFrobenius(r=2, spaces=alg.spaces, mu=without(alg.mu, (0, 0)), delta=alg.delta,
                         eta=alg.eta, eps=alg.eps)
+    with pytest.raises(LambdaFrobeniusError, match=re.escape("missing Delta_{0,0}")):
+        LambdaFrobenius(r=2, spaces=alg.spaces, mu=alg.mu, delta=without(alg.delta, (0, 0)),
+                        eta=alg.eta, eps=alg.eps)
+    with pytest.raises(LambdaFrobeniusError, match="missing circle space C_1"):
+        LambdaFrobenius(r=2, spaces=without(alg.spaces, 1), mu=alg.mu, delta=alg.delta,
+                        eta=alg.eta, eps=alg.eps)
+
+
+def test_the_first_missing_map_is_named_in_index_order_mu_before_delta():
+    # the index pairs in order, mu before Delta at each: (0,0) comes before (1,1)
+    alg = trivial_lambda(2)
+    cases = [(((1, 1),), ((0, 0),), "Delta_{0,0}"),
+             (((0, 1),), ((0, 1),), "mu_{0,1}"),
+             (((1, 0), (1, 1)), ((0, 1),), "Delta_{0,1}")]
+    for mu_gone, delta_gone, name in cases:
+        with pytest.raises(LambdaFrobeniusError, match=re.escape("missing " + name) + "$"):
+            LambdaFrobenius(r=2, spaces=alg.spaces, mu=without(alg.mu, *mu_gone),
+                            delta=without(alg.delta, *delta_gone), eta=alg.eta, eps=alg.eps)
 
 
 def test_keys_outside_0_to_r_minus_1_rejected():
@@ -84,6 +104,47 @@ def test_structure_maps_must_declare_their_factors():
             LambdaFrobenius(r=2, spaces={0: space, 1: space},
                             mu={p: mult for p in pairs}, delta={p: comult for p in pairs},
                             eta=algebra.eta, eps=algebra.eps)
+
+
+def test_each_structure_map_is_named_when_its_factors_or_parity_are_wrong():
+    # at r = 4 the clifford1 centre alternates C_a = (0|1), (1|0), so the map of
+    # (a, b + 1) has the wrong factors at (a, b), the wrap-around pairs included
+    alg = graded_center(builtin("clifford1"), 4)
+
+    def rebuilt(**changed):
+        fields = dict(spaces=alg.spaces, mu=alg.mu, delta=alg.delta, eta=alg.eta, eps=alg.eps)
+        return LambdaFrobenius(r=4, **{**fields, **changed})
+
+    def zero(sources, targets):
+        source, target = tensor_space(*sources), tensor_space(*targets)
+        return SuperMap(source, target, 0, None, sources, targets,
+                        entries=[{} for _ in range(target.dim)])
+
+    for name, family in (("mu", "mu"), ("Delta", "delta")):
+        maps = getattr(alg, family)
+        for a, b in maps:
+            pair, shifted = (alg.space(a), alg.space(b)), (alg.space(a + b),)
+            # the neighbour's map, and a map with only the single space shifted
+            for wrong in (maps[(a, (b + 1) % 4)],
+                          zero(pair, shifted) if name == "mu" else zero(shifted, pair)):
+                with pytest.raises(LambdaFrobeniusError, match=re.escape(
+                        "%s_{%d,%d} has wrong factors or parity" % (name, a, b))):
+                    rebuilt(**{family: {**maps, (a, b): wrong}})
+    # two wrong maps: the first in the order of the table is named
+    for keys in (list(alg.mu), list(reversed(alg.mu))):
+        mu = {key: alg.mu[key] for key in keys}
+        mu[(3, 2)], mu[(0, 1)] = alg.mu[(3, 3)], alg.mu[(0, 2)]
+        first = next(key for key in keys if key in ((3, 2), (0, 1)))
+        with pytest.raises(LambdaFrobeniusError, match=re.escape("mu_{%d,%d} has" % first)):
+            rebuilt(mu=mu)
+    odd_eta = SuperMap(UNIT_SPACE, alg.space(1), 1, None, (), None, entries=[{}])
+    with pytest.raises(LambdaFrobeniusError, match="^eta has wrong factors or parity$"):
+        rebuilt(eta=odd_eta)
+    eps = alg.eps
+    unit_factor = SuperMap(eps.source, UNIT_SPACE, 0, None, None, (UNIT_SPACE,),
+                           entries=eps.entries)
+    with pytest.raises(LambdaFrobeniusError, match="^eps has wrong factors or parity$"):
+        rebuilt(eps=unit_factor)
 
 
 def test_nakayama_cache_is_not_part_of_the_value():

@@ -150,6 +150,16 @@ def test_rational_one_is_the_shared_one():
     assert Cyc.rational(-1) is not Cyc.one() and Cyc.rational(-1) == -1
 
 
+@pytest.mark.parametrize("q", [0, 1, -1, -2, 7, 2**61 - 1, 2**61, -(2**61) - 5, 10**30,
+                               Fraction(1, 2), Fraction(-1, 3), Fraction(2**61, 3)])
+def test_a_rational_value_hashes_as_the_equal_int_or_fraction(q):
+    # hash(-1) is -2, and integers at or past the hash modulus wrap
+    c = Cyc.rational(q)
+    assert c == q and hash(c) == hash(q) == hash(Fraction(q))
+    assert {q: "found"}[c] == "found" and c in {Fraction(q)}
+    assert hash(c + Cyc.zeta(3) - Cyc.zeta(3)) == hash(q)
+
+
 def test_computed_one_is_the_shared_one():
     # a sum or product whose value is 1 comes out as the shared one too:
     # Q x Q, Q + Q, and an irrational result that moves to Q through _make

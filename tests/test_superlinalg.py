@@ -301,17 +301,52 @@ def test_tensor_space_closed_form_matches_enumeration(spaces):
     assert graded_tuples(spaces) == reference_basis(spaces)
 
 
+SOURCE_MISMATCH = "declared source factors do not multiply out to the source"
+TARGET_MISMATCH = "declared target factors do not multiply out to the target"
+
+
 def test_supermap_rejects_factors_that_do_not_multiply_out():
     v, w = SuperSpace(1, 1), SuperSpace(2, 1)
     square = tensor_space(v, v)   # (2|2)
     rows = [[1 if i == j else 0 for j in range(square.dim)] for i in range(square.dim)]
     SuperMap(square, square, 0, rows, (v, v), (v, v))
-    with pytest.raises(SuperLinAlgError):
+    with pytest.raises(SuperLinAlgError, match=SOURCE_MISMATCH):
         SuperMap(square, square, 0, rows, (v, w), (v, v))
-    with pytest.raises(SuperLinAlgError):
+    with pytest.raises(SuperLinAlgError, match=TARGET_MISMATCH):
         SuperMap(square, square, 0, rows, (v, v), (SuperSpace(4, 0),))
-    with pytest.raises(SuperLinAlgError):
+    with pytest.raises(SuperLinAlgError, match=SOURCE_MISMATCH):
         SuperMap(square, square, 0, rows, (), (v, v))
+    # the factor tuple (v, v) that the first map declared, now on a space of the
+    # same dimension and another parity split, on either side and as a list
+    flat = SuperSpace(4, 0)
+    with pytest.raises(SuperLinAlgError, match=SOURCE_MISMATCH):
+        SuperMap(flat, square, 0, None, (v, v), (v, v), entries=[{} for _ in range(4)])
+    with pytest.raises(SuperLinAlgError, match=TARGET_MISMATCH):
+        SuperMap(square, flat, 0, None, (v, v), [v, v], entries=[{} for _ in range(4)])
+
+
+def test_supermap_accepts_exactly_the_factor_lists_that_multiply_out():
+    """Every factor list of up to three small spaces, declared twice on each side
+    against its product and against spaces that differ from it by one dimension
+    or a parity swap: SuperMap refuses it exactly when tensor_space disagrees."""
+    small = [SuperSpace(e, o) for e in range(3) for o in range(3)]
+    lists = [()] + [(s,) for s in small] + list(itertools.product(small[:4], repeat=2))
+    lists += list(itertools.product((V11, SuperSpace(2, 1)), repeat=3))
+    for factors in lists * 2:
+        p = tensor_space(*factors)
+        for space in {p, SuperSpace(p.odd, p.even), SuperSpace(p.even + 1, p.odd),
+                      SuperSpace(p.even, p.odd + 1)}:
+            empty = [{} for _ in range(space.dim)]
+            for build, message in (
+                    (lambda: SuperMap(space, space, 0, None, factors, None, entries=empty),
+                     SOURCE_MISMATCH),
+                    (lambda: SuperMap(space, space, 0, None, None, factors, entries=empty),
+                     TARGET_MISMATCH)):
+                if space == p:
+                    build()
+                else:
+                    with pytest.raises(SuperLinAlgError, match=message):
+                        build()
 
 
 # -- differential tests of the sparse core against dense matrices -------------

@@ -16,6 +16,7 @@ from rspin.superlinalg import (
     graded_tuples,
     identity,
     quantum_dimension,
+    supertrace,
     tensor,
 )
 from rspin.surface_eval import (
@@ -143,6 +144,45 @@ def test_normal_form_invariance_small_r(r):
     "gamma^(1-a), so diffeomorphic tori take different values")) for r in (3, 5)] + [4])
 def test_normal_form_invariance_on_the_twisted_matrix_algebra(r):
     assert_one_value_per_torus_class("twisted m2", graded_center(twisted_matrix_algebra(r), r))
+
+
+# every built-in, with small parameters; clifford1 has a graded centre only at
+# even r, since its gamma_A has order 2
+BUILTIN_CENTRE_INPUTS = [("trivial", {}), ("group_algebra_Zn", {"n": 2}),
+                         ("group_algebra_Zn", {"n": 3}), ("group_algebra_Zn", {"n": 4}),
+                         ("clifford1", {}), ("matrix_algebra_n", {"n": 2}),
+                         ("matrix_algebra_n", {"n": 3})]
+
+
+def assert_torus_is_the_trace_of_a_nakayama_power(alg):
+    """Z(T(a, b)) = str_{C_a}(N_a^b) at every a, b < r: T(a, b) is the mapping
+    torus of the circle S^1_a under b twists, so its value is a supertrace."""
+    r = alg.r
+    mismatched = [(a, b) for a in range(r) for b in range(r)
+                  if evaluate_torus(alg, RSpinTorus(r, a, b))
+                  != supertrace(alg.nakayama_power(a, b))]
+    assert not mismatched, (r, mismatched)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_torus_is_the_supertrace_of_a_nakayama_power_on_the_builtin_centres(r):
+    checked = 0
+    for name, params in BUILTIN_CENTRE_INPUTS:
+        if name == "clifford1" and r % 2:
+            continue
+        alg = graded_center(builtin(name, **params), r)
+        assert validate(alg).ok, (name, params, r)
+        assert_torus_is_the_trace_of_a_nakayama_power(alg)
+        checked += 1
+    assert checked == len(BUILTIN_CENTRE_INPUTS) - r % 2
+
+
+@pytest.mark.parametrize("r", [pytest.param(r, marks=pytest.mark.xfail(
+    strict=True, reason="Nakayama-direction defect: the graded centre twists P_a by "
+    "gamma^(1-a), so the torus is not the trace of N_a^b")) for r in (3, 5)] + [4])
+def test_torus_is_the_supertrace_of_a_nakayama_power_on_the_twisted_matrix_algebra(r):
+    assert_torus_is_the_trace_of_a_nakayama_power(
+        graded_center(twisted_matrix_algebra(r), r))
 
 
 def test_torus_matches_oracle_on_a_corrupted_centre():
