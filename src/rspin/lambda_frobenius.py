@@ -75,6 +75,11 @@ class LambdaFrobenius:
         if r < 1:
             raise LambdaFrobeniusError("r must be a positive integer")
         indices = range(r)
+        for name, table in (("mu", self.mu), ("Delta", self.delta)):
+            for key in table:
+                if not isinstance(key, tuple) or len(key) != 2:
+                    raise LambdaFrobeniusError("%s key %r is not a pair of indices"
+                                               % (name, key))
         keys = [(a,) for a in self.spaces] + list(self.mu) + list(self.delta)
         outside = [key for key in keys if not all(i in indices for i in key)]
         if outside:
@@ -380,7 +385,10 @@ class _Relations:
     """The checks of one validation.  A side of a relation is a source (the
     indices a of its factors C_a) and steps (map handle, position), each applying
     the map to the factors from that position on: one sparse dict from basis
-    tuples (source, then target) to coefficients.  Every map is even, so no
+    tuples (source, then target) to coefficients.  The first step is read from
+    its table's stored nonzeros with the identity on the other factors, so no
+    basis tuple outside the support of its map is visited; each later step
+    looks up the tuples of the state it is given.  Every map is even, so no
     Koszul sign enters.  A handle names a map's value, so each table is read, each
     side formed and each relation checked once per value: the graded centre
     repeats mu and Delta per index class, as one object or as equal copies.
@@ -474,10 +482,25 @@ class _Relations:
     def side(self, source, steps):
         if (source, steps) in self.sides:
             return self.sides[source, steps]
-        # the steps apply to the identity of source, the side with no steps
-        out = self.side(source, ()) if steps else {x + x: _ONE for x in itertools.product(
-            *[range(self.alg.space(a).dim) for a in source])}
-        for k, p in steps:
+        ranges = [range(self.alg.space(a).dim) for a in source]
+        if not steps:
+            out = {x + x: _ONE for x in itertools.product(*ranges)}
+            self.sides[source, steps] = out
+            return out
+        # the first step applied to the identity of source: the identity on the
+        # factors before and after it times each stored nonzero of its map, so
+        # no basis tuple outside its support is looked up.  Distinct (source
+        # tuple, target) pairs give distinct keys, so nothing sums.
+        k, p = steps[0]
+        table, width = self.tables[k]
+        out = {}
+        for head in itertools.product(*ranges[:p]):
+            for tail in itertools.product(*ranges[p + width:]):
+                for s, images in table.items():
+                    x = head + s + tail
+                    for t, v in images:
+                        out[x + head + t + tail] = v
+        for k, p in steps[1:]:
             table, width = self.tables[k]
             p += len(source)
             state, out = out, {}

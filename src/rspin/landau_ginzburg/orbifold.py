@@ -66,7 +66,6 @@ from ..superlinalg import SuperMap, SuperSpace, compose
 from ..constructors import (
     AlgebraAutomorphism,
     FrobeniusAlgebraData,
-    copairing_from,
     delta_separable,
     graded_center,
     nakayama_gamma,
@@ -326,8 +325,12 @@ def orbifold_algebra(w, action):
     """The flattened orbifold algebra with its Nakayama weights.
 
     Returns the algebra, gamma = sum_g det(g)^{-1} . 1_g (verified against
-    the pairing zig-zag), and the recorded counit normalisation.  The
-    Delta-separability flag records the honest outcome of mu o Delta = id.
+    the pairing zig-zag), and the recorded counit normalisation.  The Gram
+    matrix of the pairing is solved once, by the one assemble call: the
+    counit scale s is read from the handle element of the assembled algebra,
+    and s != 1 rescales it through counit_scaled (copairing over s), whose
+    Frobenius axioms are checked again.  The Delta-separability flag records
+    the honest outcome of mu o Delta = id.
     It fails for every exponent d >= 3, whatever r (x^4 under Z2 too): the
     untwisted x is then central and nilpotent, since x^(d-1) = 0 in the
     Jacobi algebra and the maximal ideal annihilates the twisted sectors, so
@@ -386,12 +389,16 @@ def orbifold_algebra(w, action):
 
     # the unit is the single basis vector 1_0, so the handle element
     # z = mu o Delta o eta is a multiple of it exactly when it equals its own
-    # entry there times the unit; then the counit s . eps makes mu o Delta = id
-    z = compose(mult, copairing_from(compose(counit, mult), space))
+    # entry there times the unit; then the counit s . eps makes mu o Delta = id.
+    # z is read from the algebra with the counit as given, whose copairing
+    # assemble solved; a scale s != 1 rescales that algebra, with no second solve
+    algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit)
+    z = compose(mult, algebra.copairing(0))
     scale = z.entries[index[unit_label]].get(0)
     if not scale or z != unit.scale(scale):
         scale = Cyc.one()
-    algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit.scale(scale))
+    elif scale != 1:
+        algebra = algebra.counit_scaled(scale)
 
     # det(g)^{-1}: the product of the twists of g on every variable (1 for W = 0)
     det_inverse = [math.prod([action.root(v, -g) for v in variables] or [Cyc.one()])

@@ -19,6 +19,8 @@ from operator import add, sub
 
 from ..scalars import Cyc, as_cyc, format_scalar, parse_expression
 
+_ONE = Cyc.one()
+
 
 class PolyError(ValueError):
     pass
@@ -66,9 +68,9 @@ class Poly:
         return Poly._trusted((name,), {(1,): Cyc.one()})
 
     def align(self, variables):
-        variables = tuple(variables)
         if variables == self.vars:
             return self
+        variables = tuple(variables)
         index = {v: k for k, v in enumerate(variables)}
         for v in self.vars:
             if v not in index:
@@ -83,6 +85,8 @@ class Poly:
 
     @staticmethod
     def _aligned(a, b):
+        if a.vars == b.vars:
+            return a, b, a.vars
         variables = _merge_vars(a.vars, b.vars)
         return a.align(variables), b.align(variables), variables
 
@@ -153,7 +157,7 @@ class Poly:
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 exp = tuple(map(add, e1, e2))
-                prod = c1 * c2
+                prod = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
                 acc = terms.get(exp)
                 if acc is None:
                     terms[exp] = prod

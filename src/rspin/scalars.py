@@ -182,6 +182,9 @@ class Cyc:
     __radd__ = __add__
 
     def __neg__(self):
+        # -(-1) is the shared one, so products by it take the fast path
+        if self.num == (-1,) and self.den == 1:
+            return _ONE
         return Cyc(self.order, self.den, tuple(-c for c in self.num))
 
     def __sub__(self, other):
@@ -194,6 +197,11 @@ class Cyc:
         a, b = self, other
         if b.__class__ is not Cyc:
             b = Cyc.rational(b)
+        # a product by the shared one is the other factor itself
+        if b is _ONE:
+            return a
+        if a is _ONE:
+            return b
         if len(a.num) == 1:
             a, b = b, a  # an irrational factor comes first
         an, bn, den = a.num, b.num, a.den * b.den
@@ -290,7 +298,8 @@ _ONE = Cyc(1, 1, (1,))
 
 def _in_q(n, den):
     """n / den in Q for den > 0, in lowest terms; a value of 1 is the shared one,
-    which compose and whisker skip multiplying by."""
+    by which a product is the other factor itself, and which compose and whisker
+    skip multiplying by."""
     if n == den:
         return _ONE
     g = gcd(n, den)  # gcd(0, den) = den, so zero comes out as 0/1

@@ -67,12 +67,39 @@ def surface_by_compose(alg, surface):
     return scalar(compose(alg.eps, current))
 
 
+class IdentityWalk(_Relations):
+    """_Relations whose sides apply every step, the first one too, to the identity
+    on all basis tuples of the source, looking each tuple up in the step's table;
+    nothing is kept from one side to the next."""
+
+    def side(self, source, steps):
+        zero = Cyc.zero()
+        out = {x + x: Cyc.one() for x in itertools.product(
+            *[range(self.alg.space(a).dim) for a in source])}
+        for k, p in steps:
+            table, width = self.tables[k]
+            p += len(source)
+            state, out = out, {}
+            for basis, c in state.items():
+                head, tail = basis[:p], basis[p + width:]
+                for t, v in table.get(basis[p:p + width], ()):
+                    t = head + t + tail
+                    out[t] = out.get(t, zero) + c * v
+        return {t: v for t, v in out.items() if v}
+
+
+# the families of frobenius_report, in its order; validate checks these first
+UNTWISTED_FAMILIES = ("associativity", "coassociativity", "unitality", "counitality",
+                      "frobenius")
+
+
 def per_tuple_entries(alg):
     """validate's entries as (family, indices, passed), every relation decided at
-    every index tuple below r with the literal powers N_a^(k mod r), through the
-    same contraction: the loop that validate ran before it checked index classes."""
+    every index tuple below r with the literal powers N_a^(k mod r), each side
+    formed by the identity walk: the loop that validate ran before it checked
+    index classes and read the first step from the stored nonzeros."""
     r = alg.r
-    rel = _Relations(alg)
+    rel = IdentityWalk(alg)
     mu, delta, eta, eps, classes = rel.mu, rel.delta, rel.eta, rel.eps, set(rel.space)
     out = []
 

@@ -401,3 +401,25 @@ def test_assemble_rejects_exactly_what_the_reference_rejects():
         outcomes.append(rejected)
     # both verdicts occur: the built-ins and their scaled counits pass
     assert True in outcomes and False in outcomes
+
+
+@pytest.mark.parametrize("name, n", [("trivial", 1), ("group_algebra_Zn", 3), ("clifford1", 1),
+                                     ("matrix_algebra_n", 2)])
+@pytest.mark.parametrize("scale", [3, Cyc.rational(-1), 1 + Cyc.zeta(5)],
+                         ids=["3", "-1", "1+z5"])
+def test_counit_scaled_is_the_assembly_with_the_scaled_counit(monkeypatch, name, n, scale):
+    alg = builtin(name, n=n)
+    expected = FrobeniusAlgebraData.assemble(alg.space(0), alg.mu_map(0, 0), alg.eta,
+                                             alg.eps.scale(scale))
+    solves = []
+    solve = constructors.copairing_from
+
+    def counted(*args):
+        solves.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(constructors, "copairing_from", counted)
+    scaled = alg.counit_scaled(scale)
+    assert scaled == expected and type(scaled) is FrobeniusAlgebraData
+    assert solves == []
+    assert scaled.copairing(0) == alg.copairing(0).scale(Cyc.one() / scale)

@@ -12,7 +12,12 @@ from rspin.constructors import (
     graded_center_data,
     nakayama_gamma,
 )
-from rspin.lambda_frobenius import LambdaFrobenius, LambdaFrobeniusError, validate
+from rspin.lambda_frobenius import (
+    LambdaFrobenius,
+    LambdaFrobeniusError,
+    frobenius_report,
+    validate,
+)
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
     SuperMap,
@@ -27,7 +32,7 @@ from rspin.superlinalg import (
 )
 from rspin.surface_eval import RSpinClosedSurface, evaluate_surface
 
-from reference import per_tuple_entries, power, twisted_matrix_algebra
+from reference import UNTWISTED_FAMILIES, per_tuple_entries, power, twisted_matrix_algebra
 
 
 def trivial_lambda(r=1):
@@ -87,6 +92,17 @@ def test_keys_outside_0_to_r_minus_1_rejected():
         with pytest.raises(LambdaFrobeniusError, match="outside 0..1"):
             LambdaFrobenius(r=2, spaces=spaces, mu=mu, delta=alg.delta,
                             eta=alg.eta, eps=alg.eps)
+
+
+@pytest.mark.parametrize("table, name", [("mu", "mu"), ("delta", "Delta")])
+@pytest.mark.parametrize("key", [(0,), (0, 0, 0)])
+def test_a_key_that_is_not_a_pair_is_named(table, name, key):
+    alg = graded_center(builtin("clifford1"), 2)
+    maps = {"mu": alg.mu, "delta": alg.delta}
+    maps[table] = {**maps[table], key: maps[table][(0, 0)]}
+    with pytest.raises(LambdaFrobeniusError,
+                       match="^%s key %s is not a pair of indices$" % (name, re.escape(repr(key)))):
+        LambdaFrobenius(r=2, spaces=alg.spaces, eta=alg.eta, eps=alg.eps, **maps)
 
 
 def test_structure_maps_must_declare_their_factors():
@@ -612,6 +628,32 @@ def equals_the_per_tuple_loop(alg):
     assert [(e.family, e.indices) for e in result.failures()] == \
         [(family, indices) for family, indices, passed in expected if not passed]
     return result
+
+
+@pytest.mark.parametrize("name, params, r, order", BUILTINS_UP_TO_8)
+def test_frobenius_report_equals_the_per_tuple_loop(name, params, r, order):
+    # the untwisted families, each side's first step read from the stored
+    # nonzeros, against the identity walk over every basis tuple
+    alg = graded_center(builtin(name, **params), r)
+    for case in (alg, corrupted(alg, mu={(1 % r, r - 1): bumped(alg.mu_map(1, -1))})):
+        expected = [e for e in per_tuple_entries(case) if e[0] in UNTWISTED_FAMILIES]
+        result = frobenius_report(case)
+        assert [(e.family, e.indices, e.passed) for e in result.entries] == expected
+        assert result.ok == all(passed for _, _, passed in expected) == (case is alg)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("trivial", {}), ("group_algebra_Zn", {"n": 2}), ("group_algebra_Zn", {"n": 3}),
+    ("clifford1", {}), ("matrix_algebra_n", {"n": 2})])
+def test_a_frobenius_algebra_reports_as_the_per_tuple_loop(name, params):
+    # each built-in as the Lambda_1-Frobenius algebra that assemble checks;
+    # validate may fail on it (clifford1 is not commutative), the same way in both
+    alg = builtin(name, **params)
+    expected = per_tuple_entries(alg)
+    assert [(e.family, e.indices, e.passed) for e in validate(alg).entries] == expected
+    assert [(e.family, e.indices, e.passed) for e in frobenius_report(alg).entries] == \
+        [e for e in expected if e[0] in UNTWISTED_FAMILIES]
+    assert frobenius_report(alg).ok
 
 
 @pytest.mark.parametrize("name, params, r, order", BUILTINS_UP_TO_8)

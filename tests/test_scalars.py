@@ -432,3 +432,42 @@ def test_equal_values_are_one_object_in_a_set():
     assert (1 + Cyc.zeta(3) + Cyc.zeta(3) ** 2) == 0
     with pytest.raises(ScalarError):
         Cyc.zeta(3) + Cyc.zeta(6)
+
+
+# -- products by the shared one ------------------------------------------------
+
+@st.composite
+def rational_or_zeta5(draw):
+    """(order, Fraction coefficients, Cyc) of a rational or a Q(zeta_5) value,
+    -(-1), the negated shared one, among them."""
+    kind = draw(st.sampled_from(["minus minus one", "rational", "zeta5"]))
+    if kind == "minus minus one":
+        return 1, [Fraction(1)], -(-Cyc.one())
+    if kind == "rational":
+        q = draw(st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+                           small_rationals))
+        return 1, [q], Cyc.rational(q)
+    coeffs = draw(st.lists(small_rationals, min_size=4, max_size=4))
+    return 5, coeffs, Cyc.from_coeffs(5, coeffs)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(operand=rational_or_zeta5())
+def test_a_product_by_the_shared_one_is_the_other_factor(operand):
+    order, coeffs, x = operand
+    general = Cyc(1, 1, (1,))  # equal to one but not the shared object: no fast path
+    assert general is not Cyc.one()
+    expected = ref_product(coeffs, ref_embed(1, order), order)
+    for product in (x * general, general * x, x * 1, 1 * x, x * Cyc.one(), Cyc.one() * x):
+        assert_canonical(product, order, expected)
+        assert product == x * general
+    for product in (x * 1, 1 * x, x * Cyc.one(), Cyc.one() * x, x * Fraction(1)):
+        assert product is x
+
+
+def test_minus_minus_one_is_the_shared_one():
+    one = Cyc.one()
+    assert -(-one) is one
+    assert -Cyc.rational(-1) is one and -Cyc.zeta(2) is one
+    assert -Cyc.rational(Fraction(-1, 2)) == Fraction(1, 2)
+    assert (-(-Cyc.zeta(5))) * (-(-one)) == Cyc.zeta(5)
