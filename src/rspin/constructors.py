@@ -51,10 +51,9 @@ class DegeneratePairingError(FrobeniusError):
 
 class FrobeniusAlgebraData(LambdaFrobenius):
     """A Frobenius algebra A as the closed Lambda_1-Frobenius algebra with
-    C_{-1} = C_0 = C_1 = A.  It passes frobenius_report, which assemble and
-    counit_scaled run, but need not pass validate, whose commutativity and deck
-    families hold only for a commutative symmetric algebra (clifford1 fails
-    both, M_2 the first)."""
+    C_{-1} = C_0 = C_1 = A.  It passes frobenius_report, which assemble runs,
+    but need not pass validate, whose commutativity and deck families hold only
+    for a commutative symmetric algebra (clifford1 fails both, M_2 the first)."""
 
     @staticmethod
     def assemble(space, mult, unit, counit):
@@ -64,17 +63,22 @@ class FrobeniusAlgebraData(LambdaFrobenius):
             raise FrobeniusError("structure maps must be even")
         copairing = copairing_from(compose(counit, mult), space)
         comult = whisker(whisker(identity(space), (space,), copairing, ()), (), mult, (space,))
-        return _checked(FrobeniusAlgebraData(1, {0: space}, {(0, 0): mult}, {(0, 0): comult},
-                                             unit, counit))
+        algebra = FrobeniusAlgebraData(1, {0: space}, {(0, 0): mult}, {(0, 0): comult},
+                                       unit, counit)
+        report = frobenius_report(algebra)
+        if not report.ok:
+            raise FrobeniusError("the %s axiom fails" % report.failures()[0].family)
+        return algebra
 
     def counit_scaled(self, scale):
         """The algebra that assemble returns for the counit scale . eps, scale
-        nonzero, with no second solve: the copairing of scale . eps is the
-        copairing over scale, and Delta is linear in it."""
+        nonzero, with no second solve or check: the copairing of scale . eps is
+        the copairing over scale, Delta is linear in it, and every untwisted
+        relation is homogeneous in (Delta, eps), so it holds as it did."""
         scale = as_cyc(scale)
         comult = self.delta_map(0, 0).scale(scale.inverse())
-        return _checked(FrobeniusAlgebraData(1, self.spaces, self.mu, {(0, 0): comult},
-                                             self.eta, self.eps.scale(scale)))
+        return FrobeniusAlgebraData(1, self.spaces, self.mu, {(0, 0): comult},
+                                    self.eta, self.eps.scale(scale))
 
     # -- config schema ---------------------------------------------------------
 
@@ -101,14 +105,6 @@ class FrobeniusAlgebraData(LambdaFrobenius):
         if not delta_separable(algebra):
             raise FrobeniusError("algebra is not Delta-separable (mu o Delta != id)")
         return algebra
-
-
-def _checked(algebra):
-    """The algebra, once the Frobenius axioms hold."""
-    report = frobenius_report(algebra)
-    if not report.ok:
-        raise FrobeniusError("the %s axiom fails" % report.failures()[0].family)
-    return algebra
 
 
 def delta_separable(algebra):

@@ -4,13 +4,13 @@ The structure is a Z_r-graded family of circle spaces C_a with graded
 multiplication mu_{a,b}: C_a o C_b -> C_{a+b-1}, unit eta: 1 -> C_1,
 comultiplication Delta_{a,b}: C_{a+b+1} -> C_a o C_b and counit
 eps: C_{-1} -> 1, together with the Nakayama automorphisms N_a built from
-the pairing/copairing zig-zag.  validate() checks every defining relation
-family exactly, each as a contraction of structure constants read once per
-map value as a table, and builds no map per index tuple.  It decides each
-relation once per index class mod the period of the data, the least divisor
-m of r at which every circle space, mu, Delta and power of N_a takes the
-value of its indices mod m, and its report counts every index tuple and
-forms their entries only when they are read.
+the pairing/copairing zig-zag.  Every derived table (copairings, powers of
+N_a, handle operators, states and caps) is keyed mod the algebra's period.
+validate() checks every defining relation family exactly, each as a
+contraction of structure constants read once per map value as a table, and
+builds no map per index tuple.  It decides each relation once per index class
+mod the period, and its report counts every index tuple and forms their
+entries only when they are read.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ class Cap(NamedTuple):
 @dataclass(eq=False)
 class LambdaFrobenius:
     """The tuple ({C_a}, mu_{a,b}, eta, Delta_{a,b}, eps), keyed by indices in 0..r-1;
-    the accessors read any index mod r."""
+    the accessors read any index mod r, and the derived tables mod the period m:
+    the least divisor of r at which every circle space, mu_{a,b}, Delta_{a,b} and
+    power N_a^k (a, b, k < r) has the value at its indices mod m.  A graded
+    centre's data repeats mod ord(gamma_A)."""
 
     r: int
     spaces: dict
@@ -60,10 +63,11 @@ class LambdaFrobenius:
     delta: dict
     eta: SuperMap
     eps: SuperMap
-    # derived structure, filled on first use: each copairing c_a, the literal
-    # powers of each N_a, each handle operator K_{c,a,b}, each state
-    # K_{1,a,b}(eta) (at most r^2) and each cap eps o K_{c,a,b} (at most r^3).
-    # Not part of the value, and never reassigned after construction.
+    period: int = field(init=False, compare=False, repr=False)
+    # derived structure, filled on first use and keyed mod the period m: each
+    # copairing c_a, the powers of each N_a, each handle operator K_{c,a,b},
+    # each state K_{1,a,b}(eta) (at most m^2) and each cap eps o K_{c,a,b} (at
+    # most m^3).  Not part of the value, and never reassigned after construction.
     _copairings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _nakayama_powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _handle_operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -95,6 +99,9 @@ class LambdaFrobenius:
             if key not in delta:
                 raise LambdaFrobeniusError("missing Delta_{%d,%d}" % key)
         self._check_shapes()
+        # while it is sought, every index is read literally
+        self.period = r
+        self.period = next(m for m in divisors(r) if self.repeats(m))
 
     def __eq__(self, other):
         """The six fields, for any two LambdaFrobenius, subclasses included; the
@@ -125,6 +132,18 @@ class LambdaFrobenius:
             if m.parity != 0 or (m.source_factors, m.target_factors) != factors:
                 raise LambdaFrobeniusError("%s has wrong factors or parity" % name)
 
+    def repeats(self, m):
+        """Whether the data at every index below r has the value at the index mod m."""
+        r, spaces = self.r, self.spaces
+        if m == r:
+            return True
+        if any(spaces[a] != spaces[a % m] for a in range(r)) or any(
+                maps[a, b] != maps[a % m, b % m] for maps in (self.mu, self.delta)
+                for a, b in itertools.product(range(r), repeat=2)):
+            return False
+        # N_a, built from C_{+-a}, mu_{a,-a}, Delta_{a,-a}, eta and eps, is N_{a mod m}
+        return all(self.nakayama_power(a, m) == self.nakayama_power(a, 0) for a in range(m))
+
     # -- accessors -----------------------------------------------------------
 
     def space(self, a):
@@ -143,8 +162,8 @@ class LambdaFrobenius:
         return compose(self.eps, self.mu_map(a, -a))
 
     def copairing(self, a):
-        """c_a = Delta_{a,-a} o eta : 1 -> C_a o C_{-a}, built once per a mod r."""
-        a %= self.r
+        """c_a = Delta_{a,-a} o eta : 1 -> C_a o C_{-a}, built once per a mod the period."""
+        a %= self.period
         c = self._copairings.get(a)
         if c is None:
             c = self._copairings[a] = compose(self.delta_map(a, -a), self.eta)
@@ -161,13 +180,13 @@ class LambdaFrobenius:
         return self._nakayama_list(a, 1)[1]
 
     def nakayama_power(self, a, k):
-        """N_a^(k mod r), read from the literal powers of N_a."""
-        k %= self.r
+        """N_a^k, read at a and k mod the period from the powers of N_a."""
+        k %= self.period
         return self._nakayama_list(a, k)[k]
 
     def _nakayama_list(self, a, k):
         """[N_a^0, N_a^1, ...] through N_a^k at least, each one compose above the last."""
-        a %= self.r
+        a %= self.period
         powers = self._nakayama_powers.get(a)
         if powers is None:
             # both steps of the zig-zag are whiskers, the first onto id_{C_a},
@@ -182,12 +201,13 @@ class LambdaFrobenius:
 
     def handle_operator(self, c, a, b):
         """K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1}: C_c -> C_{c-2},
-        built once per (c, a, b) mod r and kept with the algebra."""
-        r = self.r
-        key = (c % r, a % r, b % r)
+        built once per (c, a, b) mod the period and kept with the algebra."""
+        m = self.period
+        key = (c % m, a % m, b % m)
         k = self._handle_operators.get(key)
         if k is None:
-            other = (c - a - 1) % r
+            c, a, b = key
+            other = (c - a - 1) % m
             n = self.nakayama_power(a, 1 - b)
             k = self._handle_operators[key] = compose(
                 self.mu_map(a, other),
@@ -196,8 +216,8 @@ class LambdaFrobenius:
 
     def handle_state(self, a, b):
         """(C_{-1}, K_{1,a,b}(eta)): the first handle applied to the column of eta,
-        a sparse vector {index: nonzero}, built once per (a, b) mod r."""
-        key = (a % self.r, b % self.r)
+        a sparse vector {index: nonzero}, built once per (a, b) mod the period."""
+        key = (a % self.period, b % self.period)
         state = self._handle_states.get(key)
         if state is None:
             k, eta = self.handle_operator(1, a, b), self.eta
@@ -207,9 +227,9 @@ class LambdaFrobenius:
 
     def handle_cap(self, c, a, b):
         """eps o K_{c,a,b} as a Cap on C_c: the row of eps times the stored
-        entries of the last handle, built once per (c, a, b) mod r."""
-        r = self.r
-        key = (c % r, a % r, b % r)
+        entries of the last handle, built once per (c, a, b) mod the period."""
+        m = self.period
+        key = (c % m, a % m, b % m)
         cap = self._handle_caps.get(key)
         if cap is None:
             k, eps = self.handle_operator(c, a, b), self.eps
@@ -338,7 +358,7 @@ class ValidationReport:
     iterating it replays the index tuples against the verdicts of their classes."""
 
     def __init__(self, relations, families):
-        self.period, self.counts = relations.period, relations.counts
+        self.period, self.counts = relations.alg.period, relations.counts
         self.entries = _Entries(relations, families, sum(n for n, _ in self.counts.values()))
 
     @property
@@ -393,14 +413,10 @@ class _Relations:
     side formed and each relation checked once per value: the graded centre
     repeats mu and Delta per index class, as one object or as equal copies.
 
-    The period m is the least divisor of r at which every circle space, mu_{a,b},
-    Delta_{a,b} and power N_a^k (a, b, k < r) has the value it has at its indices
-    mod m; a graded centre's data repeats mod ord(gamma_A).  N_a repeats with the
-    data it is built from, so of the powers only N_a^m = 1 is checked.  A check's
-    key, its source classes and its sides as handles, then equals the key at its
-    indices mod m, so the families run over the index tuples below m only, and each
-    check counts once per index tuple of its class: (r/m)^k times for k integer
-    indices."""
+    A check's key, its source classes and its sides as handles, equals the key at
+    its indices mod the algebra's period m, so the families run over the index
+    tuples below m only, and each check counts once per index tuple of its class:
+    (r/m)^k times for k integer indices."""
 
     def __init__(self, alg):
         self.alg, self.counts = alg, {}
@@ -412,20 +428,6 @@ class _Relations:
         self.mu = {key: self.handle(m) for key, m in alg.mu.items()}
         self.delta = {key: self.handle(m) for key, m in alg.delta.items()}
         self.eta, self.eps = self.handle(alg.eta), self.handle(alg.eps)
-        self.period = next(m for m in divisors(alg.r) if self.repeats(m))
-
-    def repeats(self, m):
-        """Whether the data at every index below r has the value at the index mod m."""
-        alg, r = self.alg, self.alg.r
-        if m == r:
-            return True
-        if any(self.space[a] != self.space[a % m] for a in range(r)) or any(
-                maps[a, b] != maps[a % m, b % m] for maps in (self.mu, self.delta)
-                for a, b in itertools.product(range(r), repeat=2)):
-            return False
-        # N_a, built from C_{+-a}, mu_{a,-a}, Delta_{a,-a}, eta and eps, is N_{a mod m}
-        return all(self.handle(alg.nakayama_power(a, m)) == self.handle(alg.nakayama_power(a, 0))
-                   for a in range(m))
 
     def handle(self, m):
         """The index in tables of m's value: its factors, parity and sorted stored
@@ -441,9 +443,8 @@ class _Relations:
         return known[1]
 
     def nak(self, a, k):
-        """The handle of N_a^(k mod r), read at a and k mod the period."""
-        m = self.period
-        return self.handle(self.alg.nakayama_power(a % m, k % m))
+        """The handle of N_a^k, read at a and k mod the period."""
+        return self.handle(self.alg.nakayama_power(a, k))
 
     def braiding(self, a, b):
         """The handle of the braiding C_a o C_b -> C_b o C_a, one per pair of classes."""
@@ -456,7 +457,7 @@ class _Relations:
         """Decide one check of an index class, and count it once per index tuple of
         the class."""
         passed = self.verdict(source, lhs, rhs)
-        weight = (self.alg.r // self.period) ** sum(type(i) is int for i in indices)
+        weight = (self.alg.r // self.alg.period) ** sum(type(i) is int for i in indices)
         count = self.counts.setdefault(family, [0, 0])
         count[0] += weight
         count[1] += 0 if passed else weight
@@ -556,7 +557,7 @@ def _twisted(rel, n):
                ((rel.nak(b, 1 - a), 0), (mu[b, a], 0)), braided)
         yield ("commutativity", (a, b, "right"), (b, a),
                ((rel.nak(a, b - 1), 1), (mu[b, a], 0)), braided)
-    # N_a^a is literal (a < r): reducing mod r would presuppose deck
+    # N_a^a is literal (a < m): reducing the power mod r would presuppose deck
     for a in range(n):
         yield "twist_power", (a,), (a,), ((rel.nak(a, a), 0),), ()
 
@@ -567,15 +568,15 @@ def _twisted(rel, n):
     for a, b in itertools.product(range(n), repeat=2):
         yield "twist_pairing", (a, b), (), zigzag(a, b), zigzag((a + b - 1) % r, b)
     for a in range(n):
-        # the literal r-th power N_a o N_a^(r-1), never read as N_a^(r mod r) = id
-        n_a = rel.handle(rel.alg.nakayama(a % rel.period))
+        # the r-th power N_a o N_a^(r-1), never read as N_a^(r mod m) = id
+        n_a = rel.handle(rel.alg.nakayama(a))
         yield "deck", (a,), (a,), ((rel.nak(a, r - 1), 0), (n_a, 0)), ()
 
 
 def _report(alg, families):
     rel = _Relations(alg)
     for checks in families:
-        for check in checks(rel, rel.period):
+        for check in checks(rel, alg.period):
             rel.check(*check)
     return ValidationReport(rel, families)
 

@@ -328,9 +328,9 @@ def orbifold_algebra(w, action):
     the pairing zig-zag), and the recorded counit normalisation.  The Gram
     matrix of the pairing is solved once, by the one assemble call: the
     counit scale s is read from the handle element of the assembled algebra,
-    and s != 1 rescales it through counit_scaled (copairing over s), whose
-    Frobenius axioms are checked again.  The Delta-separability flag records
-    the honest outcome of mu o Delta = id.
+    and s != 1 rescales it through counit_scaled (copairing over s), which
+    keeps the verdict of assemble's Frobenius check.  The Delta-separability
+    flag records the honest outcome of mu o Delta = id.
     It fails for every exponent d >= 3, whatever r (x^4 under Z2 too): the
     untwisted x is then central and nilpotent, since x^(d-1) = 0 in the
     Jacobi algebra and the maximal ideal annihilates the twisted sectors, so

@@ -3,9 +3,10 @@
 Every surface is evaluated through its handle decomposition, one handle
 operator K_{a,b} = mu_{a,c-a-1} o (N_a^{1-b} o id) o Delta_{a,c-a-1} per
 handle, threading the intermediate grading c = 1 - 2k mod r; the torus
-T(a,b) is the genus-1 surface with the one handle (-a, b).  An algebra has at
-most r^3 distinct handle operators K_{c,a,b}; LambdaFrobenius.handle_operator
-builds each once and keeps it with the algebra, as it does the powers of N_a.
+T(a,b) is the genus-1 surface with the one handle (-a, b).  An algebra of
+period m has at most m^3 distinct handle operators K_{c,a,b}, whatever r;
+LambdaFrobenius.handle_operator builds each once and keeps it with the
+algebra, as it does the powers of N_a.
 The end handles are kept with eta and eps folded in, also without a map: the
 state K_{1,a,b}(eta), a sparse vector on C_{-1}, and the cap eps o K_{c,a,b},
 a sparse row on C_c.  The evaluation itself builds no map: it carries the

@@ -58,6 +58,16 @@ def rescaled(alg, scale):
                            alg.eta.scale(scale(1)), alg.eps.scale(1 / scale(-1)))
 
 
+def constant_algebra(algebra, r):
+    """Every C_a = A for the Frobenius algebra A, and every mu_{a,b} and Delta_{a,b}
+    A's own."""
+    pairs = [(a, b) for a in range(r) for b in range(r)]
+    return LambdaFrobenius(r=r, spaces={a: algebra.space(0) for a in range(r)},
+                           mu={p: algebra.mu_map(0, 0) for p in pairs},
+                           delta={p: algebra.delta_map(0, 0) for p in pairs},
+                           eta=algebra.eta, eps=algebra.eps)
+
+
 def surface_by_compose(alg, surface):
     """evaluate_surface as the map eps o K_{a_g,b_g} o ... o K_{a_1,b_1} o eta,
     composed one handle operator at a time and read off as its 1x1 scalar."""
@@ -128,8 +138,14 @@ def per_tuple_entries(alg):
     braid = {(a, b): rel.handle(braiding(alg.space(a), alg.space(b)))
              for a in classes for b in classes}
 
+    powers = {}
+
     def nak(a, k):
-        return rel.handle(alg.nakayama_power(a, k))
+        # N_a^(k mod r) composed onto the identity, not read mod the period
+        key = (a % r, k % r)
+        if key not in powers:
+            powers[key] = rel.handle(power(alg.nakayama(a), k % r))
+        return powers[key]
 
     for a, b in itertools.product(range(r), repeat=2):
         braided = ((braid[rel.space[b], rel.space[a]], 0), (mu[a, b], 0))

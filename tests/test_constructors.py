@@ -308,15 +308,7 @@ def test_graded_center_splits_one_projector_per_power_of_gamma(monkeypatch):
             assert data.algebra.nakayama(a) == data.gamma_restriction(a), (name, a)
 
 
-def test_graded_center_builds_no_identity_for_a_whisker(monkeypatch):
-    """id o f and f o id are whiskers of a map already built: the averaging
-    projectors and the Nakayama zig-zag build no identity on A o A o A.  The
-    graded centre of clifford1 at r = 8 builds 69 maps, with one projector front
-    x -> ebar o x o e for both powers of gamma; with the p o p and incl o proj
-    checks of split_idempotent and gamma's unit check it built 74, with a front
-    per power 78, and building each id o f through tensor, with its
-    materialised identity, 84."""
-    algebra = builtin("clifford1")
+def count_maps(monkeypatch):
     built = []
     init = SuperMap.__init__
 
@@ -325,8 +317,33 @@ def test_graded_center_builds_no_identity_for_a_whisker(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SuperMap, "__init__", counted)
+    return built
+
+
+def test_graded_center_builds_no_identity_for_a_whisker(monkeypatch):
+    """id o f and f o id are whiskers of a map already built: the averaging
+    projectors and the Nakayama zig-zag build no identity on A o A o A.  The
+    graded centre of clifford1 at r = 8 builds 85 maps: 69 for the centre, with
+    one projector front x -> ebar o x o e for both powers of gamma, and 16 for
+    the period's check N_a^2 = 1 (a < 2), which validate made before the period
+    was found at construction.  With the p o p and incl o proj checks of
+    split_idempotent and gamma's unit check the centre built 74, with a front
+    per power 78, and building each id o f through tensor, with its
+    materialised identity, 84."""
+    algebra = builtin("clifford1")
+    built = count_maps(monkeypatch)
     graded_center_data(algebra, 8)
-    assert len(built) == 69
+    assert len(built) == 85
+
+
+def test_the_period_check_moves_from_validate_to_construction(monkeypatch):
+    """The centre and its validation build 89 maps together, as they did when
+    validate found the period: the powers of N_a that the period's check builds
+    are kept with the algebra, and validate reads them."""
+    algebra = builtin("clifford1")
+    built = count_maps(monkeypatch)
+    assert validate(graded_center_data(algebra, 8).algebra).ok
+    assert len(built) == 89
 
 
 def reference_rejects(space, mult, unit, counit):

@@ -32,7 +32,13 @@ from rspin.superlinalg import (
 )
 from rspin.surface_eval import RSpinClosedSurface, evaluate_surface
 
-from reference import UNTWISTED_FAMILIES, per_tuple_entries, power, twisted_matrix_algebra
+from reference import (
+    UNTWISTED_FAMILIES,
+    constant_algebra,
+    per_tuple_entries,
+    power,
+    twisted_matrix_algebra,
+)
 
 
 def trivial_lambda(r=1):
@@ -175,7 +181,8 @@ def test_nakayama_cache_is_not_part_of_the_value():
     assert alg._handle_operators and alg._handle_states and alg._handle_caps
     assert alg == copy and copy == alg
     assert alg == LambdaFrobenius.from_dict(alg.to_dict())
-    for cache in ("_nakayama_powers", "_handle_operators", "_handle_states", "_handle_caps"):
+    for cache in ("period", "_nakayama_powers", "_handle_operators", "_handle_states",
+                  "_handle_caps"):
         with pytest.raises(TypeError):
             LambdaFrobenius(r=alg.r, spaces=alg.spaces, mu=alg.mu, delta=alg.delta,
                             eta=alg.eta, eps=alg.eps, **{cache: {}})
@@ -311,16 +318,6 @@ def test_serialization_roundtrip():
         for b in range(2):
             assert again.mu_map(a, b) == alg.mu_map(a, b)
             assert again.delta_map(a, b) == alg.delta_map(a, b)
-
-
-def constant_algebra(algebra, r):
-    """Every C_a = A for the Frobenius algebra A, and every mu_{a,b} and Delta_{a,b}
-    A's own."""
-    pairs = [(a, b) for a in range(r) for b in range(r)]
-    return LambdaFrobenius(r=r, spaces={a: algebra.space(0) for a in range(r)},
-                           mu={p: algebra.mu_map(0, 0) for p in pairs},
-                           delta={p: algebra.delta_map(0, 0) for p in pairs},
-                           eta=algebra.eta, eps=algebra.eps)
 
 
 @pytest.mark.parametrize("r", [1, 3])

@@ -521,6 +521,25 @@ def test_orbifold_algebra_solves_the_copairing_once(monkeypatch, potential, r, w
     assert len(calls) == 1
 
 
+def test_a_rescaled_orbifold_algebra_is_checked_once(monkeypatch):
+    """x^2 under Z2 has counit scale 2: assemble checks the Frobenius axioms of the
+    counit as given, and counit_scaled keeps that verdict, since every untwisted
+    relation is homogeneous in (Delta, eps).  The check ran twice while
+    counit_scaled checked the rescaled algebra again."""
+    reports = []
+    report = constructors.frobenius_report
+
+    def counted(alg):
+        reports.append(None)
+        return report(alg)
+
+    monkeypatch.setattr(constructors, "frobenius_report", counted)
+    monkeypatch.setattr(orbifold, "frobenius_report", counted, raising=False)
+    orb = orbifold_algebra(parse_poly("x^2"), act1(2))
+    assert orb.counit_scale == 2 and frobenius_report(orb.algebra).ok
+    assert len(reports) == 1
+
+
 def report_entries(report):
     return [(e.family, e.indices, e.passed) for e in report.entries]
 

@@ -31,6 +31,7 @@ from rspin.surface_eval import (
 )
 
 from reference import (
+    constant_algebra,
     power,
     rescaled,
     scalar,
@@ -314,6 +315,57 @@ def test_cached_handle_operators_match_fresh_copy_and_oracle(name, params):
         z = evaluate_surface(alg, RSpinClosedSurface(4, 3, handles))
         assert z == expected[handles] == surface_oracle(alg, handles), handles
     assert len(alg._handle_operators) <= 4 ** 3
+
+
+def test_handle_operators_at_r_48_are_built_once_per_index_class():
+    """clifford1's centre repeats mod 2, so the r^2 tori and 200 drawn surfaces
+    of genus 25 (r | 2g - 2) at r = 48 build at most 2^3 handle operators, not
+    the thousands keyed mod r, and every value is the oracle's."""
+    r = 48
+    alg = graded_center(builtin("clifford1"), r)
+    assert alg.period == 2
+    for a, b in itertools.product(range(r), repeat=2):
+        z = evaluate_torus(alg, RSpinTorus(r, a, b))
+        assert z == surface_oracle(alg, ((-a, b),)), (a, b)
+    rng = random.Random(48)
+    drawn = [tuple((rng.randrange(r), rng.randrange(r)) for _ in range(25))
+             for _ in range(200)]
+    values = [evaluate_surface(alg, RSpinClosedSurface(r, 25, h)) for h in drawn]
+    assert len(alg._handle_operators) <= 8
+    for handles, z in zip(drawn, values):
+        assert z == surface_oracle(alg, handles), handles
+
+
+def test_period_r_data_keeps_its_handle_operators_mod_r():
+    """The twisted M_2 centre at r = 3 has period 3, as gamma has order 3: no
+    index class holds two indices, so every (c, a, b) mod 3 keeps its own
+    handle operator."""
+    r = 3
+    alg = graded_center(twisted_matrix_algebra(r), r)
+    assert alg.period == r
+    surfaces = [((a, b),) for a, b in itertools.product(range(r), repeat=2)]
+    rng = random.Random(3)
+    surfaces += [tuple((rng.randrange(r), rng.randrange(r)) for _ in range(4))
+                 for _ in range(40)]
+    for handles in surfaces:
+        evaluate_surface(alg, RSpinClosedSurface(r, len(handles), handles))
+    # handle k starts on C_{1-2k}; the state and the cap are built from operators too
+    operators = {((1 - 2 * k) % r, a, b) for handles in surfaces
+                 for k, (a, b) in enumerate(handles)}
+    assert set(alg._handle_operators) == operators
+    assert {c for c, _, _ in operators} == {0, 1, 2}
+
+
+def test_tori_on_data_whose_nakayama_power_sets_the_period():
+    """Every C_a, mu and Delta of the constant twisted M_2 at r = 8 are A's own,
+    so the data repeats mod 1, but N_a = gamma^{-1} has order 4: the period is 4,
+    and a handle operator read at N_a^((1-b) mod 1) = id would miss the twist."""
+    r = 8
+    alg = constant_algebra(twisted_matrix_algebra(4), r)
+    assert alg.period == 4
+    for a, b in itertools.product(range(r), repeat=2):
+        z = evaluate_torus(alg, RSpinTorus(r, a, b))
+        assert z == surface_oracle(alg, ((-a, b),)), (a, b)
 
 
 def test_isomorphic_copy_has_the_same_surface_values():

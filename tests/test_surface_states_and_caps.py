@@ -2,6 +2,7 @@
 on fresh algebras (cold) and after full sweeps (warm), and the work that the
 states K_{1,a,b}(eta) and caps eps o K_{c,a,b} kept with an algebra save."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -103,19 +104,21 @@ def test_states_and_caps_scale_with_eta_and_eps():
     """On the copy of clifford1 rescaled by scale(a) on each C_a, eta gains
     scale(1), eps 1/scale(-1) and K_{c,a,b} scale(c-2)/scale(c): every state
     K_{1,a,b}(eta), on C_{-1}, gains scale(-1) and every cap eps o K_{c,a,b},
-    whose K ends on C_{-1}, gains 1/scale(c)."""
+    whose K ends on C_{-1}, gains 1/scale(c).  The tables are compared through
+    the accessors at every a, b < r: the copy has period 4 and clifford1 period 2,
+    so their keys differ."""
     alg = graded_center(builtin("clifford1"), 4)
     copy = rescaled(alg, scale)
+    assert (alg.period, copy.period) == (2, 4)
     for s in surfaces(4, seed=4):
         assert evaluate_surface(copy, s) == evaluate_surface(alg, s), s
-    assert set(copy._handle_states) == set(alg._handle_states)
-    assert set(copy._handle_caps) == set(alg._handle_caps)
-    for key, (space, vector) in alg._handle_states.items():
-        assert copy._handle_states[key] == (space, {i: x * scale(-1)
-                                                    for i, x in vector.items()}), key
-    for (c, a, b), cap in alg._handle_caps.items():
-        scaled = {j: x / scale(c) for j, x in cap.entries[0].items()}
-        assert copy._handle_caps[c, a, b] == cap._replace(entries=[scaled]), (c, a, b)
+    for a, b in itertools.product(range(4), repeat=2):
+        space, vector = alg.handle_state(a, b)
+        assert copy.handle_state(a, b) == (space, {i: x * scale(-1)
+                                                   for i, x in vector.items()}), (a, b)
+        cap = alg.handle_cap(1, a, b)
+        scaled = {j: x / scale(1) for j, x in cap.entries[0].items()}
+        assert copy.handle_cap(1, a, b) == cap._replace(entries=[scaled]), (a, b)
 
 
 def count_products(monkeypatch):
@@ -168,16 +171,19 @@ def test_warm_evaluation_makes_one_product_per_middle_handle_and_cap(
 
 
 def test_an_algebra_keeps_at_most_r2_states_and_r3_caps():
+    """The tables are keyed mod the period m, so at most m^2 states and m^3 caps
+    are kept: clifford1 at r = 4 has period 2, and keeps 4 states, not 16."""
     alg = graded_center(builtin("clifford1"), 4)
     for genus in (1, 3):
         for handles in structures(4, genus):
             evaluate_surface(alg, RSpinClosedSurface(4, genus, handles))
     for handles in drawn(4, 5, 200, 5):
         evaluate_surface(alg, RSpinClosedSurface(4, 5, handles))
-    assert len(alg._handle_states) == 16 and len(alg._handle_caps) <= 64
-    assert all(0 <= i < 4 for key in list(alg._handle_states) + list(alg._handle_caps)
+    assert alg.period == 2
+    assert len(alg._handle_states) == 4 and len(alg._handle_caps) <= 8
+    assert all(0 <= i < 2 for key in list(alg._handle_states) + list(alg._handle_caps)
                for i in key)
-    # the last handle starts on C_{3-2g} = C_1, as r | 2g - 2: r^2 caps are used
+    # the last handle starts on C_{3-2g} = C_1, as r | 2g - 2: m^2 caps are used
     assert {c for c, _, _ in alg._handle_caps} == {1}
 
 
@@ -190,6 +196,8 @@ def test_an_algebra_keeps_at_most_r2_states_and_r3_caps():
       "holonomies=[(0,1),(1,1)]"], 74, 294),
     (["torus", "--builtin", "clifford1", "r=8", "--all-divisors"], 130, 153),
     (["torus", "--builtin", "matrix_algebra_n", "--n", "2", "r=6", "--all-divisors"], 94, 229),
+    # the tables keyed mod the period 2, not mod r (168 maps and 114 products before)
+    (["torus", "--builtin", "clifford1", "r=48", "--all-divisors"], 98, 93),
 ])
 def test_a_cold_command_does_no_more_work(monkeypatch, args, maps, products):
     """A one-shot command builds each state and cap without a SuperMap, so it
