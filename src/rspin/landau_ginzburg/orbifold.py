@@ -62,13 +62,11 @@ import operator
 from dataclasses import dataclass
 
 from ..scalars import Cyc, divisors
-from ..superlinalg import SuperMap, SuperSpace, compose
+from ..superlinalg import SuperMap, SuperSpace, compose, identity
 from ..constructors import (
     AlgebraAutomorphism,
     FrobeniusAlgebraData,
-    delta_separable,
     graded_center,
-    nakayama_gamma,
     structure_maps,
 )
 from .poly import Poly
@@ -309,10 +307,7 @@ class OrbifoldAlgebra:
     basis_labels: list  # (sector, per-variable labels) in matrix order
     counit_scale: Cyc
     models: list  # one SectorModel per variable, sorted; shared by equal (d, weight)
-
-    @property
-    def delta_separable(self):
-        return delta_separable(self.algebra)
+    delta_separable: bool  # mu o Delta = id on the algebra, read off its handle element
 
     def sector_dims(self):
         dims = {}
@@ -324,13 +319,14 @@ class OrbifoldAlgebra:
 def orbifold_algebra(w, action):
     """The flattened orbifold algebra with its Nakayama weights.
 
-    Returns the algebra, gamma = sum_g det(g)^{-1} . 1_g (verified against
-    the pairing zig-zag), and the recorded counit normalisation.  The Gram
-    matrix of the pairing is solved once, by the one assemble call: the
-    counit scale s is read from the handle element of the assembled algebra,
-    and s != 1 rescales it through counit_scaled (copairing over s), which
-    keeps the verdict of assemble's Frobenius check.  The Delta-separability
-    flag records the honest outcome of mu o Delta = id.
+    Returns the algebra, gamma = sum_g det(g)^{-1} . 1_g (checked as
+    N_0 o gamma = id, since gamma_A = N_0^{-1}, with no solve), and the
+    recorded counit normalisation.  The Gram matrix of the pairing is solved
+    once, by the one assemble call: the counit scale s is read from the
+    handle element z of the assembled algebra, and s != 1 rescales it
+    through counit_scaled (copairing over s), which keeps the verdict of
+    assemble's Frobenius check.  The Delta-separability flag is read off z
+    once: mu o Delta = id for the counit s . eps iff z = s . 1 with s != 0.
     It fails for every exponent d >= 3, whatever r (x^4 under Z2 too): the
     untwisted x is then central and nilpotent, since x^(d-1) = 0 in the
     Jacobi algebra and the maximal ideal annihilates the twisted sectors, so
@@ -395,7 +391,8 @@ def orbifold_algebra(w, action):
     algebra = FrobeniusAlgebraData.assemble(space, mult, unit, counit)
     z = compose(mult, algebra.copairing(0))
     scale = z.entries[index[unit_label]].get(0)
-    if not scale or z != unit.scale(scale):
+    separable = bool(scale) and z == unit.scale(scale)
+    if not separable:
         scale = Cyc.one()
     elif scale != 1:
         algebra = algebra.counit_scaled(scale)
@@ -406,13 +403,12 @@ def orbifold_algebra(w, action):
     gamma = AlgebraAutomorphism(SuperMap(space, space, 0, entries=[
         {k: det_inverse[g]} for k, (g, _) in enumerate(labels)]))
 
-    computed = nakayama_gamma(algebra)
-    if computed.map != gamma.map:
+    if compose(algebra.nakayama(0), gamma.map) != identity(space):
         raise OrbifoldError(
             "pairing zig-zag disagrees with the det(g)^{-1} Nakayama weights; "
             "convention bug")
 
-    return OrbifoldAlgebra(algebra, gamma, w, action, labels, scale, models)
+    return OrbifoldAlgebra(algebra, gamma, w, action, labels, scale, models, separable)
 
 
 # -- circle spaces via the diagonal averaging projector ------------------------

@@ -226,8 +226,7 @@ class SuperMap:
                         self.source_factors, self.target_factors, entries=entries)
 
     def __add__(self, other):
-        if (self.source.dim, self.target.dim, self.parity) != (
-                other.source.dim, other.target.dim, other.parity):
+        if (self.source, self.target, self.parity) != (other.source, other.target, other.parity):
             raise SuperLinAlgError("cannot add maps of different shapes or parities")
         entries = []
         for mine, theirs in zip(self.entries, other.entries):
@@ -430,7 +429,7 @@ def quantum_dimension(space):
 
 
 def supertrace(f):
-    if f.source.dim != f.target.dim:
+    if f.source != f.target:
         raise SuperLinAlgError("supertrace requires an endomorphism")
     total = Cyc.zero()
     for i, stored in enumerate(f.entries):

@@ -3,7 +3,7 @@ the library itself never calls them."""
 
 import itertools
 
-from rspin.constructors import FrobeniusAlgebraData, structure_maps
+from rspin.constructors import FrobeniusAlgebraData, nakayama_gamma, structure_maps
 from rspin.lambda_frobenius import LambdaFrobenius, _Relations
 from rspin.landau_ginzburg.mf import (
     GroupAction,
@@ -24,6 +24,7 @@ from rspin.superlinalg import (
     braiding,
     compose,
     identity,
+    tensor,
 )
 
 
@@ -249,6 +250,22 @@ def check_every_product_closed(model):
             parity = (model.parity(lab1) + model.parity(lab2)) % 2
             check_closed(model.differentials[0], model.differentials[s],
                          model.composite(g, lab1, h, lab2), parity)
+
+
+def gamma_automorphism_failures(algebra):
+    """The identities that gamma = nakayama_gamma(algebra) fails among
+    gamma mu = mu (gamma (x) gamma), eps gamma = eps and
+    Delta gamma = (gamma (x) gamma) Delta, with gamma (x) gamma built by
+    tensor: the automorphism check that the library drops as a theorem of
+    the Frobenius axioms.  An empty list on every algebra that assemble
+    returns."""
+    gamma = nakayama_gamma(algebra).map
+    mult, comult, eps = algebra.mu_map(0, 0), algebra.delta_map(0, 0), algebra.eps
+    both = tensor(gamma, gamma)
+    checks = (("multiplication", compose(gamma, mult), compose(mult, both)),
+              ("counit", compose(eps, gamma), eps),
+              ("comultiplication", compose(comult, gamma), compose(both, comult)))
+    return [name for name, left, right in checks if left != right]
 
 
 def twisted_matrix_algebra(r):

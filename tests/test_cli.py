@@ -64,17 +64,16 @@ def test_check_builtin_ok(runner):
 
 
 def test_check_infers_r_with_one_gamma(runner, monkeypatch):
-    """Without r=, r is the order of N_0 = gamma^-1, so gamma is solved for and
-    checked once, by the graded centre: each nakayama_gamma call checks its
-    result with one _check_algebra_automorphism."""
+    """Without r=, r is the order of N_0 = gamma^-1, so gamma is solved for
+    once, by the graded centre: the inference reads the powers of N_0."""
     checked = []
-    check = constructors._check_algebra_automorphism
+    solve = constructors.nakayama_gamma
 
-    def counted(algebra, phi):
+    def counted(algebra):
         checked.append(None)
-        return check(algebra, phi)
+        return solve(algebra)
 
-    monkeypatch.setattr(constructors, "_check_algebra_automorphism", counted)
+    monkeypatch.setattr(constructors, "nakayama_gamma", counted)
     result = runner.invoke(main, ["check", "--builtin", "clifford1", "--json"])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)

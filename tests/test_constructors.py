@@ -33,7 +33,7 @@ from rspin.superlinalg import (
 )
 from rspin.surface_eval import RSpinClosedSurface, evaluate_surface
 
-from reference import power
+from reference import gamma_automorphism_failures, power, twisted_matrix_algebra
 
 
 def test_builtin_trivial():
@@ -276,6 +276,24 @@ def test_config_rejects_bad_data():
         FrobeniusAlgebraData.from_config(cfg)
 
 
+BUILTIN_CASES = ([("group_algebra_Zn", n) for n in range(1, 5)]
+                 + [("clifford1", 1), ("matrix_algebra_n", 2), ("matrix_algebra_n", 3)])
+
+
+@pytest.mark.parametrize("name, n", BUILTIN_CASES, ids=["%s-%d" % c for c in BUILTIN_CASES])
+def test_gamma_is_an_automorphism_of_every_builtin(name, n):
+    """nakayama_gamma no longer checks its result: the Frobenius axioms that
+    assemble checks make N_0^{-1} an automorphism of mu, eps and Delta."""
+    assert gamma_automorphism_failures(builtin(name, n=n)) == []
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_gamma_of_order_r_is_an_automorphism(r):
+    algebra = twisted_matrix_algebra(r)
+    assert gamma_automorphism_failures(algebra) == []
+    assert len(nakayama_gamma(algebra).powers(r)) == r
+
+
 def test_gamma_powers_up_to_its_order():
     for name, n, order in (("group_algebra_Zn", 3, 1), ("clifford1", 2, 2),
                            ("matrix_algebra_n", 2, 1)):
@@ -323,27 +341,29 @@ def count_maps(monkeypatch):
 def test_graded_center_builds_no_identity_for_a_whisker(monkeypatch):
     """id o f and f o id are whiskers of a map already built: the averaging
     projectors and the Nakayama zig-zag build no identity on A o A o A.  The
-    graded centre of clifford1 at r = 8 builds 85 maps: 69 for the centre, with
+    graded centre of clifford1 at r = 8 builds 75 maps: 59 for the centre, with
     one projector front x -> ebar o x o e for both powers of gamma, and 16 for
     the period's check N_a^2 = 1 (a < 2), which validate made before the period
-    was found at construction.  With the p o p and incl o proj checks of
-    split_idempotent and gamma's unit check the centre built 74, with a front
-    per power 78, and building each id o f through tensor, with its
+    was found at construction.  The centre built 69 when gamma's solve was
+    checked to be an automorphism and the unit to lie in C_1; with the p o p
+    and incl o proj checks of split_idempotent and gamma's unit check 74, with
+    a front per power 78, and building each id o f through tensor, with its
     materialised identity, 84."""
     algebra = builtin("clifford1")
     built = count_maps(monkeypatch)
     graded_center_data(algebra, 8)
-    assert len(built) == 85
+    assert len(built) == 75
 
 
 def test_the_period_check_moves_from_validate_to_construction(monkeypatch):
-    """The centre and its validation build 89 maps together, as they did when
-    validate found the period: the powers of N_a that the period's check builds
-    are kept with the algebra, and validate reads them."""
+    """The centre and its validation build 79 maps together, 4 more than the
+    centre alone: the powers of N_a that the period's check builds are kept
+    with the algebra, and validate reads them (89 with the automorphism and
+    unit checks of the centre)."""
     algebra = builtin("clifford1")
     built = count_maps(monkeypatch)
     assert validate(graded_center_data(algebra, 8).algebra).ok
-    assert len(built) == 89
+    assert len(built) == 79
 
 
 def reference_rejects(space, mult, unit, counit):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rspin import constructors
-from rspin.constructors import FrobeniusAlgebraData, nakayama_gamma
+from rspin.constructors import FrobeniusAlgebraData, delta_separable, nakayama_gamma
 from rspin.lambda_frobenius import LambdaFrobenius, frobenius_report, validate
 from rspin.landau_ginzburg.mf import (
     GroupAction,
@@ -31,6 +31,7 @@ from reference import hom_cohomology as reference_hom
 from reference import (
     UNTWISTED_FAMILIES,
     check_every_product_closed,
+    gamma_automorphism_failures,
     literal_composite,
     per_tuple_entries,
     power,
@@ -69,12 +70,37 @@ def test_r2_orbifold_is_clifford_like():
     assert orb.gamma.map.rows[1][1] == Cyc.rational(-1)
 
 
+# (potential, r, weights) of every distinct orbifold that the lg-orbifold and
+# lg-circle-spaces benchmark jobs build
+WORKLOAD_ORBIFOLDS = [
+    ("x^2", 2, (1,)), ("x^3", 3, (1,)), ("x^4", 4, (1,)), ("x^5", 5, (1,)),
+    ("x^2+y^2", 2, (1, 1)), ("x^3+y^3", 3, (1, 1)), ("x^2+y^4", 4, (2, 1)),
+    ("x^4", 2, (1,)), ("x^3", 3, (2,)), ("x^2+y^2", 2, (1, 0)), ("x^2+y^3", 2, (1, 0)),
+    ("x^2+y^4", 2, (1, 1)), ("x^2+y^2+z^2", 2, (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("potential, r, weights", WORKLOAD_ORBIFOLDS,
+                         ids=["%s-Z%d-%s" % (p, r, ",".join(map(str, w)))
+                              for p, r, w in WORKLOAD_ORBIFOLDS])
+def test_the_closed_form_gamma_is_the_solved_automorphism(potential, r, weights):
+    """orbifold_algebra checks its closed-form gamma as N_0 o gamma = id and
+    reads Delta-separability off the handle element once: the solved gamma
+    is the closed form and an automorphism, and the stored flag is the
+    separability of the algebra."""
+    w = parse_poly(potential)
+    orb = orbifold_algebra(w, GroupAction(r, tuple(zip(w.vars, weights))))
+    assert nakayama_gamma(orb.algebra).map == orb.gamma.map
+    assert gamma_automorphism_failures(orb.algebra) == []
+    assert orb.delta_separable == delta_separable(orb.algebra)
+
+
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_orbifold_dims_and_gamma(r):
     orb = orbifold_algebra(parse_poly("x^%d" % r), act1(r))
     assert orb.algebra.space(0) == SuperSpace(r - 1, r - 1)
-    # gamma equals the xi^{-g}-weighted identity, verified against the
-    # pairing zig-zag inside orbifold_algebra; check the weights here
+    # gamma equals the xi^{-g}-weighted identity, checked as N_0 o gamma = id
+    # inside orbifold_algebra; check the weights here
     for k, (g, _) in enumerate(orb.basis_labels):
         assert orb.gamma.map.rows[k][k] == Cyc.zeta(r, (-g) % r)
     assert power(orb.gamma.map, r) == identity(orb.algebra.space(0))
@@ -479,10 +505,12 @@ def test_orbifold_algebra_substitution_count(monkeypatch, potential, r, weights,
 
 def test_orbifold_algebra_builds_no_identity_for_a_whisker(monkeypatch):
     """assemble's comultiplication and the Nakayama zig-zag whisker maps
-    already built: the x^3+y^3 orbifold under Z3 builds 28 maps, 32 when the
-    handle element was read from a second copairing solve, 37 with the
-    mirrored zorro check of both copairings and the unit check of gamma; building
-    each id o f through tensor, with its materialised identity, builds 45."""
+    already built: the x^3+y^3 orbifold under Z3 builds 20 maps, with its
+    closed-form gamma checked as N_0 o gamma = id.  It built 28 when gamma
+    was solved again and checked to be an automorphism, 32 when the handle
+    element was read from a second copairing solve, 37 with the mirrored
+    zorro check of both copairings and the unit check of gamma; building each
+    id o f through tensor, with its materialised identity, builds 45."""
     w, action = parse_poly("x^3+y^3"), GroupAction(3, (("x", 1), ("y", 1)))
     built = []
     init = SuperMap.__init__
@@ -493,7 +521,7 @@ def test_orbifold_algebra_builds_no_identity_for_a_whisker(monkeypatch):
 
     monkeypatch.setattr(SuperMap, "__init__", counted)
     orbifold_algebra(w, action)
-    assert len(built) <= 28
+    assert len(built) <= 20
 
 
 @pytest.mark.parametrize("potential, r, weights, scale", [

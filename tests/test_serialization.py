@@ -5,6 +5,8 @@ import pytest
 from rspin.constructors import FrobeniusAlgebraData, FrobeniusError, builtin, graded_center
 from rspin.lambda_frobenius import LambdaFrobenius, validate
 
+from reference import gamma_automorphism_failures, twisted_matrix_algebra
+
 
 def test_lambda_roundtrip_identity():
     for name, r in (("group_algebra_Zn", 3), ("clifford1", 2)):
@@ -35,6 +37,17 @@ def test_frobenius_config_roundtrip():
         blob = json.dumps(cfg, sort_keys=True)
         again = FrobeniusAlgebraData.from_config(json.loads(blob))
         assert json.dumps(again.to_config(), sort_keys=True) == blob
+
+
+def test_gamma_of_a_loaded_algebra_is_an_automorphism():
+    """A frobenius_algebra file goes through assemble, so its gamma is an
+    automorphism with no check of its own; twisted_matrix_algebra(4) has
+    cyclotomic scalars and gamma of order 4."""
+    for algebra in (builtin("clifford1"), builtin("matrix_algebra_n", n=2),
+                    twisted_matrix_algebra(4)):
+        again = FrobeniusAlgebraData.from_config(json.loads(json.dumps(algebra.to_config())))
+        assert again == algebra
+        assert gamma_automorphism_failures(again) == []
 
 
 def test_loader_verifies_invariants():

@@ -140,6 +140,27 @@ def test_supertrace_cyclicity():
         assert supertrace(compose(f, g)) == Cyc.rational(sign) * supertrace(compose(g, f))
 
 
+def test_sum_and_difference_refuse_maps_between_other_spaces():
+    """(2|0) and (1|1) have one dimension but are different spaces: their
+    identities neither add nor subtract, as maps of one shape still do."""
+    even, mixed = SuperSpace(2, 0), SuperSpace(1, 1)
+    for f, g in ((identity(even), identity(mixed)), (identity(mixed), identity(even)),
+                 (SuperMap.zero(even, mixed), SuperMap.zero(mixed, mixed))):
+        with pytest.raises(SuperLinAlgError, match="different shapes"):
+            f + g
+        with pytest.raises(SuperLinAlgError, match="different shapes"):
+            f - g
+    assert identity(mixed) + identity(mixed) == identity(mixed).scale(2)
+    assert (identity(even) - identity(even)).is_zero()
+
+
+def test_supertrace_refuses_a_map_between_spaces_of_one_dimension():
+    f = smap(2, 0, 1, 1, 0, [[1, 0], [0, 0]])
+    with pytest.raises(SuperLinAlgError, match="requires an endomorphism"):
+        supertrace(f)
+    assert supertrace(smap(1, 1, 1, 1, 0, [[1, 0], [0, 1]])) == 0
+
+
 def test_kernel_image():
     v = SuperSpace(2, 1)
     zero = SuperMap.zero(v, v)
