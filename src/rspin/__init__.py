@@ -33,19 +33,34 @@ from .surface_eval import (
     evaluate_torus,
     torus_normal_form,
 )
-from .landau_ginzburg import (
-    GroupAction,
-    MatrixFactorization,
-    Poly,
-    identity_hom,
-    identity_mf,
-    jacobi,
-    lg_circle_spaces,
-    lg_torus_invariants,
-    mf_tensor,
-    orbifold_algebra,
-    parse_poly,
-    twisted_identity,
-)
+
+# the Landau-Ginzburg stack loads on first use (PEP 562), so a command that
+# never runs an LG computation never imports or compiles it
+_LANDAU_GINZBURG = frozenset((
+    "GroupAction",
+    "MatrixFactorization",
+    "Poly",
+    "identity_hom",
+    "identity_mf",
+    "jacobi",
+    "lg_circle_spaces",
+    "lg_torus_invariants",
+    "mf_tensor",
+    "orbifold_algebra",
+    "parse_poly",
+    "twisted_identity",
+))
+
+
+def __getattr__(name):
+    if name in _LANDAU_GINZBURG:
+        from . import landau_ginzburg
+        return getattr(landau_ginzburg, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | _LANDAU_GINZBURG)
+
 
 __version__ = "0.1.0"

@@ -5,6 +5,9 @@ Every command runs through one command class that turns a library error
 (ValueError, which every rspin error class derives from, or OSError) into
 a usage error, exit 2.  `--json` emits a stable schema {command, inputs,
 results, convention_flags}; identical inputs produce byte-identical output.
+
+The lg-* commands and their helpers import the Landau-Ginzburg stack in
+their bodies, so a command on an algebra never loads it.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ from .constructors import (
     graded_center_data,
 )
 from .lambda_frobenius import LambdaFrobenius, validate, write_map
-from .landau_ginzburg.groebner import jacobi
-from .landau_ginzburg.mf import GroupAction, identity_hom
-from .landau_ginzburg.orbifold import lg_circle_spaces, orbifold_algebra
-from .landau_ginzburg.poly import format_monomial, format_poly, parse_poly
 from .scalars import format_scalar
 from .surface_eval import (
     RSpinClosedSurface,
@@ -159,6 +158,8 @@ def _algebra(builtin_name, file_path, n, options):
 
 
 def _action_from_options(w, group, weights):
+    from .landau_ginzburg.mf import GroupAction
+
     if group is None:
         raise click.UsageError("--group Zr is required for orbifold commands")
     match = re.fullmatch(r"Z([0-9]+)", group)
@@ -179,6 +180,8 @@ def _action_from_options(w, group, weights):
 
 
 def _lg_inputs(w, action):
+    from .landau_ginzburg.poly import format_poly
+
     return {"potential": format_poly(w), "r": action.r,
             "weights": [list(wv) for wv in action.weights]}
 
@@ -307,6 +310,9 @@ def _parse_holonomies(text):
 @lg_command("lg-jacobi")
 def lg_jacobi(potential, as_json):
     """Jacobi algebra of a potential: dimension and monomial basis."""
+    from .landau_ginzburg.groebner import jacobi
+    from .landau_ginzburg.poly import format_monomial, format_poly, parse_poly
+
     w = parse_poly(potential)
     jac = jacobi(w)
     basis = [format_monomial(jac.vars, exp) or "1" for exp in jac.monomial_basis]
@@ -320,6 +326,9 @@ def lg_jacobi(potential, as_json):
             group=True)
 def lg_hom(potential, group, weights, g_twist, shift, as_json):
     """Hom cohomology dimensions between (twisted/shifted) identity defects."""
+    from .landau_ginzburg.mf import identity_hom
+    from .landau_ginzburg.poly import format_poly, parse_poly
+
     w = parse_poly(potential)
     # a given --group or --weights is checked even when no --g uses it
     action = None
@@ -335,6 +344,9 @@ def lg_hom(potential, group, weights, g_twist, shift, as_json):
 @lg_command("lg-orbifold", group=True)
 def lg_orbifold(potential, group, weights, as_json):
     """Orbifold algebra of a Fermat potential under a diagonal cyclic action."""
+    from .landau_ginzburg.orbifold import orbifold_algebra
+    from .landau_ginzburg.poly import parse_poly
+
     w = parse_poly(potential)
     action = _action_from_options(w, group, weights)
     orb = orbifold_algebra(w, action)
@@ -353,6 +365,9 @@ def lg_orbifold(potential, group, weights, as_json):
 @lg_command("lg-circle-spaces", group=True)
 def lg_circle_spaces_cmd(potential, group, weights, as_json):
     """Circle spaces, quantum dimensions and torus invariants of an LG orbifold."""
+    from .landau_ginzburg.orbifold import lg_circle_spaces
+    from .landau_ginzburg.poly import parse_poly
+
     w = parse_poly(potential)
     action = _action_from_options(w, group, weights)
     cs = lg_circle_spaces(w, action)

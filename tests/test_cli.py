@@ -4,6 +4,8 @@ import io
 import json
 import pathlib
 import shlex
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -578,3 +580,60 @@ def test_readme_cli_commands_run(runner):
         result = runner.invoke(main, args)
         assert result.exit_code == 0, (args, result.output[-300:], result.exception)
         assert "Traceback" not in result.output, args
+
+
+# run in a fresh interpreter, since this process has long since loaded the LG stack
+COLD_START = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import rspin.cli
+
+def run(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = rspin.cli.main.main(list(args), prog_name="rspin", standalone_mode=False)
+    return code, out.getvalue()
+
+help_code, help_text = run("--help")
+check = json.loads(run("check", "--builtin", "clifford1", "r=2", "--json")[1])
+torus = json.loads(run("torus", "--builtin", "clifford1", "--all-divisors", "r=4", "--json")[1])
+loaded = sorted(name for name in sys.modules if name.startswith("rspin.landau_ginzburg"))
+
+import rspin
+from rspin import Poly, orbifold_algebra
+from rspin.landau_ginzburg import orbifold, poly
+try:
+    rspin.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({
+    "help": [help_code, help_text], "check_ok": check["results"]["ok"],
+    "torus": torus["results"]["divisor_table"], "loaded": loaded,
+    "same": [orbifold_algebra is orbifold.orbifold_algebra, Poly is poly.Poly],
+    "missing": missing, "dir": dir(rspin),
+}))
+"""
+
+LG_NAMES = ("GroupAction", "MatrixFactorization", "Poly", "identity_hom", "identity_mf",
+            "jacobi", "lg_circle_spaces", "lg_torus_invariants", "mf_tensor",
+            "orbifold_algebra", "parse_poly", "twisted_identity")
+
+
+def test_commands_on_an_algebra_never_load_the_lg_stack():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    cold = json.loads(done.stdout)
+    assert cold["loaded"] == []
+    help_code, help_text = cold["help"]
+    assert help_code == 0
+    for command in ("lg-jacobi", "lg-hom", "lg-orbifold", "lg-circle-spaces"):
+        assert command in help_text
+    assert cold["check_ok"] is True
+    assert cold["torus"] == {"1": "1", "2": "-1", "4": "-1"}
+    # the lazy re-exports are the LG modules' own objects, and any other name still raises
+    assert cold["same"] == [True, True]
+    assert cold["missing"] == "module 'rspin' has no attribute 'no_such_name'"
+    assert set(LG_NAMES) <= set(cold["dir"])

@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module, every private
 helper in src/ is used somewhere else in src/, src/ touches a private
 attribute only through self, cls or a class name, only scalars and
-landau_ginzburg/mf call Cyc.zeta, and only scalars builds a Cyc from its
-fields or reads them.
+landau_ginzburg/mf call Cyc.zeta, only scalars builds a Cyc from its
+fields or reads them, and no module outside landau_ginzburg imports that
+package when it is itself imported.
 
 A stdlib `ast` scan of every file under src/ and tests/; for the imports,
 package `__init__.py` files are skipped (they import to re-export), and so
@@ -46,6 +47,45 @@ def test_scan_names_a_local_unused_import(tmp_path):
                       "import os.path\nfrom math import gcd, lcm as least\n\n"
                       "def f():\n    from itertools import chain\n    return os.sep, least\n")
     assert unused_imports(source) == [(3, "gcd"), (6, "chain")]
+
+
+def eager_imports(path, package):
+    """Line of each import of `package` that runs when the file is imported:
+    every one that is not inside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                # `from . import landau_ginzburg` names the package as an alias
+                names = [getattr(child, "module", None) or ""] + [a.name for a in child.names]
+                if any(package in name.split(".") for name in names):
+                    found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(path.read_text(), filename=str(path)))
+    return sorted(found)
+
+
+def test_landau_ginzburg_loads_only_on_first_use():
+    package = ROOT / "src" / "rspin"
+    files = sorted(p for p in package.rglob("*.py")
+                   if p.relative_to(package).parts[0] != "landau_ginzburg")
+    assert files
+    found = ["%s:%d imports landau_ginzburg" % (path.relative_to(ROOT), line)
+             for path in files for line in eager_imports(path, "landau_ginzburg")]
+    assert not found, "import the LG stack inside the function that uses it:\n" \
+        + "\n".join(found)
+
+
+def test_scan_names_a_top_level_landau_ginzburg_import(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import json\nfrom .landau_ginzburg.poly import parse_poly\n\n"
+                      "def f(text):\n    from . import landau_ginzburg\n"
+                      "    return json.dumps(landau_ginzburg.jacobi(parse_poly(text)).dimension)\n")
+    assert eager_imports(source, "landau_ginzburg") == [2]
 
 
 def _references(tree):
