@@ -34,33 +34,36 @@ from .surface_eval import (
     torus_normal_form,
 )
 
-# the Landau-Ginzburg stack loads on first use (PEP 562), so a command that
-# never runs an LG computation never imports or compiles it
-_LANDAU_GINZBURG = frozenset((
-    "GroupAction",
-    "MatrixFactorization",
-    "Poly",
-    "identity_hom",
-    "identity_mf",
-    "jacobi",
-    "lg_circle_spaces",
-    "lg_torus_invariants",
-    "mf_tensor",
-    "orbifold_algebra",
-    "parse_poly",
-    "twisted_identity",
-))
+# each Landau-Ginzburg name with the module of rspin.landau_ginzburg that
+# defines it (the package itself re-exports nothing); reading a name imports
+# only that module, on first use (PEP 562), so a command that never runs an
+# LG computation loads none of the stack, and lg-jacobi loads no mf or orbifold
+_LANDAU_GINZBURG = {
+    "GroupAction": "mf",
+    "MatrixFactorization": "mf",
+    "Poly": "poly",
+    "identity_hom": "mf",
+    "identity_mf": "mf",
+    "jacobi": "groebner",
+    "lg_circle_spaces": "orbifold",
+    "lg_torus_invariants": "orbifold",
+    "mf_tensor": "mf",
+    "orbifold_algebra": "orbifold",
+    "parse_poly": "poly",
+    "twisted_identity": "mf",
+}
 
 
 def __getattr__(name):
     if name in _LANDAU_GINZBURG:
-        from . import landau_ginzburg
-        return getattr(landau_ginzburg, name)
+        from importlib import import_module
+        module = import_module(".landau_ginzburg." + _LANDAU_GINZBURG[name], __name__)
+        return getattr(module, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def __dir__():
-    return sorted(set(globals()) | _LANDAU_GINZBURG)
+    return sorted(set(globals()) | set(_LANDAU_GINZBURG))
 
 
 __version__ = "0.1.0"

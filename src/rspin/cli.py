@@ -6,8 +6,9 @@ Every command runs through one command class that turns a library error
 a usage error, exit 2.  `--json` emits a stable schema {command, inputs,
 results, convention_flags}; identical inputs produce byte-identical output.
 
-The lg-* commands and their helpers import the Landau-Ginzburg stack in
-their bodies, so a command on an algebra never loads it.
+The lg-* commands and their helpers import the Landau-Ginzburg modules they
+use in their bodies, so a command on an algebra never loads the stack, and
+lg-jacobi, for one, loads no mf or orbifold.
 """
 
 from __future__ import annotations

@@ -269,7 +269,7 @@ def identity(space):
 
 
 def compose(g, f):
-    if f.target.dim != g.source.dim:
+    if f.target is not g.source and f.target != g.source:
         raise SuperLinAlgError("composition shape mismatch: %r after %r" % (g, f))
     f_entries = f.entries
     return SuperMap(f.source, g.target, (f.parity + g.parity) % 2, None,

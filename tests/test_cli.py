@@ -600,8 +600,6 @@ torus = json.loads(run("torus", "--builtin", "clifford1", "--all-divisors", "r=4
 loaded = sorted(name for name in sys.modules if name.startswith("rspin.landau_ginzburg"))
 
 import rspin
-from rspin import Poly, orbifold_algebra
-from rspin.landau_ginzburg import orbifold, poly
 try:
     rspin.no_such_name
     missing = None
@@ -610,14 +608,16 @@ except AttributeError as exc:
 print(json.dumps({
     "help": [help_code, help_text], "check_ok": check["results"]["ok"],
     "torus": torus["results"]["divisor_table"], "loaded": loaded,
-    "same": [orbifold_algebra is orbifold.orbifold_algebra, Poly is poly.Poly],
     "missing": missing, "dir": dir(rspin),
 }))
 """
 
-LG_NAMES = ("GroupAction", "MatrixFactorization", "Poly", "identity_hom", "identity_mf",
-            "jacobi", "lg_circle_spaces", "lg_torus_invariants", "mf_tensor",
-            "orbifold_algebra", "parse_poly", "twisted_identity")
+# each LG name rspin offers, with the module that defines it
+LG_NAMES = {"Poly": "poly", "parse_poly": "poly", "jacobi": "groebner",
+            "GroupAction": "mf", "MatrixFactorization": "mf", "identity_hom": "mf",
+            "identity_mf": "mf", "mf_tensor": "mf", "twisted_identity": "mf",
+            "lg_circle_spaces": "orbifold", "lg_torus_invariants": "orbifold",
+            "orbifold_algebra": "orbifold"}
 
 
 def test_commands_on_an_algebra_never_load_the_lg_stack():
@@ -633,7 +633,64 @@ def test_commands_on_an_algebra_never_load_the_lg_stack():
         assert command in help_text
     assert cold["check_ok"] is True
     assert cold["torus"] == {"1": "1", "2": "-1", "4": "-1"}
-    # the lazy re-exports are the LG modules' own objects, and any other name still raises
-    assert cold["same"] == [True, True]
+    # any name but the LG ones still raises
     assert cold["missing"] == "module 'rspin' has no attribute 'no_such_name'"
     assert set(LG_NAMES) <= set(cold["dir"])
+
+
+# run in a fresh interpreter: the lg-* commands each load only the LG modules
+# they run, and each LG name read from rspin loads only the module defining it
+LG_COLD_START = """
+import contextlib, importlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import rspin.cli
+
+def loaded():
+    return sorted(name.rpartition(".")[2] for name in sys.modules
+                  if name.startswith("rspin.landau_ginzburg"))
+
+def run(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rspin.cli.main.main(list(args), prog_name="rspin", standalone_mode=False)
+    return json.loads(out.getvalue())["results"], loaded()
+
+if sys.argv[2] == "commands":
+    print(json.dumps([run("lg-jacobi", "x^4", "--json"),
+                      run("lg-hom", "x^5", "--group", "Z5", "--g", "2", "--json")]))
+else:
+    names = []
+    for name, module in json.loads(sys.argv[2]):
+        value = getattr(rspin, name)
+        own = getattr(importlib.import_module("rspin.landau_ginzburg." + module), name)
+        names.append([name, value is own, loaded()])
+    print(json.dumps(names))
+"""
+
+
+def lg_cold_start(mode):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", LG_COLD_START, str(src), mode],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout)
+
+
+def test_each_lg_command_loads_only_the_modules_it_runs():
+    jacobi, hom = lg_cold_start("commands")
+    assert jacobi == [{"basis": ["1", "x", "x^2"], "dim": 3},
+                      ["groebner", "landau_ginzburg", "poly"]]
+    assert hom == [{"even_dim": 0, "odd_dim": 1, "stabilized_at": 3},
+                   ["groebner", "landau_ginzburg", "mf", "poly"]]
+
+
+def test_each_lg_name_loads_only_the_module_that_defines_it():
+    # read in dependency order, poly < groebner < mf < orbifold, so each
+    # module appears in sys.modules with the first name that it defines
+    order = ("poly", "groebner", "mf", "orbifold")
+    names = sorted(LG_NAMES.items(), key=lambda item: order.index(item[1]))
+    expected, seen = [], ["landau_ginzburg"]
+    for name, module in names:
+        seen = sorted(set(seen) | {module})
+        expected.append([name, True, seen])
+    assert lg_cold_start(json.dumps(names)) == expected

@@ -19,7 +19,9 @@ from rspin.constructors import (
     structure_maps,
 )
 from rspin.lambda_frobenius import LambdaFrobenius, validate
-from rspin.landau_ginzburg import GroupAction, orbifold_algebra, parse_poly
+from rspin.landau_ginzburg.mf import GroupAction
+from rspin.landau_ginzburg.orbifold import orbifold_algebra
+from rspin.landau_ginzburg.poly import parse_poly
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
     SuperLinAlgError,

@@ -2,8 +2,9 @@
 helper in src/ is used somewhere else in src/, src/ touches a private
 attribute only through self, cls or a class name, only scalars and
 landau_ginzburg/mf call Cyc.zeta, only scalars builds a Cyc from its
-fields or reads them, and no module outside landau_ginzburg imports that
-package when it is itself imported.
+fields or reads them, no module outside landau_ginzburg imports that
+package when it is itself imported, and the package's `__init__.py`
+imports nothing.
 
 A stdlib `ast` scan of every file under src/ and tests/; for the imports,
 package `__init__.py` files are skipped (they import to re-export), and so
@@ -86,6 +87,29 @@ def test_scan_names_a_top_level_landau_ginzburg_import(tmp_path):
                       "def f(text):\n    from . import landau_ginzburg\n"
                       "    return json.dumps(landau_ginzburg.jacobi(parse_poly(text)).dimension)\n")
     assert eager_imports(source, "landau_ginzburg") == [2]
+
+
+def import_lines(path):
+    """Line of every import statement in the file, at any depth."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def test_landau_ginzburg_package_re_exports_nothing():
+    # a re-export would load every module it names with the package; rspin's
+    # own LG names each import only the module that defines them
+    init = ROOT / "src" / "rspin" / "landau_ginzburg" / "__init__.py"
+    found = ["%s:%d imports" % (init.relative_to(ROOT), line) for line in import_lines(init)]
+    assert not found, "import from the LG modules, not the package:\n" + "\n".join(found)
+
+
+def test_scan_names_every_import_in_a_package_init(tmp_path):
+    source = tmp_path / "__init__.py"
+    source.write_text('"""Docstring."""\n\nfrom .poly import Poly\n\n'
+                      "if True:\n    import json\n\n"
+                      "def f():\n    from . import mf\n    return mf, json, Poly\n")
+    assert import_lines(source) == [3, 6, 9]
 
 
 def _references(tree):

@@ -61,6 +61,17 @@ def test_compose_shape_mismatch():
         compose(g, f)
 
 
+def test_compose_refuses_spaces_of_one_dimension():
+    """(2|0) and (1|1) have one dimension but are different spaces: a map
+    into one does not compose with a map out of the other."""
+    even, mixed = SuperSpace(2, 0), SuperSpace(1, 1)
+    for g, f in ((identity(even), SuperMap.zero(mixed, mixed)),
+                 (identity(mixed), SuperMap.zero(even, even))):
+        with pytest.raises(SuperLinAlgError, match="composition shape mismatch"):
+            compose(g, f)
+    assert compose(identity(mixed), SuperMap.zero(even, mixed)) == SuperMap.zero(even, mixed)
+
+
 def test_parity_block_structure_enforced():
     with pytest.raises(SuperLinAlgError):
         smap(1, 1, 1, 1, 0, [[0, 1], [1, 0]])
