@@ -78,6 +78,28 @@ class LambdaFrobenius:
         r = self.r
         if r < 1:
             raise LambdaFrobeniusError("r must be a positive integer")
+        pairs = set(itertools.product(range(r), repeat=2))
+        if not (self.spaces.keys() == set(range(r)) and self.mu.keys() == pairs
+                and self.delta.keys() == pairs):
+            self._check_keys()
+        self._check_shapes()
+        # while it is sought, every index is read literally
+        self.period = r
+        self.period = next(m for m in divisors(r) if self.repeats(m))
+
+    def __eq__(self, other):
+        """The six fields, for any two LambdaFrobenius, subclasses included; the
+        type stays unhashable."""
+        if not isinstance(other, LambdaFrobenius):
+            return NotImplemented
+        fields = ("r", "spaces", "mu", "delta", "eta", "eps")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    __hash__ = None
+
+    def _check_keys(self):
+        """Refuse the first key that is not a pair, lies outside 0..r-1 or is missing."""
+        r = self.r
         indices = range(r)
         for name, table in (("mu", self.mu), ("Delta", self.delta)):
             for key in table:
@@ -98,20 +120,6 @@ class LambdaFrobenius:
                 raise LambdaFrobeniusError("missing mu_{%d,%d}" % key)
             if key not in delta:
                 raise LambdaFrobeniusError("missing Delta_{%d,%d}" % key)
-        self._check_shapes()
-        # while it is sought, every index is read literally
-        self.period = r
-        self.period = next(m for m in divisors(r) if self.repeats(m))
-
-    def __eq__(self, other):
-        """The six fields, for any two LambdaFrobenius, subclasses included; the
-        type stays unhashable."""
-        if not isinstance(other, LambdaFrobenius):
-            return NotImplemented
-        fields = ("r", "spaces", "mu", "delta", "eta", "eps")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
-
-    __hash__ = None
 
     def _check_shapes(self):
         # every structure map is even and declares its factors, mu and Delta the
@@ -137,10 +145,13 @@ class LambdaFrobenius:
         r, spaces = self.r, self.spaces
         if m == r:
             return True
-        if any(spaces[a] != spaces[a % m] for a in range(r)) or any(
-                maps[a, b] != maps[a % m, b % m] for maps in (self.mu, self.delta)
-                for a, b in itertools.product(range(r), repeat=2)):
+        if any(spaces[a] is not spaces[a % m] for a in range(r)):
             return False
+        for maps in (self.mu, self.delta):
+            for (a, b), f in maps.items():
+                g = maps[a % m, b % m]
+                if f is not g and f != g:
+                    return False
         # N_a, built from C_{+-a}, mu_{a,-a}, Delta_{a,-a}, eta and eps, is N_{a mod m}
         return all(self.nakayama_power(a, m) == self.nakayama_power(a, 0) for a in range(m))
 
@@ -233,7 +244,7 @@ class LambdaFrobenius:
         cap = self._handle_caps.get(key)
         if cap is None:
             k, eps = self.handle_operator(c, a, b), self.eps
-            if k.target != eps.source:
+            if k.target is not eps.source:
                 raise SuperLinAlgError("composition shape mismatch: %r after %r" % (eps, k))
             cap = self._handle_caps[key] = Cap(k.source, [pullback(eps.entries[0], k.entries)])
         return cap

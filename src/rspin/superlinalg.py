@@ -5,12 +5,15 @@ of spaces enumerates basis tuples lexicographically and regrades them into
 (even, odd) blocks; every map records the factor list of its source and
 target, and n-ary tensors of maps are always formed over the flat factor
 lists so that no associator bookkeeping is ever needed.
+
+There is one SuperSpace object per (even, odd) pair: the constructor returns
+the object made first, so spaces compare and hash by identity, and
+tensor_space returns that object too.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .scalars import Cyc, as_cyc
@@ -20,14 +23,38 @@ class SuperLinAlgError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class SuperSpace:
-    even: int
-    odd: int
+_SPACES = {}
 
-    @property
-    def dim(self):
-        return self.even + self.odd
+
+class SuperSpace:
+    """The super vector space of dimension (even|odd), one object per pair.
+
+    SuperSpace(even, odd) returns the object made first for the pair, so
+    equality and hashing are identity, decided in C.  The object is
+    immutable, and pickle and copy give it back.
+    """
+
+    __slots__ = ("even", "odd", "dim")
+
+    def __new__(cls, even, odd):
+        space = _SPACES.get((even, odd))
+        if space is None:
+            new = object.__new__(cls)
+            object.__setattr__(new, "even", even)
+            object.__setattr__(new, "odd", odd)
+            object.__setattr__(new, "dim", even + odd)
+            # setdefault is atomic, so two threads get the same object
+            space = _SPACES.setdefault((even, odd), new)
+        return space
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SuperSpace is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SuperSpace is immutable")
+
+    def __reduce__(self):
+        return SuperSpace, (self.even, self.odd)
 
     def parity(self, index):
         return 0 if index < self.even else 1
@@ -83,37 +110,25 @@ def pair_index(space):
     return {t: k for k, t in enumerate(graded_tuples([space, space]))}
 
 
-def _parity_split(spaces):
-    """(dim, odd dim) of the tensor product of spaces in closed form:
+def tensor_space(*spaces):
+    """The tensor product of spaces, its parity split in closed form:
     odd = (prod dim - prod (even - odd)) / 2."""
     total = signed = 1
     for s in spaces:
-        total *= s.even + s.odd
+        total *= s.dim
         signed *= s.even - s.odd
-    return total, (total - signed) // 2
-
-
-def tensor_space(*spaces):
-    """The tensor product of spaces, its parity split in closed form."""
-    total, odd = _parity_split(spaces)
-    return SuperSpace(total - odd, odd)
+    odd = (total - signed) // 2
+    # a pair already made is read from the table, with no constructor call
+    return _SPACES.get((total - odd, odd)) or SuperSpace(total - odd, odd)
 
 
 def _declared_factors(factors, space, side):
     """The declared factor list as a tuple, (space,) if none; refuses a list
-    whose product is not space.  One factor multiplies out to itself, so it is
-    compared with space; a longer list is checked by the closed form of its
-    parity split, with no space built."""
+    whose product is not space."""
     if factors is None:
         return (space,)
     factors = tuple(factors)
-    if len(factors) == 1:
-        product = factors[0]
-        fits = product is space or product == space
-    else:
-        total, odd = _parity_split(factors)
-        fits = odd == space.odd and total - odd == space.even
-    if not fits:
+    if tensor_space(*factors) is not space:
         raise SuperLinAlgError("declared %s factors do not multiply out to the %s"
                                % (side, side))
     return factors
@@ -150,9 +165,7 @@ class SuperMap:
     rebuilt from the entries on each access.  Block structure is enforced:
     an entry may be nonzero only if parity(target i) = parity(source j) +
     parity(map).  The declared source and target factor lists must multiply
-    out to the source and target: a one-factor list is compared with its
-    space, and a longer one is checked by the closed form of its parity
-    split, with no space built.
+    out to the source and target.
     """
 
     __slots__ = ("source", "target", "parity", "entries", "source_factors", "target_factors")
@@ -249,9 +262,11 @@ class SuperMap:
         return self + other.scale(-1)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SuperMap):
             return NotImplemented
-        return (self.source == other.source and self.target == other.target
+        return (self.source is other.source and self.target is other.target
                 and self.parity == other.parity and self.entries == other.entries)
 
     def is_zero(self):
@@ -269,7 +284,7 @@ def identity(space):
 
 
 def compose(g, f):
-    if f.target is not g.source and f.target != g.source:
+    if f.target is not g.source:
         raise SuperLinAlgError("composition shape mismatch: %r after %r" % (g, f))
     f_entries = f.entries
     return SuperMap(f.source, g.target, (f.parity + g.parity) % 2, None,
@@ -301,7 +316,7 @@ def apply(f, space, vector):
     """f(v) = {index: nonzero} for a vector v = {index: nonzero} of the space
     `space`: one pass over the stored rows of f, which must start on that space.
     f is a SuperMap, or any object with a source and entries of that layout."""
-    if f.source is not space and f.source != space:
+    if f.source is not space:
         raise SuperLinAlgError("composition shape mismatch: %r after a vector in %r"
                                % (f, space))
     out = {}
@@ -381,7 +396,7 @@ def whisker(g, left, f, right):
     left, right = tuple(left), tuple(right)
     src_flat, tgt_split, odd_left, n_right, src_space, tgt_space = _whisker_plan(
         left, f.source_factors, f.target_factors, right)
-    if g.target != src_space:
+    if g.target is not src_space:
         raise SuperLinAlgError("composition shape mismatch: whiskered %r after %r" % (f, g))
     n_src, f_entries, odd_f, g_entries = f.source.dim, f.entries, f.parity, g.entries
     entries = []
@@ -429,7 +444,7 @@ def quantum_dimension(space):
 
 
 def supertrace(f):
-    if f.source != f.target:
+    if f.source is not f.target:
         raise SuperLinAlgError("supertrace requires an endomorphism")
     total = Cyc.zero()
     for i, stored in enumerate(f.entries):

@@ -1,5 +1,9 @@
+import copy
 import itertools
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -25,6 +29,7 @@ from rspin.superlinalg import (
     tensor_space,
     whisker,
 )
+from rspin import superlinalg
 
 
 def smap(se, so, te, to, parity, rows):
@@ -331,6 +336,72 @@ def test_tensor_space_closed_form_matches_enumeration(spaces):
     odd = sum(1 for t in basis if sum(s.parity(i) for s, i in zip(spaces, t)) % 2)
     assert tensor_space(*spaces) == SuperSpace(len(basis) - odd, odd)
     assert graded_tuples(spaces) == reference_basis(spaces)
+
+
+def test_one_object_per_pair():
+    s = SuperSpace(2, 1)
+    assert SuperSpace(2, 1) is s and SuperSpace(1, 2) is not s
+    assert tensor_space(s, SuperSpace(1, 0)) is s
+    assert tensor_space(SuperSpace(1, 1), SuperSpace(1, 1)) is SuperSpace(2, 2)
+    assert tensor_space() is SuperSpace(1, 0)
+    assert (s.even, s.odd, s.dim, repr(s)) == (2, 1, 3, "(2|1)")
+    # a space equals no tuple, and hashes as the object it is
+    assert s != (2, 1) and (2, 1) != s
+    assert {s: 1}.get(SuperSpace(2, 1)) == 1
+
+
+def test_pickle_and_copies_give_back_the_same_space():
+    s = SuperSpace(2, 1)
+    assert pickle.loads(pickle.dumps(s)) is s
+    assert copy.copy(s) is s and copy.deepcopy(s) is s
+    assert copy.deepcopy([s, (s,)])[1][0] is s
+
+
+def test_a_space_is_immutable():
+    s = SuperSpace(2, 1)
+    for name in ("even", "odd", "dim", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert (s.even, s.odd, s.dim) == (2, 1, 3)
+
+
+def test_threads_building_a_new_pair_get_one_object():
+    pair = (4099, 4097)
+    assert pair not in superlinalg._SPACES
+    barrier, built = threading.Barrier(4, timeout=10), []
+
+    def build():
+        barrier.wait()
+        built.append(SuperSpace(*pair))
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == 4 and all(s is built[0] for s in built)
+    assert SuperSpace(*pair) is built[0]
+
+
+def test_supermap_equals_itself_without_reading_its_entries():
+    class Unreadable(list):
+        def __eq__(self, other):
+            raise AssertionError("entries compared")
+
+    f, g = identity(SuperSpace(2, 1)), identity(SuperSpace(2, 1))
+    f.entries = Unreadable(f.entries)
+    assert f == f and not f != f
+    # another map with the same spaces is compared entry by entry
+    with pytest.raises(AssertionError, match="entries compared"):
+        f == g
 
 
 SOURCE_MISMATCH = "declared source factors do not multiply out to the source"
