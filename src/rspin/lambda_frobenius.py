@@ -150,7 +150,7 @@ class LambdaFrobenius:
         for maps in (self.mu, self.delta):
             for (a, b), f in maps.items():
                 g = maps[a % m, b % m]
-                if f is not g and f != g:
+                if f != g:
                     return False
         # N_a, built from C_{+-a}, mu_{a,-a}, Delta_{a,-a}, eta and eps, is N_{a mod m}
         return all(self.nakayama_power(a, m) == self.nakayama_power(a, 0) for a in range(m))

@@ -1,9 +1,10 @@
 """Z2-graded linear algebra over Q(zeta_r) with the Koszul sign rule.
 
 Bases are always ordered even part first, then odd part.  A tensor product
-of spaces enumerates basis tuples lexicographically and regrades them into
-(even, odd) blocks; every map records the factor list of its source and
-target, and n-ary tensors of maps are always formed over the flat factor
+of spaces lists its basis tuples evens (lex) then odds (lex); _basis is the
+one owner of that order, and graded_tuples, pair_index, braiding and the
+whisker plans all read it.  Every map records the factor list of its source
+and target, and n-ary tensors of maps are always formed over the flat factor
 lists so that no associator bookkeeping is ever needed.
 
 There is one SuperSpace object per (even, odd) pair: the constructor returns
@@ -31,7 +32,8 @@ class SuperSpace:
 
     SuperSpace(even, odd) returns the object made first for the pair, so
     equality and hashing are identity, decided in C.  The object is
-    immutable, and pickle and copy give it back.
+    immutable, and pickle and copy give it back.  A pair not made yet must
+    hold two nonnegative ints, or SuperLinAlgError is raised.
     """
 
     __slots__ = ("even", "odd", "dim")
@@ -39,6 +41,10 @@ class SuperSpace:
     def __new__(cls, even, odd):
         space = _SPACES.get((even, odd))
         if space is None:
+            # checked only for a pair not made yet, so a table hit costs nothing
+            if not all(type(d) is int and d >= 0 for d in (even, odd)):
+                raise SuperLinAlgError("dimensions must be nonnegative ints, not %r, %r"
+                                       % (even, odd))
             new = object.__new__(cls)
             object.__setattr__(new, "even", even)
             object.__setattr__(new, "odd", odd)
@@ -69,45 +75,27 @@ _ONE = Cyc.one()
 
 
 @lru_cache(maxsize=256)
-def _graded_rank(spaces):
-    """Graded index of every basis tuple of a flat tensor product.
+def _basis(spaces):
+    """(tuples, index) of the flat tensor product of spaces: the one owner of
+    the basis order.
 
-    Entry k belongs to the tuple whose mixed-radix code over the factor
-    dimensions is k (the lexicographic position of the tuple); evens keep
-    their lexicographic order ahead of the odds.
+    tuples lists the basis tuples evens (lex) then odds (lex): the
+    lexicographic product, stably sorted by parity.  index is {tuple: graded
+    index}, shared by every caller, so none may change it.
     """
-    parities = [0]
-    for s in spaces:
-        parities = [p ^ (i >= s.even) for p in parities for i in range(s.dim)]
-    rank = []
-    even, odd = 0, len(parities) - sum(parities)
-    for p in parities:
-        if p:
-            rank.append(odd)
-            odd += 1
-        else:
-            rank.append(even)
-            even += 1
-    return tuple(rank)
+    tuples = tuple(sorted(itertools.product(*[range(s.dim) for s in spaces]),
+                          key=lambda t: sum(i >= s.even for s, i in zip(spaces, t)) % 2))
+    return tuples, {t: k for k, t in enumerate(tuples)}
 
 
 def graded_tuples(spaces):
     """Basis tuples of a flat tensor product, evens (lex) then odds (lex): a new list."""
-    return list(_graded_tuples(tuple(spaces)))
-
-
-@lru_cache(maxsize=256)
-def _graded_tuples(spaces):
-    rank = _graded_rank(spaces)
-    out = [None] * len(rank)
-    for k, combo in zip(rank, itertools.product(*[range(s.dim) for s in spaces])):
-        out[k] = combo
-    return tuple(out)
+    return list(_basis(tuple(spaces))[0])
 
 
 def pair_index(space):
-    """{(i, j): k}: the graded index k of the basis pair (i, j) of space o space."""
-    return {t: k for k, t in enumerate(graded_tuples([space, space]))}
+    """{(i, j): k}: the graded index k of the basis pair (i, j) of space o space (a new dict)."""
+    return dict(_basis((space, space))[1])
 
 
 def tensor_space(*spaces):
@@ -128,30 +116,10 @@ def _declared_factors(factors, space, side):
     if factors is None:
         return (space,)
     factors = tuple(factors)
-    if tensor_space(*factors) is not space:
+    if factors != (space,) and tensor_space(*factors) is not space:
         raise SuperLinAlgError("declared %s factors do not multiply out to the %s"
                                % (side, side))
     return factors
-
-
-@lru_cache(maxsize=256)
-def _tensor_layout(groups):
-    """Flat graded index of each combination of per-group graded indices.
-
-    groups is a tuple of factor lists; entry k of the result belongs to the
-    combination (j_1, ..., j_n) whose mixed-radix code over the group
-    dimensions is k, where j_m indexes the graded basis of group m.
-    """
-    flat = _graded_rank(tuple(s for group in groups for s in group))
-    codes = [0]
-    for group in groups:
-        rank = _graded_rank(group)
-        lex = [0] * len(rank)
-        for code, k in enumerate(rank):
-            lex[k] = code
-        size = len(lex)
-        codes = [c * size + x for c in codes for x in lex]
-    return tuple(flat[c] for c in codes)
 
 
 class SuperMap:
@@ -237,29 +205,6 @@ class SuperMap:
             entries = [{} for _ in self.entries]
         return SuperMap(self.source, self.target, self.parity, None,
                         self.source_factors, self.target_factors, entries=entries)
-
-    def __add__(self, other):
-        if (self.source, self.target, self.parity) != (other.source, other.target, other.parity):
-            raise SuperLinAlgError("cannot add maps of different shapes or parities")
-        entries = []
-        for mine, theirs in zip(self.entries, other.entries):
-            total = dict(mine)
-            for j, y in theirs.items():
-                x = total.get(j)
-                if x is None:
-                    total[j] = y
-                else:
-                    x = x + y
-                    if x:
-                        total[j] = x
-                    else:
-                        del total[j]
-            entries.append(total)
-        return SuperMap(self.source, self.target, self.parity, None,
-                        self.source_factors, self.target_factors, entries=entries)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __eq__(self, other):
         if self is other:
@@ -372,15 +317,18 @@ def _whisker_plan(left, source, target, right):
     the basis vector of graded index k over left + target + right;
     odd_left[l] is the parity of l.
     """
-    n_right = tensor_space(*right).dim
-    stride = tensor_space(*target).dim * n_right
-    split = [None] * tensor_space(*left, *target, *right).dim
-    for code, k in enumerate(_tensor_layout((left, target, right))):
-        l, rest = divmod(code, stride)
-        split[k] = (l, *divmod(rest, n_right))
+    lefts, left_index = _basis(left)
+    rights, right_index = _basis(right)
+    sources, flat_index = _basis(source)[0], _basis(left + source + right)[1]
+    flat = tuple(flat_index[l + j + w] for l in lefts for j in sources for w in rights)
+    target_index = _basis(target)[1]
+    # split each basis tuple over left + target + right into its three groups
+    a, b = len(left), len(left) + len(target)
+    split = tuple((left_index[t[:a]], target_index[t[a:b]], right_index[t[b:]])
+                  for t in _basis(left + target + right)[0])
     left_space = tensor_space(*left)
     odd_left = tuple(l >= left_space.even for l in range(left_space.dim))
-    return (_tensor_layout((left, source, right)), tuple(split), odd_left, n_right,
+    return (flat, split, odd_left, len(rights),
             tensor_space(*left, *source, *right), tensor_space(*left, *target, *right))
 
 
@@ -426,14 +374,11 @@ def whisker(g, left, f, right):
 
 def braiding(v, w):
     """b_{V,W}(x o y) = (-1)^{|x||y|} y o x."""
-    src_rank = _graded_rank((v, w))
-    tgt_rank = _graded_rank((w, v))
+    source, target = _basis((v, w))[1], _basis((w, v))[1]
     minus = -_ONE
-    entries = [{} for _ in tgt_rank]
-    for a in range(v.dim):
-        for b in range(w.dim):
-            sign = minus if (a >= v.even and b >= w.even) else _ONE
-            entries[tgt_rank[b * v.dim + a]][src_rank[a * w.dim + b]] = sign
+    entries = [{} for _ in target]
+    for (a, b), j in source.items():
+        entries[target[b, a]][j] = minus if (a >= v.even and b >= w.even) else _ONE
     return SuperMap(tensor_space(v, w), tensor_space(w, v), 0, None,
                     (v, w), (w, v), entries=entries)
 
