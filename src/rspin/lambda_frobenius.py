@@ -28,6 +28,7 @@ from .superlinalg import (
     apply,
     braiding,
     compose,
+    dot,
     graded_tuples,
     identity,
     pullback,
@@ -36,6 +37,7 @@ from .superlinalg import (
 )
 
 _ONE = Cyc.one()
+_ZERO = Cyc.zero()
 
 
 class LambdaFrobeniusError(ValueError):
@@ -44,7 +46,8 @@ class LambdaFrobeniusError(ValueError):
 
 class Cap(NamedTuple):
     """A covector on `source` as a one-row matrix: entries = [{index: nonzero}].
-    It has the source and entries that superlinalg.apply reads, and no SuperMap."""
+    It has the source and entries of a one-row SuperMap, and is none:
+    evaluate_handles pairs its row with a vector by superlinalg.dot."""
     source: SuperSpace
     entries: list
 
@@ -248,6 +251,45 @@ class LambdaFrobenius:
                 raise SuperLinAlgError("composition shape mismatch: %r after %r" % (eps, k))
             cap = self._handle_caps[key] = Cap(k.source, [pullback(eps.entries[0], k.entries)])
         return cap
+
+    def evaluate_handles(self, handles):
+        """eps o K_{a_g,b_g} o ... o K_{a_1,b_1} o eta for the holonomy pairs
+        handles, in one walk over the tables: one lookup per handle, and a
+        miss is built by handle_state, handle_operator or handle_cap.  The
+        state K_{1,a_1,b_1}(eta) is carried through the g - 2 middle handle
+        operators by apply and paired with the last row, the cap eps o K_{a_g,b_g}
+        (eps itself at genus 1 and 0, where eta's column is the state), straight
+        to a scalar.  Each step must start on the space the vector lives in."""
+        m, g = self.period, len(handles)
+        if g:
+            a, b = handles[0]
+            state = self._handle_states.get((a % m, b % m))
+            space, vector = self.handle_state(a, b) if state is None else state
+        else:
+            eta = self.eta
+            space, vector = eta.target, {i: row[0] for i, row in enumerate(eta.entries) if row}
+        if g < 2:
+            last = self.eps
+        else:
+            operators = self._handle_operators
+            # handle k maps C_{1-2k} to C_{-1-2k}; the last one, k = g - 1, starts on C_{3-2g}
+            for k in range(1, g - 1):
+                a, b = handles[k]
+                c = 1 - 2 * k
+                handle = operators.get((c % m, a % m, b % m))
+                if handle is None:
+                    handle = self.handle_operator(c, a, b)
+                vector = apply(handle, space, vector)
+                space = handle.target
+            a, b = handles[-1]
+            c = 3 - 2 * g
+            last = self._handle_caps.get((c % m, a % m, b % m))
+            if last is None:
+                last = self.handle_cap(c, a, b)
+        if last.source is not space:
+            raise SuperLinAlgError("composition shape mismatch: %r after a vector in %r"
+                                   % (last, space))
+        return dot(last.entries[0], vector) or _ZERO
 
     # -- serialization -------------------------------------------------------
 

@@ -257,21 +257,28 @@ def pullback(row, f_entries):
     return out
 
 
+def dot(row, vector):
+    """row . v for a row and a vector {index: nonzero}: the multiply-accumulate
+    of apply, None when no index of the row holds a nonzero of v.  A product
+    with the shared one is never formed."""
+    total = None
+    for j, fv in row.items():
+        x = vector.get(j)
+        if x is not None:
+            value = x if fv is _ONE else fv if x is _ONE else fv * x
+            total = value if total is None else total + value
+    return total
+
+
 def apply(f, space, vector):
     """f(v) = {index: nonzero} for a vector v = {index: nonzero} of the space
-    `space`: one pass over the stored rows of f, which must start on that space.
-    f is a SuperMap, or any object with a source and entries of that layout."""
+    `space`: one dot per stored row of the map f, which must start on that space."""
     if f.source is not space:
         raise SuperLinAlgError("composition shape mismatch: %r after a vector in %r"
                                % (f, space))
     out = {}
     for i, row in enumerate(f.entries):
-        total = None
-        for j, fv in row.items():
-            x = vector.get(j)
-            if x is not None:
-                value = x if fv is _ONE else fv if x is _ONE else fv * x
-                total = value if total is None else total + value
+        total = dot(row, vector)
         if total:
             out[i] = total
     return out
@@ -319,13 +326,15 @@ def _whisker_plan(left, source, target, right):
     """
     lefts, left_index = _basis(left)
     rights, right_index = _basis(right)
-    sources, flat_index = _basis(source)[0], _basis(left + source + right)[1]
+    # the two flat lists are read once, here, through the uncached _basis: the
+    # plan is cached, and the cache keeps only the short factor lists
+    sources, flat_index = _basis(source)[0], _basis.__wrapped__(left + source + right)[1]
     flat = tuple(flat_index[l + j + w] for l in lefts for j in sources for w in rights)
     target_index = _basis(target)[1]
     # split each basis tuple over left + target + right into its three groups
     a, b = len(left), len(left) + len(target)
     split = tuple((left_index[t[:a]], target_index[t[a:b]], right_index[t[b:]])
-                  for t in _basis(left + target + right)[0])
+                  for t in _basis.__wrapped__(left + target + right)[0])
     left_space = tensor_space(*left)
     odd_left = tuple(l >= left_space.even for l in range(left_space.dim))
     return (flat, split, odd_left, len(rights),

@@ -9,57 +9,102 @@ LambdaFrobenius.handle_operator builds each once and keeps it with the
 algebra, as it does the powers of N_a.
 The end handles are kept with eta and eps folded in, also without a map: the
 state K_{1,a,b}(eta), a sparse vector on C_{-1}, and the cap eps o K_{c,a,b},
-a sparse row on C_c.  The evaluation itself builds no map: it carries the
-state of the first handle through the middle handle operators and pairs it
-with the cap of the last one, g - 2 vector steps and one pairing at genus g.
+a sparse row on C_c.  The evaluation itself builds no map: evaluate_surface
+checks r and admissibility and hands the handles to one walk,
+LambdaFrobenius.evaluate_handles, next to the tables.  A warm genus-g call
+makes one dict lookup per handle, carries the state of the first handle
+through the g - 2 middle handle operators with superlinalg.apply, and pairs
+it with the cap of the last one (eps at genus 1) straight to a scalar by the
+same multiply-accumulate, superlinalg.dot.  A surface reads r, the genus and
+every holonomy through operator.index, so a value that is no integer, or a
+handle that is not a pair, is refused by name when the surface is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
-from .scalars import Cyc, divisors
-from .superlinalg import apply
-
-_ZERO = Cyc.zero()
+from .scalars import divisors
 
 
 class SurfaceError(ValueError):
     pass
 
 
-def _check_order(r):
+def _integer(name, value):
+    """value as an int, through operator.index: a float or a string is refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise SurfaceError("%s must be an integer, got %r" % (name, value)) from None
+
+
+def _order(r):
+    r = _integer("r", r)
     if r < 1:
         raise SurfaceError("r must be a positive integer, got %d" % r)
+    return r
 
 
-@dataclass(frozen=True)
+def _handle_error(handles):
+    """The SurfaceError for holonomies that are not pairs of integers: it names
+    the first handle that is not a pair, or the first holonomy that is no
+    integer, or else the rest of an iterator the failed pass used up."""
+    try:
+        handles = list(handles)
+    except TypeError:
+        return SurfaceError("handles must be a sequence of holonomy pairs, got %r" % (handles,))
+    for handle in handles:
+        try:
+            pair = tuple(handle)
+        except TypeError:
+            pair = None
+        if pair is None or len(pair) != 2:
+            return SurfaceError("handle %r is not a pair of holonomies" % (handle,))
+        for value in pair:
+            try:
+                index(value)
+            except TypeError:
+                return SurfaceError("holonomy %r of handle %r is not an integer"
+                                    % (value, handle))
+    return SurfaceError("handles must be pairs of integers, got %r" % (handles,))
+
+
+@dataclass(frozen=True, init=False)
 class RSpinTorus:
     r: int
     a: int
     b: int
 
-    def __post_init__(self):
-        _check_order(self.r)
-        object.__setattr__(self, "a", self.a % self.r)
-        object.__setattr__(self, "b", self.b % self.r)
+    def __init__(self, r, a, b):
+        r = _order(r)
+        # frozen: the fields are stored in the instance dict directly
+        fields = self.__dict__
+        fields["r"], fields["a"], fields["b"] = r, _integer("a", a) % r, _integer("b", b) % r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RSpinClosedSurface:
+    """A closed genus-g surface with one holonomy pair (a, b) per handle, each
+    read through operator.index and kept mod r."""
     r: int
     genus: int
     handles: tuple
 
-    def __post_init__(self):
-        _check_order(self.r)
-        if self.genus < 0:
+    def __init__(self, r, genus, handles):
+        r, genus = _order(r), _integer("genus", genus)
+        if genus < 0:
             raise SurfaceError("genus must be non-negative")
-        handles = tuple((a % self.r, b % self.r) for a, b in self.handles)
-        if len(handles) != self.genus:
+        try:
+            handles = tuple([(index(a) % r, index(b) % r) for a, b in handles])
+        except (TypeError, ValueError):
+            raise _handle_error(handles) from None
+        if len(handles) != genus:
             raise SurfaceError("need exactly one holonomy pair per handle")
-        object.__setattr__(self, "handles", handles)
+        fields = self.__dict__
+        fields["r"], fields["genus"], fields["handles"] = r, genus, handles
 
     def admissible(self):
         """A closed genus-g surface carries an r-spin structure iff r | 2g - 2."""
@@ -81,32 +126,15 @@ def evaluate_torus(alg, t):
 
 
 def evaluate_surface(alg, s):
-    """eps o K_{a_g,b_g} o ... o K_{a_1,b_1} o eta, checked for admissibility.
-
-    Genus 0 pairs the column of eta with eps, genus 1 the state
-    K_{a_1,b_1}(eta) with eps; from genus 2 on the state is carried through
-    the middle handle operators as a sparse vector and paired with the cap
-    eps o K_{a_g,b_g}.  No map is built per call."""
-    if alg.r != s.r:
-        raise SurfaceError("algebra has r=%d but surface has r=%d" % (alg.r, s.r))
-    if not s.admissible():
+    """eps o K_{a_g,b_g} o ... o K_{a_1,b_1} o eta, checked for admissibility:
+    one walk of LambdaFrobenius.evaluate_handles over the algebra's tables."""
+    r = s.r
+    if alg.r != r:
+        raise SurfaceError("algebra has r=%d but surface has r=%d" % (alg.r, r))
+    if (2 * s.genus - 2) % r:
         raise SurfaceError(
-            "no r-spin structure: r=%d does not divide 2g-2=%d" % (s.r, 2 * s.genus - 2))
-    handles = s.handles
-    if not handles:
-        eta = alg.eta
-        column = {i: row[0] for i, row in enumerate(eta.entries) if row}
-        return apply(alg.eps, eta.target, column).get(0, _ZERO)
-    space, vector = alg.handle_state(*handles[0])
-    if len(handles) == 1:
-        return apply(alg.eps, space, vector).get(0, _ZERO)
-    # handle k maps C_{1-2k} to C_{-1-2k}; the last one, k = g - 1, starts on C_{3-2g}
-    for k in range(1, len(handles) - 1):
-        handle = alg.handle_operator(1 - 2 * k, *handles[k])
-        vector = apply(handle, space, vector)
-        space = handle.target
-    cap = alg.handle_cap(3 - 2 * len(handles), *handles[-1])
-    return apply(cap, space, vector).get(0, _ZERO)
+            "no r-spin structure: r=%d does not divide 2g-2=%d" % (r, 2 * s.genus - 2))
+    return alg.evaluate_handles(s.handles)
 
 
 def all_torus_invariants(alg):

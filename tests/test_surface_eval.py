@@ -1,12 +1,14 @@
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
+from rspin import surface_eval
 from rspin.constructors import builtin, graded_center
-from rspin.lambda_frobenius import LambdaFrobenius, validate
+from rspin.lambda_frobenius import Cap, LambdaFrobenius, validate
 from rspin.scalars import Cyc
 from rspin.superlinalg import (
     SuperLinAlgError,
@@ -491,3 +493,99 @@ def test_handle_operator_on_the_wrong_space_is_rejected():
     alg._handle_operators[(1, 0, 0)] = identity(SuperSpace(2, 0))
     with pytest.raises(SuperLinAlgError, match="composition shape mismatch"):
         evaluate_surface(alg, surface)
+
+
+def test_a_wrong_space_cap_at_genus_two_is_rejected():
+    """The cap must start on the space the state lives in: at genus 2 the state
+    of clifford1 at r = 2 lies in (1|0), and a cap on (0|1) or (2|0) is refused."""
+    alg = graded_center(builtin("clifford1"), 2)
+    surface = RSpinClosedSurface(2, 2, ((0, 0), (0, 0)))
+    value = evaluate_surface(alg, surface)
+    assert alg.handle_state(0, 0)[0] == SuperSpace(1, 0)
+    kept = alg._handle_caps[(1, 0, 0)]
+    for wrong in (Cap(SuperSpace(0, 1), [{0: Cyc.one()}]), Cap(SuperSpace(2, 0), [{1: Cyc.one()}])):
+        alg._handle_caps[(1, 0, 0)] = wrong
+        with pytest.raises(SuperLinAlgError, match="composition shape mismatch"):
+            evaluate_surface(alg, surface)
+    alg._handle_caps[(1, 0, 0)] = kept
+    assert evaluate_surface(alg, surface) == value
+
+
+def test_a_wrong_space_middle_operator_or_cap_at_genus_three_is_rejected():
+    """At genus 3 the state is carried through the middle operator K_{-1,a,b},
+    kept at c = 1 mod clifford1's period 2, then paired with the cap: a table
+    entry on (0|1) or (2|0) in place of either is refused, the state being
+    kept already."""
+    alg = graded_center(builtin("clifford1"), 4)
+    surface = RSpinClosedSurface(4, 3, ((0, 0), (0, 0), (0, 0)))
+    value = evaluate_surface(alg, surface)
+    assert alg.period == 2 and (0, 0) in alg._handle_states
+    operator, cap = alg._handle_operators[(1, 0, 0)], alg._handle_caps[(1, 0, 0)]
+    assert alg.handle_operator(0, 0, 0).source == SuperSpace(0, 1)
+    for wrong in (alg.handle_operator(0, 0, 0), identity(SuperSpace(2, 0))):
+        alg._handle_operators[(1, 0, 0)] = wrong
+        with pytest.raises(SuperLinAlgError, match="composition shape mismatch"):
+            evaluate_surface(alg, surface)
+    alg._handle_operators[(1, 0, 0)] = operator
+    for wrong in (Cap(SuperSpace(0, 1), [{0: Cyc.one()}]), Cap(SuperSpace(2, 0), [{1: Cyc.one()}])):
+        alg._handle_caps[(1, 0, 0)] = wrong
+        with pytest.raises(SuperLinAlgError, match="composition shape mismatch"):
+            evaluate_surface(alg, surface)
+    alg._handle_caps[(1, 0, 0)] = cap
+    assert evaluate_surface(alg, surface) == value
+
+
+def test_evaluate_torus_reaches_evaluate_surface_through_the_module(monkeypatch):
+    """evaluate_torus looks evaluate_surface up on the module at each call, so a
+    wrapper set there, a tracer's for one, sees every torus as its genus-1 surface."""
+    alg = graded_center(builtin("clifford1"), 4)
+    seen, evaluate = [], surface_eval.evaluate_surface
+
+    def counted(alg, s):
+        seen.append(s)
+        return evaluate(alg, s)
+
+    monkeypatch.setattr(surface_eval, "evaluate_surface", counted)
+    pairs = list(itertools.product(range(4), repeat=2))
+    values = [evaluate_torus(alg, RSpinTorus(4, a, b)) for a, b in pairs]
+    assert seen == [RSpinClosedSurface(4, 1, ((-a, b),)) for a, b in pairs]
+    assert values == [evaluate(alg, s) for s in seen]
+
+
+class _Index:
+    """An integer-like value: it has __index__ and nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_surfaces_read_every_integer_through_index():
+    assert RSpinTorus(_Index(4), _Index(5), -1) == RSpinTorus(4, 1, 3)
+    surface = RSpinClosedSurface(_Index(4), _Index(3), [(5, _Index(-1)), [0, 0], (True, 2)])
+    assert surface == RSpinClosedSurface(4, 3, ((1, 3), (0, 0), (1, 2)))
+    assert all(type(x) is int for handle in surface.handles for x in handle)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RSpinTorus(4, 0.5, 0), "a must be an integer, got 0.5"),
+    (lambda: RSpinTorus(4, 0, "1"), "b must be an integer, got '1'"),
+    (lambda: RSpinTorus(4.0, 0, 0), "r must be an integer, got 4.0"),
+    (lambda: RSpinClosedSurface(4, 1, ((0, 1, 2),)), "handle (0, 1, 2) is not a pair"),
+    (lambda: RSpinClosedSurface(4, 1, ((0,),)), "handle (0,) is not a pair"),
+    (lambda: RSpinClosedSurface(4, 1, (3,)), "handle 3 is not a pair"),
+    (lambda: RSpinClosedSurface(4.0, 3, ((0, 1), (0, 0), (1, 1))),
+     "r must be an integer, got 4.0"),
+    (lambda: RSpinClosedSurface(4, 1.0, ((0, 1),)), "genus must be an integer, got 1.0"),
+    (lambda: RSpinClosedSurface(4, 2, ((0, 1), (0.5, 1))),
+     "holonomy 0.5 of handle (0.5, 1) is not an integer"),
+    (lambda: RSpinClosedSurface(4, 1, None), "handles must be a sequence of holonomy pairs"),
+])
+def test_a_surface_that_cannot_be_evaluated_is_refused_by_name(make, message):
+    """Each refusal is a SurfaceError naming the value, raised by the constructor:
+    before, a float holonomy of a torus reached the tables as a KeyError, a
+    triple failed to unpack and a float r was kept."""
+    with pytest.raises(SurfaceError, match=re.escape(message)):
+        make()
